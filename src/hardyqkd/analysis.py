@@ -50,12 +50,6 @@ def bayes_setting_posterior(behavior: Behavior,
     return sigma / total, nu / total
 
 
-def dropping_params(behavior: Behavior,
-                    dist: SettingsDistribution) -> tuple[float, float]:
-    """Setup quantities p^A_0, p^A_1 used by the dropping strategy."""
-    return bayes_setting_posterior(behavior, dist)
-
-
 def sigma_from_h(h: HVector, dist: SettingsDistribution) -> float:
     """sigma = h1 P(A=0,B=0) + h3 P(A=0,B=1); fixed by h for the Hardy test."""
     joint = dist.joint()
@@ -126,56 +120,6 @@ def gamma_tilde(h: HVector, dist: SettingsDistribution,
     return min(gamma0, 1.0), min(gamma1, 1.0)
 
 
-def sigma_range(h: HVector, dist: SettingsDistribution,
-                level: int = 2) -> tuple[float, float]:
-    """SDP range of sigma given h (stage 1 of the general two-stage method).
-
-    For the Hardy functionals both endpoints coincide with sigma_from_h; the
-    general path exists for tests and for functional sets that do not pin
-    sigma.
-    """
-    joint = dist.joint()
-    cells = np.zeros((2, 2, 2, 2))
-    cells[0, 0, 0, 0] = joint[0, 0]
-    cells[0, 0, 0, 1] = joint[0, 1]
-    func = LinearFunctional(cells=cells)
-    equalities = _h_equalities(h)
-    lo = npa.bound_functional(level, equalities, func, "min")
-    hi = npa.bound_functional(level, equalities, func, "max")
-    return float(lo), float(hi)
-
-
-def gamma_tilde_two_stage(h: HVector, dist: SettingsDistribution,
-                          level: int = 2,
-                          sigma_points: int = 5) -> tuple[float, float]:
-    """General two-stage bound: grid over sigma, then bound nu given sigma."""
-    lo, hi = sigma_range(h, dist, level)
-    lo, hi = max(lo, 0.0), max(hi, 0.0)
-    equalities = _h_equalities(h)
-    func = nu_functional(dist)
-    joint = dist.joint()
-    sig_cells = np.zeros((2, 2, 2, 2))
-    sig_cells[0, 0, 0, 0] = joint[0, 0]
-    sig_cells[0, 0, 0, 1] = joint[0, 1]
-    sig_func = LinearFunctional(cells=sig_cells)
-
-    gamma0, gamma1 = 0.0, 0.0
-    grid = [0.5 * (lo + hi)] if hi - lo <= 1e-12 or sigma_points == 1 else \
-        list(np.linspace(lo, hi, sigma_points))
-    for sigma in grid:
-        eqs = equalities + [(sig_func, float(sigma))]
-        nu_min = max(0.0, npa.bound_functional(level, eqs, func, "min"))
-        nu_max = max(nu_min, npa.bound_functional(level, eqs, func, "max"))
-        if sigma <= _VACUOUS_TOL and nu_max <= _VACUOUS_TOL:
-            return 1.0, 1.0
-        if sigma <= _VACUOUS_TOL:
-            gamma1 = 1.0
-            continue
-        gamma0 = max(gamma0, sigma / (sigma + nu_min))
-        gamma1 = max(gamma1, nu_max / (sigma + nu_max))
-    return min(gamma0, 1.0), min(gamma1, 1.0)
-
-
 @dataclass(frozen=True)
 class GammaPoint:
     h: HVector
@@ -222,35 +166,22 @@ DETERMINISTIC_H_POINTS: tuple[HVector, ...] = _deterministic_h_points()
 
 def build_gamma_grid(dist: SettingsDistribution,
                      resolution: int = 201,
-                     level: int = 2,
-                     include_corners: bool = True,
-                     box_resolution: int = 0) -> GammaGrid:
+                     level: int = 2) -> GammaGrid:
     """Tabulate gamma bounds on the noise segment plus decomposition corners.
 
     The segment holds h(eta) for eta on a uniform grid; the corners are the
     h-images of the local deterministic strategies, which give the
     decomposition LPs their reach (any classical-noise statistics can then
-    be split into perfectly guessable populations).  `box_resolution > 0`
-    additionally scans a feasibility-filtered 4-dimensional box grid; this
-    is exhaustive and slow, and off by default.
+    be split into perfectly guessable populations).
     """
     points: list[GammaPoint] = []
     for eta in np.linspace(0.0, 1.0, resolution):
         h = HVector.from_eta(float(eta))
         g0, g1 = gamma_tilde(h, dist, level)
         points.append(GammaPoint(h=h, gamma0=g0, gamma1=g1, eta=float(eta)))
-    if include_corners:
-        for h in DETERMINISTIC_H_POINTS:
-            g0, g1 = gamma_tilde(h, dist, level)
-            points.append(GammaPoint(h=h, gamma0=g0, gamma1=g1))
-    if box_resolution > 0:
-        for cell in itertools.product(np.linspace(0.0, 1.0, box_resolution),
-                                      repeat=4):
-            h = HVector(*map(float, cell))
-            if not npa.feasible(level, _h_equalities(h)):
-                continue
-            g0, g1 = gamma_tilde(h, dist, level)
-            points.append(GammaPoint(h=h, gamma0=g0, gamma1=g1))
+    for h in DETERMINISTIC_H_POINTS:
+        g0, g1 = gamma_tilde(h, dist, level)
+        points.append(GammaPoint(h=h, gamma0=g0, gamma1=g1))
     return GammaGrid(points=points, level=level, dist_label=dist.label or "custom")
 
 
@@ -337,7 +268,7 @@ def key_rate_dropping(eta: float, dist: SettingsDistribution,
                       grid: GammaGrid) -> KeyRateReport:
     """K2 with the dropping strategy: Alice discards her majority value."""
     behavior, p00 = _setup_quantities(eta, dist)
-    pa0, pa1 = dropping_params(behavior, dist)
+    pa0, pa1 = bayes_setting_posterior(behavior, dist)
     g = guess2(HVector.from_eta(eta), grid, pa0, pa1)
     hab = conditional_entropy(behavior, dist, dropping=True)
     raw = p00 * 2.0 * min(pa0, pa1) * (-np.log2(g) - hab)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, protocol, quantum
-from .errors import ParameterRangeError, SolverFailure
+from .errors import InsufficientDataError, ParameterRangeError, SolverFailure
 from .protocol import NONUNIFORM, SettingsDistribution, UNIFORM
 from .svgplot import LinePlot
 
@@ -64,6 +64,8 @@ class RunConfig:
             raise ParameterRangeError("grids need at least 2 points")
         if self.level not in (1, 2, 3):
             raise ParameterRangeError("level must be 1, 2 or 3")
+        if not 0 <= self.seed < 2 ** 128:
+            raise ParameterRangeError("seed must lie in [0, 2**128)")
         if self.rounds <= 0:
             raise ParameterRangeError("rounds must be positive")
         if not 0.0 <= self.reveal <= 1.0:
@@ -271,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except ParameterRangeError as exc:
+    except (ParameterRangeError, InsufficientDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverFailure, np.linalg.LinAlgError) as exc:

@@ -38,6 +38,9 @@ _SYMBOLS: tuple[Symbol, ...] = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
+# Gap/residual level at which a stalled solve is still accepted as a bound.
+_ACCEPT_TOL = 2e-4
+
 
 def canonical(word: Word | None) -> Word | None:
     """Canonical form of a projector word (or the zero monomial)."""
@@ -322,16 +325,15 @@ def _zero_cell_null_vectors(layout: MomentMatrixLayout,
 def build_moment_sdp(level: int,
                      equalities: list[tuple[LinearFunctional, float]],
                      objective: LinearFunctional,
-                     maximize: bool,
-                     facial_reduction: bool = True) -> SDPProblem:
+                     maximize: bool) -> SDPProblem:
     """Assemble the standard-form SDP for one bound computation.
 
     Constraints: X[0,0] = 1, one tie per duplicated moment entry, a zero
     pin for annihilated words, and one row per supplied functional equality.
     Cells pinned exactly to zero put the moment matrix on a face of the PSD
-    cone; with `facial_reduction` the problem is compressed onto that face,
-    which restores a strictly feasible interior for the interior-point
-    solver without changing the optimal value.
+    cone; the problem is compressed onto that face, which restores a strictly
+    feasible interior for the interior-point solver without changing the
+    optimal value.
     """
     layout = get_layout(level)
     n = layout.dim
@@ -363,33 +365,32 @@ def build_moment_sdp(level: int,
 
     c_mat, _ = _functional_matrix(layout, objective)
 
-    if facial_reduction:
-        null_vecs = _zero_cell_null_vectors(layout, equalities)
-        if null_vecs.shape[0]:
-            _, s, vt = np.linalg.svd(null_vecs)
-            rank = int((s > 1e-12).sum())
-            basis = vt[rank:].T  # orthonormal complement, shape (n, n - rank)
-            c_mat = 0.5 * (basis.T @ c_mat @ basis + (basis.T @ c_mat @ basis).T)
-            reduced: list[np.ndarray] = []
-            red_rhs: list[float] = []
-            for mat, val in zip(constraints, rhs, strict=True):
-                m = basis.T @ mat @ basis
-                if np.abs(m).max(initial=0.0) <= 1e-12:
-                    if abs(val) > 1e-9:
-                        # keep one contradictory row; the solver reports it
-                        reduced.append(m)
-                        red_rhs.append(val)
-                    continue
-                reduced.append(0.5 * (m + m.T))
-                red_rhs.append(val)
-            # the compression makes many tie rows coincide; drop them quietly
-            keep, consistent = prune_dependent_constraints(reduced, np.asarray(red_rhs))
-            if consistent:
-                constraints = [reduced[k] for k in keep]
-                rhs = [red_rhs[k] for k in keep]
-            else:
-                constraints = reduced
-                rhs = red_rhs
+    null_vecs = _zero_cell_null_vectors(layout, equalities)
+    if null_vecs.shape[0]:
+        _, s, vt = np.linalg.svd(null_vecs)
+        rank = int((s > 1e-12).sum())
+        basis = vt[rank:].T  # orthonormal complement, shape (n, n - rank)
+        c_mat = 0.5 * (basis.T @ c_mat @ basis + (basis.T @ c_mat @ basis).T)
+        reduced: list[np.ndarray] = []
+        red_rhs: list[float] = []
+        for mat, val in zip(constraints, rhs, strict=True):
+            m = basis.T @ mat @ basis
+            if np.abs(m).max(initial=0.0) <= 1e-12:
+                if abs(val) > 1e-9:
+                    # keep one contradictory row; the solver reports it
+                    reduced.append(m)
+                    red_rhs.append(val)
+                continue
+            reduced.append(0.5 * (m + m.T))
+            red_rhs.append(val)
+        # the compression makes many tie rows coincide; drop them quietly
+        keep, consistent = prune_dependent_constraints(reduced, np.asarray(red_rhs))
+        if consistent:
+            constraints = [reduced[k] for k in keep]
+            rhs = [red_rhs[k] for k in keep]
+        else:
+            constraints = reduced
+            rhs = red_rhs
 
     return SDPProblem(c=c_mat, constraints=constraints, b=np.array(rhs),
                       maximize=maximize)
@@ -400,13 +401,12 @@ def bound_functional(level: int,
                      objective: LinearFunctional,
                      direction: str,
                      tol: float = 1e-8,
-                     accept_tol: float = 2e-4,
                      return_solution: bool = False) -> float | tuple[float, SDPSolution]:
     """Certified bound on a functional over the level-`level` relaxation.
 
     Returns the dual objective: an upper bound for `direction='max'`, a
     lower bound for `direction='min'`.  A solve that stalls short of `tol`
-    but reaches `accept_tol` in gap and residuals is still accepted;
+    but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
     constraint sets pinning boundary statistics make that a normal outcome.
     """
     if direction not in ("max", "min"):
@@ -418,23 +418,13 @@ def bound_functional(level: int,
         raise InfeasibleHError("equality constraints admit no moment matrix")
     if not sol.optimal:
         near = max(sol.gap, sol.primal_residual, sol.dual_residual)
-        if not np.isfinite(near) or near > accept_tol:
+        if not np.isfinite(near) or near > _ACCEPT_TOL:
             raise SolverFailure(
                 f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
     bound = float(sol.dual_objective)
     if return_solution:
         return bound, sol
     return bound
-
-
-def feasible(level: int,
-             equalities: list[tuple[LinearFunctional, float]]) -> bool:
-    """Whether the equality set admits a moment matrix at this level."""
-    try:
-        bound_functional(level, equalities, LinearFunctional(), "max")
-    except InfeasibleHError:
-        return False
-    return True
 
 
 def cell_equalities(cells: dict[tuple[int, int, int, int], float]) \
@@ -480,26 +470,6 @@ def chsh_outcome_guess_bound(branch: SettingsDistribution,
                 val = min(val, pen_val)
         best = max(best, float(val))
     return min(best, 1.0)
-
-
-def dump_sdp(problem: SDPProblem) -> str:
-    """Plain-text sparse dump of an assembled SDP.
-
-    Blocks are separated by the headers `C`, `A k` and `b`; matrix blocks
-    list one nonzero per line as `i j value`, the `b` block lists
-    `k value` lines.
-    """
-    lines: list[str] = ["C"]
-    for i, j in zip(*np.nonzero(problem.c)):
-        lines.append(f"{i} {j} {problem.c[i, j]:.17g}")
-    for k, mat in enumerate(problem.constraints):
-        lines.append(f"A {k}")
-        for i, j in zip(*np.nonzero(mat)):
-            lines.append(f"{i} {j} {mat[i, j]:.17g}")
-    lines.append("b")
-    for k, val in enumerate(problem.b):
-        lines.append(f"{k} {val:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:

@@ -9,8 +9,7 @@ derived quantities are later evaluated.
 
 from __future__ import annotations
 
-import csv
-import io
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -69,9 +68,6 @@ class BiasModel:
     epsilon: float
     branches: tuple[SettingsDistribution, ...]
 
-    def branch_joint(self) -> np.ndarray:
-        return np.stack([b.joint() for b in self.branches])
-
 
 def biased_branches(base: SettingsDistribution, epsilon: float) -> BiasModel:
     """The four sign combinations of the bias, each with weight 1/4."""
@@ -89,16 +85,8 @@ def biased_branches(base: SettingsDistribution, epsilon: float) -> BiasModel:
     return BiasModel(base=base, epsilon=epsilon, branches=tuple(branches))
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One protocol round; revealed rounds publish settings and outcomes."""
-
-    index: int
-    setting_a: int
-    setting_b: int
-    outcome_a: int
-    outcome_b: int
-    revealed: bool
+_CSV_HEADER = "index,settingA,settingB,outcomeA,outcomeB,revealed\n"
+_CSV_CHUNK = 1 << 16  # rows per join; bounds the row strings held at once
 
 
 @dataclass
@@ -117,35 +105,26 @@ class Transcript:
     def __len__(self) -> int:
         return self.setting_a.size
 
-    def rounds(self) -> list[RoundRecord]:
-        return [RoundRecord(i, int(self.setting_a[i]), int(self.setting_b[i]),
-                            int(self.outcome_a[i]), int(self.outcome_b[i]),
-                            bool(self.revealed[i]))
-                for i in range(len(self))]
+    def _restrict(self, mask: np.ndarray) -> "Transcript":
+        return dataclasses.replace(
+            self, setting_a=self.setting_a[mask], setting_b=self.setting_b[mask],
+            outcome_a=self.outcome_a[mask], outcome_b=self.outcome_b[mask],
+            revealed=self.revealed[mask])
 
-    def revealed_rounds(self) -> list[RoundRecord]:
-        idx = np.flatnonzero(self.revealed)
-        return [RoundRecord(int(i), int(self.setting_a[i]), int(self.setting_b[i]),
-                            int(self.outcome_a[i]), int(self.outcome_b[i]), True)
-                for i in idx]
+    def revealed_rounds(self) -> "Transcript":
+        return self._restrict(self.revealed)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "settingA", "settingB", "outcomeA",
-                         "outcomeB", "revealed"])
-        for i in range(len(self)):
-            writer.writerow([i, int(self.setting_a[i]), int(self.setting_b[i]),
-                             int(self.outcome_a[i]), int(self.outcome_b[i]),
-                             int(self.revealed[i])])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "list[RoundRecord]":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        return [RoundRecord(int(r["index"]), int(r["settingA"]), int(r["settingB"]),
-                            int(r["outcomeA"]), int(r["outcomeB"]),
-                            bool(int(r["revealed"]))) for r in rows]
+        chunks = [_CSV_HEADER]
+        for start in range(0, len(self), _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, len(self))
+            columns = [range(start, stop)] + [
+                col[start:stop].tolist() for col in (
+                    self.setting_a, self.setting_b, self.outcome_a,
+                    self.outcome_b, self.revealed)]
+            chunks.append("".join("%d,%d,%d,%d,%d,%d\n" % row
+                                  for row in zip(*columns)))
+        return "".join(chunks)
 
 
 def _round_uniforms(seed: int, n: int) -> np.ndarray:
@@ -196,21 +175,15 @@ def simulate(n: int, behavior: Behavior,
                       revealed=revealed)
 
 
-def sift(transcript: Transcript) -> list[RoundRecord]:
+def sift(transcript: Transcript) -> Transcript:
     """Key rounds: unrevealed with both outcomes 0 (key bit = Alice's setting)."""
-    keep = (~transcript.revealed) & (transcript.outcome_a == 0) \
-        & (transcript.outcome_b == 0)
-    idx = np.flatnonzero(keep)
-    return [RoundRecord(int(i), int(transcript.setting_a[i]),
-                        int(transcript.setting_b[i]), 0, 0, False)
-            for i in idx]
+    return transcript._restrict(~transcript.revealed & (transcript.outcome_a == 0)
+                                & (transcript.outcome_b == 0))
 
 
-def key_bits(sifted: list[RoundRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's key strings for a sifted round list."""
-    alice = np.array([r.setting_a for r in sifted], dtype=np.int8)
-    bob = np.array([r.setting_b for r in sifted], dtype=np.int8)
-    return alice, bob
+def key_bits(sifted: Transcript) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's key strings for a sifted transcript."""
+    return sifted.setting_a, sifted.setting_b
 
 
 @dataclass(frozen=True)
@@ -254,16 +227,15 @@ class HEstimate:
     counts: np.ndarray  # rounds per setting pair used for each component
 
 
-def estimate_h(revealed: list[RoundRecord]) -> HEstimate:
+def estimate_h(revealed: Transcript) -> HEstimate:
     """Empirical Hardy parameters with binomial standard errors."""
     hits = np.zeros(4)
     totals = np.zeros(4)
-    for r in revealed:
-        for k, (a, b, sa, sb) in enumerate(H_CELLS):
-            if (r.setting_a, r.setting_b) == (sa, sb):
-                totals[k] += 1
-                if (r.outcome_a, r.outcome_b) == (a, b):
-                    hits[k] += 1
+    for k, (a, b, sa, sb) in enumerate(H_CELLS):
+        pair = (revealed.setting_a == sa) & (revealed.setting_b == sb)
+        totals[k] = np.count_nonzero(pair)
+        hits[k] = np.count_nonzero(pair & (revealed.outcome_a == a)
+                                   & (revealed.outcome_b == b))
     if (totals == 0).any():
         missing = [H_CELLS[k][2:] for k in np.flatnonzero(totals == 0)]
         raise InsufficientDataError(
@@ -305,21 +277,6 @@ def conditional_entropy(behavior: Behavior, dist: SettingsDistribution,
         joint = joint * keep[:, None]
         joint = joint / joint.sum()
     return _entropy(joint.ravel()) - _entropy(joint.sum(axis=0))
-
-
-def observed_behavior(actual: Behavior, branch: SettingsDistribution,
-                      average: SettingsDistribution) -> np.ndarray:
-    """Observed-cell estimator table under a per-branch settings bias.
-
-    Entrywise p(a,b|A,B) * P_branch(A,B) / P_average(A,B).  The result is an
-    estimator, not a behavior: normalization may fail, so a raw table is
-    returned.
-    """
-    avg = average.joint()
-    if (avg <= 0.0).any():
-        raise ZeroPosteriorError("average distribution has a zero cell")
-    ratio = branch.joint() / avg
-    return actual.p * ratio[None, None, :, :]
 
 
 def noiseless_bias_guess(epsilon: float, dist: SettingsDistribution) -> float:

@@ -38,11 +38,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol)
 
 
-def is_unitary(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= tol)
-
-
 def is_projector(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     m = np.asarray(m)
     return is_hermitian(m, tol) and bool(np.abs(m @ m - m).max() <= tol)

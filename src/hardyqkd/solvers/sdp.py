@@ -259,9 +259,12 @@ def sdp_solve(problem: SDPProblem, tol: float = 1e-8,
                 status = "infeasible" if pinf > dinf else "unbounded"
             break
 
-        w = _nt_scaling(x, z)
-        z_inv = np.linalg.inv(z)
-        z_inv = _sym(z_inv)
+        try:
+            w = _nt_scaling(x, z)
+            z_inv = _sym(np.linalg.inv(z))
+        except np.linalg.LinAlgError:
+            status = "numerical-breakdown"
+            break
         if not (np.isfinite(w).all() and np.isfinite(z_inv).all()) \
                 or max(np.abs(w).max(), np.abs(z_inv).max()) > 1e14:
             status = "numerical-breakdown"

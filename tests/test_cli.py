@@ -38,6 +38,11 @@ class TestConfig:
         assert run_cli(["simulate", "--dist", "weird",
                         "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_out_of_range_seed_exit_2(self, tmp_path, seed):
+        assert run_cli(["simulate", "--seed", seed, "--rounds", "10",
+                        "--out", str(tmp_path)]) == 2
+
 
 class TestHardyStateCommand:
     def test_default_q_value(self, tmp_path, capsys):
@@ -76,6 +81,11 @@ class TestSimulateCommand:
                             "--out", str(out)]) == 0
         assert (out1 / "transcript.csv").read_bytes() == \
             (out2 / "transcript.csv").read_bytes()
+
+    def test_too_few_revealed_rounds_exit_2(self, tmp_path, capsys):
+        assert run_cli(["simulate", "--rounds", "5", "--reveal", "0.1",
+                        "--out", str(tmp_path)]) == 2
+        assert "no revealed rounds" in capsys.readouterr().err
 
     def test_csv_header(self, tmp_path):
         run_cli(["simulate", "--rounds", "100", "--out", str(tmp_path)])

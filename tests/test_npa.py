@@ -211,17 +211,3 @@ class TestFunctional:
             i, j = layout.representative[key]
             total += cc * gamma[i, j]
         assert total == pytest.approx(func.evaluate(beh), abs=1e-9)
-
-    def test_dump_sdp_format(self):
-        prob = npa.build_moment_sdp(1, [], npa.chsh_functional(), True)
-        text = npa.dump_sdp(prob)
-        lines = text.strip().split("\n")
-        assert lines[0] == "C"
-        assert any(line == "A 0" for line in lines)
-        assert "b" in lines
-        data_lines = [ln for ln in lines if ln not in ("C", "b")
-                      and not ln.startswith("A ")]
-        for ln in data_lines:
-            parts = ln.split()
-            assert len(parts) in (2, 3)
-            float(parts[-1])

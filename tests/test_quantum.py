@@ -215,8 +215,6 @@ class TestPredicates:
         h = np.array([[1.0, 1j], [-1j, 0.5]])
         assert q.is_hermitian(h)
         assert not q.is_hermitian(h + np.array([[0, 1e-9], [0, 0]]))
-        had = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert q.is_unitary(had)
         assert q.is_projector(np.outer([1, 0], [1, 0]))
 
     def test_density_matrix_checks(self):
