@@ -68,8 +68,8 @@ class RunConfig:
             raise ParameterRangeError("seed must lie in [0, 2**128)")
         if self.rounds <= 0:
             raise ParameterRangeError("rounds must be positive")
-        if not 0.0 <= self.reveal <= 1.0:
-            raise ParameterRangeError("reveal fraction must lie in [0, 1]")
+        if not 0.0 < self.reveal <= 1.0:
+            raise ParameterRangeError("reveal fraction must lie in (0, 1]")
         if self.epsilon is not None and self.epsilon < 0.0:
             raise ParameterRangeError("epsilon must be nonnegative")
         if self.eps_grid < 2:
@@ -132,12 +132,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
         source = protocol.biased_branches(dist, cfg.epsilon)
     transcript = protocol.simulate(cfg.rounds, behavior, source,
                                    cfg.reveal, cfg.seed)
+    # estimate first: too few revealed rounds must leave no transcript behind
+    est = protocol.estimate_h(transcript.revealed_rounds())
     out = Path(cfg.out) / "transcript.csv"
     _write(out, transcript.to_csv())
     sifted = protocol.sift(transcript)
     alice, bob = protocol.key_bits(sifted)
     disagree = float(np.mean(alice != bob)) if len(alice) else 0.0
-    est = protocol.estimate_h(transcript.revealed_rounds())
     print(f"rounds = {cfg.rounds}, sifted key length = {len(sifted)}")
     print(f"key disagreement rate = {disagree:.6f}")
     for k, (name, val, se) in enumerate(zip(

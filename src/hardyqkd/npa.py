@@ -9,7 +9,11 @@ zero monomial.
 
 Moment matrices are real symmetric: a moment and its adjoint share one
 variable, which is the standard real relaxation and never cuts the quantum
-set.  The resulting problems are handed to the in-repo dense SDP solver.
+set.  A relaxation is built by moment substitution (Wittek, Ncpol2sdpa, ACM
+TOMS 41(3), 2015): the moment matrix is Gamma(y) = sum_k y_k F_k over the
+distinct moments y, pinned statistics become values of y instead of
+constraint rows, and the in-repo dense SDP solver receives the linear matrix
+inequality over the remaining free moments in its dual form.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .errors import (
 )
 from .protocol import SettingsDistribution
 from .solvers import SDPProblem, SDPSolution, sdp_solve
-from .solvers.sdp import prune_dependent_constraints
+# unused here; bench/tracing.py looks this name up in this module to time it
+from .solvers.sdp import prune_dependent_constraints  # noqa: F401
 
 Symbol = tuple[int, int, int]  # (party, setting, outcome)
 Word = tuple[Symbol, ...]
@@ -205,46 +210,63 @@ def chsh_functional(weights: np.ndarray | None = None) -> LinearFunctional:
 
 @dataclass
 class MomentMatrixLayout:
-    """Index structure of the moment matrix at a given level."""
+    """Index structure of the moment matrix at a given level.
+
+    `classes` maps each distinct moment (a word up to adjoint) to the
+    upper-triangle entries that carry it, the identity first; `patterns[k]`
+    is the symmetric 0/1 matrix F_k of the k-th class, so that the moment
+    matrix is Gamma(y) = sum_k y_k F_k.  Entries whose word is zero belong
+    to no class.
+    """
 
     level: int
     monomials: list[Word]
-    entry_words: list[list[Word | None]]
     classes: dict[Word, list[tuple[int, int]]]
-    representative: dict[Word, tuple[int, int]]
+    patterns: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.monomials)
 
-    def class_key(self, word: Word | None) -> Word | None:
+    @staticmethod
+    def class_key(word: Word | None) -> Word | None:
         if word is None:
             return None
         rev = canonical(adjoint(word))
         assert rev is not None
         return min(word, rev)
 
+    def moment_vector(self, functional: LinearFunctional) -> tuple[np.ndarray, float]:
+        """(g, c) with functional = c + g @ y over the moment classes."""
+        index = {key: k for k, key in enumerate(self.classes)}
+        coeffs, const = functional.moment_coefficients()
+        g = np.zeros(len(index))
+        for word, c in coeffs.items():
+            key = self.class_key(canonical(word))
+            if key is None:
+                continue  # zero monomial contributes nothing
+            if key not in index:
+                raise InexpressibleFunctionalError(
+                    f"monomial {word} has no entry in the level-{self.level} matrix")
+            g[index[key]] += c
+        return g, const
+
 
 def build_layout(level: int) -> MomentMatrixLayout:
     basis = monomial_basis(level)
     n = len(basis)
-    entry_words: list[list[Word | None]] = [[None] * n for _ in range(n)]
     classes: dict[Word, list[tuple[int, int]]] = {}
-    representative: dict[Word, tuple[int, int]] = {}
     for i in range(n):
         for j in range(i, n):
             w = canonical(adjoint(basis[i]) + basis[j])
-            entry_words[i][j] = w
-            entry_words[j][i] = canonical(adjoint(basis[j]) + basis[i])
-            if w is None:
-                continue
-            rev = canonical(adjoint(w))
-            key = min(w, rev) if rev is not None else w
-            classes.setdefault(key, []).append((i, j))
-            representative.setdefault(key, (i, j))
-    return MomentMatrixLayout(level=level, monomials=basis,
-                              entry_words=entry_words, classes=classes,
-                              representative=representative)
+            if w is not None:
+                classes.setdefault(MomentMatrixLayout.class_key(w), []).append((i, j))
+    patterns = np.zeros((len(classes), n, n))
+    for k, entries in enumerate(classes.values()):
+        for i, j in entries:
+            patterns[k, i, j] = patterns[k, j, i] = 1.0
+    return MomentMatrixLayout(level=level, monomials=basis, classes=classes,
+                              patterns=patterns)
 
 
 _LAYOUT_CACHE: dict[int, MomentMatrixLayout] = {}
@@ -254,36 +276,6 @@ def get_layout(level: int) -> MomentMatrixLayout:
     if level not in _LAYOUT_CACHE:
         _LAYOUT_CACHE[level] = build_layout(level)
     return _LAYOUT_CACHE[level]
-
-
-def _entry_matrix(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    if i == j:
-        m[i, i] = 1.0
-    else:
-        m[i, j] = 0.5
-        m[j, i] = 0.5
-    return m
-
-
-def _functional_matrix(layout: MomentMatrixLayout,
-                       functional: LinearFunctional) -> tuple[np.ndarray, float]:
-    """Symmetric matrix whose inner product with the moment matrix evaluates
-    the functional; the constant is folded onto the fixed (0,0) entry."""
-    n = layout.dim
-    coeffs, const = functional.moment_coefficients()
-    mat = np.zeros((n, n))
-    for word, c in coeffs.items():
-        key = layout.class_key(canonical(word))
-        if key is None:
-            continue  # zero monomial contributes nothing
-        if key not in layout.representative:
-            raise InexpressibleFunctionalError(
-                f"monomial {word} has no entry in the level-{layout.level} matrix")
-        i, j = layout.representative[key]
-        mat += c * _entry_matrix(n, i, j)
-    mat[0, 0] += const  # X[0, 0] is pinned to 1
-    return mat, const
 
 
 def _zero_cell_null_vectors(layout: MomentMatrixLayout,
@@ -322,78 +314,76 @@ def _zero_cell_null_vectors(layout: MomentMatrixLayout,
     return np.stack(vectors)
 
 
+@dataclass
+class MomentSDP(SDPProblem):
+    """A moment relaxation as an LMI in the dual form (D) of `SDPProblem`.
+
+    Over the free moments t the objective equals `offset + b @ t` for a
+    maximization and `offset - b @ t` for a minimization, so the solver's
+    primal objective <C, X> (the value of the certificate X) turns into the
+    bound `offset +- <C, X>`.
+    """
+
+    offset: float = 0.0
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def build_moment_sdp(level: int,
                      equalities: list[tuple[LinearFunctional, float]],
                      objective: LinearFunctional,
-                     maximize: bool) -> SDPProblem:
-    """Assemble the standard-form SDP for one bound computation.
+                     maximize: bool) -> MomentSDP:
+    """Assemble the LMI for one bound computation by moment substitution.
 
-    Constraints: X[0,0] = 1, one tie per duplicated moment entry, a zero
-    pin for annihilated words, and one row per supplied functional equality.
-    Cells pinned exactly to zero put the moment matrix on a face of the PSD
-    cone; the problem is compressed onto that face, which restores a strictly
-    feasible interior for the interior-point solver without changing the
-    optimal value.
+    The moment matrix is parameterized by its distinct moments,
+    Gamma(y) = sum_k y_k F_k.  The identity moment y_id = 1, the supplied
+    equalities and Gamma(y) v = 0 for each null vector v of a cell pinned
+    exactly to zero (Gamma >= 0 and v'Gamma v = 0 imply Gamma v = 0) form
+    one linear system E y = e; one SVD solves it as y = y0 + N t with N an
+    orthonormal basis of its null space.  Compressed onto V, the orthonormal
+    complement of the null vectors, the relaxation reads
+
+        C - sum_j t_j A_j >= 0,  C = V'Gamma(y0)V,  A_j = -V'Gamma(N e_j)V,
+
+    the dual form (D) of `SDPProblem` with b = +-N'g for an objective
+    c + g @ y.  The F_k have disjoint supports and Gamma(N t) = VV'Gamma(N t)VV'
+    on the solution set, so t -> V'Gamma(N t)V is injective: the rows are
+    independent by construction.  Raises `InfeasibleHError` when E y = e is
+    inconsistent.
     """
     layout = get_layout(level)
-    n = layout.dim
-    constraints: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    constraints.append(_entry_matrix(n, 0, 0))
-    rhs.append(1.0)
-
-    for key, entries in layout.classes.items():
-        i0, j0 = layout.representative[key]
-        rep = _entry_matrix(n, i0, j0)
-        for (i, j) in entries:
-            if (i, j) == (i0, j0):
-                continue
-            constraints.append(_entry_matrix(n, i, j) - rep)
-            rhs.append(0.0)
-    for i in range(n):
-        for j in range(i, n):
-            if layout.entry_words[i][j] is None:
-                constraints.append(_entry_matrix(n, i, j))
-                rhs.append(0.0)
-
+    patterns = layout.patterns
+    n_mom = patterns.shape[0]
+    rows = [np.eye(1, n_mom)[0]]
+    rhs = [1.0]
     for functional, value in equalities:
-        mat, const = _functional_matrix(layout, functional)
-        mat[0, 0] -= const  # keep the constant on the right-hand side
-        constraints.append(mat)
+        g, const = layout.moment_vector(functional)
+        rows.append(g)
         rhs.append(value - const)
-
-    c_mat, _ = _functional_matrix(layout, objective)
-
     null_vecs = _zero_cell_null_vectors(layout, equalities)
+    ties = np.moveaxis(patterns @ null_vecs.T, 0, -1).reshape(-1, n_mom)
+    e_mat = np.vstack([rows, ties])
+    e_rhs = np.concatenate([rhs, np.zeros(len(ties))])
+    u, s, vt = np.linalg.svd(e_mat)
+    rank = int((s > 1e-10 * s[0]).sum())
+    y0 = vt[:rank].T @ ((u[:, :rank].T @ e_rhs) / s[:rank])
+    if np.abs(e_mat @ y0 - e_rhs).max() > 1e-8 * (1.0 + np.abs(e_rhs).max()):
+        raise InfeasibleHError("equality constraints are linearly inconsistent")
+    free = vt[rank:].T  # orthonormal null-space basis N, shape (n_mom, m)
+
+    gamma0 = np.tensordot(y0, patterns, 1)
+    gammas = np.tensordot(free.T, patterns, 1)
     if null_vecs.shape[0]:
         _, s, vt = np.linalg.svd(null_vecs)
-        rank = int((s > 1e-12).sum())
-        basis = vt[rank:].T  # orthonormal complement, shape (n, n - rank)
-        c_mat = 0.5 * (basis.T @ c_mat @ basis + (basis.T @ c_mat @ basis).T)
-        reduced: list[np.ndarray] = []
-        red_rhs: list[float] = []
-        for mat, val in zip(constraints, rhs, strict=True):
-            m = basis.T @ mat @ basis
-            if np.abs(m).max(initial=0.0) <= 1e-12:
-                if abs(val) > 1e-9:
-                    # keep one contradictory row; the solver reports it
-                    reduced.append(m)
-                    red_rhs.append(val)
-                continue
-            reduced.append(0.5 * (m + m.T))
-            red_rhs.append(val)
-        # the compression makes many tie rows coincide; drop them quietly
-        keep, consistent = prune_dependent_constraints(reduced, np.asarray(red_rhs))
-        if consistent:
-            constraints = [reduced[k] for k in keep]
-            rhs = [red_rhs[k] for k in keep]
-        else:
-            constraints = reduced
-            rhs = red_rhs
-
-    return SDPProblem(c=c_mat, constraints=constraints, b=np.array(rhs),
-                      maximize=maximize)
+        face = vt[int((s > 1e-12).sum()):].T  # shape (n, n - rank)
+        gamma0 = face.T @ gamma0 @ face
+        gammas = face.T @ gammas @ face
+    g, const = layout.moment_vector(objective)
+    sign = 1.0 if maximize else -1.0
+    return MomentSDP(c=_sym(gamma0), constraints=list(-_sym(gammas)),
+                     b=sign * (free.T @ g), offset=const + float(g @ y0))
 
 
 def bound_functional(level: int,
@@ -404,33 +394,31 @@ def bound_functional(level: int,
                      return_solution: bool = False) -> float | tuple[float, SDPSolution]:
     """Certified bound on a functional over the level-`level` relaxation.
 
-    Returns the dual objective: an upper bound for `direction='max'`, a
-    lower bound for `direction='min'`.  A solve that stalls short of `tol`
-    but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
-    constraint sets pinning boundary statistics make that a normal outcome.
+    The relaxation is handed to the solver as the LMI of `build_moment_sdp`,
+    whose primal variable X is a dual certificate of the moment problem:
+    the bound is the affine offset plus (max) or minus (min) the solver's
+    primal objective <C, X>.  A solve that stalls short of `tol` but reaches
+    `_ACCEPT_TOL` in gap and residuals is still accepted; constraint sets
+    pinning boundary statistics make that a normal outcome.  A solver
+    status `unbounded` means no moment matrix meets the equalities.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
     problem = build_moment_sdp(level, equalities, objective,
                                maximize=direction == "max")
     sol = sdp_solve(problem, tol=tol)
-    if sol.status == "infeasible":
+    if sol.status == "unbounded":
         raise InfeasibleHError("equality constraints admit no moment matrix")
     if not sol.optimal:
         near = max(sol.gap, sol.primal_residual, sol.dual_residual)
         if not np.isfinite(near) or near > _ACCEPT_TOL:
             raise SolverFailure(
                 f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
-    bound = float(sol.dual_objective)
+    sign = 1.0 if direction == "max" else -1.0
+    bound = problem.offset + sign * float(sol.primal_objective)
     if return_solution:
         return bound, sol
     return bound
-
-
-def cell_equalities(cells: dict[tuple[int, int, int, int], float]) \
-        -> list[tuple[LinearFunctional, float]]:
-    """Equality list pinning individual behavior cells (a, b, A, B) -> value."""
-    return [(LinearFunctional.from_cell(*idx), val) for idx, val in cells.items()]
 
 
 def chsh_outcome_guess_bound(branch: SettingsDistribution,

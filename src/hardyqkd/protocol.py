@@ -10,7 +10,6 @@ derived quantities are later evaluated.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,6 @@ class SettingsDistribution:
         pa = np.array([self.p_a, 1.0 - self.p_a])
         pb = np.array([self.p_b, 1.0 - self.p_b])
         return np.outer(pa, pb)
-
-    def prob(self, setting_a: int, setting_b: int) -> float:
-        return float(self.joint()[setting_a, setting_b])
 
 
 #: Uniform choice of settings.
@@ -297,8 +293,3 @@ def noiseless_bias_guess(epsilon: float, dist: SettingsDistribution) -> float:
         p0 = num / den
         total += max(p0, 1.0 - p0)
     return total / 4.0
-
-
-def binomial_sigma(p: float, n: int) -> float:
-    """Standard deviation of an empirical frequency with true probability p."""
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)

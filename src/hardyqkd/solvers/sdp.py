@@ -195,12 +195,13 @@ def sdp_solve(problem: SDPProblem, tol: float = 1e-8,
         np.zeros((0, n, n))
     b = problem.b[np.asarray(kept, dtype=int)] if kept else np.zeros(0)
     m = len(kept)
+    a_flat = a_stack.reshape(m, n * n)
 
     def a_op(mat: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,ij->k", a_stack, mat, optimize=True) if m else np.zeros(0)
+        return a_flat @ mat.ravel()
 
     def at_op(y: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", y, a_stack, optimize=True) if m else np.zeros((n, n))
+        return (y @ a_flat).reshape(n, n)
 
     a_norms = np.array([max(1.0, _frob(a)) for a in a_stack]) if m else np.zeros(0)
     xi = max(10.0, np.sqrt(n),
@@ -270,8 +271,7 @@ def sdp_solve(problem: SDPProblem, tol: float = 1e-8,
             status = "numerical-breakdown"
             break
 
-        wa = np.matmul(np.matmul(w, a_stack), w) if m else a_stack
-        schur = np.einsum("kij,lij->kl", a_stack, wa, optimize=True) if m else np.zeros((0, 0))
+        schur = a_flat @ (w @ a_stack @ w).reshape(m, n * n).T
         # Regularize mildly; the pruning pass guarantees full rank in exact arithmetic.
         if m:
             schur = schur + np.eye(m) * (1e-14 * np.trace(schur) / m + 1e-300)

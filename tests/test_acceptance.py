@@ -62,8 +62,8 @@ def test_criterion_3_npa_sdp_sanity():
     start = time.perf_counter()
     chsh = npa.bound_functional(1, [], npa.chsh_functional(), "max")
     assert abs(chsh - 2 * np.sqrt(2)) < 1e-4
-    eqs = npa.cell_equalities({(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0,
-                               (1, 1, 1, 1): 0.0})
+    eqs = [(npa.LinearFunctional.from_cell(*cell), 0.0)
+           for cell in ((0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))]
     hardy = npa.bound_functional(
         2, eqs, npa.LinearFunctional.from_cell(0, 0, 0, 0), "max")
     assert abs(hardy - Q_EXACT) < 2e-3
@@ -164,7 +164,7 @@ def test_criterion_7_monte_carlo_consistency():
         est = pr.estimate_h(transcript.revealed_rounds())
         expected = HVector.from_eta(eta).as_array()
         for k in range(4):
-            sigma = pr.binomial_sigma(expected[k], int(est.counts[k]))
+            sigma = np.sqrt(expected[k] * (1 - expected[k]) / est.counts[k])
             assert abs(est.h.as_array()[k] - expected[k]) <= 3 * sigma + 1e-12
         if eta == 1.0:
             alice, bob = pr.key_bits(pr.sift(transcript))

@@ -109,7 +109,8 @@ class TestGammaTilde:
         cells[0, 0, 0, 0] = joint[0, 0]
         cells[0, 0, 0, 1] = joint[0, 1]
         sigma = npa.LinearFunctional(cells=cells)
-        pins = npa.cell_equalities(dict(zip(pr.H_CELLS, h.as_array())))
+        pins = [(npa.LinearFunctional.from_cell(*cell), float(v))
+                for cell, v in zip(pr.H_CELLS, h.as_array())]
         lo = npa.bound_functional(2, pins, sigma, "min")
         hi = npa.bound_functional(2, pins, sigma, "max")
         expected = an.sigma_from_h(h, pr.UNIFORM)

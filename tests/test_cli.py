@@ -86,6 +86,13 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--rounds", "5", "--reveal", "0.1",
                         "--out", str(tmp_path)]) == 2
         assert "no revealed rounds" in capsys.readouterr().err
+        assert not (tmp_path / "transcript.csv").exists()
+
+    def test_zero_reveal_exit_2(self, tmp_path):
+        # no round is ever revealed, so h can never be estimated
+        assert run_cli(["simulate", "--reveal", "0", "--rounds", "10",
+                        "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "transcript.csv").exists()
 
     def test_csv_header(self, tmp_path):
         run_cli(["simulate", "--rounds", "100", "--out", str(tmp_path)])

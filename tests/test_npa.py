@@ -1,17 +1,30 @@
-"""Relaxation tests: canonicalization, pinned bounds, soundness, dumps."""
+"""Relaxation tests: canonicalization, pinned bounds, soundness, LMI size."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyqkd import npa, quantum as q
+from hardyqkd.analysis import DETERMINISTIC_H_POINTS, nu_functional
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.npa import LinearFunctional
-from hardyqkd.protocol import UNIFORM
+from hardyqkd.protocol import H_CELLS, UNIFORM, HVector
+from hardyqkd.solvers.sdp import prune_dependent_constraints
 
 SYMBOLS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+HARDY_ZEROS = {(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0}
+
+
+def pins(cells):
+    """Equality list pinning behavior cells (a, b, A, B) -> value."""
+    return [(LinearFunctional.from_cell(*cell), val) for cell, val in cells.items()]
+
+
+def h_pins(h):
+    return pins(dict(zip(H_CELLS, map(float, h.as_array()))))
 
 
 def oracle_reduce(word):
@@ -106,8 +119,7 @@ class TestBounds:
         assert abs(lo) <= 1e-6
 
     def test_hardy_maximum_level_two(self):
-        eqs = npa.cell_equalities({(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0,
-                                   (1, 1, 1, 1): 0.0})
+        eqs = pins(HARDY_ZEROS)
         obj = LinearFunctional.from_cell(0, 0, 0, 0)
         hi = npa.bound_functional(2, eqs, obj, "max")
         assert hi == pytest.approx(q.Q_MAX, abs=2e-3)
@@ -115,23 +127,24 @@ class TestBounds:
         lo = npa.bound_functional(2, eqs, obj, "min")
         assert abs(lo) <= 1e-6
 
-    @pytest.mark.filterwarnings("ignore:pruned:RuntimeWarning")
     def test_fully_pinned_behavior(self):
-        # normalization makes some of the 16 cell pins redundant; the solver
-        # prunes them (with its warning) and must still solve
+        # normalization makes some of the 16 cell pins redundant; moment
+        # substitution absorbs them, so the solver must never prune a row
         cells = {(a, b, sa, sb): 0.25 for a in range(2) for b in range(2)
                  for sa in range(2) for sb in range(2)}
-        eqs = npa.cell_equalities(cells)
+        eqs = pins(cells)
         obj = LinearFunctional.from_cell(0, 0, 0, 0)
-        assert npa.bound_functional(1, eqs, obj, "max") == pytest.approx(
-            0.25, abs=1e-6)
-        assert npa.bound_functional(1, eqs, obj, "min") == pytest.approx(
-            0.25, abs=1e-6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hi = npa.bound_functional(1, eqs, obj, "max")
+            lo = npa.bound_functional(1, eqs, obj, "min")
+        assert not [w for w in caught if "pruned" in str(w.message)]
+        assert hi == pytest.approx(0.25, abs=1e-6)
+        assert lo == pytest.approx(0.25, abs=1e-6)
 
     def test_hardy_nu_pinned_at_eta_one(self):
         # the unique behavior forces P(0,0|1,1) = sqrt(5) - 2
-        eqs = npa.cell_equalities({(0, 0, 0, 0): q.Q_MAX, (0, 0, 1, 0): 0.0,
-                                   (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0})
+        eqs = pins({(0, 0, 0, 0): q.Q_MAX, **HARDY_ZEROS})
         obj = LinearFunctional.from_cell(0, 0, 1, 1)
         hi = npa.bound_functional(2, eqs, obj, "max")
         lo = npa.bound_functional(2, eqs, obj, "min")
@@ -147,6 +160,14 @@ class TestBounds:
             b1 = npa.bound_functional(1, [], obj, "max")
             b2 = npa.bound_functional(2, [], obj, "max")
             assert b2 <= b1 + 1e-6
+        # levels 2 and 3 under the Hardy pins: the bracket on nu only narrows
+        nu = nu_functional(UNIFORM)
+        for eta in (0.3, 0.8, 0.95):
+            eqs = h_pins(HVector.from_eta(eta))
+            hi2, hi3 = (npa.bound_functional(lv, eqs, nu, "max") for lv in (2, 3))
+            lo2, lo3 = (npa.bound_functional(lv, eqs, nu, "min") for lv in (2, 3))
+            assert hi3 <= hi2 + 1e-6
+            assert lo3 >= lo2 - 1e-6
 
     def test_bounds_dominate_hardy_realization(self):
         beh = q.hardy_behavior(1.0)
@@ -160,8 +181,7 @@ class TestBounds:
 
     def test_infeasible_h_detected(self):
         # P(0,0|0,0) = 0.2 with the three Hardy zeros exceeds the quantum max
-        eqs = npa.cell_equalities({(0, 0, 0, 0): 0.2, (0, 0, 1, 0): 0.0,
-                                   (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0})
+        eqs = pins({(0, 0, 0, 0): 0.2, **HARDY_ZEROS})
         obj = LinearFunctional.from_cell(0, 0, 1, 1)
         with pytest.raises(InfeasibleHError):
             npa.bound_functional(2, eqs, obj, "max")
@@ -208,6 +228,51 @@ class TestFunctional:
         total = const
         for word, cc in coeffs.items():
             key = layout.class_key(npa.canonical(word))
-            i, j = layout.representative[key]
+            i, j = layout.classes[key][0]
             total += cc * gamma[i, j]
         assert total == pytest.approx(func.evaluate(beh), abs=1e-9)
+
+
+class TestLmiSize:
+    @staticmethod
+    def free_moments(level, eqs):
+        """Dimension of the moment vectors meeting y_id = 1, the pins and
+        Gamma(y) v = 0 for each cell pinned to zero, from the class entries."""
+        layout = npa.get_layout(level)
+        n, keys = layout.dim, list(layout.classes)
+        index = {w: k for k, w in enumerate(layout.monomials)}
+        rows = [np.eye(1, len(keys))[0]]
+        rows += [layout.moment_vector(f)[0] for f, _ in eqs]
+        for f, val in eqs:
+            if val != 0.0:
+                continue
+            a, b, sa, sb = map(int, np.argwhere(f.cells)[0])
+            # the product projector of the zero cell over {1, A, B, AB}
+            v = np.zeros(n)
+            for wa, ca in ([(((0, sa, 0),), 1.0)] if a == 0
+                           else [((), 1.0), (((0, sa, 0),), -1.0)]):
+                for wb, cb in ([(((1, sb, 0),), 1.0)] if b == 0
+                               else [((), 1.0), (((1, sb, 0),), -1.0)]):
+                    v[index[wa + wb]] += ca * cb
+            # (Gamma(y) v)_i = sum over entries (i, j) of y_class(i, j) v_j
+            tie = np.zeros((n, len(keys)))
+            for k, entries in enumerate(layout.classes.values()):
+                for i, j in set(entries) | {(j, i) for i, j in entries}:
+                    tie[i, k] += v[j]
+            rows += list(tie)
+        return len(keys) - np.linalg.matrix_rank(np.array(rows))
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_one_row_per_free_moment(self, level):
+        points = [HVector.from_eta(eta) for eta in (0.0, 0.5, 0.9, 1.0)]
+        points += list(DETERMINISTIC_H_POINTS)
+        nu = nu_functional(UNIFORM)
+        for h in points:
+            eqs = h_pins(h)
+            problem = npa.build_moment_sdp(level, eqs, nu, maximize=True)
+            rows = len(problem.constraints)
+            assert rows == self.free_moments(level, eqs)
+            assert rows <= (31 if level == 2 else 61)
+            kept, consistent = prune_dependent_constraints(problem.constraints,
+                                                           problem.b)
+            assert consistent and len(kept) == rows

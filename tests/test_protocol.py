@@ -44,7 +44,7 @@ class TestBiasModel:
 
     def test_plus_plus_branch_cell(self):
         model = pr.biased_branches(pr.UNIFORM, 0.1)
-        assert model.branches[0].prob(0, 0) == pytest.approx(0.36, abs=1e-12)
+        assert model.branches[0].joint()[0, 0] == pytest.approx(0.36, abs=1e-12)
 
     def test_too_large_epsilon(self):
         with pytest.raises(EpsilonTooLargeError):
@@ -88,7 +88,7 @@ class TestSimulate:
                                      & (t.outcome_a == a)
                                      & (t.outcome_b == b)).sum())
                         p = 0.25 * 0.25  # settings pair * outcome cell
-                        sigma = pr.binomial_sigma(p, n)
+                        sigma = np.sqrt(p * (1 - p) / n)
                         assert abs(count / n - p) <= 3 * sigma + 1e-9
 
     def test_empirical_behavior_converges(self):
@@ -112,7 +112,7 @@ class TestSimulate:
         for sa in range(2):
             for sb in range(2):
                 frac = ((t.setting_a == sa) & (t.setting_b == sb)).mean()
-                assert abs(frac - 0.25) <= 3 * pr.binomial_sigma(0.25, n)
+                assert abs(frac - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / n)
         # per-branch bias shows up in the settings-pair variance:
         # P(A=0,B=0) per branch in {0.81, 0.09, 0.09, 0.01}, mean 0.25
         cell00 = float(np.mean([
@@ -157,7 +157,7 @@ class TestSiftAndKeys:
         sifted = pr.sift(t)
         p_keep = (q.Q_MAX + q.Q_TILDE) / 4.0
         assert p_keep == pytest.approx(0.08156, abs=5e-5)
-        assert abs(len(sifted) / n - p_keep) <= 3 * pr.binomial_sigma(p_keep, n)
+        assert abs(len(sifted) / n - p_keep) <= 3 * np.sqrt(p_keep * (1 - p_keep) / n)
 
     def test_noiseless_keys_identical(self):
         beh = q.hardy_behavior(1.0)
@@ -181,7 +181,7 @@ class TestEstimateH:
         est = pr.estimate_h(t.revealed_rounds())
         expected = pr.HVector.from_eta(1.0).as_array()
         for k in range(4):
-            sigma = pr.binomial_sigma(expected[k], int(est.counts[k]))
+            sigma = np.sqrt(expected[k] * (1 - expected[k]) / est.counts[k])
             assert abs(est.h.as_array()[k] - expected[k]) <= 3 * sigma + 1e-12
 
     def test_noisy_estimate_eta_08(self):
@@ -190,7 +190,7 @@ class TestEstimateH:
         est = pr.estimate_h(t.revealed_rounds())
         expected = np.array([0.8 * q.Q_MAX + 0.05, 0.05, 0.05, 0.05])
         for k in range(4):
-            sigma = pr.binomial_sigma(expected[k], int(est.counts[k]))
+            sigma = np.sqrt(expected[k] * (1 - expected[k]) / est.counts[k])
             assert abs(est.h.as_array()[k] - expected[k]) <= 3 * sigma
 
     def test_matches_per_round_count(self):
