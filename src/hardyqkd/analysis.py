@@ -71,53 +71,60 @@ def _h_equalities(h: HVector) -> list[tuple[LinearFunctional, float]]:
             for k in range(4)]
 
 
-def _nu_bound(h: HVector, dist: SettingsDistribution, level: int,
-              direction: str) -> float:
-    """One-sided bound on nu given h, polished on degenerate pins.
+def _gamma_bounds(hs: list[HVector], dist: SettingsDistribution,
+                  level: int) -> list[tuple[float, float]]:
+    """Upper bounds (gamma0, gamma1) on the setting posterior at each h.
 
-    When the equality-pinned solve stalls (the pin sits on the boundary of
-    the relaxation, e.g. the noiseless point), the h1 row is additionally
-    relaxed into a Lagrangian term: for any multiplier the penalized
-    problem bounds the pinned one, so the best of the two routes is kept.
+    sigma is a function of h; the free part of nu is bracketed by two SDP
+    bounds, and the posterior ratios are evaluated at the extremes.  All
+    nu bounds are solved in one batched call.  Where an equality-pinned
+    solve stalls (the pin sits on the boundary of the relaxation, e.g. the
+    noiseless point), the h1 row is additionally relaxed into a Lagrangian
+    term: for any multiplier the penalized problem bounds the pinned one, so
+    the best of the two routes is kept; these polishes form a second batch.
+    Points whose compatible behaviors never produce two zero outcomes
+    constrain nothing, so both bounds degrade to 1.
     """
-    equalities = _h_equalities(h)
     func = nu_functional(dist)
-    best, sol = npa.bound_functional(level, equalities, func, direction,
-                                     return_solution=True)
-    accuracy = max(sol.gap, sol.primal_residual, sol.dual_residual)
-    if sol.optimal or accuracy <= 1e-7:
-        return float(best)
-    h1_cell = LinearFunctional.from_cell(*H_CELLS[0])
-    rest = equalities[1:]
-    sign = 1.0 if direction == "max" else -1.0
-    pick = min if direction == "max" else max
-    for rho in (1e1, 1e2, 1e3):
-        pen = LinearFunctional(cells=func.cells + sign * rho * h1_cell.cells)
-        val = npa.bound_functional(level, rest, pen, direction, tol=1e-10) \
-            - sign * rho * h.h1
-        best = pick(best, val)
-    return float(best)
+    jobs = [(_h_equalities(h), func, direction) for h in hs for direction in ("min", "max")]
+    solved = npa.bound_functionals(level, jobs)
+    nu = [bound for bound, _ in solved]
+    polish = [k for k, (_, sol) in enumerate(solved) if not sol.optimal
+              and max(sol.gap, sol.primal_residual, sol.dual_residual) > 1e-7]
+    h1_cells = LinearFunctional.from_cell(*H_CELLS[0]).cells
+    rhos = (1e1, 1e2, 1e3)
+    penalty_jobs = []
+    for k in polish:
+        equalities, _, direction = jobs[k]
+        sign = 1.0 if direction == "max" else -1.0
+        penalty_jobs += [
+            (equalities[1:], LinearFunctional(cells=func.cells + sign * rho * h1_cells), direction)
+            for rho in rhos]
+    penalized = npa.bound_functionals(level, penalty_jobs, tol=1e-10)
+    for j, k in enumerate(polish):
+        sign, pick = (1.0, min) if jobs[k][2] == "max" else (-1.0, max)
+        for r, rho in enumerate(rhos):
+            nu[k] = pick(nu[k], penalized[len(rhos) * j + r][0] - sign * rho * hs[k // 2].h1)
+
+    bounds = []
+    for h, lo, hi in zip(hs, nu[0::2], nu[1::2], strict=True):
+        nu_min = max(0.0, lo)
+        nu_max = max(nu_min, hi)
+        sigma = sigma_from_h(h, dist)
+        if sigma <= _VACUOUS_TOL and nu_max <= _VACUOUS_TOL:
+            bounds.append((1.0, 1.0))  # sifting never happens: vacuous conditioning
+        elif sigma <= _VACUOUS_TOL:
+            bounds.append((0.0, 1.0))
+        else:
+            bounds.append((min(sigma / (sigma + nu_min), 1.0),
+                           min(nu_max / (sigma + nu_max), 1.0)))
+    return bounds
 
 
 def gamma_tilde(h: HVector, dist: SettingsDistribution,
                 level: int = 2) -> tuple[float, float]:
-    """Upper bounds (gamma0, gamma1) on the setting posterior at statistics h.
-
-    sigma is a function of h; the free part of nu is bracketed by two SDP
-    bounds, and the posterior ratios are evaluated at the extremes.  Points
-    whose compatible behaviors never produce two zero outcomes constrain
-    nothing, so both bounds degrade to 1.
-    """
-    nu_min = max(0.0, _nu_bound(h, dist, level, "min"))
-    nu_max = max(nu_min, _nu_bound(h, dist, level, "max"))
-    sigma = sigma_from_h(h, dist)
-    if sigma <= _VACUOUS_TOL and nu_max <= _VACUOUS_TOL:
-        return 1.0, 1.0  # sifting never happens: vacuous conditioning
-    if sigma <= _VACUOUS_TOL:
-        return 0.0, 1.0
-    gamma0 = sigma / (sigma + nu_min)
-    gamma1 = nu_max / (sigma + nu_max)
-    return min(gamma0, 1.0), min(gamma1, 1.0)
+    """Upper bounds (gamma0, gamma1) on the setting posterior at statistics h."""
+    return _gamma_bounds([h], dist, level)[0]
 
 
 @dataclass(frozen=True)
@@ -172,16 +179,15 @@ def build_gamma_grid(dist: SettingsDistribution,
     The segment holds h(eta) for eta on a uniform grid; the corners are the
     h-images of the local deterministic strategies, which give the
     decomposition LPs their reach (any classical-noise statistics can then
-    be split into perfectly guessable populations).
+    be split into perfectly guessable populations).  Every bound of the
+    table comes from one batched solve (plus one for the polishes).
     """
-    points: list[GammaPoint] = []
-    for eta in np.linspace(0.0, 1.0, resolution):
-        h = HVector.from_eta(float(eta))
-        g0, g1 = gamma_tilde(h, dist, level)
-        points.append(GammaPoint(h=h, gamma0=g0, gamma1=g1, eta=float(eta)))
-    for h in DETERMINISTIC_H_POINTS:
-        g0, g1 = gamma_tilde(h, dist, level)
-        points.append(GammaPoint(h=h, gamma0=g0, gamma1=g1))
+    etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
+    hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)
+    points = [GammaPoint(h=h, gamma0=g0, gamma1=g1, eta=eta)
+              for h, (g0, g1), eta in zip(hs, _gamma_bounds(hs, dist, level),
+                                          etas + [None] * len(DETERMINISTIC_H_POINTS),
+                                          strict=True)]
     return GammaGrid(points=points, level=level, dist_label=dist.label or "custom")
 
 
@@ -243,17 +249,21 @@ class KeyRateReport:
         return max(0.0, float(raw))
 
 
-def _setup_quantities(eta: float, dist: SettingsDistribution) \
-        -> tuple[Behavior, float]:
-    behavior = hardy_behavior(eta)
+def _setup_quantities(eta: float, dist: SettingsDistribution,
+                      behavior: Behavior | None) -> tuple[Behavior, float]:
+    if behavior is None:
+        behavior = hardy_behavior(eta)
     p00 = float((behavior.p[0, 0] * dist.joint()).sum())
     return behavior, p00
 
 
-def key_rate_basic(eta: float, dist: SettingsDistribution,
-                   grid: GammaGrid) -> KeyRateReport:
-    """K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)); negative values clamp to 0."""
-    behavior, p00 = _setup_quantities(eta, dist)
+def key_rate_basic(eta: float, dist: SettingsDistribution, grid: GammaGrid,
+                   behavior: Behavior | None = None) -> KeyRateReport:
+    """K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)); negative values clamp to 0.
+
+    `behavior` is `hardy_behavior(eta)`, built here when not given.
+    """
+    behavior, p00 = _setup_quantities(eta, dist, behavior)
     g = guess1(HVector.from_eta(eta), grid)
     hab = conditional_entropy(behavior, dist, dropping=False)
     pa0, pa1 = bayes_setting_posterior(behavior, dist)
@@ -264,10 +274,13 @@ def key_rate_basic(eta: float, dist: SettingsDistribution,
                          clamped=raw < 0.0)
 
 
-def key_rate_dropping(eta: float, dist: SettingsDistribution,
-                      grid: GammaGrid) -> KeyRateReport:
-    """K2 with the dropping strategy: Alice discards her majority value."""
-    behavior, p00 = _setup_quantities(eta, dist)
+def key_rate_dropping(eta: float, dist: SettingsDistribution, grid: GammaGrid,
+                      behavior: Behavior | None = None) -> KeyRateReport:
+    """K2 with the dropping strategy: Alice discards her majority value.
+
+    `behavior` is `hardy_behavior(eta)`, built here when not given.
+    """
+    behavior, p00 = _setup_quantities(eta, dist, behavior)
     pa0, pa1 = bayes_setting_posterior(behavior, dist)
     g = guess2(HVector.from_eta(eta), grid, pa0, pa1)
     hab = conditional_entropy(behavior, dist, dropping=True)
@@ -290,12 +303,13 @@ def key_rate_sweep(etas: np.ndarray,
                    level: int = 2,
                    resolution: int = 201) -> list[KeyRateReport]:
     """Key rates for all (eta, distribution, strategy) combinations."""
+    behaviors = [hardy_behavior(float(eta)) for eta in etas]
     reports: list[KeyRateReport] = []
     for dist in dists:
         grid = build_gamma_grid(dist, resolution=resolution, level=level)
-        for eta in etas:
-            reports.append(key_rate_basic(float(eta), dist, grid))
-            reports.append(key_rate_dropping(float(eta), dist, grid))
+        for eta, behavior in zip(etas, behaviors, strict=True):
+            reports.append(key_rate_basic(float(eta), dist, grid, behavior))
+            reports.append(key_rate_dropping(float(eta), dist, grid, behavior))
     return reports
 
 

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedLevelError,
 )
 from .protocol import SettingsDistribution
-from .solvers import SDPProblem, SDPSolution, sdp_solve
+from .solvers import SDPProblem, SDPSolution, sdp_solve, sdp_solve_batch
 # unused here; bench/tracing.py looks this name up in this module to time it
 from .solvers.sdp import prune_dependent_constraints  # noqa: F401
 
@@ -386,39 +386,74 @@ def build_moment_sdp(level: int,
                      b=sign * (free.T @ g), offset=const + float(g @ y0))
 
 
+Job = tuple[list[tuple[LinearFunctional, float]], LinearFunctional, str]
+
+
+def _template_key(equalities: list[tuple[LinearFunctional, float]]) -> tuple:
+    """What the LMI's constraint matrices depend on: the equality
+    functionals and which of them pin a value to exactly zero."""
+    return tuple((f.cells.tobytes(), f.marg_a.tobytes(), f.marg_b.tobytes(), f.const,
+                  value == 0.0) for f, value in equalities)
+
+
+def bound_functionals(level: int, jobs: list[Job],
+                      tol: float = 1e-8) -> list[tuple[float, SDPSolution]]:
+    """Certified bounds for several (equalities, objective, direction) jobs.
+
+    Each relaxation is handed to the solver as the LMI of
+    `build_moment_sdp`, whose primal variable X is a dual certificate of the
+    moment problem: the bound is the affine offset plus (max) or minus (min)
+    the solver's primal objective <C, X>.  Jobs whose relaxations share
+    their constraint matrices (the same equality functionals and zero cells,
+    e.g. every point of the noise segment) are built together, keep one copy
+    of those matrices and are solved in one `sdp_solve_batch` call; only one
+    such group is held at a time.  A solve that stops short of `tol` but
+    reaches `_ACCEPT_TOL` in gap and residuals is still accepted; constraint
+    sets pinning boundary statistics make that a normal outcome.  A solver
+    status `unbounded` means no moment matrix meets the equalities.  Returns
+    (bound, solution) per job; a failing job raises.
+    """
+    for _, _, direction in jobs:
+        if direction not in ("max", "min"):
+            raise ValueError("direction must be 'max' or 'min'")
+    groups: dict[tuple, list[int]] = {}
+    for k, (equalities, _, _) in enumerate(jobs):
+        groups.setdefault(_template_key(equalities), []).append(k)
+    results: list[tuple[float, SDPSolution]] = [None] * len(jobs)  # type: ignore[list-item]
+    for members in groups.values():
+        problems: list[MomentSDP] = []
+        for k in members:
+            equalities, objective, direction = jobs[k]
+            problem = build_moment_sdp(level, equalities, objective, direction == "max")
+            first = problems[0].constraints if problems else []
+            if len(first) == len(problem.constraints) \
+                    and all(map(np.array_equal, first, problem.constraints)):
+                problem.constraints = first
+            problems.append(problem)
+        # a single problem goes through the name `sdp_solve`, which the
+        # benchmark's tracing times
+        sols = sdp_solve_batch(problems, tol=tol) if len(problems) != 1 \
+            else [sdp_solve(problems[0], tol=tol)]
+        for k, problem, sol in zip(members, problems, sols, strict=True):
+            if sol.status == "unbounded":
+                raise InfeasibleHError("equality constraints admit no moment matrix")
+            if not sol.optimal:
+                near = max(sol.gap, sol.primal_residual, sol.dual_residual)
+                if not np.isfinite(near) or near > _ACCEPT_TOL:
+                    raise SolverFailure(
+                        f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
+            sign = 1.0 if jobs[k][2] == "max" else -1.0
+            results[k] = (problem.offset + sign * float(sol.primal_objective), sol)
+    return results
+
+
 def bound_functional(level: int,
                      equalities: list[tuple[LinearFunctional, float]],
                      objective: LinearFunctional,
                      direction: str,
-                     tol: float = 1e-8,
-                     return_solution: bool = False) -> float | tuple[float, SDPSolution]:
-    """Certified bound on a functional over the level-`level` relaxation.
-
-    The relaxation is handed to the solver as the LMI of `build_moment_sdp`,
-    whose primal variable X is a dual certificate of the moment problem:
-    the bound is the affine offset plus (max) or minus (min) the solver's
-    primal objective <C, X>.  A solve that stalls short of `tol` but reaches
-    `_ACCEPT_TOL` in gap and residuals is still accepted; constraint sets
-    pinning boundary statistics make that a normal outcome.  A solver
-    status `unbounded` means no moment matrix meets the equalities.
-    """
-    if direction not in ("max", "min"):
-        raise ValueError("direction must be 'max' or 'min'")
-    problem = build_moment_sdp(level, equalities, objective,
-                               maximize=direction == "max")
-    sol = sdp_solve(problem, tol=tol)
-    if sol.status == "unbounded":
-        raise InfeasibleHError("equality constraints admit no moment matrix")
-    if not sol.optimal:
-        near = max(sol.gap, sol.primal_residual, sol.dual_residual)
-        if not np.isfinite(near) or near > _ACCEPT_TOL:
-            raise SolverFailure(
-                f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
-    sign = 1.0 if direction == "max" else -1.0
-    bound = problem.offset + sign * float(sol.primal_objective)
-    if return_solution:
-        return bound, sol
-    return bound
+                     tol: float = 1e-8) -> float:
+    """Certified bound on a functional: the one-job case of `bound_functionals`."""
+    return bound_functionals(level, [(equalities, objective, direction)], tol)[0][0]
 
 
 def chsh_outcome_guess_bound(branch: SettingsDistribution,
@@ -444,20 +479,22 @@ def chsh_outcome_guess_bound(branch: SettingsDistribution,
             f"observed value {observed_value:.6f} exceeds the quantum maximum "
             f"{qmax:.6f} for this branch weighting")
     at_max = observed_value >= qmax - 1e-4
-    best = 0.0
+    margs = []
     for a in range(2):
         marg = np.zeros((2, 2))
         marg[a, 0] = 1.0
-        objective = LinearFunctional(marg_a=marg)
-        val = bound_functional(level, [(expr, observed_value)], objective, "max")
-        if at_max:
-            for rho in (1e2, 1e3, 1e4):
-                penalized = LinearFunctional(cells=rho * expr.cells, marg_a=marg)
-                pen_val = bound_functional(level, [], penalized, "max",
-                                           tol=1e-10) - rho * observed_value
-                val = min(val, pen_val)
-        best = max(best, float(val))
-    return min(best, 1.0)
+        margs.append(LinearFunctional(marg_a=marg))
+    vals = [bound for bound, _ in bound_functionals(
+        level, [([(expr, observed_value)], marg, "max") for marg in margs])]
+    if at_max:
+        rhos = (1e2, 1e3, 1e4)
+        penalized = bound_functionals(level, [
+            ([], LinearFunctional(cells=rho * expr.cells, marg_a=marg.marg_a), "max")
+            for marg in margs for rho in rhos], tol=1e-10)
+        for a in range(2):
+            for r, rho in enumerate(rhos):
+                vals[a] = min(vals[a], penalized[len(rhos) * a + r][0] - rho * observed_value)
+    return min(max(0.0, *vals), 1.0)
 
 
 def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:

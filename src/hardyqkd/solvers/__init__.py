@@ -1,7 +1,7 @@
 """In-repo dense SDP and LP solvers."""
 
 from .lp import LPProblem, LPSolution, lp_solve, verify_lp_solution
-from .sdp import SDPProblem, SDPSolution, sdp_solve, verify_sdp_solution
+from .sdp import SDPProblem, SDPSolution, sdp_solve, sdp_solve_batch, verify_sdp_solution
 
 __all__ = [
     "LPProblem",
@@ -11,5 +11,6 @@ __all__ = [
     "SDPProblem",
     "SDPSolution",
     "sdp_solve",
+    "sdp_solve_batch",
     "verify_sdp_solution",
 ]

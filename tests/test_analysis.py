@@ -65,11 +65,10 @@ class TestGammaTilde:
 
     def test_noiseless_nu_max_ratio(self):
         # maximizing nu under the pinned noiseless statistics reproduces the
-        # posterior ratio 0.72361 to three decimals
-        h = HVector.from_eta(1.0)
-        nu_max = an._nu_bound(h, pr.UNIFORM, 2, "max")
-        sigma = an.sigma_from_h(h, pr.UNIFORM)
-        assert nu_max / (sigma + nu_max) == pytest.approx(0.72361, abs=1e-3)
+        # posterior ratio gamma1 = nu_max / (sigma + nu_max) = 0.72361 to
+        # three decimals
+        _, g1 = an.gamma_tilde(HVector.from_eta(1.0), pr.UNIFORM)
+        assert g1 == pytest.approx(0.72361, abs=1e-3)
 
     def test_flat_point_value(self):
         # With all four cells pinned to 1/4 the ratio bounds are 2/3: sigma
@@ -144,6 +143,17 @@ class TestGammaGrid:
         lines = text.strip().split("\n")
         assert lines[0] == "eta,h1,h2,h3,h4,gamma0,gamma1"
         assert len(lines) == 1 + len(grid_uniform.points)
+
+    @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM],
+                             ids=["uniform", "nonuniform"])
+    def test_batched_grid_matches_pointwise_bounds(self, dist):
+        # the grid solves all its bounds in batches; each point must get the
+        # values of its own one-point computation
+        grid = an.build_gamma_grid(dist, resolution=15, level=2)
+        for p in grid.points:
+            g0, g1 = an.gamma_tilde(p.h, dist, level=2)
+            assert p.gamma0 == pytest.approx(g0, abs=1e-9)
+            assert p.gamma1 == pytest.approx(g1, abs=1e-9)
 
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)

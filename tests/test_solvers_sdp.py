@@ -3,12 +3,30 @@
 import numpy as np
 import pytest
 
-from hardyqkd.solvers import SDPProblem, sdp_solve, verify_sdp_solution
+from hardyqkd import npa, protocol as pr
+from hardyqkd.analysis import nu_functional
+from hardyqkd.protocol import H_CELLS, HVector
+from hardyqkd.solvers import SDPProblem, sdp, sdp_solve, sdp_solve_batch, verify_sdp_solution
 
 
 def random_symmetric(rng, n):
     m = rng.normal(size=(n, n))
     return 0.5 * (m + m.T)
+
+
+def unit(n, i, j):
+    """Symmetric 0/1 matrix with ones at (i, j) and (j, i)."""
+    m = np.zeros((n, n))
+    m[i, j] = m[j, i] = 1.0
+    return m
+
+
+def pinned_point():
+    """Minimize -X12 over X >= 0 with X11 = 0 and X22 = 1: the feasible set
+    is the single point diag(0, 1), so the iterates have no interior to
+    follow and stop improving after a few steps."""
+    return SDPProblem(c=-unit(2, 0, 1), constraints=[unit(2, 0, 0), unit(2, 1, 1)],
+                      b=np.array([0.0, 1.0]))
 
 
 def test_scalar_equality():
@@ -109,3 +127,72 @@ def test_symmetry_validation():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         SDPProblem(c=bad, constraints=[], b=np.array([]))
+
+
+def test_stall_reported_as_stalled():
+    sol = sdp_solve(pinned_point(), stall_limit=10)
+    assert sol.status == "stalled"
+    assert sol.iterations < 200
+
+
+def mixed_problems():
+    """Oracle problems with every stop status, in several block sizes."""
+    rng = np.random.default_rng(42)
+    problems = [SDPProblem(c=np.array([[1.0]]), constraints=[np.array([[1.0]])],
+                           b=np.array([3.0])),
+                SDPProblem(c=np.eye(2), constraints=[np.eye(2)], b=np.array([-1.0])),
+                SDPProblem(c=-np.eye(2), constraints=[], b=np.array([])),
+                pinned_point()]
+    for n in (3, 3, 5, 5, 5):
+        problems.append(SDPProblem(c=random_symmetric(rng, n), constraints=[np.eye(n)],
+                                   b=np.array([1.0]), maximize=True))
+    # the noiseless Hardy point stalls on its degenerate face
+    h = HVector.from_eta(1.0).as_array()
+    pins = [(npa.LinearFunctional.from_cell(*cell), float(v)) for cell, v in zip(H_CELLS, h)]
+    for dist in (pr.UNIFORM, pr.NONUNIFORM):
+        for maximize in (False, True):
+            problems.append(npa.build_moment_sdp(2, pins, nu_functional(dist), maximize))
+    # the CHSH outcome bound at eps = 0.05 (point 10 of the 25-point bias sweep)
+    eps = float(np.linspace(0.0, 0.12, 25)[10])
+    branch = pr.biased_branches(pr.UNIFORM, eps).branches[0]
+    expr = npa.chsh_functional(4.0 * branch.joint())
+    for a in range(2):
+        marg = np.zeros((2, 2))
+        marg[a, 0] = 1.0
+        problems.append(npa.build_moment_sdp(2, [(expr, npa.TSIRELSON)],
+                                             npa.LinearFunctional(marg_a=marg), True))
+    return problems
+
+
+def test_batch_matches_solo_solves():
+    problems = mixed_problems()
+    solo = [sdp_solve(p) for p in problems]
+    batch = sdp_solve_batch(problems)
+    assert {s.status for s in solo} >= {"optimal", "infeasible", "unbounded", "stalled",
+                                        "numerical-breakdown"}
+    for one, many in zip(solo, batch, strict=True):
+        assert (many.status, many.iterations) == (one.status, one.iterations)
+        np.testing.assert_allclose(
+            [many.primal_objective, many.dual_objective],
+            [one.primal_objective, one.dual_objective], rtol=1e-9, atol=0.0)
+
+
+def test_batch_order_changes_nothing():
+    problems = mixed_problems()
+    forward = sdp_solve_batch(problems)
+    backward = sdp_solve_batch(problems[::-1])[::-1]
+    for f, b in zip(forward, backward, strict=True):
+        assert (f.status, f.iterations, f.history) == (b.status, b.iterations, b.history)
+        assert np.array_equal(f.x, b.x) and np.array_equal(f.y, b.y)
+
+
+def test_failing_member_isolated():
+    # one singular member makes numpy's stacked inverse raise for the whole
+    # stack; the others must come out as they do alone
+    rng = np.random.default_rng(5)
+    good = [random_symmetric(rng, 4) + 4.0 * np.eye(4) for _ in range(2)]
+    stack = np.stack([good[0], np.zeros((4, 4)), good[1]])
+    inverse, failed = sdp._guarded(np.linalg.inv, stack)
+    assert failed.tolist() == [False, True, False]
+    for k, m in ((0, good[0]), (2, good[1])):
+        assert np.array_equal(inverse[k], np.linalg.inv(m[None])[0])
