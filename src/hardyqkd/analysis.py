@@ -3,9 +3,12 @@
 The pipeline tabulates, per candidate statistics vector h, upper bounds
 (gamma0, gamma1) on the posterior of Alice's setting given both outcomes 0,
 then solves small decomposition LPs that let the eavesdropper split the
-observed statistics into a guess-0 and a guess-1 population.  Key rates
-follow from the guessing bound, the sifting probability and the settings
-conditional entropy of the setup.
+observed statistics into populations at the tabulated points, each guessed
+with its better posterior.  The LP value is the upper concave envelope of
+max(gamma0, gamma1) at the observed h (rescaled by the setting frequencies
+for the dropping strategy); the split is not tied to the observed setting
+frequencies or sifting rates.  Key rates follow from the guessing bound,
+the sifting probability and the settings conditional entropy of the setup.
 """
 
 from __future__ import annotations
@@ -71,22 +74,23 @@ def _h_equalities(h: HVector) -> list[tuple[LinearFunctional, float]]:
             for k in range(4)]
 
 
-def _gamma_bounds(hs: list[HVector], dist: SettingsDistribution,
-                  level: int) -> list[tuple[float, float]]:
-    """Upper bounds (gamma0, gamma1) on the setting posterior at each h.
+def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
+                  level: int) -> list[list[tuple[float, float]]]:
+    """Upper bounds (gamma0, gamma1) on the setting posterior at each h,
+    one list per distribution.
 
     sigma is a function of h; the free part of nu is bracketed by two SDP
-    bounds, and the posterior ratios are evaluated at the extremes.  All
-    nu bounds are solved in one batched call.  Where an equality-pinned
-    solve stalls (the pin sits on the boundary of the relaxation, e.g. the
-    noiseless point), the h1 row is additionally relaxed into a Lagrangian
-    term: for any multiplier the penalized problem bounds the pinned one, so
-    the best of the two routes is kept; these polishes form a second batch.
-    Points whose compatible behaviors never produce two zero outcomes
-    constrain nothing, so both bounds degrade to 1.
+    bounds, and the posterior ratios are evaluated at the extremes.  The nu
+    bounds of all distributions are solved in one batched call.  Where an
+    equality-pinned solve stalls (the pin sits on the boundary of the
+    relaxation, e.g. the noiseless point), the h1 row is additionally
+    relaxed into a Lagrangian term: for any multiplier the penalized problem
+    bounds the pinned one, so the best of the two routes is kept; these
+    polishes form a second batch.  Points whose compatible behaviors never
+    produce two zero outcomes constrain nothing, so both bounds degrade to 1.
     """
-    func = nu_functional(dist)
-    jobs = [(_h_equalities(h), func, direction) for h in hs for direction in ("min", "max")]
+    jobs = [(_h_equalities(h), nu_functional(dist), direction)
+            for dist in dists for h in hs for direction in ("min", "max")]
     solved = npa.bound_functionals(level, jobs)
     nu = [bound for bound, _ in solved]
     polish = [k for k, (_, sol) in enumerate(solved) if not sol.optimal
@@ -95,7 +99,7 @@ def _gamma_bounds(hs: list[HVector], dist: SettingsDistribution,
     rhos = (1e1, 1e2, 1e3)
     penalty_jobs = []
     for k in polish:
-        equalities, _, direction = jobs[k]
+        equalities, func, direction = jobs[k]
         sign = 1.0 if direction == "max" else -1.0
         penalty_jobs += [
             (equalities[1:], LinearFunctional(cells=func.cells + sign * rho * h1_cells), direction)
@@ -104,27 +108,32 @@ def _gamma_bounds(hs: list[HVector], dist: SettingsDistribution,
     for j, k in enumerate(polish):
         sign, pick = (1.0, min) if jobs[k][2] == "max" else (-1.0, max)
         for r, rho in enumerate(rhos):
-            nu[k] = pick(nu[k], penalized[len(rhos) * j + r][0] - sign * rho * hs[k // 2].h1)
+            nu[k] = pick(nu[k], penalized[len(rhos) * j + r][0]
+                         - sign * rho * hs[k // 2 % len(hs)].h1)
 
-    bounds = []
-    for h, lo, hi in zip(hs, nu[0::2], nu[1::2], strict=True):
-        nu_min = max(0.0, lo)
-        nu_max = max(nu_min, hi)
-        sigma = sigma_from_h(h, dist)
-        if sigma <= _VACUOUS_TOL and nu_max <= _VACUOUS_TOL:
-            bounds.append((1.0, 1.0))  # sifting never happens: vacuous conditioning
-        elif sigma <= _VACUOUS_TOL:
-            bounds.append((0.0, 1.0))
-        else:
-            bounds.append((min(sigma / (sigma + nu_min), 1.0),
-                           min(nu_max / (sigma + nu_max), 1.0)))
-    return bounds
+    tables = []
+    for d, dist in enumerate(dists):
+        bounds = []
+        part = nu[2 * len(hs) * d:2 * len(hs) * (d + 1)]
+        for h, lo, hi in zip(hs, part[0::2], part[1::2], strict=True):
+            nu_min = max(0.0, lo)
+            nu_max = max(nu_min, hi)
+            sigma = sigma_from_h(h, dist)
+            if sigma <= _VACUOUS_TOL and nu_max <= _VACUOUS_TOL:
+                bounds.append((1.0, 1.0))  # sifting never happens: vacuous conditioning
+            elif sigma <= _VACUOUS_TOL:
+                bounds.append((0.0, 1.0))
+            else:
+                bounds.append((min(sigma / (sigma + nu_min), 1.0),
+                               min(nu_max / (sigma + nu_max), 1.0)))
+        tables.append(bounds)
+    return tables
 
 
 def gamma_tilde(h: HVector, dist: SettingsDistribution,
                 level: int = 2) -> tuple[float, float]:
     """Upper bounds (gamma0, gamma1) on the setting posterior at statistics h."""
-    return _gamma_bounds([h], dist, level)[0]
+    return _gamma_bounds([h], [dist], level)[0][0]
 
 
 @dataclass(frozen=True)
@@ -171,38 +180,46 @@ def _deterministic_h_points() -> tuple[HVector, ...]:
 DETERMINISTIC_H_POINTS: tuple[HVector, ...] = _deterministic_h_points()
 
 
-def build_gamma_grid(dist: SettingsDistribution,
-                     resolution: int = 201,
-                     level: int = 2) -> GammaGrid:
+def build_gamma_grids(dists: list[SettingsDistribution],
+                      resolution: int = 201,
+                      level: int = 2) -> list[GammaGrid]:
     """Tabulate gamma bounds on the noise segment plus decomposition corners.
 
     The segment holds h(eta) for eta on a uniform grid; the corners are the
     h-images of the local deterministic strategies, which give the
     decomposition LPs their reach (any classical-noise statistics can then
     be split into perfectly guessable populations).  Every bound of the
-    table comes from one batched solve (plus one for the polishes).
+    tables of all distributions comes from one batched solve (plus one for
+    the polishes).  Returns one grid per distribution.
     """
     etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
     hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)
-    points = [GammaPoint(h=h, gamma0=g0, gamma1=g1, eta=eta)
-              for h, (g0, g1), eta in zip(hs, _gamma_bounds(hs, dist, level),
-                                          etas + [None] * len(DETERMINISTIC_H_POINTS),
-                                          strict=True)]
-    return GammaGrid(points=points, level=level, dist_label=dist.label or "custom")
+    point_etas = etas + [None] * len(DETERMINISTIC_H_POINTS)
+    return [GammaGrid(points=[GammaPoint(h=h, gamma0=g0, gamma1=g1, eta=eta)
+                              for h, (g0, g1), eta in zip(hs, bounds, point_etas, strict=True)],
+                      level=level, dist_label=dist.label or "custom")
+            for dist, bounds in zip(dists, _gamma_bounds(hs, dists, level), strict=True)]
 
 
-def _decomposition_lp(h: HVector, grid: GammaGrid,
-                      coeff0: np.ndarray, coeff1: np.ndarray) -> float:
-    """Shared LP: split h over grid points into guess-0/guess-1 weights."""
+def build_gamma_grid(dist: SettingsDistribution,
+                     resolution: int = 201,
+                     level: int = 2) -> GammaGrid:
+    """The one-distribution case of `build_gamma_grids`."""
+    return build_gamma_grids([dist], resolution, level)[0]
+
+
+def _decomposition_lp(h: HVector, grid: GammaGrid, coeff: np.ndarray) -> float:
+    """Upper concave envelope of `coeff` over the grid's h-points, at h.
+
+    Maximizes sum_k w_k coeff_k over weights w >= 0 with sum_k w_k h_k = h
+    and sum_k w_k = 1: the eavesdropper splits h into populations at grid
+    points and guesses each with its better posterior, so `coeff` is the
+    pointwise maximum of the two guess coefficients.
+    """
     hmat = grid.h_matrix()  # (G, 4)
-    n = hmat.shape[0]
-    c = np.concatenate([coeff0, coeff1])
-    a_eq = np.zeros((5, 2 * n))
-    a_eq[:4, :n] = hmat.T
-    a_eq[:4, n:] = hmat.T
-    a_eq[4, :] = 1.0
+    a_eq = np.vstack([hmat.T, np.ones(hmat.shape[0])])
     b_eq = np.concatenate([h.as_array(), [1.0]])
-    sol = lp_solve(LPProblem(c=c, a_eq=a_eq, b_eq=b_eq, maximize=True))
+    sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
     if sol.status == "infeasible":
         raise DecompositionInfeasibleError(
             "h lies outside the convex hull of the gamma grid")
@@ -213,19 +230,20 @@ def _decomposition_lp(h: HVector, grid: GammaGrid,
 
 
 def guess1(h: HVector, grid: GammaGrid) -> float:
-    """Basic guessing probability: maximize sum of per-population bounds."""
+    """Basic guessing probability: the concave envelope of max(gamma0, gamma1)."""
     g0 = np.array([p.gamma0 for p in grid.points])
     g1 = np.array([p.gamma1 for p in grid.points])
-    return min(1.0, _decomposition_lp(h, grid, g0, g1))
+    return min(1.0, _decomposition_lp(h, grid, np.maximum(g0, g1)))
 
 
 def guess2(h: HVector, grid: GammaGrid, pa0: float, pa1: float) -> float:
-    """Guessing probability after Alice's random dropping rebalances her key."""
+    """Guessing probability after Alice's random dropping rebalances her key:
+    the concave envelope of max(gamma0 / 2 pa0, gamma1 / 2 pa1)."""
     if pa0 <= 0.0 or pa1 <= 0.0:
         raise ZeroPosteriorError("dropping requires both setting values to occur")
     g0 = np.array([p.gamma0 for p in grid.points]) / (2.0 * pa0)
     g1 = np.array([p.gamma1 for p in grid.points]) / (2.0 * pa1)
-    return min(1.0, _decomposition_lp(h, grid, g0, g1))
+    return min(1.0, _decomposition_lp(h, grid, np.maximum(g0, g1)))
 
 
 @dataclass(frozen=True)
@@ -305,8 +323,7 @@ def key_rate_sweep(etas: np.ndarray,
     """Key rates for all (eta, distribution, strategy) combinations."""
     behaviors = [hardy_behavior(float(eta)) for eta in etas]
     reports: list[KeyRateReport] = []
-    for dist in dists:
-        grid = build_gamma_grid(dist, resolution=resolution, level=level)
+    for dist, grid in zip(dists, build_gamma_grids(list(dists), resolution, level), strict=True):
         for eta, behavior in zip(etas, behaviors, strict=True):
             reports.append(key_rate_basic(float(eta), dist, grid, behavior))
             reports.append(key_rate_dropping(float(eta), dist, grid, behavior))
@@ -337,18 +354,16 @@ def bias_compare(epsilons: list[float], level: int = 2) -> list[BiasComparisonRo
     The Hardy column is the noiseless key-guessing probability with the
     nonuniform distribution; the CHSH column averages the outcome-guessing
     bound at observed value 2*sqrt(2) over the four biased branches of the
-    uniform distribution.
+    uniform distribution.  The branches of all epsilon points are bounded
+    in one `npa.chsh_outcome_guess_bounds` call.
     """
-    rows: list[BiasComparisonRow] = []
-    for eps in epsilons:
-        hardy = noiseless_bias_guess(eps, NONUNIFORM)
-        model = biased_branches(UNIFORM, eps)
-        chsh = float(np.mean([
-            npa.chsh_outcome_guess_bound(branch, npa.TSIRELSON, level)
-            for branch in model.branches]))
-        rows.append(BiasComparisonRow(epsilon=eps, hardy_guess=hardy,
-                                      chsh_guess=chsh))
-    return rows
+    models = [biased_branches(UNIFORM, eps) for eps in epsilons]
+    guesses = iter(npa.chsh_outcome_guess_bounds(
+        [branch for model in models for branch in model.branches], npa.TSIRELSON, level))
+    return [BiasComparisonRow(
+        epsilon=model.epsilon, hardy_guess=noiseless_bias_guess(model.epsilon, NONUNIFORM),
+        chsh_guess=float(np.mean([next(guesses) for _ in model.branches])))
+        for model in models]
 
 
 def bias_compare_to_csv(rows: list[BiasComparisonRow]) -> str:

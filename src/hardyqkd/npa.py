@@ -14,6 +14,13 @@ TOMS 41(3), 2015): the moment matrix is Gamma(y) = sum_k y_k F_k over the
 distinct moments y, pinned statistics become values of y instead of
 constraint rows, and the in-repo dense SDP solver receives the linear matrix
 inequality over the remaining free moments in its dual form.
+
+Bounds are computed in batches: `bound_functionals` builds every relaxation
+of a call and solves them all as stacked interior-point runs.  The CHSH
+outcome-guess bounds of a biased settings source are solved once per branch
+symmetry class (a relabeling that every level respects maps mirror branches
+onto each other; symmetry reduction of NPA relaxations as in Tavakoli,
+Rosset and Renou, PRL 122, 070501, 2019), all classes in the same batches.
 """
 
 from __future__ import annotations
@@ -403,47 +410,44 @@ def bound_functionals(level: int, jobs: list[Job],
     Each relaxation is handed to the solver as the LMI of
     `build_moment_sdp`, whose primal variable X is a dual certificate of the
     moment problem: the bound is the affine offset plus (max) or minus (min)
-    the solver's primal objective <C, X>.  Jobs whose relaxations share
-    their constraint matrices (the same equality functionals and zero cells,
-    e.g. every point of the noise segment) are built together, keep one copy
-    of those matrices and are solved in one `sdp_solve_batch` call; only one
-    such group is held at a time.  A solve that stops short of `tol` but
-    reaches `_ACCEPT_TOL` in gap and residuals is still accepted; constraint
-    sets pinning boundary statistics make that a normal outcome.  A solver
-    status `unbounded` means no moment matrix meets the equalities.  Returns
-    (bound, solution) per job; a failing job raises.
+    the solver's primal objective <C, X>.  Every relaxation of the call is
+    built first; those sharing their constraint matrices (the same equality
+    functionals and zero cells, e.g. every point of the noise segment) keep
+    one copy of them, and all are solved in one `sdp_solve_batch` call, so
+    same-shape relaxations of different templates share a stack too.  A
+    solve that stops short of `tol` but reaches `_ACCEPT_TOL` in gap and
+    residuals is still accepted; constraint sets pinning boundary statistics
+    make that a normal outcome.  A solver status `unbounded` means no moment
+    matrix meets the equalities.  Returns (bound, solution) per job; a
+    failing job raises.
     """
     for _, _, direction in jobs:
         if direction not in ("max", "min"):
             raise ValueError("direction must be 'max' or 'min'")
-    groups: dict[tuple, list[int]] = {}
-    for k, (equalities, _, _) in enumerate(jobs):
-        groups.setdefault(_template_key(equalities), []).append(k)
-    results: list[tuple[float, SDPSolution]] = [None] * len(jobs)  # type: ignore[list-item]
-    for members in groups.values():
-        problems: list[MomentSDP] = []
-        for k in members:
-            equalities, objective, direction = jobs[k]
-            problem = build_moment_sdp(level, equalities, objective, direction == "max")
-            first = problems[0].constraints if problems else []
-            if len(first) == len(problem.constraints) \
-                    and all(map(np.array_equal, first, problem.constraints)):
-                problem.constraints = first
-            problems.append(problem)
-        # a single problem goes through the name `sdp_solve`, which the
-        # benchmark's tracing times
-        sols = sdp_solve_batch(problems, tol=tol) if len(problems) != 1 \
-            else [sdp_solve(problems[0], tol=tol)]
-        for k, problem, sol in zip(members, problems, sols, strict=True):
-            if sol.status == "unbounded":
-                raise InfeasibleHError("equality constraints admit no moment matrix")
-            if not sol.optimal:
-                near = max(sol.gap, sol.primal_residual, sol.dual_residual)
-                if not np.isfinite(near) or near > _ACCEPT_TOL:
-                    raise SolverFailure(
-                        f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
-            sign = 1.0 if jobs[k][2] == "max" else -1.0
-            results[k] = (problem.offset + sign * float(sol.primal_objective), sol)
+    shared: dict[tuple, list[np.ndarray]] = {}
+    problems: list[MomentSDP] = []
+    for equalities, objective, direction in jobs:
+        problem = build_moment_sdp(level, equalities, objective, direction == "max")
+        first = shared.setdefault(_template_key(equalities), problem.constraints)
+        if len(first) == len(problem.constraints) \
+                and all(map(np.array_equal, first, problem.constraints)):
+            problem.constraints = first
+        problems.append(problem)
+    # a single problem goes through the name `sdp_solve`, which the
+    # benchmark's tracing times
+    sols = sdp_solve_batch(problems, tol=tol) if len(problems) != 1 \
+        else [sdp_solve(problems[0], tol=tol)]
+    results = []
+    for (_, _, direction), problem, sol in zip(jobs, problems, sols, strict=True):
+        if sol.status == "unbounded":
+            raise InfeasibleHError("equality constraints admit no moment matrix")
+        if not sol.optimal:
+            near = max(sol.gap, sol.primal_residual, sol.dual_residual)
+            if not np.isfinite(near) or near > _ACCEPT_TOL:
+                raise SolverFailure(
+                    f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
+        sign = 1.0 if direction == "max" else -1.0
+        results.append((problem.offset + sign * float(sol.primal_objective), sol))
     return results
 
 
@@ -456,45 +460,90 @@ def bound_functional(level: int,
     return bound_functionals(level, [(equalities, objective, direction)], tol)[0][0]
 
 
-def chsh_outcome_guess_bound(branch: SettingsDistribution,
-                             observed_value: float,
-                             level: int = 2) -> float:
-    """Bound on Eve's guess of Alice's outcome for setting 0 in a CHSH test.
+def _symmetry_classes(branches: list[SettingsDistribution]) \
+        -> tuple[list[SettingsDistribution], list[int]]:
+    """One representative per symmetry class of CHSH branches.
+
+    Swapping Bob's settings and flipping Alice's outcome for setting 1 maps
+    the weighted CHSH functional of (p_A, 1 - p_B) onto that of (p_A, p_B)
+    and leaves P(a | A=0) and the observed value fixed; the relabeling maps
+    every NPA level onto itself, so both branches have one bound.  Classes
+    join exact duplicates and such mirror pairs, matched within 1e-12 in p_B
+    (1 - (0.5 - eps) and 0.5 + eps can differ by one ulp).  Returns the
+    representatives, first members in input order, and each branch's index
+    among them.
+    """
+    reps: list[SettingsDistribution] = []
+    index: list[int] = []
+    for branch in branches:
+        for k, rep in enumerate(reps):
+            if rep.p_a == branch.p_a and (rep.p_b == branch.p_b
+                                          or abs(rep.p_b - (1.0 - branch.p_b)) <= 1e-12):
+                index.append(k)
+                break
+        else:
+            index.append(len(reps))
+            reps.append(branch)
+    return reps, index
+
+
+def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
+                              observed_value: float,
+                              level: int = 2) -> list[float]:
+    """Bounds on Eve's guess of Alice's outcome for setting 0 in a CHSH test.
 
     The parties normalize their correlator estimates by the nominal uniform
-    setting frequency 1/4, so for runs drawn from `branch` the constrained
+    setting frequency 1/4, so for runs drawn from a branch the constrained
     expression is 4 * sum_AB s_AB P_branch(A, B) C(A, B) = observed_value.
-    The bound is max over a of P(a | A=0) at the given relaxation level.
+    Each bound is max over a of P(a | A=0) at the given relaxation level.
 
     When the observed value sits at the quantum maximum the equality pins a
     degenerate face and the plain solve goes blunt; penalized objectives
     max(marginal + rho * expr) - rho * observed are also certified bounds
     there, so the smallest of the two routes is returned.
+
+    The branches are solved once per symmetry class (`_symmetry_classes`),
+    in three batched calls over all representatives: the quantum maxima,
+    the pinned marginal bounds, and the penalized bounds of the branches at
+    their maximum.  Raises `InfeasibleHError` when the observed value
+    exceeds a branch's quantum maximum.
     """
-    weights = 4.0 * branch.joint()
-    expr = chsh_functional(weights)
-    qmax = bound_functional(level, [], expr, "max", tol=1e-10)
-    if observed_value > qmax + 1e-6:
-        raise InfeasibleHError(
-            f"observed value {observed_value:.6f} exceeds the quantum maximum "
-            f"{qmax:.6f} for this branch weighting")
-    at_max = observed_value >= qmax - 1e-4
+    reps, index = _symmetry_classes(branches)
+    exprs = [chsh_functional(4.0 * rep.joint()) for rep in reps]
+    qmax = [bound for bound, _ in bound_functionals(
+        level, [([], expr, "max") for expr in exprs], tol=1e-10)]
+    for q in qmax:
+        if observed_value > q + 1e-6:
+            raise InfeasibleHError(
+                f"observed value {observed_value:.6f} exceeds the quantum maximum "
+                f"{q:.6f} for this branch weighting")
     margs = []
     for a in range(2):
         marg = np.zeros((2, 2))
         marg[a, 0] = 1.0
         margs.append(LinearFunctional(marg_a=marg))
-    vals = [bound for bound, _ in bound_functionals(
-        level, [([(expr, observed_value)], marg, "max") for marg in margs])]
-    if at_max:
-        rhos = (1e2, 1e3, 1e4)
-        penalized = bound_functionals(level, [
-            ([], LinearFunctional(cells=rho * expr.cells, marg_a=marg.marg_a), "max")
-            for marg in margs for rho in rhos], tol=1e-10)
+    pinned = bound_functionals(
+        level, [([(expr, observed_value)], marg, "max") for expr in exprs for marg in margs])
+    vals = [[pinned[2 * k + a][0] for a in range(2)] for k in range(len(reps))]
+    at_max = [k for k, q in enumerate(qmax) if observed_value >= q - 1e-4]
+    rhos = (1e2, 1e3, 1e4)
+    penalized = bound_functionals(level, [
+        ([], LinearFunctional(cells=rho * exprs[k].cells, marg_a=marg.marg_a), "max")
+        for k in at_max for marg in margs for rho in rhos], tol=1e-10)
+    for j, k in enumerate(at_max):
         for a in range(2):
             for r, rho in enumerate(rhos):
-                vals[a] = min(vals[a], penalized[len(rhos) * a + r][0] - rho * observed_value)
-    return min(max(0.0, *vals), 1.0)
+                vals[k][a] = min(vals[k][a],
+                                 penalized[len(rhos) * (2 * j + a) + r][0] - rho * observed_value)
+    bounds = [min(max(0.0, *v), 1.0) for v in vals]
+    return [bounds[k] for k in index]
+
+
+def chsh_outcome_guess_bound(branch: SettingsDistribution,
+                             observed_value: float,
+                             level: int = 2) -> float:
+    """The one-branch case of `chsh_outcome_guess_bounds`."""
+    return chsh_outcome_guess_bounds([branch], observed_value, level)[0]
 
 
 def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:

@@ -155,6 +155,23 @@ class TestGammaGrid:
             assert p.gamma0 == pytest.approx(g0, abs=1e-9)
             assert p.gamma1 == pytest.approx(g1, abs=1e-9)
 
+    def test_sweep_grids_match_per_distribution_grids(self, monkeypatch):
+        # key_rate_sweep solves the grids of all distributions in one batch;
+        # each must equal the grid built for its distribution alone
+        build, built = an.build_gamma_grids, []
+
+        def capture(*args, **kwargs):
+            built.extend(grids := build(*args, **kwargs))
+            return grids
+
+        monkeypatch.setattr(an, "build_gamma_grids", capture)
+        an.key_rate_sweep(np.array([0.9, 1.0]), resolution=15, level=2)
+        assert [g.dist_label for g in built] == ["uniform", "nonuniform"]
+        for grid, dist in zip(built, (pr.UNIFORM, pr.NONUNIFORM)):
+            alone = an.build_gamma_grid(dist, resolution=15, level=2)
+            assert [(p.gamma0, p.gamma1) for p in grid.points] == \
+                [(p.gamma0, p.gamma1) for p in alone.points]
+
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)
         g0, g1 = an.gamma_tilde(h, pr.UNIFORM)

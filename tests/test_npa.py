@@ -11,7 +11,7 @@ from hardyqkd import npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H_POINTS, nu_functional
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.npa import LinearFunctional
-from hardyqkd.protocol import H_CELLS, UNIFORM, HVector
+from hardyqkd.protocol import H_CELLS, UNIFORM, HVector, SettingsDistribution
 from hardyqkd.solvers.sdp import prune_dependent_constraints
 
 SYMBOLS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
@@ -208,6 +208,89 @@ class TestChshGuess:
         with pytest.raises(InfeasibleHError):
             npa.chsh_outcome_guess_bound(UNIFORM, 2 * np.sqrt(2) + 0.01,
                                          level=2)
+
+
+def chsh_marginals():
+    """P(a | A=0) for a = 0, 1 as functionals."""
+    margs = []
+    for a in range(2):
+        marg = np.zeros((2, 2))
+        marg[a, 0] = 1.0
+        margs.append(LinearFunctional(marg_a=marg))
+    return margs
+
+
+class TestBranchSymmetry:
+    """Branch (p_A, 1 - p_B) is the image of (p_A, p_B) under swapping Bob's
+    settings and flipping Alice's outcome for setting 1."""
+
+    @staticmethod
+    def relabel(p):
+        out = p[:, :, :, ::-1].copy()
+        out[:, :, 1] = p[::-1, :, 1, ::-1]
+        return out
+
+    def test_relabeling_maps_functional_and_keeps_marginal(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T
+            alphas = rng.uniform(0.05, 0.95, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            beh = q.born_behavior(rho / np.trace(rho).real, q.local_bases(*alphas))
+            image = q.Behavior(p=self.relabel(beh.p))
+            p_a, p_b = rng.uniform(size=2)
+            value = npa.chsh_functional(4.0 * SettingsDistribution(p_a, p_b).joint())
+            mirror = npa.chsh_functional(4.0 * SettingsDistribution(p_a, 1.0 - p_b).joint())
+            assert abs(mirror.evaluate(image) - value.evaluate(beh)) <= 1e-14
+            for marg in chsh_marginals():
+                assert abs(marg.evaluate(image) - marg.evaluate(beh)) <= 1e-14
+
+    @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.55), (0.45, 0.525), (0.6, 0.45)])
+    def test_mirror_pair_bounds_agree(self, p_a, p_b):
+        # built here, not through the reduction, so that both members are solved
+        exprs = [npa.chsh_functional(4.0 * SettingsDistribution(p_a, pb).joint())
+                 for pb in (p_b, 1.0 - p_b)]
+        qmax = [b for b, _ in npa.bound_functionals(
+            2, [([], expr, "max") for expr in exprs], tol=1e-10)]
+        pinned = [b for b, _ in npa.bound_functionals(2, [
+            ([(expr, npa.TSIRELSON)], marg, "max")
+            for expr in exprs for marg in chsh_marginals()])]
+        # penalized bounds scale with rho, so they are compared relative to size
+        penalized = [b for b, _ in npa.bound_functionals(2, [
+            ([], LinearFunctional(cells=rho * expr.cells, marg_a=marg.marg_a), "max")
+            for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)],
+            tol=1e-10)]
+        assert qmax[0] == pytest.approx(qmax[1], abs=1e-7)
+        assert pinned[:2] == pytest.approx(pinned[2:], abs=1e-7)
+        assert penalized[:6] == pytest.approx(penalized[6:], rel=1e-7)
+
+    def test_classes_get_their_representative_value(self):
+        plus, minus = 0.5 + 0.05, 0.5 - 0.05
+        branches = [SettingsDistribution(plus, plus), SettingsDistribution(plus, minus),
+                    SettingsDistribution(plus, plus), UNIFORM,
+                    SettingsDistribution(minus, minus), SettingsDistribution(minus, 1.0 - minus)]
+        reps, index = npa._symmetry_classes(branches)
+        assert index == [0, 0, 0, 1, 2, 2]
+        assert [(r.p_a, r.p_b) for r in reps] == [(plus, plus), (0.5, 0.5), (minus, minus)]
+        vals = npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level=2)
+        for k, val in zip(index, vals, strict=True):
+            one = npa.chsh_outcome_guess_bound(reps[k], npa.TSIRELSON, level=2)
+            assert val == pytest.approx(one, abs=1e-9)
+        with pytest.raises(InfeasibleHError):
+            npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON + 0.01, level=2)
+
+
+class TestBatchedBounds:
+    def test_mixed_templates_match_per_template_calls(self):
+        nu = nu_functional(UNIFORM)
+        hs = [HVector.from_eta(eta) for eta in (0.3, 0.8, 1.0)] + list(DETERMINISTIC_H_POINTS[:3])
+        calls = [[(h_pins(h), nu, direction) for direction in ("min", "max")] for h in hs]
+        expr = npa.chsh_functional(4.0 * SettingsDistribution(0.55, 0.45).joint())
+        calls.append([([(expr, npa.TSIRELSON)], marg, "max") for marg in chsh_marginals()])
+        calls.append([([], npa.chsh_functional(), "max"), ([], expr, "max")])
+        mixed = [bound for bound, _ in npa.bound_functionals(2, sum(calls, []))]
+        alone = [bound for jobs in calls for bound, _ in npa.bound_functionals(2, jobs)]
+        assert mixed == pytest.approx(alone, abs=1e-9)
 
 
 class TestFunctional:
