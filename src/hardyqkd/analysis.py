@@ -74,20 +74,15 @@ def _h_equalities(h: HVector) -> list[tuple[LinearFunctional, float]]:
             for k in range(4)]
 
 
-def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
-                  level: int) -> list[list[tuple[float, float]]]:
-    """Upper bounds (gamma0, gamma1) on the setting posterior at each h,
-    one list per distribution.
+def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
+               level: int) -> list[list[tuple[float, float]]]:
+    """(nu_min, nu_max) at each h, one list per distribution.
 
-    sigma is a function of h; the free part of nu is bracketed by two SDP
-    bounds, and the posterior ratios are evaluated at the extremes.  The nu
-    bounds of all distributions are solved in one batched call.  Where an
-    equality-pinned solve stalls (the pin sits on the boundary of the
-    relaxation, e.g. the noiseless point), the h1 row is additionally
-    relaxed into a Lagrangian term: for any multiplier the penalized problem
-    bounds the pinned one, so the best of the two routes is kept; these
-    polishes form a second batch.  Points whose compatible behaviors never
-    produce two zero outcomes constrain nothing, so both bounds degrade to 1.
+    The bounds of all distributions are solved in one batched call.  Where
+    an h-pinned solve stalls (the pin sits on the boundary of the
+    relaxation, e.g. the noiseless point), the better of it and
+    `npa.relaxed_bounds` with the h1 pin relaxed at rho = 1e3 is kept;
+    these form a second batch.
     """
     jobs = [(_h_equalities(h), nu_functional(dist), direction)
             for dist in dists for h in hs for direction in ("min", "max")]
@@ -95,27 +90,27 @@ def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
     nu = [bound for bound, _ in solved]
     polish = [k for k, (_, sol) in enumerate(solved) if not sol.optimal
               and max(sol.gap, sol.primal_residual, sol.dual_residual) > 1e-7]
-    h1_cells = LinearFunctional.from_cell(*H_CELLS[0]).cells
-    rhos = (1e1, 1e2, 1e3)
-    penalty_jobs = []
-    for k in polish:
-        equalities, func, direction = jobs[k]
-        sign = 1.0 if direction == "max" else -1.0
-        penalty_jobs += [
-            (equalities[1:], LinearFunctional(cells=func.cells + sign * rho * h1_cells), direction)
-            for rho in rhos]
-    penalized = npa.bound_functionals(level, penalty_jobs, tol=1e-10)
-    for j, k in enumerate(polish):
-        sign, pick = (1.0, min) if jobs[k][2] == "max" else (-1.0, max)
-        for r, rho in enumerate(rhos):
-            nu[k] = pick(nu[k], penalized[len(rhos) * j + r][0]
-                         - sign * rho * hs[k // 2 % len(hs)].h1)
+    for k, bound in zip(polish, npa.relaxed_bounds(level, [jobs[k] for k in polish], 1e3),
+                        strict=True):
+        nu[k] = min(nu[k], bound) if jobs[k][2] == "max" else max(nu[k], bound)
+    pairs = list(zip(nu[0::2], nu[1::2]))
+    return [pairs[len(hs) * d:len(hs) * (d + 1)] for d in range(len(dists))]
 
+
+def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
+                  level: int) -> list[list[tuple[float, float]]]:
+    """Upper bounds (gamma0, gamma1) on the setting posterior at each h,
+    one list per distribution.
+
+    sigma is a function of h; the free part of nu is bracketed by
+    `_nu_bounds`, and the posterior ratios are evaluated at the extremes.
+    Points whose compatible behaviors never produce two zero outcomes
+    constrain nothing, so both bounds degrade to 1.
+    """
     tables = []
-    for d, dist in enumerate(dists):
+    for dist, nu in zip(dists, _nu_bounds(hs, dists, level), strict=True):
         bounds = []
-        part = nu[2 * len(hs) * d:2 * len(hs) * (d + 1)]
-        for h, lo, hi in zip(hs, part[0::2], part[1::2], strict=True):
+        for h, (lo, hi) in zip(hs, nu, strict=True):
             nu_min = max(0.0, lo)
             nu_max = max(nu_min, hi)
             sigma = sigma_from_h(h, dist)
@@ -261,11 +256,6 @@ class KeyRateReport:
     pa1: float
     clamped: bool
 
-    def recompute(self) -> float:
-        factor = 1.0 if self.strategy == "basic" else 2.0 * min(self.pa0, self.pa1)
-        raw = self.p00 * factor * (-np.log2(self.guess) - self.hab)
-        return max(0.0, float(raw))
-
 
 def _setup_quantities(eta: float, dist: SettingsDistribution,
                       behavior: Behavior | None) -> tuple[Behavior, float]:
@@ -307,13 +297,6 @@ def key_rate_dropping(eta: float, dist: SettingsDistribution, grid: GammaGrid,
                          p00=p00, guess=g, hab=hab,
                          key_rate=max(0.0, float(raw)), pa0=pa0, pa1=pa1,
                          clamped=raw < 0.0)
-
-
-def nonuniform_ratio(x: float, y: float) -> float:
-    """r = sqrt(y) / (sqrt(x) + sqrt(y)), balancing x r^2 = y (1-r)^2."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("both success probabilities must be positive")
-    return float(np.sqrt(y) / (np.sqrt(x) + np.sqrt(y)))
 
 
 def key_rate_sweep(etas: np.ndarray,

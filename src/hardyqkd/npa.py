@@ -16,7 +16,9 @@ constraint rows, and the in-repo dense SDP solver receives the linear matrix
 inequality over the remaining free moments in its dual form.
 
 Bounds are computed in batches: `bound_functionals` builds every relaxation
-of a call and solves them all as stacked interior-point runs.  The CHSH
+of a call and solves them all as stacked interior-point runs, and
+`relaxed_bounds` is the one route that moves a pin into the objective as a
+Lagrangian term, for pins on the boundary of the relaxation.  The CHSH
 outcome-guess bounds of a biased settings source are solved once per branch
 symmetry class (a relabeling that every level respects maps mirror branches
 onto each other; symmetry reduction of NPA relaxations as in Tavakoli,
@@ -136,19 +138,6 @@ class LinearFunctional:
         cells = np.zeros((2, 2, 2, 2))
         cells[a, b, setting_a, setting_b] = coeff
         return cls(cells=cells)
-
-    def evaluate(self, behavior) -> float:
-        """Value on an explicit behavior (marginals via setting 0 of the peer)."""
-        total = self.const + float(np.sum(self.cells * behavior.p))
-        for a in range(2):
-            for sa in range(2):
-                if self.marg_a[a, sa]:
-                    total += self.marg_a[a, sa] * behavior.marginal_a(a, sa)
-        for b in range(2):
-            for sb in range(2):
-                if self.marg_b[b, sb]:
-                    total += self.marg_b[b, sb] * behavior.marginal_b(b, sb)
-        return total
 
     def moment_coefficients(self) -> tuple[dict[Word, float], float]:
         """Expand into projector moments: <A_s>, <B_s>, <A_s B_t> and 1."""
@@ -405,21 +394,22 @@ def _template_key(equalities: list[tuple[LinearFunctional, float]]) -> tuple:
 
 def bound_functionals(level: int, jobs: list[Job],
                       tol: float = 1e-8) -> list[tuple[float, SDPSolution]]:
-    """Certified bounds for several (equalities, objective, direction) jobs.
+    """Bounds for several (equalities, objective, direction) jobs.
 
     Each relaxation is handed to the solver as the LMI of
     `build_moment_sdp`, whose primal variable X is a dual certificate of the
     moment problem: the bound is the affine offset plus (max) or minus (min)
-    the solver's primal objective <C, X>.  Every relaxation of the call is
-    built first; those sharing their constraint matrices (the same equality
-    functionals and zero cells, e.g. every point of the noise segment) keep
-    one copy of them, and all are solved in one `sdp_solve_batch` call, so
-    same-shape relaxations of different templates share a stack too.  A
-    solve that stops short of `tol` but reaches `_ACCEPT_TOL` in gap and
-    residuals is still accepted; constraint sets pinning boundary statistics
-    make that a normal outcome.  A solver status `unbounded` means no moment
-    matrix meets the equalities.  Returns (bound, solution) per job; a
-    failing job raises.
+    the solver's primal objective <C, X>.  The certificate is not checked
+    independently, so a value is a bound only up to the accuracy the solve
+    reached.  Every relaxation of the call is built first; those sharing
+    their constraint matrices (the same equality functionals and zero
+    cells, e.g. every point of the noise segment) keep one copy of them, and
+    all are solved in one `sdp_solve_batch` call, so same-shape relaxations
+    of different templates share a stack too.  A solve that stops short of
+    `tol` but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
+    constraint sets pinning boundary statistics make that a normal outcome.
+    A solver status `unbounded` means no moment matrix meets the
+    equalities.  Returns (bound, solution) per job; a failing job raises.
     """
     for _, _, direction in jobs:
         if direction not in ("max", "min"):
@@ -456,8 +446,33 @@ def bound_functional(level: int,
                      objective: LinearFunctional,
                      direction: str,
                      tol: float = 1e-8) -> float:
-    """Certified bound on a functional: the one-job case of `bound_functionals`."""
+    """Bound on a functional: the one-job case of `bound_functionals`."""
     return bound_functionals(level, [(equalities, objective, direction)], tol)[0][0]
+
+
+def relaxed_bounds(level: int, jobs: list[Job], rho: float) -> list[float]:
+    """Bounds with each job's first equality f = v relaxed into the objective.
+
+    A job maximizing g gets max(g + rho f) - rho v, one minimizing g gets
+    min(g - rho f) + rho v, both over the remaining equalities: the
+    objectives agree with g wherever f = v, so for any multiplier rho each
+    value bounds the pinned job.  Where the pin sits on the boundary of the
+    relaxation (the noiseless Hardy point, the Tsirelson face) the pinned
+    solve stalls short of its optimum and this route can be the tighter one.
+    All jobs are solved in one `bound_functionals` call.
+    """
+    scales, relaxed = [], []
+    for equalities, objective, direction in jobs:
+        (pin, value), rest = equalities[0], equalities[1:]
+        scale = rho if direction == "max" else -rho
+        scales.append(scale * value)
+        relaxed.append((rest, LinearFunctional(
+            cells=objective.cells + scale * pin.cells,
+            marg_a=objective.marg_a + scale * pin.marg_a,
+            marg_b=objective.marg_b + scale * pin.marg_b,
+            const=objective.const + scale * pin.const), direction))
+    return [bound - shift for (bound, _), shift
+            in zip(bound_functionals(level, relaxed, tol=1e-10), scales, strict=True)]
 
 
 def _symmetry_classes(branches: list[SettingsDistribution]) \
@@ -498,13 +513,12 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     Each bound is max over a of P(a | A=0) at the given relaxation level.
 
     When the observed value sits at the quantum maximum the equality pins a
-    degenerate face and the plain solve goes blunt; penalized objectives
-    max(marginal + rho * expr) - rho * observed are also certified bounds
-    there, so the smallest of the two routes is returned.
+    degenerate face and the plain solve goes blunt; there the smaller of the
+    pinned bound and `relaxed_bounds` at rho = 1e4 is kept.
 
     The branches are solved once per symmetry class (`_symmetry_classes`),
     in three batched calls over all representatives: the quantum maxima,
-    the pinned marginal bounds, and the penalized bounds of the branches at
+    the pinned marginal bounds, and the relaxed bounds of the branches at
     their maximum.  Raises `InfeasibleHError` when the observed value
     exceeds a branch's quantum maximum.
     """
@@ -522,20 +536,14 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
         marg = np.zeros((2, 2))
         marg[a, 0] = 1.0
         margs.append(LinearFunctional(marg_a=marg))
-    pinned = bound_functionals(
-        level, [([(expr, observed_value)], marg, "max") for expr in exprs for marg in margs])
-    vals = [[pinned[2 * k + a][0] for a in range(2)] for k in range(len(reps))]
-    at_max = [k for k, q in enumerate(qmax) if observed_value >= q - 1e-4]
-    rhos = (1e2, 1e3, 1e4)
-    penalized = bound_functionals(level, [
-        ([], LinearFunctional(cells=rho * exprs[k].cells, marg_a=marg.marg_a), "max")
-        for k in at_max for marg in margs for rho in rhos], tol=1e-10)
-    for j, k in enumerate(at_max):
-        for a in range(2):
-            for r, rho in enumerate(rhos):
-                vals[k][a] = min(vals[k][a],
-                                 penalized[len(rhos) * (2 * j + a) + r][0] - rho * observed_value)
-    bounds = [min(max(0.0, *v), 1.0) for v in vals]
+    # job 2k + a bounds P(a | A=0) for representative k
+    jobs = [([(expr, observed_value)], marg, "max") for expr in exprs for marg in margs]
+    vals = [bound for bound, _ in bound_functionals(level, jobs)]
+    at_max = [j for j in range(len(jobs)) if observed_value >= qmax[j // 2] - 1e-4]
+    for j, bound in zip(at_max, relaxed_bounds(level, [jobs[j] for j in at_max], 1e4),
+                        strict=True):
+        vals[j] = min(vals[j], bound)
+    bounds = [min(max(0.0, *vals[2 * k:2 * k + 2]), 1.0) for k in range(len(reps))]
     return [bounds[k] for k in index]
 
 
@@ -545,31 +553,3 @@ def chsh_outcome_guess_bound(branch: SettingsDistribution,
     """The one-branch case of `chsh_outcome_guess_bounds`."""
     return chsh_outcome_guess_bounds([branch], observed_value, level)[0]
 
-
-def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:
-    """Real part of the moment matrix of an explicit two-qubit realization.
-
-    Used by tests: for any state and projective measurements this matrix is
-    PSD and satisfies every entry identification of the layout.
-    """
-    layout = get_layout(level)
-    basis = layout.monomials
-
-    def word_operator(word: Word) -> np.ndarray:
-        op_a = np.eye(2, dtype=complex)
-        op_b = np.eye(2, dtype=complex)
-        for (party, setting, outcome) in word:
-            p = bases.projectors[party, setting, outcome]
-            if party == 0:
-                op_a = op_a @ p
-            else:
-                op_b = op_b @ p
-        return np.kron(op_a, op_b)
-
-    n = len(basis)
-    gamma = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            op = word_operator(basis[i]).conj().T @ word_operator(basis[j])
-            gamma[i, j] = float(np.trace(rho @ op).real)
-    return 0.5 * (gamma + gamma.T)

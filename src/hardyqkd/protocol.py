@@ -48,8 +48,16 @@ class SettingsDistribution:
 #: Uniform choice of settings.
 UNIFORM = SettingsDistribution(0.5, 0.5, label="uniform")
 
-#: Ratio r = sqrt(y) / (sqrt(x) + sqrt(y)) balancing the noiseless sifted key.
-NONUNIFORM_RATIO = float(np.sqrt(Q_TILDE) / (np.sqrt(Q_MAX) + np.sqrt(Q_TILDE)))
+
+def nonuniform_ratio(x: float, y: float) -> float:
+    """r = sqrt(y) / (sqrt(x) + sqrt(y)), balancing x r^2 = y (1-r)^2."""
+    if x <= 0.0 or y <= 0.0:
+        raise ValueError("both success probabilities must be positive")
+    return float(np.sqrt(y) / (np.sqrt(x) + np.sqrt(y)))
+
+
+#: Ratio balancing the noiseless sifted key of the Hardy test.
+NONUNIFORM_RATIO = nonuniform_ratio(Q_MAX, Q_TILDE)
 
 #: Setting-0-heavy distribution that balances the key without dropping.
 NONUNIFORM = SettingsDistribution(NONUNIFORM_RATIO, NONUNIFORM_RATIO,

@@ -154,15 +154,3 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPSolution:
         status = "max-iterations"  # numerically degraded basis; do not certify
     return LPSolution(x, value, status, it1 + it2, residual)
 
-
-def verify_lp_solution(problem: LPProblem, sol: LPSolution,
-                       tol: float = 1e-9) -> bool:
-    """Re-check feasibility of a claimed optimal solution from scratch."""
-    if not sol.optimal:
-        return False
-    x = sol.x
-    if (x < -1e-12).any():
-        return False
-    if np.linalg.norm(problem.a_eq @ x - problem.b_eq, ord=np.inf) > tol * (1 + np.abs(problem.b_eq).max(initial=0.0)):
-        return False
-    return abs(float(problem.c @ x) - sol.value) <= 1e-9 * (1 + abs(sol.value))

@@ -21,7 +21,7 @@ M dy = rhs with M_ij = <A_i, W A_j W>.
 Problems are solved in stacks: `sdp_solve_batch` iterates all problems of
 one block size and row count as (B, n, n) arrays through numpy's stacked
 linear algebra.  Each member keeps its own step lengths, stall counter,
-best iterate, history and stop status, and leaves the stack when it stops.
+best iterate and stop status, and leaves the stack when it stops.
 Every operation acts member by member, so a problem takes the same
 iterates alone as in any batch; `sdp_solve` is the one-problem case.
 """
@@ -29,7 +29,7 @@ iterates alone as in any batch; `sdp_solve` is the one-problem case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +37,9 @@ import numpy as np
 _SYM_TOL = 1e-12
 # work-array budget of one stacked iteration (see `sdp_solve_batch`)
 _STACK_BYTES = 1 << 20
+_MAX_ITER = 200
+# iterations without 1% progress after which a solve stops as `stalled`
+_STALL_LIMIT = 40
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -57,12 +60,11 @@ def _svec(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SDPProblem:
-    """One PSD block, equality constraints, and an objective sense."""
+    """One PSD block and its equality constraints: the pair (P), (D) above."""
 
     c: np.ndarray
     constraints: list[np.ndarray]
     b: np.ndarray
-    maximize: bool = False
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -95,10 +97,9 @@ class SDPSolution:
     primal_residual: float
     dual_residual: float
     # optimal | infeasible | unbounded | stalled (no 1% progress in
-    # `stall_limit` iterations) | max-iterations | numerical-breakdown
+    # `_STALL_LIMIT` iterations) | max-iterations | numerical-breakdown
     status: str
     iterations: int = 0
-    history: list[tuple[float, float, float]] = field(default_factory=list, repr=False)
 
     @property
     def optimal(self) -> bool:
@@ -220,7 +221,7 @@ def _schur_solve(schur: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
 class _Stack(SimpleNamespace):
     """Per-member arrays of the problems still iterating, along the first axis.
 
-    ids, sense, c, a_index (which distinct constraint stack), b, norm_b,
+    ids, c, a_index (which distinct constraint stack), b, norm_b,
     norm_c, the iterate x, y, z, chol (Cholesky factors of X and Z, shape
     (L, 2, n, n)), stall, and best_score, best_x, best_y, best_z and
     best_stats ((pobj, dobj, pinf, dinf, relgap)) of the best iterate.
@@ -230,12 +231,12 @@ class _Stack(SimpleNamespace):
         return _Stack(**{k: v[keep] for k, v in vars(self).items()})
 
 
-def _iterate(st: _Stack, shared: np.ndarray, tol: float, max_iter: int, stall_limit: int):
+def _iterate(st: _Stack, shared: np.ndarray, tol: float):
     """Interior-point iterations for a stack of same-shape problems.
 
     `shared` holds the distinct constraint stacks (U, m, n, n).  Returns per
     member the final (or best) iterate, its objectives and residuals, the
-    status, iteration count and history.
+    status and the iteration count.
     """
     size = len(st.ids)
     m, n = shared.shape[1:3]
@@ -244,8 +245,7 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float, max_iter: int, stall_li
     out_z = np.empty((size, n, n))
     out_stats = np.empty((size, 5))
     status = np.full(size, "max-iterations", dtype=object)
-    iterations = np.full(size, max_iter)
-    history: list[list[tuple[float, float, float]]] = [[] for _ in range(size)]
+    iterations = np.full(size, _MAX_ITER)
     eye = np.eye(n)
 
     def finish(st: _Stack, stop: np.ndarray, it: int, stats: np.ndarray) -> _Stack:
@@ -261,7 +261,7 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float, max_iter: int, stall_li
         out_stats[ids] = np.where(opt[:, None], stats[done], st.best_stats[done])
         return st.take(~done)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         live = len(st.ids)
         if not live:
             break
@@ -277,9 +277,6 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float, max_iter: int, stall_li
         pinf = np.sqrt(np.sum(rp * rp, axis=1)) / st.norm_b
         dinf = np.sqrt(np.sum(rd * rd, axis=(1, 2))) / st.norm_c
         relgap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
-        for i, rec in zip(st.ids.tolist(), zip((st.sense * pobj).tolist(),
-                                               (st.sense * dobj).tolist(), mu.tolist())):
-            history[i].append(rec)
         stats = np.stack([pobj, dobj, pinf, dinf, relgap], axis=1)
         score = np.maximum(np.maximum(pinf, dinf), relgap)
         st.stall = np.where(score < 0.99 * st.best_score, 0, st.stall + 1)
@@ -292,7 +289,7 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float, max_iter: int, stall_li
             st.best_stats[better] = stats[better]
 
         optimal = (pinf <= tol) & (dinf <= tol) & (relgap <= tol)
-        stop = optimal | (st.stall >= stall_limit)  # a stall reports the best iterate
+        stop = optimal | (st.stall >= _STALL_LIMIT)  # a stall reports the best iterate
         diverged = ~stop & ((np.sum(x * x, axis=(1, 2)) > 1e20) | (np.sum(y * y, axis=1) > 1e20)
                             | (np.sum(z * z, axis=(1, 2)) > 1e20))
         if stop.any() or diverged.any():
@@ -417,18 +414,16 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float, max_iter: int, stall_li
             st = finish(st, np.where(broken, "numerical-breakdown", ""), it, stats)
 
     if len(st.ids):
-        finish(st, np.full(len(st.ids), "max-iterations", dtype=object), max_iter, st.best_stats)
-    return out_x, out_y, out_z, out_stats, status, iterations, history
+        finish(st, np.full(len(st.ids), "max-iterations", dtype=object), _MAX_ITER, st.best_stats)
+    return out_x, out_y, out_z, out_stats, status, iterations
 
 
-def sdp_solve(problem: SDPProblem, tol: float = 1e-8,
-              max_iter: int = 200, stall_limit: int = 40) -> SDPSolution:
+def sdp_solve(problem: SDPProblem, tol: float = 1e-8) -> SDPSolution:
     """Solve one SDP: the one-problem case of `sdp_solve_batch`."""
-    return sdp_solve_batch([problem], tol, max_iter, stall_limit)[0]
+    return sdp_solve_batch([problem], tol)[0]
 
 
-def sdp_solve_batch(problems: list[SDPProblem], tol: float = 1e-8,
-                    max_iter: int = 200, stall_limit: int = 40) -> list[SDPSolution]:
+def sdp_solve_batch(problems: list[SDPProblem], tol: float = 1e-8) -> list[SDPSolution]:
     """Solve each SDP to the requested relative gap/residual tolerance.
 
     Problems sharing the block size and the row count left after pruning
@@ -461,18 +456,16 @@ def sdp_solve_batch(problems: list[SDPProblem], tol: float = 1e-8,
         for chunk in np.array_split(np.arange(len(members)), -(-len(members) // cap)):
             part = [members[k] for k in chunk]
             for (i, _), sol in zip(part, _solve_stack(
-                    [(problems[i], kept) for i, kept in part], n, m,
-                    tol, max_iter, stall_limit), strict=True):
+                    [(problems[i], kept) for i, kept in part], n, m, tol), strict=True):
                 solutions[i] = sol
     return solutions  # type: ignore[return-value]
 
 
 def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int,
-                 tol: float, max_iter: int, stall_limit: int) -> list[SDPSolution]:
+                 tol: float) -> list[SDPSolution]:
     """Stack same-shape problems (kept rows only), iterate, unpack."""
     size = len(members)
-    sense = np.array([-1.0 if p.maximize else 1.0 for p, _ in members])
-    c = sense[:, None, None] * np.stack([p.c for p, _ in members])
+    c = np.stack([p.c for p, _ in members])
     b = np.zeros((size, m))
     # Problems may share one list of constraint matrices (the relaxations
     # of one template do); each shared list is stacked once.
@@ -493,15 +486,15 @@ def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int,
     x = xi[:, None, None] * np.eye(n)
     z = eta[:, None, None] * np.eye(n)
     y = np.zeros((size, m))
-    st = _Stack(ids=np.arange(size), sense=sense, c=c, a_index=a_index, b=b,
+    st = _Stack(ids=np.arange(size), c=c, a_index=a_index, b=b,
                 norm_b=1.0 + np.linalg.norm(b, axis=1), norm_c=1.0 + _frob(c), x=x, y=y, z=z,
                 chol=np.linalg.cholesky(np.stack([x, z], axis=1)),
                 stall=np.zeros(size, dtype=int), best_score=np.full(size, np.inf),
                 best_x=x.copy(), best_y=y.copy(), best_z=z.copy(),
                 best_stats=np.full((size, 5), np.inf))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, z, stats, status, iterations, history = _iterate(
-            st, shared_flat.reshape(len(shared), m, n, n), tol, max_iter, stall_limit)
+        x, y, z, stats, status, iterations = _iterate(
+            st, shared_flat.reshape(len(shared), m, n, n), tol)
     pobj, dobj, pinf, dinf, gap = stats.T
     solutions = []
     for k, (p, kept) in enumerate(members):
@@ -514,40 +507,12 @@ def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int,
             elif dinf[k] > 1e-3 and pinf[k] < 1e-6:
                 st_k = "unbounded"
         y_full = np.zeros(p.b.size)
-        y_full[kept] = sense[k] * y[k]
+        y_full[kept] = y[k]
         solutions.append(SDPSolution(
             x=x[k], y=y_full, z=z[k],
-            primal_objective=float(sense[k] * pobj[k]),
-            dual_objective=float(sense[k] * dobj[k]),
+            primal_objective=float(pobj[k]), dual_objective=float(dobj[k]),
             gap=float(gap[k]), primal_residual=float(pinf[k]),
             dual_residual=float(dinf[k]), status=st_k,
-            iterations=int(iterations[k]), history=history[k]))
+            iterations=int(iterations[k])))
     return solutions
 
-
-def verify_sdp_solution(problem: SDPProblem, sol: SDPSolution,
-                        tol: float = 1e-6) -> bool:
-    """Independent certificate check: residuals and eigenvalue floors.
-
-    Recomputes everything from the raw problem data; does not trust any
-    field of the solution except the matrices/vectors themselves.
-    """
-    if not sol.optimal:
-        return False
-    sense = -1.0 if problem.maximize else 1.0
-    c = sense * problem.c
-    x, z = sol.x, sol.z
-    y = sense * sol.y
-    if np.linalg.eigvalsh(_sym(x)).min() < -1e-8:
-        return False
-    if np.linalg.eigvalsh(_sym(z)).min() < -1e-8:
-        return False
-    rp = problem.b - np.array([float(np.sum(a * x)) for a in problem.constraints])
-    rd = c - z - sum(yi * a for yi, a in zip(y, problem.constraints, strict=True))
-    if np.linalg.norm(rp, ord=np.inf) > tol * (1.0 + np.abs(problem.b).max(initial=0.0)):
-        return False
-    if np.abs(rd).max() > tol * (1.0 + np.abs(c).max()):
-        return False
-    pobj = float(np.sum(c * x))
-    dobj = float(problem.b @ y)
-    return abs(pobj - dobj) <= 100 * tol * (1.0 + abs(pobj) + abs(dobj))

@@ -1,0 +1,99 @@
+"""Independent checks that only the tests use.
+
+Each function recomputes a quantity from raw data (problem matrices, an
+explicit realization, a report's fields) without going through the code
+path under test.
+"""
+
+import numpy as np
+
+from hardyqkd import npa
+from hardyqkd.analysis import KeyRateReport
+from hardyqkd.solvers import LPProblem, LPSolution, SDPProblem, SDPSolution
+
+
+def verify_sdp_solution(problem: SDPProblem, sol: SDPSolution,
+                        tol: float = 1e-6) -> bool:
+    """Certificate check of min <C, X>: residuals and eigenvalue floors.
+
+    Recomputes everything from the raw problem data; does not trust any
+    field of the solution except the matrices/vectors themselves.
+    """
+    if not sol.optimal:
+        return False
+    c, x, y, z = problem.c, sol.x, sol.y, sol.z
+    for m in (x, z):
+        if np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -1e-8:
+            return False
+    rp = problem.b - np.array([float(np.sum(a * x)) for a in problem.constraints])
+    rd = c - z - sum(yi * a for yi, a in zip(y, problem.constraints, strict=True))
+    if np.linalg.norm(rp, ord=np.inf) > tol * (1.0 + np.abs(problem.b).max(initial=0.0)):
+        return False
+    if np.abs(rd).max() > tol * (1.0 + np.abs(c).max()):
+        return False
+    pobj = float(np.sum(c * x))
+    dobj = float(problem.b @ y)
+    return abs(pobj - dobj) <= 100 * tol * (1.0 + abs(pobj) + abs(dobj))
+
+
+def verify_lp_solution(problem: LPProblem, sol: LPSolution,
+                       tol: float = 1e-9) -> bool:
+    """Re-check feasibility of a claimed optimal solution from scratch."""
+    if not sol.optimal:
+        return False
+    x = sol.x
+    if (x < -1e-12).any():
+        return False
+    if np.linalg.norm(problem.a_eq @ x - problem.b_eq, ord=np.inf) > tol * (1 + np.abs(problem.b_eq).max(initial=0.0)):
+        return False
+    return abs(float(problem.c @ x) - sol.value) <= 1e-9 * (1 + abs(sol.value))
+
+
+def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:
+    """Real part of the moment matrix of an explicit two-qubit realization.
+
+    For any state and projective measurements this matrix is PSD and
+    satisfies every entry identification of the layout.
+    """
+    basis = npa.get_layout(level).monomials
+
+    def word_operator(word) -> np.ndarray:
+        op_a = np.eye(2, dtype=complex)
+        op_b = np.eye(2, dtype=complex)
+        for (party, setting, outcome) in word:
+            p = bases.projectors[party, setting, outcome]
+            if party == 0:
+                op_a = op_a @ p
+            else:
+                op_b = op_b @ p
+        return np.kron(op_a, op_b)
+
+    n = len(basis)
+    gamma = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            op = word_operator(basis[i]).conj().T @ word_operator(basis[j])
+            gamma[i, j] = float(np.trace(rho @ op).real)
+    return 0.5 * (gamma + gamma.T)
+
+
+def evaluate(functional: npa.LinearFunctional, behavior) -> float:
+    """Value of a functional on an explicit behavior (marginals via setting 0
+    of the peer)."""
+    total = functional.const + float(np.sum(functional.cells * behavior.p))
+    for a in range(2):
+        for sa in range(2):
+            if functional.marg_a[a, sa]:
+                total += functional.marg_a[a, sa] * behavior.marginal_a(a, sa)
+    for b in range(2):
+        for sb in range(2):
+            if functional.marg_b[b, sb]:
+                total += functional.marg_b[b, sb] * behavior.marginal_b(b, sb)
+    return total
+
+
+def recompute_key_rate(report: KeyRateReport) -> float:
+    """The clamped key rate from a report's own fields."""
+    factor = 1.0 if report.strategy == "basic" else 2.0 * min(report.pa0, report.pa1)
+    raw = report.p00 * factor * (-np.log2(report.guess) - report.hab)
+    return max(0.0, float(raw))

@@ -80,7 +80,7 @@ def test_criterion_4_noiseless_key_rates(full_sweep):
     k_n = by_key[("nonuniform", "basic", 1.0)].key_rate
     assert abs(k2_u - 0.045084) < 5e-3
     assert abs(k_n - 0.06888) < 5e-3
-    ratio = an.nonuniform_ratio(q.Q_MAX, q.Q_TILDE)
+    ratio = pr.nonuniform_ratio(q.Q_MAX, q.Q_TILDE)
     assert abs(ratio - (SQRT5 - 1) / 2) < 1e-9
     assert abs(ratio - 0.61803) < 1e-5
     assert elapsed < 300.0
@@ -183,11 +183,11 @@ def test_criterion_8_solver_oracles():
         dim = int(rng.integers(2, 10))
         c = rng.normal(size=(dim, dim))
         c = 0.5 * (c + c.T)
-        prob = SDPProblem(c=c, constraints=[np.eye(dim)], b=np.array([1.0]),
-                          maximize=True)
+        # lambda_max(C) as min <-C, X> over tr X = 1
+        prob = SDPProblem(c=-c, constraints=[np.eye(dim)], b=np.array([1.0]))
         sol = sdp_solve(prob, tol=1e-9)
         assert sol.optimal
-        assert abs(sol.primal_objective - np.linalg.eigvalsh(c).max()) < 1e-7
+        assert abs(-sol.primal_objective - np.linalg.eigvalsh(c).max()) < 1e-7
 
     checked = 0
     while checked < 200:

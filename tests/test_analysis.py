@@ -13,6 +13,7 @@ import hardyqkd.analysis as an
 from hardyqkd import npa, protocol as pr, quantum as q
 from hardyqkd.errors import ZeroPosteriorError
 from hardyqkd.protocol import HVector
+from oracles import recompute_key_rate
 
 POSTERIOR0 = q.Q_MAX / (q.Q_MAX + q.Q_TILDE)  # 0.2763932...
 
@@ -115,6 +116,41 @@ class TestGammaTilde:
         expected = an.sigma_from_h(h, pr.UNIFORM)
         assert lo == pytest.approx(expected, abs=1e-4)
         assert hi == pytest.approx(expected, abs=1e-4)
+
+
+class TestRelaxedBounds:
+    """The Lagrangian route of `npa.relaxed_bounds` (h1 pin moved into the
+    objective) against the h-pinned solves."""
+
+    @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM], ids=["uniform", "nonuniform"])
+    def test_weak_duality_at_interior_pins(self, dist):
+        jobs = [(an._h_equalities(HVector.from_eta(0.5)), an.nu_functional(dist), direction)
+                for direction in ("min", "max")]
+        lo, hi = (bound for bound, _ in npa.bound_functionals(2, jobs))
+        for rho in (1e1, 1e3):
+            relaxed_lo, relaxed_hi = npa.relaxed_bounds(2, jobs, rho)
+            assert relaxed_hi >= hi
+            assert relaxed_lo <= lo
+
+    @pytest.mark.parametrize("dist, exact", [
+        (pr.UNIFORM, q.Q_TILDE / 4),
+        (pr.NONUNIFORM, q.Q_TILDE * (1.0 - pr.NONUNIFORM_RATIO) ** 2)],
+        ids=["uniform", "nonuniform"])
+    def test_polished_noiseless_nu_brackets_exact(self, dist, exact):
+        # the Hardy realization is the only behavior at eta = 1, so nu is
+        # pinned to q~ P(A=1, B=1); both polished bounds must enclose it
+        assert exact == pytest.approx(0.0590170 if dist is pr.UNIFORM else 0.0344419,
+                                      abs=5e-8)
+        jobs = [(an._h_equalities(HVector.from_eta(1.0)), an.nu_functional(dist), direction)
+                for direction in ("min", "max")]
+        plain_lo, plain_hi = (bound for bound, _ in npa.bound_functionals(2, jobs))
+        relaxed_lo, relaxed_hi = npa.relaxed_bounds(2, jobs, 1e3)
+        assert relaxed_lo <= exact <= relaxed_hi
+        assert relaxed_hi - relaxed_lo < 1e-4
+        (lo, hi), = an._nu_bounds([HVector.from_eta(1.0)], [dist], 2)[0]
+        assert lo <= exact <= hi
+        # both pinned solves stall there, so each side keeps the tighter route
+        assert (lo, hi) == (max(plain_lo, relaxed_lo), min(plain_hi, relaxed_hi))
 
 
 class TestGammaGrid:
@@ -255,7 +291,7 @@ class TestKeyRates:
         for eta in (0.0, 0.5, 1.0):
             for fn in (an.key_rate_basic, an.key_rate_dropping):
                 r = fn(eta, pr.UNIFORM, grid_uniform)
-                assert r.recompute() == pytest.approx(r.key_rate, abs=1e-12)
+                assert recompute_key_rate(r) == pytest.approx(r.key_rate, abs=1e-12)
 
     def test_rates_nonincreasing_with_noise(self, grid_uniform):
         rates = [an.key_rate_dropping(e, pr.UNIFORM, grid_uniform).key_rate
@@ -271,23 +307,23 @@ class TestKeyRates:
 
 class TestNonuniformRatio:
     def test_golden_ratio_value(self):
-        r = an.nonuniform_ratio(q.Q_MAX, q.Q_TILDE)
+        r = pr.nonuniform_ratio(q.Q_MAX, q.Q_TILDE)
         assert r == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-9)
         assert r == pytest.approx(0.61803, abs=1e-5)
 
     def test_symmetric(self):
-        assert an.nonuniform_ratio(0.37, 0.37) == pytest.approx(0.5, abs=1e-15)
+        assert pr.nonuniform_ratio(0.37, 0.37) == pytest.approx(0.5, abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1.0),
            st.floats(min_value=1e-6, max_value=1.0))
     def test_balance_identity(self, x, y):
-        r = an.nonuniform_ratio(x, y)
+        r = pr.nonuniform_ratio(x, y)
         assert x * r ** 2 == pytest.approx(y * (1 - r) ** 2, abs=1e-12)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            an.nonuniform_ratio(0.0, 0.5)
+            pr.nonuniform_ratio(0.0, 0.5)
 
 
 class TestBiasCompare:

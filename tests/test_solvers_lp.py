@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyqkd.solvers import LPProblem, lp_solve, verify_lp_solution
+from hardyqkd.solvers import LPProblem, lp_solve
+from oracles import verify_lp_solution
 
 
 def vertex_enumeration_optimum(c, a_eq, b_eq, maximize):
