@@ -9,6 +9,14 @@ max(gamma0, gamma1) at the observed h (rescaled by the setting frequencies
 for the dropping strategy); the split is not tied to the observed setting
 frequencies or sifting rates.  Key rates follow from the guessing bound,
 the sifting probability and the settings conditional entropy of the setup.
+
+The LPs of one grid and strategy differ only in h (and, for dropping, in
+the rescaled coefficients), so `guesses` solves them as one sweep: each LP
+starts from the previous one's optimal basis, which along an eta sweep is
+usually still optimal.  Each returned guess is the dual bound of its final
+basis, y.(h, 1) + max_k (f_k - y.(h_k, 1))_+ with y = B^-T c_B, which is an
+upper bound for every y; it is accepted only within 1e-9 of the basis'
+primal value.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +43,11 @@ from .protocol import (
     noiseless_bias_guess,
 )
 from .quantum import Behavior, hardy_behavior
-from .solvers import LPProblem, lp_solve
+from .solvers import LPProblem, LPSolution, lp_solve
 
 _VACUOUS_TOL = 1e-7
+# largest excess of a guess's dual bound over its basis' primal value
+_CERT_TOL = 1e-9
 
 
 def bayes_setting_posterior(behavior: Behavior,
@@ -147,8 +158,16 @@ class GammaGrid:
     level: int
     dist_label: str
 
-    def h_matrix(self) -> np.ndarray:
-        return np.stack([p.h.as_array() for p in self.points])
+    @cached_property
+    def lp_matrix(self) -> np.ndarray:
+        """(5, G) constraints of the decomposition LPs: column k is (h_k, 1)."""
+        hmat = np.stack([p.h.as_array() for p in self.points])
+        return np.vstack([hmat.T, np.ones(len(self.points))])
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        """(G, 2) table of (gamma0, gamma1)."""
+        return np.array([(p.gamma0, p.gamma1) for p in self.points])
 
     def segment_points(self) -> list[GammaPoint]:
         return [p for p in self.points if p.eta is not None]
@@ -203,42 +222,79 @@ def build_gamma_grid(dist: SettingsDistribution,
     return build_gamma_grids([dist], resolution, level)[0]
 
 
-def _decomposition_lp(h: HVector, grid: GammaGrid, coeff: np.ndarray) -> float:
-    """Upper concave envelope of `coeff` over the grid's h-points, at h.
+def _dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
+                b_eq: np.ndarray) -> float:
+    """y.b + max_k (coeff_k - y.a_k)_+, an upper bound for every y on
+    max coeff.w over w >= 0 with a_eq w = b_eq, whose last row is sum_k w_k = 1.
 
-    Maximizes sum_k w_k coeff_k over weights w >= 0 with sum_k w_k h_k = h
-    and sum_k w_k = 1: the eavesdropper splits h into populations at grid
-    points and guesses each with its better posterior, so `coeff` is the
-    pointwise maximum of the two guess coefficients.
+    sum_k w_k coeff_k = y.b + sum_k w_k (coeff_k - y.a_k), and the weights
+    sum to 1.
     """
-    hmat = grid.h_matrix()  # (G, 4)
-    a_eq = np.vstack([hmat.T, np.ones(hmat.shape[0])])
-    b_eq = np.concatenate([h.as_array(), [1.0]])
-    sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+    return float(y @ b_eq) + max(0.0, float((coeff - y @ a_eq).max()))
+
+
+def _certified_value(sol: LPSolution, coeff: np.ndarray, a_eq: np.ndarray,
+                     b_eq: np.ndarray) -> float:
+    """The dual bound of the final basis of a decomposition LP, y = B^-T c_B.
+
+    Raises unless it is within `_CERT_TOL` of the basis' primal value.
+    """
     if sol.status == "infeasible":
         raise DecompositionInfeasibleError(
             "h lies outside the convex hull of the gamma grid")
-    if not sol.optimal:
+    b_mat = a_eq[:, sol.basis]
+    if b_mat.shape[0] == b_mat.shape[1]:
+        y = np.linalg.solve(b_mat.T, coeff[sol.basis])
+    else:  # phase 1 dropped redundant rows (grids without the corners)
+        y = np.linalg.lstsq(b_mat.T, coeff[sol.basis], rcond=None)[0]
+    bound = _dual_bound(y, coeff, a_eq, b_eq)
+    if not bound <= sol.value + _CERT_TOL:
         raise DecompositionInfeasibleError(
-            f"decomposition LP failed with status {sol.status}")
-    return float(sol.value)
+            f"decomposition LP ended {sol.status}: its dual bound {bound:.12g} "
+            f"exceeds the primal value {sol.value:.12g} by more than {_CERT_TOL:g}")
+    return bound
+
+
+def guesses(hs: list[HVector], grid: GammaGrid,
+            priors: list[tuple[float, float]] | None = None) -> list[float]:
+    """Certified guessing probabilities at each h, solved as one LP sweep.
+
+    Each value is the upper concave envelope of the coefficients f over the
+    grid's h-points, at h: the maximum of sum_k w_k f_k over weights w >= 0
+    with sum_k w_k h_k = h and sum_k w_k = 1.  The eavesdropper splits h
+    into populations at grid points and guesses each with its better
+    posterior: f = max(gamma0, gamma1) for the basic strategy, and
+    f = max(gamma0 / 2 pa0, gamma1 / 2 pa1) with the (pa0, pa1) of each h in
+    `priors` for the dropping strategy.  Each LP starts from the optimal
+    basis of the one before, and its value is its certified dual bound.
+    """
+    gammas = grid.gammas
+    if priors is None:
+        coeffs = np.broadcast_to(gammas.max(axis=1), (len(hs), len(gammas)))
+    else:
+        pa = np.array(priors, dtype=float).reshape(-1, 1, 2)
+        if (pa <= 0.0).any():
+            raise ZeroPosteriorError("dropping requires both setting values to occur")
+        coeffs = (gammas / (2.0 * pa)).max(axis=2)
+    a_eq = grid.lp_matrix
+    values, basis = [], None
+    for h, coeff in zip(hs, coeffs, strict=True):
+        b_eq = np.append(h.as_array(), 1.0)
+        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True), basis)
+        values.append(min(1.0, _certified_value(sol, coeff, a_eq, b_eq)))
+        basis = sol.basis
+    return values
 
 
 def guess1(h: HVector, grid: GammaGrid) -> float:
-    """Basic guessing probability: the concave envelope of max(gamma0, gamma1)."""
-    g0 = np.array([p.gamma0 for p in grid.points])
-    g1 = np.array([p.gamma1 for p in grid.points])
-    return min(1.0, _decomposition_lp(h, grid, np.maximum(g0, g1)))
+    """Basic guessing probability: the one-point case of `guesses`."""
+    return guesses([h], grid)[0]
 
 
 def guess2(h: HVector, grid: GammaGrid, pa0: float, pa1: float) -> float:
     """Guessing probability after Alice's random dropping rebalances her key:
-    the concave envelope of max(gamma0 / 2 pa0, gamma1 / 2 pa1)."""
-    if pa0 <= 0.0 or pa1 <= 0.0:
-        raise ZeroPosteriorError("dropping requires both setting values to occur")
-    g0 = np.array([p.gamma0 for p in grid.points]) / (2.0 * pa0)
-    g1 = np.array([p.gamma1 for p in grid.points]) / (2.0 * pa1)
-    return min(1.0, _decomposition_lp(h, grid, np.maximum(g0, g1)))
+    the one-point case of `guesses` with priors (pa0, pa1)."""
+    return guesses([h], grid, [(pa0, pa1)])[0]
 
 
 @dataclass(frozen=True)
@@ -257,59 +313,63 @@ class KeyRateReport:
     clamped: bool
 
 
-def _setup_quantities(eta: float, dist: SettingsDistribution,
-                      behavior: Behavior | None) -> tuple[Behavior, float]:
-    if behavior is None:
-        behavior = hardy_behavior(eta)
-    p00 = float((behavior.p[0, 0] * dist.joint()).sum())
-    return behavior, p00
+def key_rates(etas: np.ndarray | list[float], dist: SettingsDistribution, grid: GammaGrid,
+              dropping: bool = False,
+              behaviors: list[Behavior] | None = None) -> list[KeyRateReport]:
+    """Key rates of one strategy at each eta; the guesses are one `guesses` sweep.
 
-
-def key_rate_basic(eta: float, dist: SettingsDistribution, grid: GammaGrid,
-                   behavior: Behavior | None = None) -> KeyRateReport:
-    """K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)); negative values clamp to 0.
-
-    `behavior` is `hardy_behavior(eta)`, built here when not given.
+    K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)).  With `dropping`, Alice discards
+    her majority value: K2 = P(a=b=0) 2 min(pa0, pa1) (-log2 Pguess2 - H(A|B)).
+    Negative values clamp to 0.  `behaviors` are `hardy_behavior(eta)`,
+    built here when not given.
     """
-    behavior, p00 = _setup_quantities(eta, dist, behavior)
-    g = guess1(HVector.from_eta(eta), grid)
-    hab = conditional_entropy(behavior, dist, dropping=False)
-    pa0, pa1 = bayes_setting_posterior(behavior, dist)
-    raw = p00 * (-np.log2(g) - hab)
-    return KeyRateReport(eta=eta, dist_label=grid.dist_label, strategy="basic",
-                         p00=p00, guess=g, hab=hab,
-                         key_rate=max(0.0, float(raw)), pa0=pa0, pa1=pa1,
-                         clamped=raw < 0.0)
+    etas = [float(eta) for eta in etas]
+    if behaviors is None:
+        behaviors = [hardy_behavior(eta) for eta in etas]
+    priors = [bayes_setting_posterior(behavior, dist) for behavior in behaviors]
+    gs = guesses([HVector.from_eta(eta) for eta in etas], grid,
+                 priors if dropping else None)
+    joint = dist.joint()
+    reports = []
+    for eta, behavior, (pa0, pa1), g in zip(etas, behaviors, priors, gs, strict=True):
+        p00 = float((behavior.p[0, 0] * joint).sum())
+        hab = conditional_entropy(behavior, dist, dropping=dropping)
+        factor = 2.0 * min(pa0, pa1) if dropping else 1.0
+        raw = p00 * factor * (-np.log2(g) - hab)
+        reports.append(KeyRateReport(
+            eta=eta, dist_label=grid.dist_label,
+            strategy="dropping" if dropping else "basic", p00=p00, guess=g,
+            hab=hab, key_rate=max(0.0, float(raw)), pa0=pa0, pa1=pa1,
+            clamped=raw < 0.0))
+    return reports
 
 
-def key_rate_dropping(eta: float, dist: SettingsDistribution, grid: GammaGrid,
-                      behavior: Behavior | None = None) -> KeyRateReport:
-    """K2 with the dropping strategy: Alice discards her majority value.
+def key_rate_basic(eta: float, dist: SettingsDistribution, grid: GammaGrid) -> KeyRateReport:
+    """K1 at one eta: the one-point case of `key_rates`."""
+    return key_rates([eta], dist, grid)[0]
 
-    `behavior` is `hardy_behavior(eta)`, built here when not given.
-    """
-    behavior, p00 = _setup_quantities(eta, dist, behavior)
-    pa0, pa1 = bayes_setting_posterior(behavior, dist)
-    g = guess2(HVector.from_eta(eta), grid, pa0, pa1)
-    hab = conditional_entropy(behavior, dist, dropping=True)
-    raw = p00 * 2.0 * min(pa0, pa1) * (-np.log2(g) - hab)
-    return KeyRateReport(eta=eta, dist_label=grid.dist_label, strategy="dropping",
-                         p00=p00, guess=g, hab=hab,
-                         key_rate=max(0.0, float(raw)), pa0=pa0, pa1=pa1,
-                         clamped=raw < 0.0)
+
+def key_rate_dropping(eta: float, dist: SettingsDistribution,
+                      grid: GammaGrid) -> KeyRateReport:
+    """K2 at one eta: the one-point case of `key_rates` with dropping."""
+    return key_rates([eta], dist, grid, dropping=True)[0]
 
 
 def key_rate_sweep(etas: np.ndarray,
                    dists: tuple[SettingsDistribution, ...] = (UNIFORM, NONUNIFORM),
                    level: int = 2,
                    resolution: int = 201) -> list[KeyRateReport]:
-    """Key rates for all (eta, distribution, strategy) combinations."""
+    """Key rates for all (eta, distribution, strategy) combinations.
+
+    Each (grid, strategy) pair is one `key_rates` call over all etas, so
+    its LPs warm-start along the sweep.
+    """
     behaviors = [hardy_behavior(float(eta)) for eta in etas]
     reports: list[KeyRateReport] = []
     for dist, grid in zip(dists, build_gamma_grids(list(dists), resolution, level), strict=True):
-        for eta, behavior in zip(etas, behaviors, strict=True):
-            reports.append(key_rate_basic(float(eta), dist, grid, behavior))
-            reports.append(key_rate_dropping(float(eta), dist, grid, behavior))
+        basic = key_rates(etas, dist, grid, dropping=False, behaviors=behaviors)
+        dropping = key_rates(etas, dist, grid, dropping=True, behaviors=behaviors)
+        reports.extend(itertools.chain.from_iterable(zip(basic, dropping, strict=True)))
     return reports
 
 

@@ -38,4 +38,6 @@ class InfeasibleHError(SolverFailure):
 
 
 class DecompositionInfeasibleError(SolverFailure):
-    """Target h lies outside the convex hull of the tabulated grid."""
+    """A decomposition LP has no certified value: the target h lies outside
+    the convex hull of the tabulated grid, or the dual bound of the final
+    basis exceeds its primal value."""

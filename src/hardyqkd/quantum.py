@@ -113,12 +113,6 @@ class Behavior:
     def cell(self, a: int, b: int, setting_a: int, setting_b: int) -> float:
         return float(self.p[a, b, setting_a, setting_b])
 
-    def marginal_a(self, a: int, setting_a: int) -> float:
-        return float(self.p[a, :, setting_a, 0].sum())
-
-    def marginal_b(self, b: int, setting_b: int) -> float:
-        return float(self.p[:, b, 0, setting_b].sum())
-
 
 def _check_alpha(alpha: complex) -> complex:
     mag = abs(alpha)

@@ -10,6 +10,10 @@ rows (the decomposition programs of the analysis pipeline), so a dense
 tableau is entirely adequate.  Bland's smallest-index rule is used for both
 the entering and the leaving variable, which rules out cycling on the
 degenerate instances produced by grid decompositions.
+
+A solve may start from a basis, typically the final `basis` of a problem
+with the same `A_eq` and a nearby `b_eq`: when that basis is primal
+feasible at the new `b_eq`, phase 2 starts from it and phase 1 is skipped.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import numpy as np
 
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+# pivots allowed per phase; Bland's rule needs a few hundred on the
+# largest decomposition programs
+_MAX_ITER = 10_000
 
 
 @dataclass
@@ -47,9 +54,11 @@ class LPProblem:
 class LPSolution:
     x: np.ndarray
     value: float
-    status: str  # optimal | infeasible | unbounded | max-iterations
+    status: str  # optimal | infeasible | unbounded | max-iterations | numerical-breakdown
     iterations: int = 0
     residual: float = field(default=np.nan)
+    # basic column per kept row of the final tableau; empty when phase 1 failed
+    basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     @property
     def optimal(self) -> bool:
@@ -66,11 +75,10 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ncols: int,
-                   max_iter: int) -> tuple[str, int]:
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
     """Run Bland-rule simplex on a tableau whose last row is the objective."""
     it = 0
-    while it < max_iter:
+    while it < _MAX_ITER:
         reduced = tab[-1, :ncols]
         candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
         if candidates.size == 0:
@@ -89,20 +97,36 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ncols: int,
     return "max-iterations", it
 
 
-def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPSolution:
-    """Solve an equality-form LP; returns a basic solution when optimal.
-
-    Redundant equality rows are handled in phase 1: an artificial variable
-    that remains basic at level zero is either pivoted out or its row is
-    dropped.  Inconsistent rows surface as `infeasible`.
-    """
-    a = problem.a_eq.copy()
-    b = problem.b_eq.copy()
-    c = -problem.c if problem.maximize else problem.c.copy()
+def _warm_rows(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """Tableau rows B^-1 [A | b] of `basis`, or None unless it is a
+    nonsingular basis that is primal feasible at `b`."""
     m, n = a.shape
-    if max_iter is None:
-        max_iter = 50 * (n + m + 10)
+    if basis.size != m or basis.min(initial=0) < 0 or basis.max(initial=0) >= n:
+        return None
+    try:
+        rows = np.linalg.solve(a[:, basis], np.column_stack([a, b]))
+    except np.linalg.LinAlgError:
+        return None
+    xb = rows[:, -1]
+    # only rounding-level negatives are clipped, so x keeps c'x to ~1e-11
+    if not np.isfinite(rows).all() or (xb < -_PIVOT_TOL * (1.0 + np.abs(b).max())).any():
+        return None
+    rows[:, -1] = np.maximum(xb, 0.0)
+    rows[:, basis] = np.eye(m)
+    return rows
 
+
+def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, str, int]:
+    """Feasible basis from an artificial one: (tableau rows, basis, status, pivots).
+
+    Redundant equality rows are handled here: an artificial variable that
+    remains basic at level zero is either pivoted out or its row is
+    dropped.  Inconsistent rows surface as `infeasible`; the rows are None
+    unless the status is `optimal`.
+    """
+    m, n = a.shape
+    a = a.copy()
+    b = b.copy()
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
@@ -116,11 +140,11 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPSolution:
     tab[-1, :n] = -a.sum(axis=0)
     tab[-1, -1] = -b.sum()
 
-    status, it1 = _simplex_phase(tab, basis, n + m, max_iter)
+    status, it = _simplex_phase(tab, basis, n + m)
     if status == "max-iterations":
-        return LPSolution(np.zeros(n), np.nan, "max-iterations", it1)
+        return None, None, status, it
     if -tab[-1, -1] > _FEAS_TOL * (1.0 + abs(b).sum()):
-        return LPSolution(np.zeros(n), np.nan, "infeasible", it1)
+        return None, None, "infeasible", it
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     keep = np.ones(m, dtype=bool)
@@ -133,24 +157,39 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPSolution:
         else:
             keep[row] = False  # redundant equality
     rows = np.flatnonzero(keep)
-    tab = np.vstack([tab[rows], tab[-1:]])
-    basis = basis[rows]
+    return np.column_stack([tab[rows, :n], tab[rows, -1]]), basis[rows], "optimal", it
 
-    # Phase 2: replace the objective row, price out the basis.
-    tab2 = np.zeros((rows.size + 1, n + 1))
-    tab2[:-1, :n] = tab[:-1, :n]
-    tab2[:-1, -1] = tab[:-1, -1]
-    tab2[-1, :n] = c
-    for i, bv in enumerate(basis):
-        tab2[-1] -= c[bv] * tab2[i]
-    status, it2 = _simplex_phase(tab2, basis, n, max_iter)
+
+def lp_solve(problem: LPProblem, basis: np.ndarray | None = None) -> LPSolution:
+    """Solve an equality-form LP; returns a basic solution and its basis.
+
+    Phase 2 starts from `basis` when it is given, nonsingular and primal
+    feasible at `problem.b_eq`; otherwise phase 1 finds a feasible basis
+    from an artificial one.  A final basis whose solution fails the
+    residual check ends as `numerical-breakdown`.
+    """
+    a, b = problem.a_eq, problem.b_eq
+    c = -problem.c if problem.maximize else problem.c
+    n = c.size
+    if basis is not None:
+        basis = np.array(basis, dtype=int)  # a copy: pivots update it in place
+    rows = None if basis is None else _warm_rows(a, b, basis)
+    it1 = 0
+    if rows is None:
+        rows, basis, status, it1 = _phase1(a, b)
+        if rows is None:
+            return LPSolution(np.zeros(n), np.nan, status, it1)
+
+    # Phase 2: price out the basis in the objective row.
+    tab = np.vstack([rows, np.append(c, 0.0)])
+    tab[-1] -= c[basis] @ rows
+    status, it2 = _simplex_phase(tab, basis, n)
 
     x = np.zeros(n)
-    x[basis] = tab2[:-1, -1]
+    x[basis] = tab[:-1, -1]
     x[np.abs(x) < 1e-14] = 0.0
     value = float(problem.c @ x)
-    residual = float(np.linalg.norm(problem.a_eq @ x - problem.b_eq, ord=np.inf))
-    if status == "optimal" and residual > 1e-7 * (1.0 + np.abs(problem.b_eq).max(initial=0.0)):
-        status = "max-iterations"  # numerically degraded basis; do not certify
-    return LPSolution(x, value, status, it1 + it2, residual)
-
+    residual = float(np.linalg.norm(a @ x - b, ord=np.inf))
+    if status == "optimal" and residual > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+        status = "numerical-breakdown"  # degraded basis; do not certify
+    return LPSolution(x, value, status, it1 + it2, residual, basis)

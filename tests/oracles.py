@@ -84,11 +84,13 @@ def evaluate(functional: npa.LinearFunctional, behavior) -> float:
     for a in range(2):
         for sa in range(2):
             if functional.marg_a[a, sa]:
-                total += functional.marg_a[a, sa] * behavior.marginal_a(a, sa)
+                marginal = float(behavior.p[a, :, sa, 0].sum())
+                total += functional.marg_a[a, sa] * marginal
     for b in range(2):
         for sb in range(2):
             if functional.marg_b[b, sb]:
-                total += functional.marg_b[b, sb] * behavior.marginal_b(b, sb)
+                marginal = float(behavior.p[:, b, 0, sb].sum())
+                total += functional.marg_b[b, sb] * marginal
     return total
 
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import hardyqkd.analysis as an
 from hardyqkd import npa, protocol as pr, quantum as q
-from hardyqkd.errors import ZeroPosteriorError
+from hardyqkd.errors import SolverFailure, ZeroPosteriorError
 from hardyqkd.protocol import HVector
+from hardyqkd.solvers import LPProblem, lp, lp_solve
 from oracles import recompute_key_rate
 
 POSTERIOR0 = q.Q_MAX / (q.Q_MAX + q.Q_TILDE)  # 0.2763932...
@@ -26,6 +27,28 @@ def grid_uniform():
 @pytest.fixture(scope="module")
 def grid_nonuniform():
     return an.build_gamma_grid(pr.NONUNIFORM, resolution=41)
+
+
+@pytest.fixture(scope="module")
+def grids15():
+    grids = an.build_gamma_grids([pr.UNIFORM, pr.NONUNIFORM], resolution=15, level=2)
+    return {grid.dist_label: grid for grid in grids}
+
+
+def decomposition_lp(grid, eta, prior=None):
+    """(coeff, a_eq, b_eq) of the decomposition LP at h(eta), from the grid
+    points' own fields."""
+    a_eq = np.vstack([np.stack([p.h.as_array() for p in grid.points]).T,
+                      np.ones(len(grid.points))])
+    gammas = np.array([(p.gamma0, p.gamma1) for p in grid.points])
+    coeff = gammas.max(axis=1) if prior is None else (gammas / (2.0 * np.array(prior))).max(axis=1)
+    return coeff, a_eq, np.append(HVector.from_eta(eta).as_array(), 1.0)
+
+
+def cold_value(coeff, a_eq, b_eq):
+    sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+    assert sol.optimal
+    return sol.value
 
 
 class TestBayesPosterior:
@@ -262,6 +285,85 @@ class TestGuessPrograms:
             h = HVector.from_eta(eta)
             assert an.guess2(h, grid_uniform, pa0, pa1) >= 0.5 - 1e-9
             assert an.guess1(h, grid_uniform) >= 0.5 - 1e-9
+
+
+ETAS51 = np.linspace(0.0, 1.0, 51)
+
+
+class TestWarmSweep:
+    @pytest.mark.parametrize("order", ["ascending", "reversed", "shuffled"])
+    @pytest.mark.parametrize("dropping", [False, True], ids=["basic", "dropping"])
+    @pytest.mark.parametrize("label", ["uniform", "nonuniform"])
+    def test_sweep_matches_cold_solves(self, grids15, monkeypatch, label, dropping, order):
+        etas = {"ascending": ETAS51, "reversed": ETAS51[::-1],
+                "shuffled": np.random.default_rng(3).permutation(ETAS51)}[order]
+        dist = pr.UNIFORM if label == "uniform" else pr.NONUNIFORM
+        grid = grids15[label]
+        solve, certify = an.lp_solve, an._certified_value
+        usable, certified = [], []
+
+        def recording_solve(problem, basis=None):
+            if basis is not None:
+                usable.append(lp._warm_rows(problem.a_eq, problem.b_eq, basis) is not None)
+            return solve(problem, basis)
+
+        def recording_certify(*args):
+            certified.append(value := certify(*args))
+            return value
+
+        monkeypatch.setattr(an, "lp_solve", recording_solve)
+        monkeypatch.setattr(an, "_certified_value", recording_certify)
+        reports = an.key_rates(etas, dist, grid, dropping)
+        assert len(usable) == len(certified) - 1 == len(etas) - 1
+        for eta, r in zip(etas, reports, strict=True):
+            prior = (r.pa0, r.pa1) if dropping else None
+            cold = min(1.0, cold_value(*decomposition_lp(grid, float(eta), prior)))
+            assert abs(r.guess - cold) <= 1e-12
+        assert any(usable)
+        if order != "ascending":
+            assert not all(usable)  # some starts were infeasible at the next h
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("label", ["uniform", "nonuniform"])
+    def test_random_duals_never_below_optimum(self, grids15, label):
+        rng = np.random.default_rng(17)
+        for eta in (0.3, 0.85, 0.97, 1.0):
+            coeff, a_eq, b_eq = decomposition_lp(grids15[label], eta)
+            optimum = cold_value(coeff, a_eq, b_eq)
+            for _ in range(200):
+                y = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 2.0)
+                assert an._dual_bound(y, coeff, a_eq, b_eq) >= optimum - 1e-12
+
+    def test_nonoptimal_start_ends_at_cold_value(self, grids15):
+        coeff, a_eq, b_eq = decomposition_lp(grids15["nonuniform"], 0.9, (0.3, 0.7))
+        # the minimizing basis is feasible at b but not optimal for the maximum
+        low = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq))
+        with pytest.raises(SolverFailure):
+            an._certified_value(low, coeff, a_eq, b_eq)
+        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True), low.basis)
+        assert sol.iterations > 0
+        cold = cold_value(coeff, a_eq, b_eq)
+        assert cold > low.value + 1e-3
+        assert abs(an._certified_value(sol, coeff, a_eq, b_eq) - cold) <= 1e-12
+
+    @pytest.mark.parametrize("label", ["uniform", "nonuniform"])
+    def test_tampered_coefficient_is_rejected(self, grids15, label):
+        coeff, a_eq, b_eq = decomposition_lp(grids15[label], 0.95)
+        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+        assert an._certified_value(sol, coeff, a_eq, b_eq) == pytest.approx(sol.value, abs=1e-12)
+        y = np.linalg.solve(a_eq[:, sol.basis].T, coeff[sol.basis])
+        k = np.setdiff1d(np.arange(coeff.size), sol.basis)[0]
+        tampered = coeff.copy()
+        tampered[k] = y @ a_eq[:, k] + 1e-6  # now worth a positive weight
+        with pytest.raises(SolverFailure, match="dual bound"):
+            an._certified_value(sol, tampered, a_eq, b_eq)
+
+    def test_hull_violation_is_named(self, grids15):
+        coeff, a_eq, _ = decomposition_lp(grids15["uniform"], 0.5)
+        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=[2.0, 0, 0, 0, 1], maximize=True))
+        with pytest.raises(SolverFailure, match="convex hull"):
+            an._certified_value(sol, coeff, a_eq, np.array([2.0, 0, 0, 0, 1]))
 
 
 class TestKeyRates:

@@ -121,3 +121,69 @@ def test_determinism():
     assert s1.value == s2.value
     assert np.array_equal(s1.x, s2.x)
     assert s1.iterations == s2.iterations
+
+
+def test_warm_start_from_perturbed_optimum_matches_vertex_enumeration():
+    # the optimal basis at a perturbed b may be infeasible at b (phase 1
+    # then runs) or feasible and non-optimal (phase 2 pivots from it)
+    rng = np.random.default_rng(20261018)
+    checked = warm = 0
+    while checked < 150:
+        n = int(rng.integers(3, 8))
+        m = int(rng.integers(1, min(n, 5)))
+        a = rng.normal(size=(m, n))
+        x_feas = rng.uniform(0.0, 2.0, size=n)
+        b = a @ x_feas
+        b_near = a @ (x_feas + rng.uniform(-0.3, 0.3, size=n))
+        c = rng.normal(size=n)
+        maximize = bool(rng.integers(0, 2))
+        start = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b_near, maximize=maximize))
+        oracle = vertex_enumeration_optimum(c, a, b, maximize)
+        if not start.optimal or oracle is None:
+            continue
+        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize), start.basis)
+        if sol.status == "unbounded":
+            continue
+        assert sol.optimal
+        assert sol.value == pytest.approx(oracle, abs=1e-9)
+        assert verify_lp_solution(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize), sol)
+        warm += sol.iterations < lp_solve(
+            LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize)).iterations
+        checked += 1
+    assert warm > 0  # some solves did start from the given basis
+
+
+def test_optimal_start_needs_no_pivots():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 9))
+    b = a @ rng.uniform(size=9)
+    problem = LPProblem(c=rng.normal(size=9) ** 2, a_eq=a, b_eq=b)
+    cold = lp_solve(problem)
+    warm = lp_solve(problem, cold.basis)
+    assert cold.optimal and warm.optimal and warm.iterations == 0
+    assert warm.value == pytest.approx(cold.value, abs=1e-12)
+    assert sorted(warm.basis) == sorted(cold.basis)
+
+
+@pytest.mark.parametrize("basis", [[0, 0], [0], [0, 5], [-1, 1]],
+                         ids=["repeated", "short", "out-of-range", "negative"])
+def test_unusable_start_runs_both_phases(basis):
+    problem = LPProblem(c=[1.0, 2.0, 3.0], a_eq=[[1, 1, 1], [1, -1, 0]], b_eq=[1, 0])
+    cold = lp_solve(problem)
+    sol = lp_solve(problem, np.array(basis))
+    assert sol.optimal and sol.value == cold.value and sol.iterations == cold.iterations
+
+
+def test_redundant_rows_shorten_the_basis():
+    sol = lp_solve(LPProblem(c=[1, 2, 0], a_eq=[[1, 1, 1], [2, 2, 2]], b_eq=[1, 2]))
+    assert sol.optimal and sol.basis.size == 1
+
+
+def test_degraded_basis_is_numerical_breakdown():
+    # the start basis is feasible and optimal but nearly singular: its
+    # solution (~1e11 per entry) misses A x = b by ~7e-6
+    problem = LPProblem(c=[0, 0, 1], a_eq=[[1, -1, 1], [1, -1 + 1e-14, 0]],
+                        b_eq=[1, 1 + 1e-3])
+    sol = lp_solve(problem, np.array([0, 1]))
+    assert sol.status == "numerical-breakdown"
+    assert sol.residual > 1e-6
