@@ -1,8 +1,10 @@
 """Protocol simulation: settings distributions, RNG bias, sifting, entropies.
 
 Randomness comes from numpy's Philox generator, a seedable counter-based
-RNG.  All per-round deviates are one (n, 5) block computed up front from
-the seed, so round i's randomness is a fixed function of (seed, i):
+RNG.  Round i is driven by row i of the (n, 5) block of uniforms that one
+Philox(key=seed) stream yields.  `simulate` draws that block in fixed row
+chunks from the one stream (successive draws continue it), so round i's
+randomness is a fixed function of (seed, i) while memory stays bounded:
 transcripts are reproducible byte-for-byte and independent of how the
 derived quantities are later evaluated.
 """
@@ -89,8 +91,8 @@ def biased_branches(base: SettingsDistribution, epsilon: float) -> BiasModel:
     return BiasModel(base=base, epsilon=epsilon, branches=tuple(branches))
 
 
-_CSV_HEADER = "index,settingA,settingB,outcomeA,outcomeB,revealed\n"
-_CSV_CHUNK = 1 << 16  # rows per join; bounds the row strings held at once
+_CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"
+_ROW_CHUNK = 1 << 16  # rounds drawn per Philox call in `simulate`
 
 
 @dataclass
@@ -119,22 +121,36 @@ class Transcript:
         return self._restrict(self.revealed)
 
     def to_csv(self) -> str:
-        chunks = [_CSV_HEADER]
-        for start in range(0, len(self), _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, len(self))
-            columns = [range(start, stop)] + [
-                col[start:stop].tolist() for col in (
-                    self.setting_a, self.setting_b, self.outcome_a,
-                    self.outcome_b, self.revealed)]
-            chunks.append("".join("%d,%d,%d,%d,%d,%d\n" % row
-                                  for row in zip(*columns)))
-        return "".join(chunks)
+        """CSV text, one line per round, assembled as one byte buffer.
 
-
-def _round_uniforms(seed: int, n: int) -> np.ndarray:
-    """Deterministic (n, 5) block of uniforms; row i drives round i."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((n, 5))
+        Indices increase, so the rows whose index has d digits form one
+        contiguous block of d + 11 bytes per row: the digits, five ',0' or
+        ',1' fields and a newline.  Each block is filled column by column.
+        """
+        n = len(self)
+        blocks = []  # (first row, end row, index digits)
+        lo, d = 0, 1
+        while lo < n:
+            hi = min(10 ** d, n)
+            blocks.append((lo, hi, d))
+            lo, d = hi, d + 1
+        size = len(_CSV_HEADER) + sum((hi - lo) * (d + 11) for lo, hi, d in blocks)
+        out = np.empty(size, dtype=np.uint8)
+        out[:len(_CSV_HEADER)] = np.frombuffer(_CSV_HEADER, dtype=np.uint8)
+        pos = len(_CSV_HEADER)
+        columns = (self.setting_a, self.setting_b, self.outcome_a,
+                   self.outcome_b, self.revealed)
+        for lo, hi, d in blocks:
+            rows = out[pos:pos + (hi - lo) * (d + 11)].reshape(hi - lo, d + 11)
+            idx = np.arange(lo, hi, dtype=np.min_scalar_type(hi))  # narrow ints divide faster
+            for k in range(d):
+                rows[:, d - 1 - k] = idx // 10 ** k % 10 + 48
+            rows[:, d:d + 10:2] = ord(",")
+            for j, col in enumerate(columns):
+                np.add(col[lo:hi], 48, out=rows[:, d + 1 + 2 * j], casting="unsafe")
+            rows[:, -1] = ord("\n")
+            pos += rows.size
+        return str(out.data, "ascii")
 
 
 def simulate(n: int, behavior: Behavior,
@@ -145,34 +161,45 @@ def simulate(n: int, behavior: Behavior,
     Each round independently draws a bias branch (when a `BiasModel` is
     given), settings from that branch, outcomes from the behavior via its
     conditional CDF, and a Bernoulli(reveal_fraction) estimation mark.
+    The uniforms are drawn `_ROW_CHUNK` rounds at a time, so memory beyond
+    the int8/bool output columns does not grow with n.
     """
     if n <= 0:
         raise ParameterRangeError("round count must be positive")
     if not 0.0 <= reveal_fraction <= 1.0:
         raise ParameterRangeError("reveal fraction must lie in [0, 1]")
-    u = _round_uniforms(seed, n)
-
-    if isinstance(dist_or_bias, BiasModel):
-        branch = np.minimum((u[:, _U_BRANCH] * 4).astype(np.int64), 3)
-        pa = np.array([b.p_a for b in dist_or_bias.branches])[branch]
-        pb = np.array([b.p_b for b in dist_or_bias.branches])[branch]
-    else:
-        pa = np.full(n, dist_or_bias.p_a)
-        pb = np.full(n, dist_or_bias.p_b)
-
-    setting_a = (u[:, _U_SET_A] >= pa).astype(np.int8)
-    setting_b = (u[:, _U_SET_B] >= pb).astype(np.int8)
-
+    biased = isinstance(dist_or_bias, BiasModel)
+    branches = dist_or_bias.branches if biased else (dist_or_bias,)
+    branch_pa = np.array([b.p_a for b in branches])
+    branch_pb = np.array([b.p_b for b in branches])
     # Outcome pair via the CDF of p(.,.|A,B) in the fixed order
     # (0,0), (0,1), (1,0), (1,1); zero-probability cells are never hit.
-    cdf = np.cumsum(behavior.p.reshape(4, 2, 2), axis=0)  # [cell, A, B]
-    cell_cdf = cdf[:, setting_a, setting_b]  # (4, n)
-    outcome_cell = (u[:, _U_OUTCOME][None, :] >= cell_cdf).sum(axis=0)
-    outcome_cell = np.minimum(outcome_cell, 3)
-    outcome_a = (outcome_cell // 2).astype(np.int8)
-    outcome_b = (outcome_cell % 2).astype(np.int8)
+    cdf = np.cumsum(behavior.p.reshape(4, 4), axis=0)  # [cell, 2A + B]
 
-    revealed = u[:, _U_REVEAL] < reveal_fraction
+    setting_a = np.empty(n, dtype=np.int8)
+    setting_b = np.empty(n, dtype=np.int8)
+    outcome_a = np.empty(n, dtype=np.int8)
+    outcome_b = np.empty(n, dtype=np.int8)
+    revealed = np.empty(n, dtype=bool)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    for lo in range(0, n, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, n)
+        u = gen.random((hi - lo, 5))  # rows lo..hi of the one (n, 5) stream
+        if biased:
+            branch = np.minimum((u[:, _U_BRANCH] * 4).astype(np.intp), 3)
+            pa, pb = branch_pa[branch], branch_pb[branch]
+        else:
+            pa, pb = branch_pa[0], branch_pb[0]
+        setting_a[lo:hi] = u[:, _U_SET_A] >= pa
+        setting_b[lo:hi] = u[:, _U_SET_B] >= pb
+        pair = 2 * setting_a[lo:hi] + setting_b[lo:hi]
+        cell = np.zeros(hi - lo, dtype=np.int8)
+        for cell_cdf in cdf:
+            cell += u[:, _U_OUTCOME] >= cell_cdf[pair]
+        np.minimum(cell, 3, out=cell)
+        outcome_a[lo:hi] = cell >> 1
+        outcome_b[lo:hi] = cell & 1
+        revealed[lo:hi] = u[:, _U_REVEAL] < reveal_fraction
     return Transcript(seed=seed, behavior=behavior, distribution=dist_or_bias,
                       setting_a=setting_a, setting_b=setting_b,
                       outcome_a=outcome_a, outcome_b=outcome_b,

@@ -239,17 +239,10 @@ def noisy_state(eta: float, psi: np.ndarray) -> np.ndarray:
 
 def born_behavior(rho: np.ndarray, bases: MeasurementSet) -> Behavior:
     """p(a, b | A, B) = Tr[(Pi^A_{A,a} x Pi^B_{B,b}) rho]."""
-    rho = np.asarray(rho, dtype=complex)
-    p = np.zeros((2, 2, 2, 2))
-    for sa in range(2):
-        for sb in range(2):
-            for a in range(2):
-                for b in range(2):
-                    op = np.kron(bases.projectors[0, sa, a],
-                                 bases.projectors[1, sb, b])
-                    p[a, b, sa, sb] = float(np.trace(op @ rho).real)
-    p = np.clip(p, 0.0, 1.0)
-    return Behavior(p=p)
+    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)  # [iA, iB, jA, jB]
+    p = np.einsum("xaik,ybjl,klij->abxy", bases.projectors[0],
+                  bases.projectors[1], rho).real
+    return Behavior(p=np.clip(p, 0.0, 1.0))
 
 
 def hardy_behavior(eta: float = 1.0,
@@ -257,5 +250,5 @@ def hardy_behavior(eta: float = 1.0,
                    alpha_b: complex = ALPHA_OPT) -> Behavior:
     """Behavior of the noisy Hardy setup rho(eta) with the matching bases."""
     bases = local_bases(alpha_a, alpha_b)
-    rho = noisy_state(eta, hardy_state(alpha_a, alpha_b))
-    return born_behavior(rho, bases)
+    psi = gram_schmidt(hardy_product_states(bases))[3]  # = hardy_state(alpha_a, alpha_b)
+    return born_behavior(noisy_state(eta, psi), bases)

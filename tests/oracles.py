@@ -77,6 +77,20 @@ def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:
     return 0.5 * (gamma + gamma.T)
 
 
+def born_behavior_loop(rho: np.ndarray, bases) -> np.ndarray:
+    """Born-rule table p[a, b, A, B] cell by cell: Tr[(Pi_A x Pi_B) rho]."""
+    rho = np.asarray(rho, dtype=complex)
+    p = np.zeros((2, 2, 2, 2))
+    for sa in range(2):
+        for sb in range(2):
+            for a in range(2):
+                for b in range(2):
+                    op = np.kron(bases.projectors[0, sa, a],
+                                 bases.projectors[1, sb, b])
+                    p[a, b, sa, sb] = float(np.trace(op @ rho).real)
+    return np.clip(p, 0.0, 1.0)
+
+
 def evaluate(functional: npa.LinearFunctional, behavior) -> float:
     """Value of a functional on an explicit behavior (marginals via setting 0
     of the peer)."""

@@ -17,6 +17,33 @@ from hardyqkd.errors import (
 from hardyqkd.quantum import Behavior
 
 FLAT = Behavior(p=np.full((2, 2, 2, 2), 0.25))
+CSV_HEADER = "index,settingA,settingB,outcomeA,outcomeB,revealed\n"
+
+
+def csv_writer_rows(t, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i in rows:
+        writer.writerow([i, int(t.setting_a[i]), int(t.setting_b[i]),
+                         int(t.outcome_a[i]), int(t.outcome_b[i]),
+                         int(t.revealed[i])])
+    return buf.getvalue()
+
+
+def reference_columns(n, behavior, source, reveal, seed):
+    """The five columns by the documented rule, from one (n, 5) Philox block."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 5))
+    if isinstance(source, pr.BiasModel):
+        branch = np.minimum((u[:, 0] * 4).astype(int), 3)
+        pa = np.array([b.p_a for b in source.branches])[branch]
+        pb = np.array([b.p_b for b in source.branches])[branch]
+    else:
+        pa, pb = source.p_a, source.p_b
+    sa = (u[:, 1] >= pa).astype(int)
+    sb = (u[:, 2] >= pb).astype(int)
+    cdf = np.cumsum(behavior.p.reshape(4, 2, 2), axis=0)[:, sa, sb]
+    cell = np.minimum((u[:, 3] >= cdf).sum(axis=0), 3)
+    return sa, sb, cell // 2, cell % 2, u[:, 4] < reveal
 
 
 class TestSettingsDistribution:
@@ -122,18 +149,43 @@ class TestSimulate:
         assert cell00 > 0.25 ** 2  # strictly larger spread than unbiased
 
     def test_csv_matches_csv_writer(self):
-        # 70k rounds cross a 64k-row chunk boundary of the CSV writer
-        t = pr.simulate(70_000, FLAT, pr.biased_branches(pr.UNIFORM, 0.1),
-                        0.3, seed=17)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "settingA", "settingB", "outcomeA",
-                         "outcomeB", "revealed"])
-        for i in range(len(t)):
-            writer.writerow([i, int(t.setting_a[i]), int(t.setting_b[i]),
-                             int(t.outcome_a[i]), int(t.outcome_b[i]),
-                             int(t.revealed[i])])
-        assert t.to_csv() == buf.getvalue()
+        # each n ends on or just past a change in the index's digit count
+        model = pr.biased_branches(pr.UNIFORM, 0.1)
+        for n in (10, 11, 100, 101, 1001, 100_001):
+            t = pr.simulate(n, FLAT, model, 0.3, seed=17)
+            assert t.to_csv() == CSV_HEADER + csv_writer_rows(t, range(n))
+
+    def test_csv_of_empty_transcript_is_header(self):
+        parr = np.zeros((2, 2, 2, 2))
+        parr[1, 1] = 1.0  # no round survives sifting
+        t = pr.simulate(50, Behavior(p=parr), pr.UNIFORM, 0.0, seed=2)
+        assert pr.sift(t).to_csv() == CSV_HEADER
+
+    def test_csv_across_a_million_rows(self):
+        n = 1_000_001
+        cols = np.random.default_rng(0).integers(0, 2, size=(5, n), dtype=np.int8)
+        t = pr.Transcript(seed=0, behavior=FLAT, distribution=pr.UNIFORM,
+                          setting_a=cols[0], setting_b=cols[1],
+                          outcome_a=cols[2], outcome_b=cols[3],
+                          revealed=cols[4].astype(bool))
+        text = t.to_csv()
+        # row i takes digits(i) + 11 bytes; digits(i) = 1 + #{k >= 1: i >= 10^k}
+        digits = n + sum(n - 10 ** k for k in range(1, 7))
+        assert len(text) == len(CSV_HEADER) + 11 * n + digits
+        assert text.endswith(csv_writer_rows(t, range(n - 8, n)))
+        assert "\n" + csv_writer_rows(t, range(99_998, 100_002)) in text
+
+    @pytest.mark.parametrize("source", [
+        pr.NONUNIFORM, pr.biased_branches(pr.NONUNIFORM, 0.05)])
+    def test_chunked_draws_equal_one_block(self, source):
+        chunk = pr._ROW_CHUNK
+        beh = q.hardy_behavior(0.9)
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            t = pr.simulate(n, beh, source, 0.25, seed=n)
+            want = reference_columns(n, beh, source, 0.25, seed=n)
+            got = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.revealed)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterRangeError):

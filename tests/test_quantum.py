@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardyqkd import quantum as q
 from hardyqkd.errors import LinearDependenceError, ParameterRangeError
+from oracles import born_behavior_loop
 
 SQRT5 = np.sqrt(5.0)
 
@@ -199,6 +200,18 @@ class TestBornBehavior:
         bases = q.local_bases(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
         beh = q.born_behavior(rho, bases)
         beh.validate(tol=1e-10)
+
+    def test_matches_cell_by_cell_loop(self):
+        for alpha_a, alpha_b in ((q.ALPHA_OPT, q.ALPHA_OPT), (0.3, 0.8),
+                                 (0.6 * np.exp(1j * 0.4), 0.45)):
+            bases = q.local_bases(alpha_a, alpha_b)
+            psi = q.hardy_state(alpha_a, alpha_b)
+            for eta in (0.0, 0.35, 0.7, 0.95, 1.0):
+                rho = q.noisy_state(eta, psi)
+                beh = q.born_behavior(rho, bases)
+                assert np.abs(beh.p - born_behavior_loop(rho, bases)).max() <= 1e-15
+        assert np.array_equal(q.hardy_behavior(0.7, 0.3, 0.8).p, q.born_behavior(
+            q.noisy_state(0.7, q.hardy_state(0.3, 0.8)), q.local_bases(0.3, 0.8)).p)
 
     def test_noisy_linearity(self):
         bases = q.local_bases(q.ALPHA_OPT, q.ALPHA_OPT)
