@@ -10,6 +10,11 @@ for the dropping strategy); the split is not tied to the observed setting
 frequencies or sifting rates.  Key rates follow from the guessing bound,
 the sifting probability and the settings conditional entropy of the setup.
 
+The posterior weighs sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 against
+nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1).  The h pins fix
+sigma and h2, so the only SDP bracket needed per h is the one on q, and it
+serves every settings distribution.
+
 The LPs of one grid and strategy differ only in h (and, for dropping, in
 the rescaled coefficients), so `guesses` solves them as one sweep: each LP
 starts from the previous one's optimal basis, which along an eta sweep is
@@ -70,15 +75,6 @@ def sigma_from_h(h: HVector, dist: SettingsDistribution) -> float:
     return h.h1 * joint[0, 0] + h.h3 * joint[0, 1]
 
 
-def nu_functional(dist: SettingsDistribution) -> LinearFunctional:
-    """nu = P(0,0|1,0) P(A=1,B=0) + P(0,0|1,1) P(A=1,B=1) as a functional."""
-    joint = dist.joint()
-    cells = np.zeros((2, 2, 2, 2))
-    cells[0, 0, 1, 0] = joint[1, 0]
-    cells[0, 0, 1, 1] = joint[1, 1]
-    return LinearFunctional(cells=cells)
-
-
 def _h_equalities(h: HVector) -> list[tuple[LinearFunctional, float]]:
     values = h.as_array()
     return [(LinearFunctional.from_cell(*H_CELLS[k]), float(values[k]))
@@ -89,23 +85,28 @@ def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
                level: int) -> list[list[tuple[float, float]]]:
     """(nu_min, nu_max) at each h, one list per distribution.
 
-    The bounds of all distributions are solved in one batched call.  Where
-    an h-pinned solve stalls (the pin sits on the boundary of the
+    nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1): the h pins fix h2,
+    so only q is free, and its bracket does not depend on the distribution.
+    The q brackets of all h are solved in one batched call, and each
+    distribution's nu bracket is their image under that nondecreasing affine
+    map.  Where an h-pinned solve stalls (the pin sits on the boundary of the
     relaxation, e.g. the noiseless point), the better of it and
-    `npa.relaxed_bounds` with the h1 pin relaxed at rho = 1e3 is kept;
-    these form a second batch.
+    `npa.relaxed_bounds` with the h1 pin relaxed at rho = 4e3 is kept; these
+    form a second batch.  (At level 3, rho = 1e4 already inverts the
+    noiseless bracket.)
     """
-    jobs = [(_h_equalities(h), nu_functional(dist), direction)
-            for dist in dists for h in hs for direction in ("min", "max")]
+    q = LinearFunctional.from_cell(0, 0, 1, 1)
+    jobs = [(_h_equalities(h), q, direction) for h in hs for direction in ("min", "max")]
     solved = npa.bound_functionals(level, jobs)
-    nu = [bound for bound, _ in solved]
+    qs = [bound for bound, _ in solved]
     polish = [k for k, (_, sol) in enumerate(solved) if not sol.optimal
               and max(sol.gap, sol.primal_residual, sol.dual_residual) > 1e-7]
-    for k, bound in zip(polish, npa.relaxed_bounds(level, [jobs[k] for k in polish], 1e3),
+    for k, bound in zip(polish, npa.relaxed_bounds(level, [jobs[k] for k in polish], 4e3),
                         strict=True):
-        nu[k] = min(nu[k], bound) if jobs[k][2] == "max" else max(nu[k], bound)
-    pairs = list(zip(nu[0::2], nu[1::2]))
-    return [pairs[len(hs) * d:len(hs) * (d + 1)] for d in range(len(dists))]
+        qs[k] = min(qs[k], bound) if jobs[k][2] == "max" else max(qs[k], bound)
+    return [[(p10 * h.h2 + p11 * lo, p10 * h.h2 + p11 * hi)
+             for h, lo, hi in zip(hs, qs[0::2], qs[1::2], strict=True)]
+            for p10, p11 in (dist.joint()[1].tolist() for dist in dists)]
 
 
 def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
@@ -113,9 +114,10 @@ def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
     """Upper bounds (gamma0, gamma1) on the setting posterior at each h,
     one list per distribution.
 
-    sigma is a function of h; the free part of nu is bracketed by
-    `_nu_bounds`, and the posterior ratios are evaluated at the extremes.
-    Points whose compatible behaviors never produce two zero outcomes
+    sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 is a function of h, and
+    nu = P(A=1,B=0) h2 + P(A=1,B=1) q is bracketed by `_nu_bounds` through
+    its free cell q = P(0,0|1,1); the posterior ratios are evaluated at the
+    extremes.  Points whose compatible behaviors never produce two zero outcomes
     constrain nothing, so both bounds degrade to 1.
     """
     tables = []
@@ -202,9 +204,11 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     The segment holds h(eta) for eta on a uniform grid; the corners are the
     h-images of the local deterministic strategies, which give the
     decomposition LPs their reach (any classical-noise statistics can then
-    be split into perfectly guessable populations).  Every bound of the
-    tables of all distributions comes from one batched solve (plus one for
-    the polishes).  Returns one grid per distribution.
+    be split into perfectly guessable populations).  The tables of all
+    distributions come from one batched bracket on q = P(0,0|1,1) per point
+    (plus one batch for the polishes), mapped to each distribution's
+    nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several distributions cost the SDP
+    work of one.  Returns one grid per distribution.
     """
     etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
     hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)

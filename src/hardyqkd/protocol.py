@@ -112,10 +112,11 @@ class Transcript:
         return self.setting_a.size
 
     def _restrict(self, mask: np.ndarray) -> "Transcript":
+        rows = np.flatnonzero(mask)
         return dataclasses.replace(
-            self, setting_a=self.setting_a[mask], setting_b=self.setting_b[mask],
-            outcome_a=self.outcome_a[mask], outcome_b=self.outcome_b[mask],
-            revealed=self.revealed[mask])
+            self, setting_a=self.setting_a.take(rows), setting_b=self.setting_b.take(rows),
+            outcome_a=self.outcome_a.take(rows), outcome_b=self.outcome_b.take(rows),
+            revealed=self.revealed.take(rows))
 
     def revealed_rounds(self) -> "Transcript":
         return self._restrict(self.revealed)

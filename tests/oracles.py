@@ -91,6 +91,15 @@ def born_behavior_loop(rho: np.ndarray, bases) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def nu_functional(dist) -> npa.LinearFunctional:
+    """nu = P(0,0|1,0) P(A=1,B=0) + P(0,0|1,1) P(A=1,B=1) as a functional."""
+    joint = dist.joint()
+    cells = np.zeros((2, 2, 2, 2))
+    cells[0, 0, 1, 0] = joint[1, 0]
+    cells[0, 0, 1, 1] = joint[1, 1]
+    return npa.LinearFunctional(cells=cells)
+
+
 def evaluate(functional: npa.LinearFunctional, behavior) -> float:
     """Value of a functional on an explicit behavior (marginals via setting 0
     of the peer)."""

@@ -14,7 +14,7 @@ from hardyqkd import npa, protocol as pr, quantum as q
 from hardyqkd.errors import SolverFailure, ZeroPosteriorError
 from hardyqkd.protocol import HVector
 from hardyqkd.solvers import LPProblem, lp, lp_solve
-from oracles import recompute_key_rate
+from oracles import nu_functional, recompute_key_rate
 
 POSTERIOR0 = q.Q_MAX / (q.Q_MAX + q.Q_TILDE)  # 0.2763932...
 
@@ -123,6 +123,29 @@ class TestGammaTilde:
             assert g0 >= pa0 - 1e-3
             assert g1 >= pa1 - 1e-3
 
+    def test_nu_brackets_match_direct_nu_solves(self):
+        # one q bracket serves both distributions: it must give the nu
+        # brackets of solving each distribution's nu functional directly
+        hs = [HVector.from_eta(eta) for eta in (0.0, 0.3, 0.6, 0.9, 0.95, 0.99)]
+        hs += list(an.DETERMINISTIC_H_POINTS)
+        dists = [pr.UNIFORM, pr.NONUNIFORM]
+        shared = an._nu_bounds(hs, dists, 2)
+        for dist, brackets in zip(dists, shared, strict=True):
+            jobs = [(an._h_equalities(h), nu_functional(dist), direction)
+                    for h in hs for direction in ("min", "max")]
+            direct = [bound for bound, _ in npa.bound_functionals(2, jobs)]
+            assert [b for bracket in brackets for b in bracket] == \
+                pytest.approx(direct, abs=1e-7)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_noiseless_bounds_never_below_exact(self, level):
+        # at eta = 1 the posterior is exact; the polished bounds may only
+        # lie above it
+        [(u0, u1)], [(n0, n1)] = an._gamma_bounds([HVector.from_eta(1.0)],
+                                                  [pr.UNIFORM, pr.NONUNIFORM], level)
+        assert u0 >= POSTERIOR0 and u1 >= 1.0 - POSTERIOR0
+        assert n0 >= 0.5 and n1 >= 0.5
+
     def test_sigma_is_pinned_by_h(self):
         # gamma_tilde evaluates sigma from h instead of bounding it; the SDP
         # range of sigma under the four h pins must collapse to that value
@@ -147,7 +170,7 @@ class TestRelaxedBounds:
 
     @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM], ids=["uniform", "nonuniform"])
     def test_weak_duality_at_interior_pins(self, dist):
-        jobs = [(an._h_equalities(HVector.from_eta(0.5)), an.nu_functional(dist), direction)
+        jobs = [(an._h_equalities(HVector.from_eta(0.5)), nu_functional(dist), direction)
                 for direction in ("min", "max")]
         lo, hi = (bound for bound, _ in npa.bound_functionals(2, jobs))
         for rho in (1e1, 1e3):
@@ -155,22 +178,33 @@ class TestRelaxedBounds:
             assert relaxed_hi >= hi
             assert relaxed_lo <= lo
 
-    @pytest.mark.parametrize("dist, exact", [
-        (pr.UNIFORM, q.Q_TILDE / 4),
-        (pr.NONUNIFORM, q.Q_TILDE * (1.0 - pr.NONUNIFORM_RATIO) ** 2)],
-        ids=["uniform", "nonuniform"])
-    def test_polished_noiseless_nu_brackets_exact(self, dist, exact):
+    @pytest.mark.parametrize("dist, exact, level", [
+        (pr.UNIFORM, q.Q_TILDE / 4, 2),
+        (pr.NONUNIFORM, q.Q_TILDE * (1.0 - pr.NONUNIFORM_RATIO) ** 2, 2),
+        (pr.UNIFORM, q.Q_TILDE / 4, 3),
+        (pr.NONUNIFORM, q.Q_TILDE * (1.0 - pr.NONUNIFORM_RATIO) ** 2, 3)],
+        ids=["uniform", "nonuniform", "uniform-level3", "nonuniform-level3"])
+    def test_polished_noiseless_nu_brackets_exact(self, dist, exact, level):
         # the Hardy realization is the only behavior at eta = 1, so nu is
-        # pinned to q~ P(A=1, B=1); both polished bounds must enclose it
+        # pinned to q~ P(A=1, B=1); both polished bounds must enclose it.
+        # The references bound q = P(0,0|1,1) at the multiplier of
+        # `_nu_bounds` and map to nu = P(A=1,B=0) h2 + P(A=1,B=1) q; at
+        # level 3 a multiplier of 1e4 would invert the relaxed bracket
         assert exact == pytest.approx(0.0590170 if dist is pr.UNIFORM else 0.0344419,
                                       abs=5e-8)
-        jobs = [(an._h_equalities(HVector.from_eta(1.0)), an.nu_functional(dist), direction)
+        h = HVector.from_eta(1.0)
+        joint = dist.joint()
+
+        def to_nu(bound):
+            return joint[1, 0] * h.h2 + joint[1, 1] * bound
+
+        jobs = [(an._h_equalities(h), npa.LinearFunctional.from_cell(0, 0, 1, 1), direction)
                 for direction in ("min", "max")]
-        plain_lo, plain_hi = (bound for bound, _ in npa.bound_functionals(2, jobs))
-        relaxed_lo, relaxed_hi = npa.relaxed_bounds(2, jobs, 1e3)
+        plain_lo, plain_hi = (to_nu(bound) for bound, _ in npa.bound_functionals(level, jobs))
+        relaxed_lo, relaxed_hi = map(to_nu, npa.relaxed_bounds(level, jobs, 4e3))
         assert relaxed_lo <= exact <= relaxed_hi
         assert relaxed_hi - relaxed_lo < 1e-4
-        (lo, hi), = an._nu_bounds([HVector.from_eta(1.0)], [dist], 2)[0]
+        (lo, hi), = an._nu_bounds([h], [dist], level)[0]
         assert lo <= exact <= hi
         # both pinned solves stall there, so each side keeps the tighter route
         assert (lo, hi) == (max(plain_lo, relaxed_lo), min(plain_hi, relaxed_hi))
@@ -230,6 +264,20 @@ class TestGammaGrid:
             alone = an.build_gamma_grid(dist, resolution=15, level=2)
             assert [(p.gamma0, p.gamma1) for p in grid.points] == \
                 [(p.gamma0, p.gamma1) for p in alone.points]
+
+    def test_one_q_solve_per_bound_for_both_distributions(self, monkeypatch):
+        # both distributions share one pinned bound on q per (h, direction)
+        bound, jobs_per_call = npa.bound_functionals, []
+
+        def counting(level, jobs, *args, **kwargs):
+            jobs_per_call.append(len(jobs))
+            return bound(level, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(npa, "bound_functionals", counting)
+        an.build_gamma_grids([pr.UNIFORM, pr.NONUNIFORM], 15, 2)
+        assert jobs_per_call[0] == 2 * (15 + len(an.DETERMINISTIC_H_POINTS))
+        # the polishes, if any, are one more call on a subset of those bounds
+        assert len(jobs_per_call) <= 2 and sum(jobs_per_call[1:]) <= jobs_per_call[0]
 
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyqkd import npa, quantum as q
-from hardyqkd.analysis import DETERMINISTIC_H_POINTS, nu_functional
+from hardyqkd.analysis import DETERMINISTIC_H_POINTS
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.npa import LinearFunctional
 from hardyqkd.protocol import H_CELLS, UNIFORM, HVector, SettingsDistribution
 from hardyqkd.solvers.sdp import prune_dependent_constraints
-from oracles import evaluate, realization_moment_matrix
+from oracles import evaluate, nu_functional, realization_moment_matrix
 
 SYMBOLS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 HARDY_ZEROS = {(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0}

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hardyqkd import npa, protocol as pr
-from hardyqkd.analysis import nu_functional
 from hardyqkd.protocol import H_CELLS, HVector
 from hardyqkd.solvers import SDPProblem, sdp, sdp_solve, sdp_solve_batch
-from oracles import verify_sdp_solution
+from oracles import nu_functional, verify_sdp_solution
 
 
 def random_symmetric(rng, n):
