@@ -36,7 +36,6 @@ import numpy as np
 
 from . import npa
 from .errors import DecompositionInfeasibleError, ZeroPosteriorError
-from .npa import LinearFunctional
 from .protocol import (
     HVector,
     H_CELLS,
@@ -75,10 +74,9 @@ def sigma_from_h(h: HVector, dist: SettingsDistribution) -> float:
     return h.h1 * joint[0, 0] + h.h3 * joint[0, 1]
 
 
-def _h_equalities(h: HVector) -> list[tuple[LinearFunctional, float]]:
+def _h_equalities(h: HVector) -> list[tuple[np.ndarray, float]]:
     values = h.as_array()
-    return [(LinearFunctional.from_cell(*H_CELLS[k]), float(values[k]))
-            for k in range(4)]
+    return [(npa.cell(*H_CELLS[k]), float(values[k])) for k in range(4)]
 
 
 def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
@@ -90,20 +88,12 @@ def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
     The q brackets of all h are solved in one batched call, and each
     distribution's nu bracket is their image under that nondecreasing affine
     map.  Where an h-pinned solve stalls (the pin sits on the boundary of the
-    relaxation, e.g. the noiseless point), the better of it and
-    `npa.relaxed_bounds` with the h1 pin relaxed at rho = 4e3 is kept; these
-    form a second batch.  (At level 3, rho = 1e4 already inverts the
-    noiseless bracket.)
+    relaxation, e.g. the noiseless point), `npa.bound_functionals` polishes
+    it with the h1 pin relaxed into the objective, in one more batch.
     """
-    q = LinearFunctional.from_cell(0, 0, 1, 1)
+    q = npa.cell(0, 0, 1, 1)
     jobs = [(_h_equalities(h), q, direction) for h in hs for direction in ("min", "max")]
-    solved = npa.bound_functionals(level, jobs)
-    qs = [bound for bound, _ in solved]
-    polish = [k for k, (_, sol) in enumerate(solved) if not sol.optimal
-              and max(sol.gap, sol.primal_residual, sol.dual_residual) > 1e-7]
-    for k, bound in zip(polish, npa.relaxed_bounds(level, [jobs[k] for k in polish], 4e3),
-                        strict=True):
-        qs[k] = min(qs[k], bound) if jobs[k][2] == "max" else max(qs[k], bound)
+    qs = [bound for bound, _ in npa.bound_functionals(level, jobs)]
     return [[(p10 * h.h2 + p11 * lo, p10 * h.h2 + p11 * hi)
              for h, lo, hi in zip(hs, qs[0::2], qs[1::2], strict=True)]
             for p10, p11 in (dist.joint()[1].tolist() for dist in dists)]
@@ -206,7 +196,8 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     decomposition LPs their reach (any classical-noise statistics can then
     be split into perfectly guessable populations).  The tables of all
     distributions come from one batched bracket on q = P(0,0|1,1) per point
-    (plus one batch for the polishes), mapped to each distribution's
+    (one `npa.bound_functionals` call, which polishes its stalled solves in
+    one more batch), mapped to each distribution's
     nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several distributions cost the SDP
     work of one.  Returns one grid per distribution.
     """
@@ -288,17 +279,6 @@ def guesses(hs: list[HVector], grid: GammaGrid,
         values.append(min(1.0, _certified_value(sol, coeff, a_eq, b_eq)))
         basis = sol.basis
     return values
-
-
-def guess1(h: HVector, grid: GammaGrid) -> float:
-    """Basic guessing probability: the one-point case of `guesses`."""
-    return guesses([h], grid)[0]
-
-
-def guess2(h: HVector, grid: GammaGrid, pa0: float, pa1: float) -> float:
-    """Guessing probability after Alice's random dropping rebalances her key:
-    the one-point case of `guesses` with priors (pa0, pa1)."""
-    return guesses([h], grid, [(pa0, pa1)])[0]
 
 
 @dataclass(frozen=True)

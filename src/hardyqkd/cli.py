@@ -254,9 +254,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig()
     cfg.command = args.command
-    for name in ("alpha", "alpha_b", "eta", "eta_grid", "dist", "epsilon",
-                 "eps_grid", "level", "grid_res", "seed", "rounds", "reveal",
-                 "out"):
+    for name in (f.name for f in dataclasses.fields(RunConfig) if f.name != "command"):
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)  # flags win over the config file

@@ -15,10 +15,12 @@ distinct moments y, pinned statistics become values of y instead of
 constraint rows, and the in-repo dense SDP solver receives the linear matrix
 inequality over the remaining free moments in its dual form.
 
-Bounds are computed in batches: `bound_functionals` builds every relaxation
-of a call and solves them all as stacked interior-point runs, and
-`relaxed_bounds` is the one route that moves a pin into the objective as a
-Lagrangian term, for pins on the boundary of the relaxation.  The CHSH
+A linear functional of a behavior is its (2, 2, 2, 2) cell table (`cell`,
+`chsh_functional`).  `bound_functionals` is the one place where a solve
+becomes a bound: it builds every relaxation of a call and solves them all
+as stacked interior-point runs, and a pinned solve that stalls (the pin
+sits on the boundary of the relaxation) is polished in one more batch by
+moving its first pin into the objective as a Lagrangian term.  The CHSH
 outcome-guess bounds of a biased settings source are solved once per branch
 symmetry class (a relabeling that every level respects maps mirror branches
 onto each other; symmetry reduction of NPA relaxations as in Tavakoli,
@@ -27,7 +29,8 @@ Rosset and Renou, PRL 122, 070501, 2019), all classes in the same batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +57,12 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 
 # Gap/residual level at which a stalled solve is still accepted as a bound.
 _ACCEPT_TOL = 2e-4
+# A pinned solve ending short of `optimal` with gap or residuals above
+# _POLISH_TOL is polished with its first pin relaxed at multiplier _RHO.  The
+# Lagrangian value rests on a stalled solve whose error grows with the
+# multiplier: at level 3, 1e4 already inverts the noiseless q bracket.
+_POLISH_TOL = 1e-7
+_RHO = 4e3
 
 
 def canonical(word: Word | None) -> Word | None:
@@ -114,79 +123,19 @@ def monomial_basis(level: int) -> list[Word]:
     return basis
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """Linear expression in behavior cells, marginals and a constant.
+def cell(a: int, b: int, setting_a: int, setting_b: int) -> np.ndarray:
+    """The cell table of p(a, b | A, B) alone.
 
-    `cells[a, b, A, B]` multiplies p(a, b | A, B); `marg_a[a, A]` multiplies
-    p(a | A) and `marg_b[b, B]` multiplies p(b | B).
+    A linear functional of a behavior is a (2, 2, 2, 2) table `cells` whose
+    entry [a, b, A, B] multiplies p(a, b | A, B); a marginal is a sum of
+    cells, e.g. P(a | A=0) = sum_b p(a, b | 0, 0).
     """
-
-    cells: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 2, 2)))
-    marg_a: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    marg_b: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    const: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=float))
-        object.__setattr__(self, "marg_a", np.asarray(self.marg_a, dtype=float))
-        object.__setattr__(self, "marg_b", np.asarray(self.marg_b, dtype=float))
-
-    @classmethod
-    def from_cell(cls, a: int, b: int, setting_a: int, setting_b: int,
-                  coeff: float = 1.0) -> "LinearFunctional":
-        cells = np.zeros((2, 2, 2, 2))
-        cells[a, b, setting_a, setting_b] = coeff
-        return cls(cells=cells)
-
-    def moment_coefficients(self) -> tuple[dict[Word, float], float]:
-        """Expand into projector moments: <A_s>, <B_s>, <A_s B_t> and 1."""
-        coeffs: dict[Word, float] = {}
-        const = self.const
-
-        def add(word: Word, val: float) -> None:
-            if val:
-                coeffs[word] = coeffs.get(word, 0.0) + val
-
-        for a in range(2):
-            for b in range(2):
-                for sa in range(2):
-                    for sb in range(2):
-                        c = self.cells[a, b, sa, sb]
-                        if not c:
-                            continue
-                        wa: Word = ((0, sa, 0),)
-                        wb: Word = ((1, sb, 0),)
-                        sign_a = 1.0 if a == 0 else -1.0
-                        sign_b = 1.0 if b == 0 else -1.0
-                        # (x + s P)(y + t Q) with x = [a==1], y = [b==1]
-                        add(wa + wb, c * sign_a * sign_b)
-                        if b == 1:
-                            add(wa, c * sign_a)
-                        if a == 1:
-                            add(wb, c * sign_b)
-                        if a == 1 and b == 1:
-                            const += c
-        for a in range(2):
-            for sa in range(2):
-                c = self.marg_a[a, sa]
-                if not c:
-                    continue
-                add(((0, sa, 0),), c if a == 0 else -c)
-                if a == 1:
-                    const += c
-        for b in range(2):
-            for sb in range(2):
-                c = self.marg_b[b, sb]
-                if not c:
-                    continue
-                add(((1, sb, 0),), c if b == 0 else -c)
-                if b == 1:
-                    const += c
-        return coeffs, const
+    cells = np.zeros((2, 2, 2, 2))
+    cells[a, b, setting_a, setting_b] = 1.0
+    return cells
 
 
-def chsh_functional(weights: np.ndarray | None = None) -> LinearFunctional:
+def chsh_functional(weights: np.ndarray | None = None) -> np.ndarray:
     """CHSH combination sum_AB s_AB * w_AB * C(A, B), s = (+,+,+,-).
 
     `weights[A, B]` defaults to 1 (the plain CHSH expression, quantum
@@ -201,7 +150,7 @@ def chsh_functional(weights: np.ndarray | None = None) -> LinearFunctional:
             for a in range(2):
                 for b in range(2):
                     cells[a, b, sa, sb] = s * weights[sa, sb] * ((-1.0) ** (a + b))
-    return LinearFunctional(cells=cells)
+    return cells
 
 
 @dataclass
@@ -232,10 +181,36 @@ class MomentMatrixLayout:
         assert rev is not None
         return min(word, rev)
 
-    def moment_vector(self, functional: LinearFunctional) -> tuple[np.ndarray, float]:
-        """(g, c) with functional = c + g @ y over the moment classes."""
+    def moment_vector(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
+        """(g, c) with sum(cells * p) = c + g @ y over the moment classes.
+
+        Each cell expands into projector moments <A_s B_t>, <A_s>, <B_t>
+        and 1 through p(1 | ...) = 1 - P0.
+        """
         index = {key: k for k, key in enumerate(self.classes)}
-        coeffs, const = functional.moment_coefficients()
+        coeffs: dict[Word, float] = {}
+        const = 0.0
+
+        def add(word: Word, val: float) -> None:
+            if val:
+                coeffs[word] = coeffs.get(word, 0.0) + val
+
+        for a, b, sa, sb in itertools.product(range(2), repeat=4):
+            c = cells[a, b, sa, sb]
+            if not c:
+                continue
+            wa: Word = ((0, sa, 0),)
+            wb: Word = ((1, sb, 0),)
+            sign_a = 1.0 if a == 0 else -1.0
+            sign_b = 1.0 if b == 0 else -1.0
+            # (x + s P)(y + t Q) with x = [a==1], y = [b==1]
+            add(wa + wb, c * sign_a * sign_b)
+            if b == 1:
+                add(wa, c * sign_a)
+            if a == 1:
+                add(wb, c * sign_b)
+            if a == 1 and b == 1:
+                const += c
         g = np.zeros(len(index))
         for word, c in coeffs.items():
             key = self.class_key(canonical(word))
@@ -275,8 +250,7 @@ def get_layout(level: int) -> MomentMatrixLayout:
 
 
 def _zero_cell_null_vectors(layout: MomentMatrixLayout,
-                            equalities: list[tuple[LinearFunctional, float]]) \
-        -> np.ndarray:
+                            equalities: list[tuple[np.ndarray, float]]) -> np.ndarray:
     """Facial-reduction directions implied by cells pinned exactly to zero.
 
     A behavior cell is the mean of a product projector Pi; Tr(rho Pi) = 0
@@ -286,10 +260,9 @@ def _zero_cell_null_vectors(layout: MomentMatrixLayout,
     """
     index = {w: k for k, w in enumerate(layout.monomials)}
     vectors: list[np.ndarray] = []
-    for functional, value in equalities:
-        nz = np.argwhere(functional.cells)
-        if (value != 0.0 or nz.shape[0] != 1 or functional.const != 0.0
-                or functional.marg_a.any() or functional.marg_b.any()):
+    for cells, value in equalities:
+        nz = np.argwhere(cells)
+        if value != 0.0 or nz.shape[0] != 1:
             continue
         a, b, sa, sb = (int(t) for t in nz[0])
         word_a: Word = ((0, sa, 0),)
@@ -328,8 +301,8 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def build_moment_sdp(level: int,
-                     equalities: list[tuple[LinearFunctional, float]],
-                     objective: LinearFunctional,
+                     equalities: list[tuple[np.ndarray, float]],
+                     objective: np.ndarray,
                      maximize: bool) -> MomentSDP:
     """Assemble the LMI for one bound computation by moment substitution.
 
@@ -354,8 +327,8 @@ def build_moment_sdp(level: int,
     n_mom = patterns.shape[0]
     rows = [np.eye(1, n_mom)[0]]
     rhs = [1.0]
-    for functional, value in equalities:
-        g, const = layout.moment_vector(functional)
+    for cells, value in equalities:
+        g, const = layout.moment_vector(cells)
         rows.append(g)
         rhs.append(value - const)
     null_vecs = _zero_cell_null_vectors(layout, equalities)
@@ -382,34 +355,26 @@ def build_moment_sdp(level: int,
                      b=sign * (free.T @ g), offset=const + float(g @ y0))
 
 
-Job = tuple[list[tuple[LinearFunctional, float]], LinearFunctional, str]
+Job = tuple[list[tuple[np.ndarray, float]], np.ndarray, str]
 
 
-def _template_key(equalities: list[tuple[LinearFunctional, float]]) -> tuple:
+def _template_key(equalities: list[tuple[np.ndarray, float]]) -> tuple:
     """What the LMI's constraint matrices depend on: the equality
     functionals and which of them pin a value to exactly zero."""
-    return tuple((f.cells.tobytes(), f.marg_a.tobytes(), f.marg_b.tobytes(), f.const,
-                  value == 0.0) for f, value in equalities)
+    return tuple((cells.tobytes(), value == 0.0) for cells, value in equalities)
 
 
-def bound_functionals(level: int, jobs: list[Job],
-                      tol: float = 1e-8) -> list[tuple[float, SDPSolution]]:
-    """Bounds for several (equalities, objective, direction) jobs.
+def _solve_jobs(level: int, jobs: list[Job], tol: float) -> list[tuple[float, SDPSolution]]:
+    """Build every job's relaxation and solve them all in one batch.
 
-    Each relaxation is handed to the solver as the LMI of
-    `build_moment_sdp`, whose primal variable X is a dual certificate of the
-    moment problem: the bound is the affine offset plus (max) or minus (min)
-    the solver's primal objective <C, X>.  The certificate is not checked
-    independently, so a value is a bound only up to the accuracy the solve
-    reached.  Every relaxation of the call is built first; those sharing
-    their constraint matrices (the same equality functionals and zero
-    cells, e.g. every point of the noise segment) keep one copy of them, and
-    all are solved in one `sdp_solve_batch` call, so same-shape relaxations
-    of different templates share a stack too.  A solve that stops short of
-    `tol` but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
-    constraint sets pinning boundary statistics make that a normal outcome.
-    A solver status `unbounded` means no moment matrix meets the
-    equalities.  Returns (bound, solution) per job; a failing job raises.
+    Relaxations sharing their constraint matrices (the same equality
+    functionals and zero cells, e.g. every point of the noise segment) keep
+    one copy of them, and all are solved in one `sdp_solve_batch` call, so
+    same-shape relaxations of different templates share a stack too.  A
+    solve that stops short of `tol` but reaches `_ACCEPT_TOL` in gap and
+    residuals is still accepted; constraint sets pinning boundary
+    statistics make that a normal outcome.  A solver status `unbounded`
+    means no moment matrix meets the equalities.
     """
     for _, _, direction in jobs:
         if direction not in ("max", "min"):
@@ -441,38 +406,61 @@ def bound_functionals(level: int, jobs: list[Job],
     return results
 
 
-def bound_functional(level: int,
-                     equalities: list[tuple[LinearFunctional, float]],
-                     objective: LinearFunctional,
-                     direction: str,
-                     tol: float = 1e-8) -> float:
-    """Bound on a functional: the one-job case of `bound_functionals`."""
-    return bound_functionals(level, [(equalities, objective, direction)], tol)[0][0]
-
-
-def relaxed_bounds(level: int, jobs: list[Job], rho: float) -> list[float]:
+def _lagrangian_bounds(level: int, jobs: list[Job], rho: float) -> list[float]:
     """Bounds with each job's first equality f = v relaxed into the objective.
 
     A job maximizing g gets max(g + rho f) - rho v, one minimizing g gets
     min(g - rho f) + rho v, both over the remaining equalities: the
     objectives agree with g wherever f = v, so for any multiplier rho each
-    value bounds the pinned job.  Where the pin sits on the boundary of the
-    relaxation (the noiseless Hardy point, the Tsirelson face) the pinned
-    solve stalls short of its optimum and this route can be the tighter one.
-    All jobs are solved in one `bound_functionals` call.
+    value bounds the pinned job.  All jobs are solved in one batch.
     """
-    scales, relaxed = [], []
+    shifts, relaxed = [], []
     for equalities, objective, direction in jobs:
         (pin, value), rest = equalities[0], equalities[1:]
         scale = rho if direction == "max" else -rho
-        scales.append(scale * value)
-        relaxed.append((rest, LinearFunctional(
-            cells=objective.cells + scale * pin.cells,
-            marg_a=objective.marg_a + scale * pin.marg_a,
-            marg_b=objective.marg_b + scale * pin.marg_b,
-            const=objective.const + scale * pin.const), direction))
+        shifts.append(scale * value)
+        relaxed.append((rest, objective + scale * pin, direction))
     return [bound - shift for (bound, _), shift
-            in zip(bound_functionals(level, relaxed, tol=1e-10), scales, strict=True)]
+            in zip(_solve_jobs(level, relaxed, 1e-10), shifts, strict=True)]
+
+
+def bound_functionals(level: int, jobs: list[Job],
+                      tol: float = 1e-8) -> list[tuple[float, SDPSolution]]:
+    """Bounds for several (equalities, objective, direction) jobs.
+
+    Each relaxation is handed to the solver as the LMI of
+    `build_moment_sdp`, whose primal variable X is a dual certificate of the
+    moment problem: the bound is the affine offset plus (max) or minus (min)
+    the solver's primal objective <C, X>.  The certificate is not checked
+    independently, so a value is a bound only up to the accuracy the solve
+    reached.  All jobs are solved in one batch (`_solve_jobs`); a pinned
+    solve beyond `_ACCEPT_TOL` raises.
+
+    Where a pin sits on the boundary of the relaxation (the noiseless Hardy
+    point, the Tsirelson face) the pinned solve stalls short of its optimum.
+    Every job with equalities whose solve ends short of `optimal` with gap
+    or residuals above `_POLISH_TOL` is polished: its first equality moves
+    into the objective at the multiplier `_RHO` (`_lagrangian_bounds`), all
+    polishes of the call in one more batch, and the job keeps the tighter of
+    its two values.  Returns (bound, pinned solution) per job.
+    """
+    results = _solve_jobs(level, jobs, tol)
+    polish = [k for k, (_, sol) in enumerate(results) if jobs[k][0] and not sol.optimal
+              and max(sol.gap, sol.primal_residual, sol.dual_residual) > _POLISH_TOL]
+    for k, relaxed in zip(polish, _lagrangian_bounds(level, [jobs[k] for k in polish], _RHO),
+                          strict=True):
+        bound, sol = results[k]
+        results[k] = (min(bound, relaxed) if jobs[k][2] == "max" else max(bound, relaxed), sol)
+    return results
+
+
+def bound_functional(level: int,
+                     equalities: list[tuple[np.ndarray, float]],
+                     objective: np.ndarray,
+                     direction: str,
+                     tol: float = 1e-8) -> float:
+    """Bound on a functional: the one-job case of `bound_functionals`."""
+    return bound_functionals(level, [(equalities, objective, direction)], tol)[0][0]
 
 
 def _symmetry_classes(branches: list[SettingsDistribution]) \
@@ -512,14 +500,12 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     expression is 4 * sum_AB s_AB P_branch(A, B) C(A, B) = observed_value.
     Each bound is max over a of P(a | A=0) at the given relaxation level.
 
-    When the observed value sits at the quantum maximum the equality pins a
-    degenerate face and the plain solve goes blunt; there the smaller of the
-    pinned bound and `relaxed_bounds` at rho = 1e4 is kept.
-
     The branches are solved once per symmetry class (`_symmetry_classes`),
-    in three batched calls over all representatives: the quantum maxima,
-    the pinned marginal bounds, and the relaxed bounds of the branches at
-    their maximum.  Raises `InfeasibleHError` when the observed value
+    in two batched `bound_functionals` calls over all representatives: the
+    quantum maxima, and the pinned marginal bounds.  When the observed value
+    sits at the quantum maximum the equality pins a degenerate face and the
+    pinned solve stalls; `bound_functionals` then polishes it like any other
+    stalled pinned job.  Raises `InfeasibleHError` when the observed value
     exceeds a branch's quantum maximum.
     """
     reps, index = _symmetry_classes(branches)
@@ -531,18 +517,11 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
             raise InfeasibleHError(
                 f"observed value {observed_value:.6f} exceeds the quantum maximum "
                 f"{q:.6f} for this branch weighting")
-    margs = []
-    for a in range(2):
-        marg = np.zeros((2, 2))
-        marg[a, 0] = 1.0
-        margs.append(LinearFunctional(marg_a=marg))
+    # P(a | A=0) = sum_b p(a, b | 0, 0)
+    margs = [cell(a, 0, 0, 0) + cell(a, 1, 0, 0) for a in range(2)]
     # job 2k + a bounds P(a | A=0) for representative k
     jobs = [([(expr, observed_value)], marg, "max") for expr in exprs for marg in margs]
     vals = [bound for bound, _ in bound_functionals(level, jobs)]
-    at_max = [j for j in range(len(jobs)) if observed_value >= qmax[j // 2] - 1e-4]
-    for j, bound in zip(at_max, relaxed_bounds(level, [jobs[j] for j in at_max], 1e4),
-                        strict=True):
-        vals[j] = min(vals[j], bound)
     bounds = [min(max(0.0, *vals[2 * k:2 * k + 2]), 1.0) for k in range(len(reps))]
     return [bounds[k] for k in index]
 

@@ -241,11 +241,6 @@ class HVector:
         off = (1.0 - eta) / 4.0
         return HVector(eta * Q_MAX + off, off, off, off)
 
-    @staticmethod
-    def from_behavior(behavior: Behavior) -> "HVector":
-        return HVector(behavior.cell(0, 0, 0, 0), behavior.cell(0, 0, 1, 0),
-                       behavior.cell(0, 0, 0, 1), behavior.cell(1, 1, 1, 1))
-
 
 # Cell coordinates (a, b, A, B) of the four Hardy parameters.
 H_CELLS: tuple[tuple[int, int, int, int], ...] = (

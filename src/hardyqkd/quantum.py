@@ -20,11 +20,8 @@ import numpy as np
 
 from .errors import LinearDependenceError, ParameterRangeError
 
-HERM_TOL = 1e-12
 NORM_TOL = 1e-12
-PSD_TOL = -1e-10
 GS_TOL = 1e-12
-BEHAVIOR_TOL = 1e-10
 
 # |alpha|^2 at the Hardy optimum, and the two pinned probabilities.
 ALPHA_SQ_OPT = (np.sqrt(5.0) - 1.0) / 2.0
@@ -33,32 +30,11 @@ Q_MAX = (5.0 * np.sqrt(5.0) - 11.0) / 2.0
 Q_TILDE = np.sqrt(5.0) - 2.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol)
-
-
-def is_projector(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    m = np.asarray(m)
-    return is_hermitian(m, tol) and bool(np.abs(m @ m - m).max() <= tol)
-
-
 def check_state_vector(psi: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
     if abs(np.vdot(psi, psi).real - 1.0) > tol:
         raise ValueError("state vector is not normalized")
     return psi
-
-
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > NORM_TOL:
-        raise ValueError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < PSD_TOL:
-        raise ValueError("density matrix must be positive semidefinite")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -73,18 +49,6 @@ class MeasurementSet:
     alpha_a: complex
     alpha_b: complex
 
-    def projector(self, party: int, setting: int, outcome: int) -> np.ndarray:
-        return self.projectors[party, setting, outcome]
-
-    def validate(self) -> None:
-        for p in range(2):
-            for s in range(2):
-                p0, p1 = self.projectors[p, s]
-                if not (is_projector(p0) and is_projector(p1)):
-                    raise ValueError("measurement operators must be projectors")
-                if np.abs(p0 + p1 - np.eye(2)).max() > HERM_TOL:
-                    raise ValueError("outcome projectors must sum to identity")
-
 
 @dataclass(frozen=True)
 class Behavior:
@@ -96,19 +60,6 @@ class Behavior:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.shape != (2, 2, 2, 2):
             raise ValueError("behavior table must have shape (2, 2, 2, 2)")
-
-    def validate(self, tol: float = BEHAVIOR_TOL) -> None:
-        if (self.p < -tol).any() or (self.p > 1.0 + tol).any():
-            raise ValueError("cell probabilities must lie in [0, 1]")
-        totals = self.p.sum(axis=(0, 1))
-        if np.abs(totals - 1.0).max() > tol:
-            raise ValueError("each setting pair must be normalized")
-        marg_a = self.p.sum(axis=1)  # [a, A, B]
-        if np.abs(marg_a[:, :, 0] - marg_a[:, :, 1]).max() > tol:
-            raise ValueError("signaling from Bob to Alice")
-        marg_b = self.p.sum(axis=0)  # [b, A, B]
-        if np.abs(marg_b[:, 0, :] - marg_b[:, 1, :]).max() > tol:
-            raise ValueError("signaling from Alice to Bob")
 
     def cell(self, a: int, b: int, setting_a: int, setting_b: int) -> float:
         return float(self.p[a, b, setting_a, setting_b])
@@ -142,18 +93,6 @@ def local_bases(alpha_a: complex, alpha_b: complex) -> MeasurementSet:
             proj[party, setting, 0] = np.outer(v0, v0.conj())
             proj[party, setting, 1] = np.outer(v1, v1.conj())
     return MeasurementSet(projectors=proj, alpha_a=alpha_a, alpha_b=alpha_b)
-
-
-def _basis_vector(bases: MeasurementSet, party: int, setting: int,
-                  outcome: int) -> np.ndarray:
-    """Unit eigenvector of the requested rank-1 projector (fixed phase)."""
-    p = bases.projectors[party, setting, outcome]
-    vals, vecs = np.linalg.eigh(p)
-    v = vecs[:, np.argmax(vals)]
-    # fix the global phase: make the largest component real positive
-    k = int(np.argmax(np.abs(v)))
-    v = v * np.exp(-1j * np.angle(v[k]))
-    return v
 
 
 def hardy_product_states(bases: MeasurementSet) -> list[np.ndarray]:

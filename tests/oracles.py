@@ -91,30 +91,72 @@ def born_behavior_loop(rho: np.ndarray, bases) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def nu_functional(dist) -> npa.LinearFunctional:
-    """nu = P(0,0|1,0) P(A=1,B=0) + P(0,0|1,1) P(A=1,B=1) as a functional."""
+def nu_functional(dist) -> np.ndarray:
+    """nu = P(0,0|1,0) P(A=1,B=0) + P(0,0|1,1) P(A=1,B=1) as a cell table."""
     joint = dist.joint()
     cells = np.zeros((2, 2, 2, 2))
     cells[0, 0, 1, 0] = joint[1, 0]
     cells[0, 0, 1, 1] = joint[1, 1]
-    return npa.LinearFunctional(cells=cells)
+    return cells
 
 
-def evaluate(functional: npa.LinearFunctional, behavior) -> float:
-    """Value of a functional on an explicit behavior (marginals via setting 0
-    of the peer)."""
-    total = functional.const + float(np.sum(functional.cells * behavior.p))
-    for a in range(2):
-        for sa in range(2):
-            if functional.marg_a[a, sa]:
-                marginal = float(behavior.p[a, :, sa, 0].sum())
-                total += functional.marg_a[a, sa] * marginal
-    for b in range(2):
-        for sb in range(2):
-            if functional.marg_b[b, sb]:
-                marginal = float(behavior.p[:, b, 0, sb].sum())
-                total += functional.marg_b[b, sb] * marginal
-    return total
+def evaluate(cells: np.ndarray, behavior) -> float:
+    """Value of a cell-table functional on an explicit behavior."""
+    return float(np.sum(cells * behavior.p))
+
+
+HERM_TOL = 1e-12
+NORM_TOL = 1e-12
+PSD_TOL = -1e-10
+BEHAVIOR_TOL = 1e-10
+
+
+def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+    m = np.asarray(m)
+    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol)
+
+
+def is_projector(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+    m = np.asarray(m)
+    return is_hermitian(m, tol) and bool(np.abs(m @ m - m).max() <= tol)
+
+
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if not is_hermitian(rho):
+        raise ValueError("density matrix must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > NORM_TOL:
+        raise ValueError("density matrix must have unit trace")
+    if np.linalg.eigvalsh(rho).min() < PSD_TOL:
+        raise ValueError("density matrix must be positive semidefinite")
+    return rho
+
+
+def validate_measurements(bases) -> None:
+    """Each setting's outcome operators are projectors summing to identity."""
+    for p in range(2):
+        for s in range(2):
+            p0, p1 = bases.projectors[p, s]
+            if not (is_projector(p0) and is_projector(p1)):
+                raise ValueError("measurement operators must be projectors")
+            if np.abs(p0 + p1 - np.eye(2)).max() > HERM_TOL:
+                raise ValueError("outcome projectors must sum to identity")
+
+
+def validate_behavior(behavior, tol: float = BEHAVIOR_TOL) -> None:
+    """Cells in [0, 1], each setting pair normalized, no signaling."""
+    p = behavior.p
+    if (p < -tol).any() or (p > 1.0 + tol).any():
+        raise ValueError("cell probabilities must lie in [0, 1]")
+    totals = p.sum(axis=(0, 1))
+    if np.abs(totals - 1.0).max() > tol:
+        raise ValueError("each setting pair must be normalized")
+    marg_a = p.sum(axis=1)  # [a, A, B]
+    if np.abs(marg_a[:, :, 0] - marg_a[:, :, 1]).max() > tol:
+        raise ValueError("signaling from Bob to Alice")
+    marg_b = p.sum(axis=0)  # [b, A, B]
+    if np.abs(marg_b[:, 0, :] - marg_b[:, 1, :]).max() > tol:
+        raise ValueError("signaling from Alice to Bob")
 
 
 def recompute_key_rate(report: KeyRateReport) -> float:

@@ -62,10 +62,8 @@ def test_criterion_3_npa_sdp_sanity():
     start = time.perf_counter()
     chsh = npa.bound_functional(1, [], npa.chsh_functional(), "max")
     assert abs(chsh - 2 * np.sqrt(2)) < 1e-4
-    eqs = [(npa.LinearFunctional.from_cell(*cell), 0.0)
-           for cell in ((0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))]
-    hardy = npa.bound_functional(
-        2, eqs, npa.LinearFunctional.from_cell(0, 0, 0, 0), "max")
+    eqs = [(npa.cell(*cell), 0.0) for cell in ((0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))]
+    hardy = npa.bound_functional(2, eqs, npa.cell(0, 0, 0, 0), "max")
     assert abs(hardy - Q_EXACT) < 2e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

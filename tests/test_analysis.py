@@ -151,11 +151,10 @@ class TestGammaTilde:
         # range of sigma under the four h pins must collapse to that value
         h = HVector.from_eta(0.6)
         joint = pr.UNIFORM.joint()
-        cells = np.zeros((2, 2, 2, 2))
-        cells[0, 0, 0, 0] = joint[0, 0]
-        cells[0, 0, 0, 1] = joint[0, 1]
-        sigma = npa.LinearFunctional(cells=cells)
-        pins = [(npa.LinearFunctional.from_cell(*cell), float(v))
+        sigma = np.zeros((2, 2, 2, 2))
+        sigma[0, 0, 0, 0] = joint[0, 0]
+        sigma[0, 0, 0, 1] = joint[0, 1]
+        pins = [(npa.cell(*cell), float(v))
                 for cell, v in zip(pr.H_CELLS, h.as_array())]
         lo = npa.bound_functional(2, pins, sigma, "min")
         hi = npa.bound_functional(2, pins, sigma, "max")
@@ -165,8 +164,8 @@ class TestGammaTilde:
 
 
 class TestRelaxedBounds:
-    """The Lagrangian route of `npa.relaxed_bounds` (h1 pin moved into the
-    objective) against the h-pinned solves."""
+    """The Lagrangian route of `npa.bound_functionals` (h1 pin moved into
+    the objective) against the h-pinned solves."""
 
     @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM], ids=["uniform", "nonuniform"])
     def test_weak_duality_at_interior_pins(self, dist):
@@ -174,7 +173,7 @@ class TestRelaxedBounds:
                 for direction in ("min", "max")]
         lo, hi = (bound for bound, _ in npa.bound_functionals(2, jobs))
         for rho in (1e1, 1e3):
-            relaxed_lo, relaxed_hi = npa.relaxed_bounds(2, jobs, rho)
+            relaxed_lo, relaxed_hi = npa._lagrangian_bounds(2, jobs, rho)
             assert relaxed_hi >= hi
             assert relaxed_lo <= lo
 
@@ -187,9 +186,10 @@ class TestRelaxedBounds:
     def test_polished_noiseless_nu_brackets_exact(self, dist, exact, level):
         # the Hardy realization is the only behavior at eta = 1, so nu is
         # pinned to q~ P(A=1, B=1); both polished bounds must enclose it.
-        # The references bound q = P(0,0|1,1) at the multiplier of
-        # `_nu_bounds` and map to nu = P(A=1,B=0) h2 + P(A=1,B=1) q; at
-        # level 3 a multiplier of 1e4 would invert the relaxed bracket
+        # The references bound q = P(0,0|1,1) by the pinned route alone and
+        # by the Lagrangian route at the multiplier of `bound_functionals`,
+        # and map to nu = P(A=1,B=0) h2 + P(A=1,B=1) q; at level 3 a
+        # multiplier of 1e4 would invert the relaxed bracket
         assert exact == pytest.approx(0.0590170 if dist is pr.UNIFORM else 0.0344419,
                                       abs=5e-8)
         h = HVector.from_eta(1.0)
@@ -198,15 +198,18 @@ class TestRelaxedBounds:
         def to_nu(bound):
             return joint[1, 0] * h.h2 + joint[1, 1] * bound
 
-        jobs = [(an._h_equalities(h), npa.LinearFunctional.from_cell(0, 0, 1, 1), direction)
+        jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), direction)
                 for direction in ("min", "max")]
-        plain_lo, plain_hi = (to_nu(bound) for bound, _ in npa.bound_functionals(level, jobs))
-        relaxed_lo, relaxed_hi = map(to_nu, npa.relaxed_bounds(level, jobs, 4e3))
+        pinned = npa._solve_jobs(level, jobs, 1e-8)
+        plain_lo, plain_hi = (to_nu(bound) for bound, _ in pinned)
+        relaxed_lo, relaxed_hi = map(to_nu, npa._lagrangian_bounds(level, jobs, npa._RHO))
         assert relaxed_lo <= exact <= relaxed_hi
         assert relaxed_hi - relaxed_lo < 1e-4
         (lo, hi), = an._nu_bounds([h], [dist], level)[0]
         assert lo <= exact <= hi
         # both pinned solves stall there, so each side keeps the tighter route
+        assert all(not sol.optimal and max(sol.gap, sol.primal_residual, sol.dual_residual)
+                   > npa._POLISH_TOL for _, sol in pinned)
         assert (lo, hi) == (max(plain_lo, relaxed_lo), min(plain_hi, relaxed_hi))
 
 
@@ -221,7 +224,7 @@ class TestGammaGrid:
         # pinned zero cells relax faster than sigma shrinks); the decomposed
         # guessing probability is, being concave in h with its maximum at
         # full noise.
-        values = [an.guess1(HVector.from_eta(float(e)), grid_uniform)
+        values = [an.guesses([HVector.from_eta(float(e))], grid_uniform)[0]
                   for e in np.linspace(0.0, 1.0, 11)]
         assert values[0] == pytest.approx(1.0, abs=1e-9)
         assert all(b <= a + 1e-7 for a, b in zip(values, values[1:]))
@@ -275,9 +278,8 @@ class TestGammaGrid:
 
         monkeypatch.setattr(npa, "bound_functionals", counting)
         an.build_gamma_grids([pr.UNIFORM, pr.NONUNIFORM], 15, 2)
-        assert jobs_per_call[0] == 2 * (15 + len(an.DETERMINISTIC_H_POINTS))
-        # the polishes, if any, are one more call on a subset of those bounds
-        assert len(jobs_per_call) <= 2 and sum(jobs_per_call[1:]) <= jobs_per_call[0]
+        # the polishes happen inside that one call
+        assert jobs_per_call == [2 * (15 + len(an.DETERMINISTIC_H_POINTS))]
 
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)
@@ -285,45 +287,45 @@ class TestGammaGrid:
         grid = an.GammaGrid(points=[an.GammaPoint(h=h, gamma0=g0, gamma1=g1,
                                                   eta=1.0)],
                             level=2, dist_label="uniform")
-        assert an.guess1(h, grid) == pytest.approx(max(g0, g1), abs=1e-9)
+        assert an.guesses([h], grid)[0] == pytest.approx(max(g0, g1), abs=1e-9)
 
 
 class TestGuessPrograms:
     def test_guess1_noiseless_uniform(self, grid_uniform):
-        val = an.guess1(HVector.from_eta(1.0), grid_uniform)
+        val = an.guesses([HVector.from_eta(1.0)], grid_uniform)[0]
         assert val == pytest.approx(1.0 - POSTERIOR0, abs=5e-3)
 
     def test_guess1_flat_is_one(self, grid_uniform):
-        assert an.guess1(HVector.from_eta(0.0), grid_uniform) == pytest.approx(
+        assert an.guesses([HVector.from_eta(0.0)], grid_uniform)[0] == pytest.approx(
             1.0, abs=1e-9)
 
     def test_guess1_concave_on_segment(self, grid_uniform):
         for eta_a, eta_b in ((0.1, 0.9), (0.5, 1.0)):
             mid = 0.5 * (eta_a + eta_b)
-            va = an.guess1(HVector.from_eta(eta_a), grid_uniform)
-            vb = an.guess1(HVector.from_eta(eta_b), grid_uniform)
-            vm = an.guess1(HVector.from_eta(mid), grid_uniform)
+            va = an.guesses([HVector.from_eta(eta_a)], grid_uniform)[0]
+            vb = an.guesses([HVector.from_eta(eta_b)], grid_uniform)[0]
+            vm = an.guesses([HVector.from_eta(mid)], grid_uniform)[0]
             assert vm >= 0.5 * (va + vb) - 1e-8
 
     def test_guess1_at_least_pointwise_gamma(self, grid_uniform):
         for eta in (0.0, 0.5, 1.0):
             h = HVector.from_eta(eta)
             g0, g1 = an.gamma_tilde(h, pr.UNIFORM)
-            assert an.guess1(h, grid_uniform) >= max(g0, g1) - 1e-6
+            assert an.guesses([h], grid_uniform)[0] >= max(g0, g1) - 1e-6
 
     def test_guess2_noiseless_uniform_is_half(self, grid_uniform):
         beh = q.hardy_behavior(1.0)
         pa0, pa1 = an.bayes_setting_posterior(beh, pr.UNIFORM)
-        val = an.guess2(HVector.from_eta(1.0), grid_uniform, pa0, pa1)
+        val = an.guesses([HVector.from_eta(1.0)], grid_uniform, [(pa0, pa1)])[0]
         assert val == pytest.approx(0.5, abs=5e-3)
 
     def test_guess2_balanced_equals_guess1(self, grid_uniform):
         h = HVector.from_eta(0.8)
-        assert an.guess2(h, grid_uniform, 0.5, 0.5) == pytest.approx(
-            an.guess1(h, grid_uniform), abs=1e-9)
+        assert an.guesses([h], grid_uniform, [(0.5, 0.5)])[0] == pytest.approx(
+            an.guesses([h], grid_uniform)[0], abs=1e-9)
 
     def test_guess2_flat_is_one(self, grid_uniform):
-        assert an.guess2(HVector.from_eta(0.0), grid_uniform, 0.5, 0.5) == \
+        assert an.guesses([HVector.from_eta(0.0)], grid_uniform, [(0.5, 0.5)])[0] == \
             pytest.approx(1.0, abs=1e-9)
 
     def test_guess_lower_bound_half(self, grid_uniform):
@@ -331,8 +333,8 @@ class TestGuessPrograms:
         pa0, pa1 = an.bayes_setting_posterior(beh, pr.UNIFORM)
         for eta in (0.0, 0.4, 0.8, 1.0):
             h = HVector.from_eta(eta)
-            assert an.guess2(h, grid_uniform, pa0, pa1) >= 0.5 - 1e-9
-            assert an.guess1(h, grid_uniform) >= 0.5 - 1e-9
+            assert an.guesses([h], grid_uniform, [(pa0, pa1)])[0] >= 0.5 - 1e-9
+            assert an.guesses([h], grid_uniform)[0] >= 0.5 - 1e-9
 
 
 ETAS51 = np.linspace(0.0, 1.0, 51)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from hardyqkd import npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H_POINTS
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
-from hardyqkd.npa import LinearFunctional
 from hardyqkd.protocol import H_CELLS, UNIFORM, HVector, SettingsDistribution
 from hardyqkd.solvers.sdp import prune_dependent_constraints
 from oracles import evaluate, nu_functional, realization_moment_matrix
@@ -21,7 +20,7 @@ HARDY_ZEROS = {(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0}
 
 def pins(cells):
     """Equality list pinning behavior cells (a, b, A, B) -> value."""
-    return [(LinearFunctional.from_cell(*cell), val) for cell, val in cells.items()]
+    return [(npa.cell(*cell), val) for cell, val in cells.items()]
 
 
 def h_pins(h):
@@ -112,7 +111,7 @@ class TestBounds:
         assert val == pytest.approx(2 * np.sqrt(2), abs=1e-4)
 
     def test_probability_bounds_unconstrained(self):
-        obj = LinearFunctional.from_cell(0, 0, 0, 0)
+        obj = npa.cell(0, 0, 0, 0)
         hi = npa.bound_functional(2, [], obj, "max")
         lo = npa.bound_functional(2, [], obj, "min")
         assert hi <= 1 + 1e-6
@@ -121,7 +120,7 @@ class TestBounds:
 
     def test_hardy_maximum_level_two(self):
         eqs = pins(HARDY_ZEROS)
-        obj = LinearFunctional.from_cell(0, 0, 0, 0)
+        obj = npa.cell(0, 0, 0, 0)
         hi = npa.bound_functional(2, eqs, obj, "max")
         assert hi == pytest.approx(q.Q_MAX, abs=2e-3)
         assert hi >= q.Q_MAX - 1e-6  # must dominate the explicit realization
@@ -134,7 +133,7 @@ class TestBounds:
         cells = {(a, b, sa, sb): 0.25 for a in range(2) for b in range(2)
                  for sa in range(2) for sb in range(2)}
         eqs = pins(cells)
-        obj = LinearFunctional.from_cell(0, 0, 0, 0)
+        obj = npa.cell(0, 0, 0, 0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             hi = npa.bound_functional(1, eqs, obj, "max")
@@ -146,7 +145,7 @@ class TestBounds:
     def test_hardy_nu_pinned_at_eta_one(self):
         # the unique behavior forces P(0,0|1,1) = sqrt(5) - 2
         eqs = pins({(0, 0, 0, 0): q.Q_MAX, **HARDY_ZEROS})
-        obj = LinearFunctional.from_cell(0, 0, 1, 1)
+        obj = npa.cell(0, 0, 1, 1)
         hi = npa.bound_functional(2, eqs, obj, "max")
         lo = npa.bound_functional(2, eqs, obj, "min")
         assert hi == pytest.approx(q.Q_TILDE, abs=1e-3)
@@ -156,8 +155,7 @@ class TestBounds:
     def test_bounds_monotone_in_level(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            cells = rng.normal(size=(2, 2, 2, 2))
-            obj = LinearFunctional(cells=cells)
+            obj = rng.normal(size=(2, 2, 2, 2))
             b1 = npa.bound_functional(1, [], obj, "max")
             b2 = npa.bound_functional(2, [], obj, "max")
             assert b2 <= b1 + 1e-6
@@ -174,8 +172,7 @@ class TestBounds:
         beh = q.hardy_behavior(1.0)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            cells = rng.normal(size=(2, 2, 2, 2))
-            obj = LinearFunctional(cells=cells)
+            obj = rng.normal(size=(2, 2, 2, 2))
             value = evaluate(obj, beh)
             assert npa.bound_functional(2, [], obj, "max") >= value - 1e-6
             assert npa.bound_functional(2, [], obj, "min") <= value + 1e-6
@@ -183,7 +180,7 @@ class TestBounds:
     def test_infeasible_h_detected(self):
         # P(0,0|0,0) = 0.2 with the three Hardy zeros exceeds the quantum max
         eqs = pins({(0, 0, 0, 0): 0.2, **HARDY_ZEROS})
-        obj = LinearFunctional.from_cell(0, 0, 1, 1)
+        obj = npa.cell(0, 0, 1, 1)
         with pytest.raises(InfeasibleHError):
             npa.bound_functional(2, eqs, obj, "max")
 
@@ -205,6 +202,16 @@ class TestChshGuess:
         assert 0.5 < val < 1.0
         assert val > base + 1e-3
 
+    def test_tsirelson_face_bound_never_below_half(self):
+        # at 2*sqrt(2) both outcomes have P(a | A=0) = 1/2 exactly; the
+        # polished bound of each must stay a bound
+        val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
+        assert 0.5 <= val <= 0.50003
+        jobs = [([(npa.chsh_functional(), npa.TSIRELSON)], marg, "max")
+                for marg in chsh_marginals()]
+        for bound, _ in npa.bound_functionals(2, jobs):
+            assert bound >= 0.5
+
     def test_observed_above_quantum_max_rejected(self):
         with pytest.raises(InfeasibleHError):
             npa.chsh_outcome_guess_bound(UNIFORM, 2 * np.sqrt(2) + 0.01,
@@ -212,12 +219,12 @@ class TestChshGuess:
 
 
 def chsh_marginals():
-    """P(a | A=0) for a = 0, 1 as functionals."""
+    """P(a | A=0) = sum_b p(a, b | 0, 0) for a = 0, 1 as cell tables."""
     margs = []
     for a in range(2):
-        marg = np.zeros((2, 2))
-        marg[a, 0] = 1.0
-        margs.append(LinearFunctional(marg_a=marg))
+        marg = np.zeros((2, 2, 2, 2))
+        marg[a, :, 0, 0] = 1.0
+        margs.append(marg)
     return margs
 
 
@@ -258,7 +265,7 @@ class TestBranchSymmetry:
             for expr in exprs for marg in chsh_marginals()])]
         # penalized bounds scale with rho, so they are compared relative to size
         penalized = [b for b, _ in npa.bound_functionals(2, [
-            ([], LinearFunctional(cells=rho * expr.cells, marg_a=marg.marg_a), "max")
+            ([], marg + rho * expr, "max")
             for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)],
             tol=1e-10)]
         assert qmax[0] == pytest.approx(qmax[1], abs=1e-7)
@@ -296,25 +303,30 @@ class TestBatchedBounds:
 
 class TestFunctional:
     def test_cell_expansion_against_behavior(self):
+        # the moment expansion evaluated with the realization's moments must
+        # agree with the cell table evaluated on its behavior
         rng = np.random.default_rng(2)
         beh = q.hardy_behavior(0.7)
-        cells = rng.normal(size=(2, 2, 2, 2))
-        marg_a = rng.normal(size=(2, 2))
-        marg_b = rng.normal(size=(2, 2))
-        func = LinearFunctional(cells=cells, marg_a=marg_a, marg_b=marg_b,
-                                const=0.3)
-        # moment expansion evaluated with the realization's moments must agree
         bases = q.local_bases(q.ALPHA_OPT, q.ALPHA_OPT)
         rho = q.noisy_state(0.7, q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT))
         gamma = realization_moment_matrix(rho, bases, 2)
         layout = npa.get_layout(2)
-        coeffs, const = func.moment_coefficients()
-        total = const
-        for word, cc in coeffs.items():
-            key = layout.class_key(npa.canonical(word))
-            i, j = layout.classes[key][0]
-            total += cc * gamma[i, j]
-        assert total == pytest.approx(evaluate(func, beh), abs=1e-9)
+        y = np.array([gamma[entries[0]] for entries in layout.classes.values()])
+        for _ in range(5):
+            cells = rng.normal(size=(2, 2, 2, 2))
+            g, const = layout.moment_vector(cells)
+            assert const + g @ y == pytest.approx(evaluate(cells, beh), abs=1e-9)
+
+    def test_marginal_as_cell_sum_expands_to_one_moment(self):
+        # P(a | A=0) = sum_b p(a, b | 0, 0): the A0 B0 terms cancel exactly
+        layout = npa.get_layout(2)
+        a0 = list(layout.classes).index(((0, 0, 0),))
+        for a, marg in enumerate(chsh_marginals()):
+            g, const = layout.moment_vector(marg)
+            expected = np.zeros(len(layout.classes))
+            expected[a0] = 1.0 if a == 0 else -1.0
+            assert np.array_equal(g, expected)
+            assert const == float(a)
 
 
 class TestLmiSize:
@@ -330,7 +342,7 @@ class TestLmiSize:
         for f, val in eqs:
             if val != 0.0:
                 continue
-            a, b, sa, sb = map(int, np.argwhere(f.cells)[0])
+            a, b, sa, sb = map(int, np.argwhere(f)[0])
             # the product projector of the zero cell over {1, A, B, AB}
             v = np.zeros(n)
             for wa, ca in ([(((0, sa, 0),), 1.0)] if a == 0

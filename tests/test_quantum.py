@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hardyqkd import quantum as q
 from hardyqkd.errors import LinearDependenceError, ParameterRangeError
-from oracles import born_behavior_loop
+from oracles import (born_behavior_loop, check_density_matrix, is_hermitian, is_projector,
+                     validate_behavior, validate_measurements)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -23,13 +24,13 @@ class TestLocalBases:
         beta = np.sqrt(1.0 - alpha ** 2)
         v = np.array([alpha, beta])
         expected = np.outer(v, v.conj())
-        assert np.allclose(bases.projector(0, 1, 0), expected, atol=1e-12)
-        bases.validate()
+        assert np.allclose(bases.projectors[0, 1, 0], expected, atol=1e-12)
+        validate_measurements(bases)
 
     def test_hadamard_case_idempotent_complete(self):
         bases = q.local_bases(2 ** -0.5, 2 ** -0.5)
-        bases.validate()
-        p0 = bases.projector(1, 1, 0)
+        validate_measurements(bases)
+        p0 = bases.projectors[1, 1, 0]
         assert np.allclose(p0, np.full((2, 2), 0.5), atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.99999999999, 1e-12])
@@ -39,7 +40,7 @@ class TestLocalBases:
 
     def test_complex_alpha_allowed(self):
         bases = q.local_bases(0.6 * np.exp(1j * 0.3), 0.7)
-        bases.validate()
+        validate_measurements(bases)
 
 
 class TestProductStates:
@@ -199,7 +200,7 @@ class TestBornBehavior:
         rho /= np.trace(rho).real
         bases = q.local_bases(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
         beh = q.born_behavior(rho, bases)
-        beh.validate(tol=1e-10)
+        validate_behavior(beh, tol=1e-10)
 
     def test_matches_cell_by_cell_loop(self):
         for alpha_a, alpha_b in ((q.ALPHA_OPT, q.ALPHA_OPT), (0.3, 0.8),
@@ -226,11 +227,11 @@ class TestBornBehavior:
 class TestPredicates:
     def test_hermitian_unitary_projector(self):
         h = np.array([[1.0, 1j], [-1j, 0.5]])
-        assert q.is_hermitian(h)
-        assert not q.is_hermitian(h + np.array([[0, 1e-9], [0, 0]]))
-        assert q.is_projector(np.outer([1, 0], [1, 0]))
+        assert is_hermitian(h)
+        assert not is_hermitian(h + np.array([[0, 1e-9], [0, 0]]))
+        assert is_projector(np.outer([1, 0], [1, 0]))
 
     def test_density_matrix_checks(self):
         with pytest.raises(ValueError):
-            q.check_density_matrix(np.eye(4))  # trace 4
-        q.check_density_matrix(np.eye(4) / 4)
+            check_density_matrix(np.eye(4))  # trace 4
+        check_density_matrix(np.eye(4) / 4)

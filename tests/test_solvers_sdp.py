@@ -137,7 +137,7 @@ def noiseless_hardy(dist, maximize):
     """The nu bound at the noiseless Hardy point, whose pins leave only a
     degenerate face: the iterates stop improving short of the tolerance."""
     h = HVector.from_eta(1.0).as_array()
-    pins = [(npa.LinearFunctional.from_cell(*cell), float(v)) for cell, v in zip(H_CELLS, h)]
+    pins = [(npa.cell(*cell), float(v)) for cell, v in zip(H_CELLS, h)]
     return npa.build_moment_sdp(2, pins, nu_functional(dist), maximize)
 
 
@@ -169,10 +169,8 @@ def mixed_problems():
     branch = pr.biased_branches(pr.UNIFORM, eps).branches[0]
     expr = npa.chsh_functional(4.0 * branch.joint())
     for a in range(2):
-        marg = np.zeros((2, 2))
-        marg[a, 0] = 1.0
-        problems.append(npa.build_moment_sdp(2, [(expr, npa.TSIRELSON)],
-                                             npa.LinearFunctional(marg_a=marg), True))
+        marg = npa.cell(a, 0, 0, 0) + npa.cell(a, 1, 0, 0)  # P(a | A=0)
+        problems.append(npa.build_moment_sdp(2, [(expr, npa.TSIRELSON)], marg, True))
     return problems
 
 

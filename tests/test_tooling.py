@@ -1,6 +1,8 @@
 """Checks on the benchmark tooling that reads the package from outside."""
 
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -20,3 +22,25 @@ def test_every_traced_name_exists(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in table if attr not in vars(owner)]
     assert not missing
+
+
+ROOT = TRACING.parents[1]
+
+
+def test_every_package_definition_is_used_outside_tests():
+    # a top-level function or class that only the tests name is API kept
+    # for the tests alone; such checks belong in tests/oracles.py
+    sources = {path: path.read_text().splitlines()
+               for folder in ("src", "scripts", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    unused = []
+    for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            own = range(node.lineno - 1, node.end_lineno)
+            if not any(word.search(line) for other, lines in sources.items()
+                       for k, line in enumerate(lines) if other != path or k not in own):
+                unused.append(f"{path.relative_to(ROOT)}:{node.name}")
+    assert not unused
