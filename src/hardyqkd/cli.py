@@ -26,6 +26,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 @dataclass
 class RunConfig:
     """Configuration for one CLI run; JSON round-trips losslessly."""
@@ -51,10 +54,17 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}  # e.g. "float | None"
+        unknown = set(data) - set(types)
         if unknown:
             raise ParameterRangeError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            kind, _, optional = types[name].partition(" | ")  # optional: "None" or ""
+            # JSON true/false load as bools, which are ints; a float field takes an int
+            if not (value is None and optional) and (
+                    isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])):
+                raise ParameterRangeError(f"config key {name!r} must be {types[name]}, "
+                                          f"got {value!r}")
         return cls(**data)
 
     def validate(self) -> None:

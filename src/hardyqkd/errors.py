@@ -25,10 +25,6 @@ class UnsupportedLevelError(ValueError):
     """Requested relaxation level is not supported."""
 
 
-class InexpressibleFunctionalError(ValueError):
-    """A functional references a cell with no moment representation."""
-
-
 class SolverFailure(RuntimeError):
     """An optimization backend did not return an optimal certificate."""
 

@@ -13,45 +13,45 @@ set.  A relaxation is built by moment substitution (Wittek, Ncpol2sdpa, ACM
 TOMS 41(3), 2015): the moment matrix is Gamma(y) = sum_k y_k F_k over the
 distinct moments y, pinned statistics become values of y instead of
 constraint rows, and the in-repo dense SDP solver receives the linear matrix
-inequality over the remaining free moments in its dual form.
+inequality over the remaining free moments in its dual form.  The
+substitution is split where the data varies: a template (`moment_template`)
+holds what every job with the same pinned functionals and zero cells shares
+(the SVD of the pin system, its null space, the face and the constraint
+stack), and `build_moment_sdp` computes only a job's pinned point, objective
+matrix, objective vector and offset.
 
 A linear functional of a behavior is its (2, 2, 2, 2) cell table (`cell`,
 `chsh_functional`).  `bound_functionals` is the one place where a solve
-becomes a bound: it builds every relaxation of a call and solves them all
-as stacked interior-point runs, and a pinned solve that stalls (the pin
-sits on the boundary of the relaxation) is polished in one more batch by
-moving its first pin into the objective as a Lagrangian term.  The CHSH
-outcome-guess bounds of a biased settings source are solved once per branch
-symmetry class (a relabeling that every level respects maps mirror branches
-onto each other; symmetry reduction of NPA relaxations as in Tavakoli,
-Rosset and Renou, PRL 122, 070501, 2019), all classes in the same batches.
+becomes a bound: it builds each template of a call once and every relaxation
+from its template, solves them all as stacked interior-point runs, and a
+pinned solve that stalls (the pin sits on the boundary of the relaxation) is
+polished in one more batch by moving its first pin into the objective as a
+Lagrangian term.  The CHSH outcome-guess bounds of a biased settings source
+are solved once per branch symmetry class (a relabeling that every level
+respects maps mirror branches onto each other; symmetry reduction of NPA
+relaxations as in Tavakoli, Rosset and Renou, PRL 122, 070501, 2019), all
+classes in the same batches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InexpressibleFunctionalError,
-    InfeasibleHError,
-    SolverFailure,
-    UnsupportedLevelError,
-)
+from .errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
 from .protocol import SettingsDistribution
 from .solvers import SDPProblem, SDPSolution, sdp_solve, sdp_solve_batch
 # unused here; bench/tracing.py looks this name up in this module to time it
 from .solvers.sdp import prune_dependent_constraints  # noqa: F401
+from .solvers.sdp import _sym
 
 Symbol = tuple[int, int, int]  # (party, setting, outcome)
 Word = tuple[Symbol, ...]
 
-ZERO: Word | None = None  # sentinel for the zero monomial
 IDENTITY: Word = ()
-
-_SYMBOLS: tuple[Symbol, ...] = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -141,16 +141,18 @@ def chsh_functional(weights: np.ndarray | None = None) -> np.ndarray:
     `weights[A, B]` defaults to 1 (the plain CHSH expression, quantum
     maximum 2*sqrt(2)).
     """
-    if weights is None:
-        weights = np.ones((2, 2))
-    cells = np.zeros((2, 2, 2, 2))
-    for sa in range(2):
-        for sb in range(2):
-            s = -1.0 if (sa, sb) == (1, 1) else 1.0
-            for a in range(2):
-                for b in range(2):
-                    cells[a, b, sa, sb] = s * weights[sa, sb] * ((-1.0) ** (a + b))
-    return cells
+    s_ab = np.array([[1.0, 1.0], [1.0, -1.0]])
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a+b): C(A, B) over cells [a, b]
+    return (s_ab * (1.0 if weights is None else weights)) * parity[:, :, None, None]
+
+
+def _cell_terms(a: int, b: int, setting_a: int, setting_b: int) -> list[tuple[Word, float]]:
+    """p(a, b | A, B) as the mean of a product projector, expanded over the
+    words A B, A, B and 1 of the outcome-0 projectors (p(1 | .) = 1 - P0)."""
+    factors = [[(((party, setting, 0),), 1.0)] if outcome == 0
+               else [(IDENTITY, 1.0), (((party, setting, 0),), -1.0)]
+               for party, outcome, setting in ((0, a, setting_a), (1, b, setting_b))]
+    return [(wa + wb, ca * cb) for wa, ca in factors[0] for wb, cb in factors[1]]
 
 
 @dataclass
@@ -161,92 +163,60 @@ class MomentMatrixLayout:
     upper-triangle entries that carry it, the identity first; `patterns[k]`
     is the symmetric 0/1 matrix F_k of the k-th class, so that the moment
     matrix is Gamma(y) = sum_k y_k F_k.  Entries whose word is zero belong
-    to no class.
+    to no class.  `class_index` and `monomial_index` give a class key's
+    position in y and a monomial's row in Gamma.
     """
 
     level: int
     monomials: list[Word]
     classes: dict[Word, list[tuple[int, int]]]
     patterns: np.ndarray
+    class_index: dict[Word, int]
+    monomial_index: dict[Word, int]
 
     @property
     def dim(self) -> int:
         return len(self.monomials)
 
-    @staticmethod
-    def class_key(word: Word | None) -> Word | None:
-        if word is None:
-            return None
-        rev = canonical(adjoint(word))
-        assert rev is not None
-        return min(word, rev)
-
     def moment_vector(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
         """(g, c) with sum(cells * p) = c + g @ y over the moment classes.
 
-        Each cell expands into projector moments <A_s B_t>, <A_s>, <B_t>
-        and 1 through p(1 | ...) = 1 - P0.
+        Each cell expands into the moments <A_s B_t>, <A_s>, <B_t> and 1
+        (`_cell_terms`); each of these words is its own class key at every
+        level.
         """
-        index = {key: k for k, key in enumerate(self.classes)}
-        coeffs: dict[Word, float] = {}
+        g = np.zeros(len(self.classes))
         const = 0.0
-
-        def add(word: Word, val: float) -> None:
-            if val:
-                coeffs[word] = coeffs.get(word, 0.0) + val
-
         for a, b, sa, sb in itertools.product(range(2), repeat=4):
             c = cells[a, b, sa, sb]
             if not c:
                 continue
-            wa: Word = ((0, sa, 0),)
-            wb: Word = ((1, sb, 0),)
-            sign_a = 1.0 if a == 0 else -1.0
-            sign_b = 1.0 if b == 0 else -1.0
-            # (x + s P)(y + t Q) with x = [a==1], y = [b==1]
-            add(wa + wb, c * sign_a * sign_b)
-            if b == 1:
-                add(wa, c * sign_a)
-            if a == 1:
-                add(wb, c * sign_b)
-            if a == 1 and b == 1:
-                const += c
-        g = np.zeros(len(index))
-        for word, c in coeffs.items():
-            key = self.class_key(canonical(word))
-            if key is None:
-                continue  # zero monomial contributes nothing
-            if key not in index:
-                raise InexpressibleFunctionalError(
-                    f"monomial {word} has no entry in the level-{self.level} matrix")
-            g[index[key]] += c
+            for word, coeff in _cell_terms(a, b, sa, sb):
+                if word == IDENTITY:
+                    const += c * coeff
+                else:
+                    g[self.class_index[word]] += c * coeff
         return g, const
 
 
-def build_layout(level: int) -> MomentMatrixLayout:
+@functools.cache
+def get_layout(level: int) -> MomentMatrixLayout:
     basis = monomial_basis(level)
     n = len(basis)
     classes: dict[Word, list[tuple[int, int]]] = {}
     for i in range(n):
         for j in range(i, n):
             w = canonical(adjoint(basis[i]) + basis[j])
-            if w is not None:
-                classes.setdefault(MomentMatrixLayout.class_key(w), []).append((i, j))
+            if w is not None:  # a class is keyed by the lesser of w and its adjoint
+                classes.setdefault(min(w, canonical(adjoint(w))), []).append((i, j))
     patterns = np.zeros((len(classes), n, n))
     for k, entries in enumerate(classes.values()):
         for i, j in entries:
             patterns[k, i, j] = patterns[k, j, i] = 1.0
     return MomentMatrixLayout(level=level, monomials=basis, classes=classes,
-                              patterns=patterns)
-
-
-_LAYOUT_CACHE: dict[int, MomentMatrixLayout] = {}
-
-
-def get_layout(level: int) -> MomentMatrixLayout:
-    if level not in _LAYOUT_CACHE:
-        _LAYOUT_CACHE[level] = build_layout(level)
-    return _LAYOUT_CACHE[level]
+                              patterns=patterns,
+                              class_index={key: k for k, key in enumerate(classes)},
+                              monomial_index={w: k for k, w in enumerate(basis)})
 
 
 def _zero_cell_null_vectors(layout: MomentMatrixLayout,
@@ -258,29 +228,20 @@ def _zero_cell_null_vectors(layout: MomentMatrixLayout,
     null vector of every compatible moment matrix.  Requires the length-2
     word A_A B_B in the basis, hence level >= 2.
     """
-    index = {w: k for k, w in enumerate(layout.monomials)}
+    index = layout.monomial_index
     vectors: list[np.ndarray] = []
     for cells, value in equalities:
         nz = np.argwhere(cells)
         if value != 0.0 or nz.shape[0] != 1:
             continue
-        a, b, sa, sb = (int(t) for t in nz[0])
-        word_a: Word = ((0, sa, 0),)
-        word_b: Word = ((1, sb, 0),)
-        # expansion of the product projector over {1, A, B, AB} words
-        factor_a = [(word_a, 1.0)] if a == 0 else [(IDENTITY, 1.0), (word_a, -1.0)]
-        factor_b = [(word_b, 1.0)] if b == 0 else [(IDENTITY, 1.0), (word_b, -1.0)]
-        terms = [(canonical(wa + wb), ca * cb)
-                 for wa, ca in factor_a for wb, cb in factor_b]
+        terms = _cell_terms(*(int(t) for t in nz[0]))
         if any(w not in index for w, _ in terms):
             continue  # not expressible at this level
         v = np.zeros(layout.dim)
         for w, c in terms:
             v[index[w]] = c
         vectors.append(v)
-    if not vectors:
-        return np.zeros((0, layout.dim))
-    return np.stack(vectors)
+    return np.array(vectors).reshape(-1, layout.dim)
 
 
 @dataclass
@@ -296,62 +257,89 @@ class MomentSDP(SDPProblem):
     offset: float = 0.0
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+@dataclass
+class MomentTemplate:
+    """The part of a relaxation shared by every job with the same equality
+    functionals and the same cells pinned to zero (`moment_template`).
+
+    E stacks the identity row, the pins' moment vectors and the zero-cell
+    ties; `svd` holds its leading singular triplets (u, s, v'), `free` the
+    orthonormal null-space basis N, `face` the basis V of the face left by
+    the zero cells (None without any) and `constraints` the stack
+    -V'Gamma(N e_j)V, shared by the relaxations of all such jobs.
+    """
+
+    layout: MomentMatrixLayout
+    consts: np.ndarray
+    e_mat: np.ndarray
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray]
+    free: np.ndarray
+    face: np.ndarray | None
+    constraints: np.ndarray
 
 
-def build_moment_sdp(level: int,
-                     equalities: list[tuple[np.ndarray, float]],
+def moment_template(level: int,
+                    equalities: list[tuple[np.ndarray, float]]) -> MomentTemplate:
+    """Build the template of the jobs whose equalities share these functionals
+    and these zero-pinned cells (their other values may differ)."""
+    layout = get_layout(level)
+    patterns = layout.patterns
+    n_mom = patterns.shape[0]
+    expansions = [layout.moment_vector(cells) for cells, _ in equalities]
+    null_vecs = _zero_cell_null_vectors(layout, equalities)
+    ties = np.moveaxis(patterns @ null_vecs.T, 0, -1).reshape(-1, n_mom)
+    e_mat = np.vstack([[np.eye(1, n_mom)[0]] + [g for g, _ in expansions], ties])
+    u, s, vt = np.linalg.svd(e_mat)
+    rank = int((s > 1e-10 * s[0]).sum())
+    free = vt[rank:].T  # shape (n_mom, m)
+    gammas = np.tensordot(free.T, patterns, 1)
+    face = None
+    if null_vecs.shape[0]:
+        _, s_null, vt_null = np.linalg.svd(null_vecs)
+        face = vt_null[int((s_null > 1e-12).sum()):].T  # shape (n, n - rank)
+        gammas = face.T @ gammas @ face
+    return MomentTemplate(layout=layout, consts=np.array([c for _, c in expansions]),
+                          e_mat=e_mat, svd=(u[:, :rank], s[:rank], vt[:rank]), free=free,
+                          face=face, constraints=-_sym(gammas))
+
+
+def build_moment_sdp(template: MomentTemplate,
+                     values: list[float],
                      objective: np.ndarray,
                      maximize: bool) -> MomentSDP:
     """Assemble the LMI for one bound computation by moment substitution.
 
     The moment matrix is parameterized by its distinct moments,
-    Gamma(y) = sum_k y_k F_k.  The identity moment y_id = 1, the supplied
-    equalities and Gamma(y) v = 0 for each null vector v of a cell pinned
-    exactly to zero (Gamma >= 0 and v'Gamma v = 0 imply Gamma v = 0) form
-    one linear system E y = e; one SVD solves it as y = y0 + N t with N an
-    orthonormal basis of its null space.  Compressed onto V, the orthonormal
-    complement of the null vectors, the relaxation reads
+    Gamma(y) = sum_k y_k F_k.  The identity moment y_id = 1, the equalities
+    pinning the template's functionals to `values` and Gamma(y) v = 0 for
+    each null vector v of a cell pinned exactly to zero (Gamma >= 0 and
+    v'Gamma v = 0 imply Gamma v = 0) form one linear system E y = e; the
+    template's SVD of E solves it as y = y0 + N t with N an orthonormal
+    basis of its null space.  Compressed onto V, the orthonormal complement
+    of the null vectors, the relaxation reads
 
         C - sum_j t_j A_j >= 0,  C = V'Gamma(y0)V,  A_j = -V'Gamma(N e_j)V,
 
     the dual form (D) of `SDPProblem` with b = +-N'g for an objective
-    c + g @ y.  The F_k have disjoint supports and Gamma(N t) = VV'Gamma(N t)VV'
-    on the solution set, so t -> V'Gamma(N t)V is injective: the rows are
-    independent by construction.  Raises `InfeasibleHError` when E y = e is
-    inconsistent.
+    c + g @ y.  Only y0, C, b and the offset depend on the job; the A_j are
+    the template's one array.  The F_k have disjoint supports and
+    Gamma(N t) = VV'Gamma(N t)VV' on the solution set, so
+    t -> V'Gamma(N t)V is injective: the rows are independent by
+    construction.  Raises `InfeasibleHError` when E y = e is inconsistent.
     """
-    layout = get_layout(level)
-    patterns = layout.patterns
-    n_mom = patterns.shape[0]
-    rows = [np.eye(1, n_mom)[0]]
-    rhs = [1.0]
-    for cells, value in equalities:
-        g, const = layout.moment_vector(cells)
-        rows.append(g)
-        rhs.append(value - const)
-    null_vecs = _zero_cell_null_vectors(layout, equalities)
-    ties = np.moveaxis(patterns @ null_vecs.T, 0, -1).reshape(-1, n_mom)
-    e_mat = np.vstack([rows, ties])
-    e_rhs = np.concatenate([rhs, np.zeros(len(ties))])
-    u, s, vt = np.linalg.svd(e_mat)
-    rank = int((s > 1e-10 * s[0]).sum())
-    y0 = vt[:rank].T @ ((u[:, :rank].T @ e_rhs) / s[:rank])
+    layout, e_mat, free, face = template.layout, template.e_mat, template.free, template.face
+    e_rhs = np.concatenate([[1.0], np.subtract(values, template.consts),
+                            np.zeros(len(e_mat) - 1 - len(template.consts))])
+    u, s, vt = template.svd
+    y0 = vt.T @ ((u.T @ e_rhs) / s)
     if np.abs(e_mat @ y0 - e_rhs).max() > 1e-8 * (1.0 + np.abs(e_rhs).max()):
         raise InfeasibleHError("equality constraints are linearly inconsistent")
-    free = vt[rank:].T  # orthonormal null-space basis N, shape (n_mom, m)
-
-    gamma0 = np.tensordot(y0, patterns, 1)
-    gammas = np.tensordot(free.T, patterns, 1)
-    if null_vecs.shape[0]:
-        _, s, vt = np.linalg.svd(null_vecs)
-        face = vt[int((s > 1e-12).sum()):].T  # shape (n, n - rank)
+    gamma0 = np.tensordot(y0, layout.patterns, 1)
+    if face is not None:
         gamma0 = face.T @ gamma0 @ face
-        gammas = face.T @ gammas @ face
     g, const = layout.moment_vector(objective)
     sign = 1.0 if maximize else -1.0
-    return MomentSDP(c=_sym(gamma0), constraints=list(-_sym(gammas)),
+    return MomentSDP(c=_sym(gamma0), constraints=template.constraints,
                      b=sign * (free.T @ g), offset=const + float(g @ y0))
 
 
@@ -359,35 +347,34 @@ Job = tuple[list[tuple[np.ndarray, float]], np.ndarray, str]
 
 
 def _template_key(equalities: list[tuple[np.ndarray, float]]) -> tuple:
-    """What the LMI's constraint matrices depend on: the equality
-    functionals and which of them pin a value to exactly zero."""
+    """What a job's template depends on: the equality functionals and which
+    of them pin a value to exactly zero."""
     return tuple((cells.tobytes(), value == 0.0) for cells, value in equalities)
 
 
 def _solve_jobs(level: int, jobs: list[Job], tol: float) -> list[tuple[float, SDPSolution]]:
     """Build every job's relaxation and solve them all in one batch.
 
-    Relaxations sharing their constraint matrices (the same equality
-    functionals and zero cells, e.g. every point of the noise segment) keep
-    one copy of them, and all are solved in one `sdp_solve_batch` call, so
-    same-shape relaxations of different templates share a stack too.  A
-    solve that stops short of `tol` but reaches `_ACCEPT_TOL` in gap and
-    residuals is still accepted; constraint sets pinning boundary
-    statistics make that a normal outcome.  A solver status `unbounded`
-    means no moment matrix meets the equalities.
+    Jobs are grouped by template (`_template_key`): each template is built
+    once and its relaxations share one constraint array, e.g. every point of
+    the noise segment; only y0, C, b and the offset are computed per job.
+    All are solved in one `sdp_solve_batch` call, so same-shape relaxations
+    of different templates share a stack too.  A solve that stops short of
+    `tol` but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
+    constraint sets pinning boundary statistics make that a normal outcome.
+    A solver status `unbounded` means no moment matrix meets the equalities.
     """
     for _, _, direction in jobs:
         if direction not in ("max", "min"):
             raise ValueError("direction must be 'max' or 'min'")
-    shared: dict[tuple, list[np.ndarray]] = {}
-    problems: list[MomentSDP] = []
-    for equalities, objective, direction in jobs:
-        problem = build_moment_sdp(level, equalities, objective, direction == "max")
-        first = shared.setdefault(_template_key(equalities), problem.constraints)
-        if len(first) == len(problem.constraints) \
-                and all(map(np.array_equal, first, problem.constraints)):
-            problem.constraints = first
-        problems.append(problem)
+    keys = [_template_key(equalities) for equalities, _, _ in jobs]
+    templates: dict[tuple, MomentTemplate] = {}
+    for key, (equalities, _, _) in zip(keys, jobs):
+        if key not in templates:
+            templates[key] = moment_template(level, equalities)
+    problems = [build_moment_sdp(templates[key], [value for _, value in equalities],
+                                 objective, direction == "max")
+                for key, (equalities, objective, direction) in zip(keys, jobs)]
     # a single problem goes through the name `sdp_solve`, which the
     # benchmark's tracing times
     sols = sdp_solve_batch(problems, tol=tol) if len(problems) != 1 \

@@ -188,6 +188,5 @@ def hardy_behavior(eta: float = 1.0,
                    alpha_a: complex = ALPHA_OPT,
                    alpha_b: complex = ALPHA_OPT) -> Behavior:
     """Behavior of the noisy Hardy setup rho(eta) with the matching bases."""
-    bases = local_bases(alpha_a, alpha_b)
-    psi = gram_schmidt(hardy_product_states(bases))[3]  # = hardy_state(alpha_a, alpha_b)
-    return born_behavior(noisy_state(eta, psi), bases)
+    psi = hardy_state(alpha_a, alpha_b)
+    return born_behavior(noisy_state(eta, psi), local_bases(alpha_a, alpha_b))

@@ -63,23 +63,27 @@ class SDPProblem:
     """One PSD block and its equality constraints: the pair (P), (D) above."""
 
     c: np.ndarray
-    constraints: list[np.ndarray]
+    constraints: np.ndarray  # (m, n, n); a list of (n, n) matrices is stacked
     b: np.ndarray
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
-        self.constraints = [np.asarray(a, dtype=float) for a in self.constraints]
         self.b = np.asarray(self.b, dtype=float).ravel()
         n = self.c.shape[0]
         if self.c.shape != (n, n):
             raise ValueError("objective matrix must be square")
+        # an (m, n, n) float array is kept as it is: problems sharing one
+        # constraint array share its stack in `sdp_solve_batch`
+        a = np.asarray(self.constraints, dtype=float)
+        self.constraints = a.reshape(0, n, n) if a.shape == (0,) else a
+        if self.constraints.ndim != 3 or self.constraints.shape[1:] != (n, n):
+            raise ValueError("all matrices must share the block dimension")
         if len(self.constraints) != self.b.size:
             raise ValueError("constraint count must match right-hand side")
-        for a in [self.c, *self.constraints]:
-            if a.shape != (n, n):
-                raise ValueError("all matrices must share the block dimension")
-            if np.abs(a - a.T).max(initial=0.0) > _SYM_TOL * (1.0 + np.abs(a).max(initial=0.0)):
-                raise ValueError("matrices must be symmetric")
+        mats = np.concatenate([self.c[None], self.constraints])
+        asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2), initial=0.0)
+        if (asym > _SYM_TOL * (1.0 + np.abs(mats).max(axis=(1, 2), initial=0.0))).any():
+            raise ValueError("matrices must be symmetric")
 
     @property
     def dim(self) -> int:
@@ -106,7 +110,7 @@ class SDPSolution:
         return self.status == "optimal"
 
 
-def prune_dependent_constraints(constraints: list[np.ndarray], b: np.ndarray,
+def prune_dependent_constraints(constraints: np.ndarray, b: np.ndarray,
                                 tol: float = 1e-10) -> tuple[list[int], bool]:
     """Return indices of a maximal independent constraint subset.
 
@@ -115,9 +119,9 @@ def prune_dependent_constraints(constraints: list[np.ndarray], b: np.ndarray,
     smallest singular value clears the threshold keeps every row at once:
     no Gram-Schmidt residual can then fall below it.
     """
-    if not constraints:
+    if not len(constraints):
         return [], True
-    vecs = _svec(np.stack(constraints))
+    vecs = _svec(np.asarray(constraints))
     if len(vecs) <= vecs.shape[1]:
         s_min = np.linalg.svd(vecs, compute_uv=False)[-1]
         if s_min > tol * (1.0 + np.linalg.norm(vecs, axis=1).max()):
@@ -467,16 +471,15 @@ def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int,
     size = len(members)
     c = np.stack([p.c for p, _ in members])
     b = np.zeros((size, m))
-    # Problems may share one list of constraint matrices (the relaxations
-    # of one template do); each shared list is stacked once.
+    # Problems may share one constraint array (the relaxations of one
+    # template do); the kept rows of each shared array are taken once.
     distinct: dict[int, int] = {}
     shared, a_index = [], np.zeros(size, dtype=int)
     for k, (p, kept) in enumerate(members):
         b[k] = p.b[kept]
         a_index[k] = distinct.setdefault(id(p.constraints), len(shared))
         if a_index[k] == len(shared):
-            shared.append(np.stack([p.constraints[i] for i in kept]) if m
-                          else np.zeros((0, n, n)))
+            shared.append(p.constraints[kept])
     shared_flat = np.stack(shared).reshape(len(shared), m, n * n)
     a_norms = np.maximum(1.0, np.linalg.norm(shared_flat, axis=2))[a_index]
     xi = np.maximum(max(10.0, np.sqrt(n)),

@@ -38,6 +38,16 @@ class TestConfig:
         assert run_cli(["simulate", "--dist", "weird",
                         "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config", [
+        {"eta": "x"}, {"grid_res": 3.5}, {"rounds": 1.5}, {"reveal": "0.3"},
+        {"alpha": "0.5"}, {"dist": 1}, {"seed": 1.5}, {"level": True}, {"eta": None}])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, config):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_out_of_range_seed_exit_2(self, tmp_path, seed):
         assert run_cli(["simulate", "--seed", seed, "--rounds", "10",

@@ -2,15 +2,16 @@
 
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyqkd import npa, quantum as q
-from hardyqkd.analysis import DETERMINISTIC_H_POINTS
+from hardyqkd.analysis import DETERMINISTIC_H_POINTS, build_gamma_grids
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
-from hardyqkd.protocol import H_CELLS, UNIFORM, HVector, SettingsDistribution
+from hardyqkd.protocol import H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution
 from hardyqkd.solvers.sdp import prune_dependent_constraints
 from oracles import evaluate, nu_functional, realization_moment_matrix
 
@@ -365,10 +366,58 @@ class TestLmiSize:
         nu = nu_functional(UNIFORM)
         for h in points:
             eqs = h_pins(h)
-            problem = npa.build_moment_sdp(level, eqs, nu, maximize=True)
+            problem = npa.build_moment_sdp(npa.moment_template(level, eqs), h.as_array(), nu,
+                                           maximize=True)
             rows = len(problem.constraints)
             assert rows == self.free_moments(level, eqs)
             assert rows <= (31 if level == 2 else 61)
             kept, consistent = prune_dependent_constraints(problem.constraints,
                                                            problem.b)
             assert consistent and len(kept) == rows
+
+
+class TestTemplates:
+    def test_one_template_per_key_and_call(self, monkeypatch):
+        # record the jobs of every `_solve_jobs` call of a grid-15 table, the
+        # templates it builds and the problems it hands to the solver
+        calls = []
+        solve_jobs, template = npa._solve_jobs, npa.moment_template
+        solve, solve_batch = npa.sdp_solve, npa.sdp_solve_batch
+
+        def record_jobs(level, jobs, tol):
+            calls.append(SimpleNamespace(level=level, jobs=jobs, built=0, problems=None))
+            return solve_jobs(level, jobs, tol)
+
+        def record_template(level, equalities):
+            calls[-1].built += 1
+            return template(level, equalities)
+
+        def record_solve(problem, tol):
+            calls[-1].problems = [problem]
+            return solve(problem, tol=tol)
+
+        def record_batch(problems, tol):
+            calls[-1].problems = problems
+            return solve_batch(problems, tol=tol)
+
+        monkeypatch.setattr(npa, "_solve_jobs", record_jobs)
+        monkeypatch.setattr(npa, "moment_template", record_template)
+        monkeypatch.setattr(npa, "sdp_solve", record_solve)
+        monkeypatch.setattr(npa, "sdp_solve_batch", record_batch)
+        build_gamma_grids([UNIFORM, NONUNIFORM], 15, 2)
+        assert sum(len(c.jobs) for c in calls) == 48
+        assert sum(c.built for c in calls) == 11
+        for c in calls:
+            keys = [npa._template_key(equalities) for equalities, _, _ in c.jobs]
+            assert c.built == len(set(keys))
+            # one constraint array per key, the same object for all its jobs
+            assert len({(key, id(p.constraints)) for key, p in zip(keys, c.problems)}) \
+                == len({id(p.constraints) for p in c.problems}) == len(set(keys))
+            for (equalities, objective, direction), problem in zip(c.jobs, c.problems,
+                                                                   strict=True):
+                alone = npa.build_moment_sdp(template(c.level, equalities),
+                                             [value for _, value in equalities], objective,
+                                             direction == "max")
+                for name in ("c", "constraints", "b", "offset"):
+                    assert np.asarray(getattr(problem, name)).tobytes() \
+                        == np.asarray(getattr(alone, name)).tobytes()

@@ -131,6 +131,8 @@ def test_symmetry_validation():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         SDPProblem(c=bad, constraints=[], b=np.array([]))
+    with pytest.raises(ValueError, match="symmetric"):
+        SDPProblem(c=np.eye(2), constraints=[np.eye(2), bad], b=np.zeros(2))
 
 
 def noiseless_hardy(dist, maximize):
@@ -138,7 +140,7 @@ def noiseless_hardy(dist, maximize):
     degenerate face: the iterates stop improving short of the tolerance."""
     h = HVector.from_eta(1.0).as_array()
     pins = [(npa.cell(*cell), float(v)) for cell, v in zip(H_CELLS, h)]
-    return npa.build_moment_sdp(2, pins, nu_functional(dist), maximize)
+    return npa.build_moment_sdp(npa.moment_template(2, pins), h, nu_functional(dist), maximize)
 
 
 def test_stall_reported_as_stalled():
@@ -170,7 +172,8 @@ def mixed_problems():
     expr = npa.chsh_functional(4.0 * branch.joint())
     for a in range(2):
         marg = npa.cell(a, 0, 0, 0) + npa.cell(a, 1, 0, 0)  # P(a | A=0)
-        problems.append(npa.build_moment_sdp(2, [(expr, npa.TSIRELSON)], marg, True))
+        problems.append(npa.build_moment_sdp(npa.moment_template(2, [(expr, npa.TSIRELSON)]),
+                                             [npa.TSIRELSON], marg, True))
     return problems
 
 
