@@ -12,8 +12,11 @@ the sifting probability and the settings conditional entropy of the setup.
 
 The posterior weighs sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 against
 nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1).  The h pins fix
-sigma and h2, so the only SDP bracket needed per h is the one on q, and it
-serves every settings distribution.
+sigma and h2, so the only bracket needed per h is the one on q, and it
+serves every settings distribution.  Its lower end needs no SDP wherever a
+local model with q = 0 reproduces h: a small feasibility LP over the
+deterministic strategies decides this at every point, and there q_min is
+exactly 0 (q is a probability, and the local model attains 0).
 
 The LPs of one grid and strategy differ only in h (and, for dropping, in
 the rescaled coefficients), so `guesses` solves them as one sweep: each LP
@@ -50,6 +53,8 @@ from .quantum import Behavior, hardy_behavior
 from .solvers import LPProblem, LPSolution, lp_solve
 
 _VACUOUS_TOL = 1e-7
+# the cell of q = P(0,0|1,1), the one cell the h pins leave free in nu
+_Q_CELL = (0, 0, 1, 1)
 # largest excess of a guess's dual bound over its basis' primal value
 _CERT_TOL = 1e-9
 
@@ -79,23 +84,78 @@ def _h_equalities(h: HVector) -> list[tuple[np.ndarray, float]]:
     return [(npa.cell(*H_CELLS[k]), float(values[k])) for k in range(4)]
 
 
+def _deterministic_images() -> np.ndarray:
+    """(16, 5) table of (h1, h2, h3, h4, q) over the local deterministic
+    strategies: strategy (a_0, a_1, b_0, b_1) answers setting A with a_A and
+    setting B with b_B, so its cell p(a, b | A, B) is 1 iff a_A = a and b_B = b."""
+    return np.array([[float(alice[sa] == a and bob[sb] == b)
+                      for a, b, sa, sb in H_CELLS + (_Q_CELL,)]
+                     for alice in itertools.product(range(2), repeat=2)
+                     for bob in itertools.product(range(2), repeat=2)])
+
+
+def _distinct_h(images: np.ndarray) -> list[tuple[float, ...]]:
+    """The distinct h-images among these rows of `_deterministic_images`, sorted."""
+    return sorted({tuple(row) for row in images[:, :4].tolist()})
+
+
+_DETERMINISTIC_IMAGES = _deterministic_images()
+# h-images of the 16 strategies (8 are distinct)
+DETERMINISTIC_H_POINTS: tuple[HVector, ...] = tuple(
+    HVector(*t) for t in _distinct_h(_DETERMINISTIC_IMAGES))
+# (5, 7) constraints of `_q_zero_attained`: column k is (h_k, 1) for the
+# distinct h-images of the 12 strategies with q = 0
+_Q0_LP_MATRIX = np.array([h + (1.0,) for h in _distinct_h(
+    _DETERMINISTIC_IMAGES[_DETERMINISTIC_IMAGES[:, 4] == 0.0])]).T
+
+
+def _q_zero_attained(hs: list[HVector]) -> list[bool]:
+    """Whether a local model with q = P(0,0|1,1) = 0 has statistics h, per h.
+
+    One feasibility LP per h: weights w >= 0 on the h-images h_k of the
+    deterministic strategies with q = 0 (`_Q0_LP_MATRIX`) with
+    sum_k w_k (h_k, 1) = (h, 1).  Each LP starts from the previous one's
+    basis, as in `guesses`.
+    """
+    c = np.zeros(_Q0_LP_MATRIX.shape[1])
+    flags, basis = [], None
+    for h in hs:
+        sol = lp_solve(LPProblem(c=c, a_eq=_Q0_LP_MATRIX, b_eq=np.append(h.as_array(), 1.0)),
+                       basis)
+        flags.append(sol.optimal)
+        basis = sol.basis
+    return flags
+
+
 def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
                level: int) -> list[list[tuple[float, float]]]:
     """(nu_min, nu_max) at each h, one list per distribution.
 
     nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1): the h pins fix h2,
     so only q is free, and its bracket does not depend on the distribution.
-    The q brackets of all h are solved in one batched call, and each
-    distribution's nu bracket is their image under that nondecreasing affine
-    map.  Where an h-pinned solve stalls (the pin sits on the boundary of the
-    relaxation, e.g. the noiseless point), `npa.bound_functionals` polishes
-    it with the h1 pin relaxed into the objective, in one more batch.
+    Each distribution's nu bracket is the image of the q bracket under that
+    nondecreasing affine map.
+
+    q_min is exactly 0 wherever `_q_zero_attained` finds a local model with
+    q = 0 at h: q >= 0 is a probability, so 0 is a lower bound, and the
+    local behavior is quantum, so it is the exact minimum.  Those min solves
+    are skipped; every max and every other min is solved in one batched
+    `npa.bound_functionals` call.  Where an h-pinned solve stalls (the pin
+    sits on the boundary of the relaxation, e.g. the noiseless point), that
+    call polishes it with the h1 pin relaxed into the objective, in one more
+    batch.  At level 2 and above q is a diagonal moment, so the skipped
+    relaxation min is 0 up to solver accuracy.  At level 1 it is not, and the
+    relaxation min falls as low as -0.116; the exact 0 is then tighter than
+    the relaxation, and sound for the same reason.
     """
-    q = npa.cell(0, 0, 1, 1)
-    jobs = [(_h_equalities(h), q, direction) for h in hs for direction in ("min", "max")]
-    qs = [bound for bound, _ in npa.bound_functionals(level, jobs)]
+    q = npa.cell(*_Q_CELL)
+    local = _q_zero_attained(hs)
+    jobs = [(_h_equalities(h), q, direction) for h, zero in zip(hs, local, strict=True)
+            for direction in (("max",) if zero else ("min", "max"))]
+    bounds = (bound for bound, _ in npa.bound_functionals(level, jobs))
+    qs = [(0.0 if zero else next(bounds), next(bounds)) for zero in local]
     return [[(p10 * h.h2 + p11 * lo, p10 * h.h2 + p11 * hi)
-             for h, lo, hi in zip(hs, qs[0::2], qs[1::2], strict=True)]
+             for h, (lo, hi) in zip(hs, qs, strict=True)]
             for p10, p11 in (dist.joint()[1].tolist() for dist in dists)]
 
 
@@ -175,17 +235,6 @@ class GammaGrid:
         return buf.getvalue()
 
 
-def _deterministic_h_points() -> tuple[HVector, ...]:
-    """h-images of the 16 local deterministic strategies (8 are distinct)."""
-    seen = {(float(a0 == 0 and b0 == 0), float(a1 == 0 and b0 == 0),
-             float(a0 == 0 and b1 == 0), float(a1 == 1 and b1 == 1))
-            for a0, a1, b0, b1 in itertools.product(range(2), repeat=4)}
-    return tuple(HVector(*t) for t in sorted(seen))
-
-
-DETERMINISTIC_H_POINTS: tuple[HVector, ...] = _deterministic_h_points()
-
-
 def build_gamma_grids(dists: list[SettingsDistribution],
                       resolution: int = 201,
                       level: int = 2) -> list[GammaGrid]:
@@ -195,11 +244,14 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     h-images of the local deterministic strategies, which give the
     decomposition LPs their reach (any classical-noise statistics can then
     be split into perfectly guessable populations).  The tables of all
-    distributions come from one batched bracket on q = P(0,0|1,1) per point
-    (one `npa.bound_functionals` call, which polishes its stalled solves in
-    one more batch), mapped to each distribution's
-    nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several distributions cost the SDP
-    work of one.  Returns one grid per distribution.
+    distributions come from one bracket on q = P(0,0|1,1) per point, mapped
+    to each distribution's nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several
+    distributions cost the SDP work of one (`_nu_bounds`).  Its lower end is
+    exactly 0 wherever a local model with q = 0 reproduces the point (at grid
+    resolution 15: 12 of the 15 segment points and 7 of the 8 corners);
+    every other end is one job of a single `npa.bound_functionals` call,
+    which polishes its stalled solves in one more batch.  Returns one grid
+    per distribution.
     """
     etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
     hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)

@@ -498,7 +498,7 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     reps, index = _symmetry_classes(branches)
     exprs = [chsh_functional(4.0 * rep.joint()) for rep in reps]
     qmax = [bound for bound, _ in bound_functionals(
-        level, [([], expr, "max") for expr in exprs], tol=1e-10)]
+        level, [([], expr, "max") for expr in exprs])]
     for q in qmax:
         if observed_value > q + 1e-6:
             raise InfeasibleHError(

@@ -58,9 +58,21 @@ def _svec(m: np.ndarray) -> np.ndarray:
                            np.sqrt(2.0) * m[..., i, j]], axis=-1)
 
 
+def _check_symmetric(mats: np.ndarray) -> None:
+    """Raise unless every matrix of the (..., n, n) stack is symmetric."""
+    asym = np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (asym > _SYM_TOL * (1.0 + np.abs(mats).max(axis=(-2, -1), initial=0.0))).any():
+        raise ValueError("matrices must be symmetric")
+
+
 @dataclass
 class SDPProblem:
-    """One PSD block and its equality constraints: the pair (P), (D) above."""
+    """One PSD block and its equality constraints: the pair (P), (D) above.
+
+    The objective matrix is checked for symmetry here; the constraint
+    array, which many problems may share, once per solve call
+    (`sdp_solve_batch`).
+    """
 
     c: np.ndarray
     constraints: np.ndarray  # (m, n, n); a list of (n, n) matrices is stacked
@@ -80,10 +92,7 @@ class SDPProblem:
             raise ValueError("all matrices must share the block dimension")
         if len(self.constraints) != self.b.size:
             raise ValueError("constraint count must match right-hand side")
-        mats = np.concatenate([self.c[None], self.constraints])
-        asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2), initial=0.0)
-        if (asym > _SYM_TOL * (1.0 + np.abs(mats).max(axis=(1, 2), initial=0.0))).any():
-            raise ValueError("matrices must be symmetric")
+        _check_symmetric(self.c)
 
     @property
     def dim(self) -> int:
@@ -436,8 +445,11 @@ def sdp_solve_batch(problems: list[SDPProblem], tol: float = 1e-8) -> list[SDPSo
     are pruned with a warning; inconsistent dependent rows give an immediate
     `infeasible` status.  Divergence of the iterates (norms beyond 1e10 with
     non-shrinking residuals) is reported as `infeasible` or `unbounded`
-    depending on which objective is escaping.
+    depending on which objective is escaping.  Each distinct constraint
+    array is checked for symmetry once, before any problem is iterated.
     """
+    for constraints in {id(p.constraints): p.constraints for p in problems}.values():
+        _check_symmetric(constraints)
     solutions: list[SDPSolution | None] = [None] * len(problems)
     groups: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
     for i, p in enumerate(problems):

@@ -115,13 +115,14 @@ class TestGammaTilde:
     @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM],
                              ids=["uniform", "nonuniform"])
     def test_bounds_dominate_realization_posterior(self, dist):
-        # relaxation soundness along the noise family
-        for eta in np.linspace(0.0, 1.0, 9):
-            beh = q.hardy_behavior(float(eta))
-            pa0, pa1 = an.bayes_setting_posterior(beh, dist)
-            g0, g1 = an.gamma_tilde(HVector.from_eta(float(eta)), dist)
-            assert g0 >= pa0 - 1e-3
-            assert g1 >= pa1 - 1e-3
+        # relaxation soundness along the noise family, at every level
+        etas = [float(eta) for eta in np.linspace(0.0, 1.0, 9)]
+        posteriors = [an.bayes_setting_posterior(q.hardy_behavior(eta), dist) for eta in etas]
+        for level in (1, 2, 3):
+            [bounds] = an._gamma_bounds([HVector.from_eta(eta) for eta in etas], [dist], level)
+            for (pa0, pa1), (g0, g1) in zip(posteriors, bounds, strict=True):
+                assert g0 >= pa0 - 1e-3
+                assert g1 >= pa1 - 1e-3
 
     def test_nu_brackets_match_direct_nu_solves(self):
         # one q bracket serves both distributions: it must give the nu
@@ -278,8 +279,9 @@ class TestGammaGrid:
 
         monkeypatch.setattr(npa, "bound_functionals", counting)
         an.build_gamma_grids([pr.UNIFORM, pr.NONUNIFORM], 15, 2)
-        # the polishes happen inside that one call
-        assert jobs_per_call == [2 * (15 + len(an.DETERMINISTIC_H_POINTS))]
+        # the polishes happen inside that one call; of the 23 points, 19 have
+        # a local model with q = 0, so only 4 need a min solve
+        assert jobs_per_call == [27]
 
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)
@@ -288,6 +290,46 @@ class TestGammaGrid:
                                                   eta=1.0)],
                             level=2, dist_label="uniform")
         assert an.guesses([h], grid)[0] == pytest.approx(max(g0, g1), abs=1e-9)
+
+
+def grid_points(resolution):
+    """The h-points of a gamma grid: the noise segment, then the corners."""
+    return [HVector.from_eta(float(eta)) for eta in np.linspace(0.0, 1.0, resolution)] \
+        + list(an.DETERMINISTIC_H_POINTS)
+
+
+class TestLocalQZero:
+    def test_decides_grid_15(self):
+        # a local model with q = 0 exists up to eta ~ 0.845: 12 of the 15
+        # segment points, and every corner but the one with q = 1
+        flags = an._q_zero_attained(grid_points(15))
+        assert flags[:15] == [True] * 12 + [False] * 3
+        assert flags[15:] == [True] * 7 + [False]
+        assert an.DETERMINISTIC_H_POINTS[-1] == HVector(1, 1, 1, 0)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_certified_min_is_exact_zero(self, level):
+        # where the local model exists the reported q_min is exactly 0, and
+        # the skipped relaxation min agrees with it to solver accuracy
+        points = grid_points(15)
+        hs = [h for h, zero in zip(points, an._q_zero_attained(points)) if zero]
+        # P(A=1, B=1) = 1 makes nu = q
+        [brackets] = an._nu_bounds(hs, [pr.SettingsDistribution(0.0, 0.0)], level)
+        assert [lo for lo, _ in brackets] == [0.0] * len(hs)
+        jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), "min") for h in hs]
+        for bound, _ in npa.bound_functionals(level, jobs):
+            assert -1e-7 <= bound <= 0.0
+
+    def test_only_gamma0_moves_down(self, monkeypatch):
+        # against the tables with every min solved by its relaxation
+        dists = [pr.UNIFORM, pr.NONUNIFORM]
+        certified = an.build_gamma_grids(dists, 15, 2)
+        monkeypatch.setattr(an, "_q_zero_attained", lambda hs: [False] * len(hs))
+        solved = an.build_gamma_grids(dists, 15, 2)
+        for new, old in zip(certified, solved, strict=True):
+            assert (new.gammas[:, 1] == old.gammas[:, 1]).all()
+            assert (old.gammas[:, 0] - 1e-7 <= new.gammas[:, 0]).all()
+            assert (new.gammas[:, 0] <= old.gammas[:, 0]).all()
 
 
 class TestGuessPrograms:

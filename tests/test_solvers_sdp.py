@@ -131,8 +131,9 @@ def test_symmetry_validation():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         SDPProblem(c=bad, constraints=[], b=np.array([]))
+    # a constraint array, which problems may share, is checked once per solve
     with pytest.raises(ValueError, match="symmetric"):
-        SDPProblem(c=np.eye(2), constraints=[np.eye(2), bad], b=np.zeros(2))
+        sdp_solve(SDPProblem(c=np.eye(2), constraints=[np.eye(2), bad], b=np.zeros(2)))
 
 
 def noiseless_hardy(dist, maximize):
