@@ -13,10 +13,12 @@ the sifting probability and the settings conditional entropy of the setup.
 The posterior weighs sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 against
 nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1).  The h pins fix
 sigma and h2, so the only bracket needed per h is the one on q, and it
-serves every settings distribution.  Its lower end needs no SDP wherever a
-local model with q = 0 reproduces h: a small feasibility LP over the
-deterministic strategies decides this at every point, and there q_min is
-exactly 0 (q is a probability, and the local model attains 0).
+serves every settings distribution.  Linear programs settle an end of that
+bracket without an SDP wherever a mixture of the deterministic strategies
+reproduces h and attains the no-signalling bound on q, which contains the
+quantum set: the certified dual bound is then the exact quantum value.
+This holds at both ends wherever a local model exists at all (at grid
+resolution 15: every point with eta <= 0.845 and every corner).
 
 The LPs of one grid and strategy differ only in h (and, for dropping, in
 the rescaled coefficients), so `guesses` solves them as one sweep: each LP
@@ -55,8 +57,11 @@ from .solvers import LPProblem, LPSolution, lp_solve
 _VACUOUS_TOL = 1e-7
 # the cell of q = P(0,0|1,1), the one cell the h pins leave free in nu
 _Q_CELL = (0, 0, 1, 1)
-# largest excess of a guess's dual bound over its basis' primal value
+# largest excess of an LP's dual bound over its basis' primal value
 _CERT_TOL = 1e-9
+# largest gap between a settled end of q and its local value, and largest
+# residual of the local witness
+_SETTLE_TOL = 1e-9
 
 
 def bayes_setting_posterior(behavior: Behavior,
@@ -94,37 +99,74 @@ def _deterministic_images() -> np.ndarray:
                      for bob in itertools.product(range(2), repeat=2)])
 
 
-def _distinct_h(images: np.ndarray) -> list[tuple[float, ...]]:
-    """The distinct h-images among these rows of `_deterministic_images`, sorted."""
-    return sorted({tuple(row) for row in images[:, :4].tolist()})
+def _no_signalling_rows() -> np.ndarray:
+    """(12, 16) equality rows over the cells p[a, b, A, B] (C order): the
+    normalization of each setting pair, Alice's and Bob's outcome-0
+    marginals independent of the other party's setting, and the h cells."""
+    rows = np.zeros((8, 2, 2, 2, 2))
+    for k, (sa, sb) in enumerate(itertools.product(range(2), repeat=2)):
+        rows[k, :, :, sa, sb] = 1.0
+    for s in range(2):
+        rows[4 + s, 0, :, s] = [1.0, -1.0]  # P(a=0 | A=s, B=0) - P(a=0 | A=s, B=1)
+        rows[6 + s, :, 0, :, s] = [1.0, -1.0]  # P(b=0 | A=0, B=s) - P(b=0 | A=1, B=s)
+    return np.vstack([rows.reshape(8, 16)] + [npa.cell(*c).reshape(1, 16) for c in H_CELLS])
 
 
 _DETERMINISTIC_IMAGES = _deterministic_images()
 # h-images of the 16 strategies (8 are distinct)
 DETERMINISTIC_H_POINTS: tuple[HVector, ...] = tuple(
-    HVector(*t) for t in _distinct_h(_DETERMINISTIC_IMAGES))
-# (5, 7) constraints of `_q_zero_attained`: column k is (h_k, 1) for the
-# distinct h-images of the 12 strategies with q = 0
-_Q0_LP_MATRIX = np.array([h + (1.0,) for h in _distinct_h(
-    _DETERMINISTIC_IMAGES[_DETERMINISTIC_IMAGES[:, 4] == 0.0])]).T
+    HVector(*t) for t in sorted({tuple(row[:4]) for row in _DETERMINISTIC_IMAGES.tolist()}))
+# local LP of `_settled_q_ends`: column k is (h_k, 1) of strategy k, objective q_k
+_LOCAL_LP = np.vstack([_DETERMINISTIC_IMAGES[:, :4].T, np.ones(16)])
+_LOCAL_Q = _DETERMINISTIC_IMAGES[:, 4]
+# no-signalling LP of `_settled_q_ends`, objective the q cell
+_NS_LP = _no_signalling_rows()
+_NS_Q = npa.cell(*_Q_CELL).ravel()
 
 
-def _q_zero_attained(hs: list[HVector]) -> list[bool]:
-    """Whether a local model with q = P(0,0|1,1) = 0 has statistics h, per h.
+def _settled_q_ends(hs: list[HVector]) -> list[list[float | None]]:
+    """[q_min, q_max] at each h where linear programs settle that end, None
+    where it needs an SDP.
 
-    One feasibility LP per h: weights w >= 0 on the h-images h_k of the
-    deterministic strategies with q = 0 (`_Q0_LP_MATRIX`) with
-    sum_k w_k (h_k, 1) = (h, 1).  Each LP starts from the previous one's
-    basis, as in `guesses`.
+    Each end is the max of s q with s = +1 (max) or s = -1 (min), solved as
+    one sweep over hs per LP, each LP warm-started from the previous
+    point's basis as in `guesses`:
+    - the local value l: the max of s q over mixtures of the 16
+      deterministic strategies with statistics h (columns (h_k, 1)), kept
+      only where its witness meets (h, 1) within `_SETTLE_TOL`.  Local
+      behaviors are quantum, so no sound bound can be tighter than l.
+    - where l is the trivial bound (q in [0, 1]), the end is that bound.
+    - otherwise the no-signalling bound n: the max of s q over the cells
+      of a no-signalling behavior with statistics h, reported as the dual
+      bound of its final basis (`_box_dual_bound`), which bounds the
+      quantum set (Barrett et al., PRA 71, 022101, 2005) for all duals.
+      The end is n where that bound is within `_CERT_TOL` of the basis'
+      primal value and within `_SETTLE_TOL` of l.
+    Every other end (no local model, or a gap between l and n) is None.
     """
-    c = np.zeros(_Q0_LP_MATRIX.shape[1])
-    flags, basis = [], None
-    for h in hs:
-        sol = lp_solve(LPProblem(c=c, a_eq=_Q0_LP_MATRIX, b_eq=np.append(h.as_array(), 1.0)),
-                       basis)
-        flags.append(sol.optimal)
-        basis = sol.basis
-    return flags
+    ends: list[list[float | None]] = [[None, None] for _ in hs]
+    for side, sign in enumerate((-1.0, 1.0)):
+        local_c, ns_c, trivial = sign * _LOCAL_Q, sign * _NS_Q, max(0.0, sign)
+        local_basis = ns_basis = None
+        for h, settled in zip(hs, ends):
+            b_local = np.append(h.as_array(), 1.0)
+            local = lp_solve(LPProblem(c=local_c, a_eq=_LOCAL_LP, b_eq=b_local, maximize=True),
+                             local_basis)
+            local_basis = local.basis
+            if not local.optimal or local.residual > _SETTLE_TOL:
+                continue
+            if abs(local.value - trivial) <= _SETTLE_TOL:
+                settled[side] = trivial
+                continue
+            b_ns = np.concatenate([np.ones(4), np.zeros(4), h.as_array()])
+            sol = lp_solve(LPProblem(c=ns_c, a_eq=_NS_LP, b_eq=b_ns, maximize=True), ns_basis)
+            ns_basis = sol.basis
+            if not sol.optimal:
+                continue
+            bound = _box_dual_bound(_basis_duals(sol, ns_c, _NS_LP), ns_c, _NS_LP, b_ns)
+            if bound <= sol.value + _CERT_TOL and abs(bound - local.value) <= _SETTLE_TOL:
+                settled[side] = sign * bound
+    return ends
 
 
 def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
@@ -136,24 +178,23 @@ def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
     Each distribution's nu bracket is the image of the q bracket under that
     nondecreasing affine map.
 
-    q_min is exactly 0 wherever `_q_zero_attained` finds a local model with
-    q = 0 at h: q >= 0 is a probability, so 0 is a lower bound, and the
-    local behavior is quantum, so it is the exact minimum.  Those min solves
-    are skipped; every max and every other min is solved in one batched
-    `npa.bound_functionals` call.  Where an h-pinned solve stalls (the pin
-    sits on the boundary of the relaxation, e.g. the noiseless point), that
-    call polishes it with the h1 pin relaxed into the objective, in one more
-    batch.  At level 2 and above q is a diagonal moment, so the skipped
-    relaxation min is 0 up to solver accuracy.  At level 1 it is not, and the
-    relaxation min falls as low as -0.116; the exact 0 is then tighter than
-    the relaxation, and sound for the same reason.
+    An end of q that `_settled_q_ends` settles by linear programs is not
+    solved: there a local model attains the no-signalling bound, so no
+    relaxation can tighten it.  Every other end is one job of a single
+    batched `npa.bound_functionals` call.  Where an h-pinned solve stalls
+    (the pin sits on the boundary of the relaxation, e.g. the noiseless
+    point), that call polishes it with the h1 pin relaxed into the
+    objective, in one more batch.  Every end is clipped to [0, 1], where q
+    lies as a probability: at level 1 q is not a diagonal moment, and the
+    relaxation min falls below 0 (-0.031 at eta = 0.857, grid 15).
     """
     q = npa.cell(*_Q_CELL)
-    local = _q_zero_attained(hs)
-    jobs = [(_h_equalities(h), q, direction) for h, zero in zip(hs, local, strict=True)
-            for direction in (("max",) if zero else ("min", "max"))]
-    bounds = (bound for bound, _ in npa.bound_functionals(level, jobs))
-    qs = [(0.0 if zero else next(bounds), next(bounds)) for zero in local]
+    ends = _settled_q_ends(hs)
+    jobs = [(_h_equalities(h), q, direction) for h, pair in zip(hs, ends, strict=True)
+            for direction, end in zip(("min", "max"), pair) if end is None]
+    solved = (bound for bound, _ in npa.bound_functionals(level, jobs))
+    qs = [np.clip([next(solved) if end is None else end for end in pair], 0.0, 1.0).tolist()
+          for pair in ends]
     return [[(p10 * h.h2 + p11 * lo, p10 * h.h2 + p11 * hi)
              for h, (lo, hi) in zip(hs, qs, strict=True)]
             for p10, p11 in (dist.joint()[1].tolist() for dist in dists)]
@@ -246,12 +287,12 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     be split into perfectly guessable populations).  The tables of all
     distributions come from one bracket on q = P(0,0|1,1) per point, mapped
     to each distribution's nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several
-    distributions cost the SDP work of one (`_nu_bounds`).  Its lower end is
-    exactly 0 wherever a local model with q = 0 reproduces the point (at grid
-    resolution 15: 12 of the 15 segment points and 7 of the 8 corners);
-    every other end is one job of a single `npa.bound_functionals` call,
-    which polishes its stalled solves in one more batch.  Returns one grid
-    per distribution.
+    distributions cost the SDP work of one (`_nu_bounds`).  Linear programs
+    settle both ends wherever a local model reproduces the point
+    (`_settled_q_ends`; at grid resolution 15: 12 of the 15 segment points
+    and all 8 corners); every other end is one job of a single
+    `npa.bound_functionals` call, which polishes its stalled solves in one
+    more batch.  Returns one grid per distribution.
     """
     etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
     hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)
@@ -280,6 +321,26 @@ def _dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
     return float(y @ b_eq) + max(0.0, float((coeff - y @ a_eq).max()))
 
 
+def _box_dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
+                    b_eq: np.ndarray) -> float:
+    """y.b + sum_k (coeff_k - y.a_k)_+, an upper bound for every y on
+    max coeff.x over x in [0, 1]^n with a_eq x = b_eq.
+
+    coeff.x = y.b + sum_k x_k (coeff_k - y.a_k), and each x_k lies in
+    [0, 1], as each cell of a behavior does.
+    """
+    return float(y @ b_eq) + float(np.maximum(coeff - y @ a_eq, 0.0).sum())
+
+
+def _basis_duals(sol: LPSolution, coeff: np.ndarray, a_eq: np.ndarray) -> np.ndarray:
+    """y = B^-T c_B of the final basis of max coeff.x s.t. a_eq x = b_eq."""
+    b_mat = a_eq[:, sol.basis]
+    if b_mat.shape[0] == b_mat.shape[1]:
+        return np.linalg.solve(b_mat.T, coeff[sol.basis])
+    # phase 1 dropped redundant rows (e.g. a gamma grid without the corners)
+    return np.linalg.lstsq(b_mat.T, coeff[sol.basis], rcond=None)[0]
+
+
 def _certified_value(sol: LPSolution, coeff: np.ndarray, a_eq: np.ndarray,
                      b_eq: np.ndarray) -> float:
     """The dual bound of the final basis of a decomposition LP, y = B^-T c_B.
@@ -289,12 +350,7 @@ def _certified_value(sol: LPSolution, coeff: np.ndarray, a_eq: np.ndarray,
     if sol.status == "infeasible":
         raise DecompositionInfeasibleError(
             "h lies outside the convex hull of the gamma grid")
-    b_mat = a_eq[:, sol.basis]
-    if b_mat.shape[0] == b_mat.shape[1]:
-        y = np.linalg.solve(b_mat.T, coeff[sol.basis])
-    else:  # phase 1 dropped redundant rows (grids without the corners)
-        y = np.linalg.lstsq(b_mat.T, coeff[sol.basis], rcond=None)[0]
-    bound = _dual_bound(y, coeff, a_eq, b_eq)
+    bound = _dual_bound(_basis_duals(sol, coeff, a_eq), coeff, a_eq, b_eq)
     if not bound <= sol.value + _CERT_TOL:
         raise DecompositionInfeasibleError(
             f"decomposition LP ended {sol.status}: its dual bound {bound:.12g} "

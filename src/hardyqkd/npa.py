@@ -363,7 +363,10 @@ def _solve_jobs(level: int, jobs: list[Job], tol: float) -> list[tuple[float, SD
     `tol` but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
     constraint sets pinning boundary statistics make that a normal outcome.
     A solver status `unbounded` means no moment matrix meets the equalities.
+    A call without jobs calls no solver.
     """
+    if not jobs:
+        return []
     for _, _, direction in jobs:
         if direction not in ("max", "min"):
             raise ValueError("direction must be 'max' or 'min'")

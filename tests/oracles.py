@@ -100,6 +100,19 @@ def nu_functional(dist) -> np.ndarray:
     return cells
 
 
+def deterministic_behaviors() -> np.ndarray:
+    """(16, 2, 2, 2, 2) behaviors of the local deterministic strategies, in
+    the order of (a_0, a_1) then (b_0, b_1), each over {0, 1}: the strategy
+    answers setting A with a_A and setting B with b_B."""
+    tables = np.zeros((16, 2, 2, 2, 2))
+    for k in range(16):
+        alice, bob = divmod(k, 4)
+        for sa in range(2):
+            for sb in range(2):
+                tables[k, (alice >> (1 - sa)) & 1, (bob >> (1 - sb)) & 1, sa, sb] = 1.0
+    return tables
+
+
 def evaluate(cells: np.ndarray, behavior) -> float:
     """Value of a cell-table functional on an explicit behavior."""
     return float(np.sum(cells * behavior.p))

@@ -14,7 +14,7 @@ from hardyqkd import npa, protocol as pr, quantum as q
 from hardyqkd.errors import SolverFailure, ZeroPosteriorError
 from hardyqkd.protocol import HVector
 from hardyqkd.solvers import LPProblem, lp, lp_solve
-from oracles import nu_functional, recompute_key_rate
+from oracles import deterministic_behaviors, nu_functional, recompute_key_rate
 
 POSTERIOR0 = q.Q_MAX / (q.Q_MAX + q.Q_TILDE)  # 0.2763932...
 
@@ -279,9 +279,10 @@ class TestGammaGrid:
 
         monkeypatch.setattr(npa, "bound_functionals", counting)
         an.build_gamma_grids([pr.UNIFORM, pr.NONUNIFORM], 15, 2)
-        # the polishes happen inside that one call; of the 23 points, 19 have
-        # a local model with q = 0, so only 4 need a min solve
-        assert jobs_per_call == [27]
+        # the polishes happen inside that one call; linear programs settle
+        # both ends of q at 20 of the 23 points, so only the 3 segment points
+        # with eta > 0.845 need a min and a max solve
+        assert jobs_per_call == [6]
 
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)
@@ -298,38 +299,136 @@ def grid_points(resolution):
         + list(an.DETERMINISTIC_H_POINTS)
 
 
-class TestLocalQZero:
-    def test_decides_grid_15(self):
-        # a local model with q = 0 exists up to eta ~ 0.845: 12 of the 15
-        # segment points, and every corner but the one with q = 1
-        flags = an._q_zero_attained(grid_points(15))
-        assert flags[:15] == [True] * 12 + [False] * 3
-        assert flags[15:] == [True] * 7 + [False]
-        assert an.DETERMINISTIC_H_POINTS[-1] == HVector(1, 1, 1, 0)
+def settle_lps(h, sign):
+    """The local and the no-signalling LP of one end of q at h, maximizing
+    sign * q, as (coeff, a_eq, b_eq) pairs."""
+    return ((sign * an._LOCAL_Q, an._LOCAL_LP, np.append(h.as_array(), 1.0)),
+            (sign * an._NS_Q, an._NS_LP,
+             np.concatenate([np.ones(4), np.zeros(4), h.as_array()])))
+
+
+class TestSettledEnds:
+    def test_settles_grid_15(self):
+        # a local model reproduces h up to eta ~ 0.845 and at every corner,
+        # and there it attains the no-signalling bound at both ends of q
+        ends = an._settled_q_ends(grid_points(15))
+        settled = [all(end is not None for end in pair) for pair in ends]
+        assert settled == [True] * 12 + [False] * 3 + [True] * 8
+        assert all(pair == [None, None] for pair in ends[12:15])
+
+    def test_failed_certificate_leaves_end_to_sdp(self, monkeypatch):
+        # a dual bound off its basis' primal value settles nothing; only the
+        # ends at the trivial bounds 0 and 1, which need no certificate, stay
+        points = grid_points(15)
+        before = an._settled_q_ends(points)
+        box = an._box_dual_bound
+        monkeypatch.setattr(an, "_box_dual_bound", lambda *args: box(*args) + 1e-6)
+        after = an._settled_q_ends(points)
+        for old, new in zip(before, after, strict=True):
+            assert new == [old[0] if old[0] == 0.0 else None,
+                           old[1] if old[1] == 1.0 else None]
+        assert sum(e is None for pair in after for e in pair) > 6
 
     @pytest.mark.parametrize("level", [2, 3])
-    def test_certified_min_is_exact_zero(self, level):
-        # where the local model exists the reported q_min is exactly 0, and
-        # the skipped relaxation min agrees with it to solver accuracy
+    def test_settled_ends_match_direct_sdp(self, level):
+        # no relaxation tightens a settled end: a direct pinned SDP agrees
+        # with it and, up to that solve's tolerance of 1e-8, lies on its
+        # outer side (a relaxation contains the quantum set, and a settled
+        # end is the quantum value)
         points = grid_points(15)
-        hs = [h for h, zero in zip(points, an._q_zero_attained(points)) if zero]
-        # P(A=1, B=1) = 1 makes nu = q
-        [brackets] = an._nu_bounds(hs, [pr.SettingsDistribution(0.0, 0.0)], level)
-        assert [lo for lo, _ in brackets] == [0.0] * len(hs)
-        jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), "min") for h in hs]
-        for bound, _ in npa.bound_functionals(level, jobs):
-            assert -1e-7 <= bound <= 0.0
+        jobs, settled = [], []
+        for h, pair in zip(points, an._settled_q_ends(points), strict=True):
+            for direction, end in zip(("min", "max"), pair):
+                if end is not None:
+                    jobs.append((an._h_equalities(h), npa.cell(0, 0, 1, 1), direction))
+                    settled.append(end)
+        assert len(jobs) == 40
+        for (_, _, direction), end, (bound, _) in zip(
+                jobs, settled, npa.bound_functionals(level, jobs, 1e-8), strict=True):
+            assert abs(end - bound) <= 1e-7
+            if direction == "max":
+                assert bound >= end - 1e-8
+            else:
+                assert bound <= end + 1e-8
 
-    def test_only_gamma0_moves_down(self, monkeypatch):
-        # against the tables with every min solved by its relaxation
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
+    def test_ns_dual_bound_never_below_optimum(self, sign):
+        rng = np.random.default_rng(29)
+        for h in [HVector.from_eta(eta) for eta in (0.0, 0.4, 0.8, 1.0)] \
+                + list(an.DETERMINISTIC_H_POINTS):
+            _, (coeff, a_eq, b_eq) = settle_lps(h, sign)
+            optimum = cold_value(coeff, a_eq, b_eq)
+            for _ in range(200):
+                y = rng.normal(size=12) * 10.0 ** rng.uniform(-3.0, 2.0)
+                assert an._box_dual_bound(y, coeff, a_eq, b_eq) >= optimum - 1e-12
+
+    def test_realizations_meet_the_no_signalling_rows(self):
+        for eta in (0.0, 0.5, 1.0):
+            behavior = q.hardy_behavior(eta)
+            _, (_, a_eq, b_eq) = settle_lps(HVector.from_eta(eta), 1.0)
+            assert np.abs(a_eq @ behavior.p.ravel() - b_eq).max() <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
+    def test_local_witness_reproduces_h(self, sign):
+        # the optimal mixture of deterministic strategies, rebuilt as a
+        # behavior from its own strategy tables, has the statistics h, is
+        # normalized and attains the settled end
+        points = grid_points(15)
+        for h, (low, high) in zip(points, an._settled_q_ends(points), strict=True):
+            end = high if sign > 0 else low
+            if end is None:
+                continue
+            (coeff, a_eq, b_eq), _ = settle_lps(h, sign)
+            sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+            assert sol.optimal and (sol.x >= 0.0).all()
+            behavior = np.einsum("k,kabxy->abxy", sol.x, deterministic_behaviors())
+            cells = [behavior[cell] for cell in pr.H_CELLS]
+            assert np.abs(np.append(cells, sol.x.sum()) - b_eq).max() <= 1e-9
+            assert abs(behavior[0, 0, 1, 1] - end) <= 1e-9
+
+    def test_settled_tables_match_sdp_tables(self, monkeypatch):
+        # against the tables with every end of q solved by its relaxation
         dists = [pr.UNIFORM, pr.NONUNIFORM]
-        certified = an.build_gamma_grids(dists, 15, 2)
-        monkeypatch.setattr(an, "_q_zero_attained", lambda hs: [False] * len(hs))
+        settled = an.build_gamma_grids(dists, 15, 2)
+        monkeypatch.setattr(an, "_settled_q_ends", lambda hs: [[None, None] for _ in hs])
         solved = an.build_gamma_grids(dists, 15, 2)
-        for new, old in zip(certified, solved, strict=True):
-            assert (new.gammas[:, 1] == old.gammas[:, 1]).all()
-            assert (old.gammas[:, 0] - 1e-7 <= new.gammas[:, 0]).all()
-            assert (new.gammas[:, 0] <= old.gammas[:, 0]).all()
+        for new, old in zip(settled, solved, strict=True):
+            assert np.abs(new.gammas - old.gammas).max() <= 1e-7
+
+    def test_level_1_ends_clipped_to_unit_interval(self):
+        # at level 1 q is not a diagonal moment and its relaxation min falls
+        # below 0; every reported end lies in [0, 1], so gamma0 only falls
+        # against the relaxation's own q_min (up to its tolerance of 1e-8)
+        points = grid_points(15)
+        # P(A=1, B=1) = 1 makes nu = q
+        [brackets] = an._nu_bounds(points, [pr.SettingsDistribution(0.0, 0.0)], 1)
+        assert all(0.0 <= end <= 1.0 for bracket in brackets for end in bracket)
+        jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), "min") for h in points]
+        lows = [bound for bound, _ in npa.bound_functionals(1, jobs, 1e-8)]
+        assert min(lows) < -0.03
+        skewed = pr.SettingsDistribution(0.5, 0.1)
+        tables = an._gamma_bounds(points, [pr.UNIFORM, skewed], 1)
+        for dist, table in zip((pr.UNIFORM, skewed), tables, strict=True):
+            p10, p11 = dist.joint()[1]
+            drops = []
+            for h, (g0, _), low in zip(points, table, lows, strict=True):
+                sigma = an.sigma_from_h(h, dist)
+                if sigma > an._VACUOUS_TOL:
+                    unclipped = min(sigma / (sigma + max(0.0, p10 * h.h2 + p11 * low)), 1.0)
+                    assert g0 <= unclipped + 1e-8
+                    drops.append(unclipped - g0)
+            assert max(drops) > 1e-2
+
+    @pytest.mark.parametrize("h", [HVector(1, 0, 1, 0), HVector.from_eta(0.5)],
+                             ids=["corner", "eta-0.5"])
+    def test_settled_point_runs_no_sdp(self, monkeypatch, h):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no SDP may be built or solved")
+
+        for name in ("moment_template", "sdp_solve_batch", "sdp_solve"):
+            monkeypatch.setattr(npa, name, forbidden)
+        g0, g1 = an.gamma_tilde(h, pr.UNIFORM)
+        assert 0.0 <= g0 <= 1.0 and 0.0 <= g1 <= 1.0
 
 
 class TestGuessPrograms:

@@ -405,8 +405,8 @@ class TestTemplates:
         monkeypatch.setattr(npa, "sdp_solve", record_solve)
         monkeypatch.setattr(npa, "sdp_solve_batch", record_batch)
         build_gamma_grids([UNIFORM, NONUNIFORM], 15, 2)
-        assert sum(len(c.jobs) for c in calls) == 29
-        assert sum(c.built for c in calls) == 11
+        assert sum(len(c.jobs) for c in calls) == 8
+        assert sum(c.built for c in calls) == 3
         for c in calls:
             keys = [npa._template_key(equalities) for equalities, _, _ in c.jobs]
             assert c.built == len(set(keys))
