@@ -13,12 +13,13 @@ the sifting probability and the settings conditional entropy of the setup.
 The posterior weighs sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 against
 nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1).  The h pins fix
 sigma and h2, so the only bracket needed per h is the one on q, and it
-serves every settings distribution.  Linear programs settle an end of that
-bracket without an SDP wherever a mixture of the deterministic strategies
-reproduces h and attains the no-signalling bound on q, which contains the
-quantum set: the certified dual bound is then the exact quantum value.
-This holds at both ends wherever a local model exists at all (at grid
-resolution 15: every point with eta <= 0.845 and every corner).
+serves every settings distribution.  One linear program per end settles
+it without an SDP wherever the no-signalling bound on q, which contains
+the quantum set, is attained at a vertex that satisfies the CHSH
+inequalities: that vertex is local, so the certified dual bound is the
+exact quantum value.  This holds at both ends wherever a local model
+exists at all (at grid resolution 15: every point with eta <= 0.845 and
+every corner).
 
 The LPs of one grid and strategy differ only in h (and, for dropping, in
 the rescaled coefficients), so `guesses` solves them as one sweep: each LP
@@ -59,8 +60,8 @@ _VACUOUS_TOL = 1e-7
 _Q_CELL = (0, 0, 1, 1)
 # largest excess of an LP's dual bound over its basis' primal value
 _CERT_TOL = 1e-9
-# largest gap between a settled end of q and its local value, and largest
-# residual of the local witness
+# largest residual of a settling no-signalling vertex and largest excess of
+# its CHSH values over the local bound 2
 _SETTLE_TOL = 1e-9
 
 
@@ -90,11 +91,10 @@ def _h_equalities(h: HVector) -> list[tuple[np.ndarray, float]]:
 
 
 def _deterministic_images() -> np.ndarray:
-    """(16, 5) table of (h1, h2, h3, h4, q) over the local deterministic
-    strategies: strategy (a_0, a_1, b_0, b_1) answers setting A with a_A and
-    setting B with b_B, so its cell p(a, b | A, B) is 1 iff a_A = a and b_B = b."""
-    return np.array([[float(alice[sa] == a and bob[sb] == b)
-                      for a, b, sa, sb in H_CELLS + (_Q_CELL,)]
+    """(16, 4) table of h over the local deterministic strategies: strategy
+    (a_0, a_1, b_0, b_1) answers setting A with a_A and setting B with b_B,
+    so its cell p(a, b | A, B) is 1 iff a_A = a and b_B = b."""
+    return np.array([[float(alice[sa] == a and bob[sb] == b) for a, b, sa, sb in H_CELLS]
                      for alice in itertools.product(range(2), repeat=2)
                      for bob in itertools.product(range(2), repeat=2)])
 
@@ -112,60 +112,48 @@ def _no_signalling_rows() -> np.ndarray:
     return np.vstack([rows.reshape(8, 16)] + [npa.cell(*c).reshape(1, 16) for c in H_CELLS])
 
 
-_DETERMINISTIC_IMAGES = _deterministic_images()
 # h-images of the 16 strategies (8 are distinct)
 DETERMINISTIC_H_POINTS: tuple[HVector, ...] = tuple(
-    HVector(*t) for t in sorted({tuple(row[:4]) for row in _DETERMINISTIC_IMAGES.tolist()}))
-# local LP of `_settled_q_ends`: column k is (h_k, 1) of strategy k, objective q_k
-_LOCAL_LP = np.vstack([_DETERMINISTIC_IMAGES[:, :4].T, np.ones(16)])
-_LOCAL_Q = _DETERMINISTIC_IMAGES[:, 4]
+    HVector(*t) for t in sorted({tuple(row) for row in _deterministic_images().tolist()}))
 # no-signalling LP of `_settled_q_ends`, objective the q cell
 _NS_LP = _no_signalling_rows()
 _NS_Q = npa.cell(*_Q_CELL).ravel()
+# (8, 16) CHSH expressions, each sign pattern with an odd number of minus
+# signs: a no-signalling behavior is local iff all eight are <= 2 (Fine)
+_CHSH = np.array([npa.chsh_functional(np.reshape(w, (2, 2))).ravel()
+                  for w in itertools.product((1.0, -1.0), repeat=4) if np.prod(w) > 0])
 
 
 def _settled_q_ends(hs: list[HVector]) -> list[list[float | None]]:
-    """[q_min, q_max] at each h where linear programs settle that end, None
-    where it needs an SDP.
+    """[q_min, q_max] at each h where a linear program settles that end,
+    None where it needs an SDP.
 
-    Each end is the max of s q with s = +1 (max) or s = -1 (min), solved as
-    one sweep over hs per LP, each LP warm-started from the previous
-    point's basis as in `guesses`:
-    - the local value l: the max of s q over mixtures of the 16
-      deterministic strategies with statistics h (columns (h_k, 1)), kept
-      only where its witness meets (h, 1) within `_SETTLE_TOL`.  Local
-      behaviors are quantum, so no sound bound can be tighter than l.
-    - where l is the trivial bound (q in [0, 1]), the end is that bound.
-    - otherwise the no-signalling bound n: the max of s q over the cells
-      of a no-signalling behavior with statistics h, reported as the dual
-      bound of its final basis (`_box_dual_bound`), which bounds the
-      quantum set (Barrett et al., PRA 71, 022101, 2005) for all duals.
-      The end is n where that bound is within `_CERT_TOL` of the basis'
-      primal value and within `_SETTLE_TOL` of l.
-    Every other end (no local model, or a gap between l and n) is None.
+    Each end is the max of s q with s = +1 (max) or s = -1 (min) over the
+    cells of a no-signalling behavior with statistics h, solved as one
+    sweep over hs, each LP warm-started from the previous point's basis as
+    in `guesses`.  The end is reported as the dual bound of the final basis
+    (`_box_dual_bound`), which bounds the quantum set for all duals
+    (quantum is inside no-signalling; Barrett et al., PRA 71, 022101,
+    2005).  It is settled where the LP is optimal, its vertex meets the
+    rows within `_SETTLE_TOL`, the bound is within `_CERT_TOL` of the
+    primal value, and the vertex satisfies the eight CHSH inequalities
+    within `_SETTLE_TOL`: with two settings and two outcomes the vertex is
+    then local (Fine, PRL 48, 291, 1982), hence quantum, so no relaxation
+    can tighten the bound.  Every other end is None.
     """
     ends: list[list[float | None]] = [[None, None] for _ in hs]
     for side, sign in enumerate((-1.0, 1.0)):
-        local_c, ns_c, trivial = sign * _LOCAL_Q, sign * _NS_Q, max(0.0, sign)
-        local_basis = ns_basis = None
+        coeff, basis = sign * _NS_Q, None
         for h, settled in zip(hs, ends):
-            b_local = np.append(h.as_array(), 1.0)
-            local = lp_solve(LPProblem(c=local_c, a_eq=_LOCAL_LP, b_eq=b_local, maximize=True),
-                             local_basis)
-            local_basis = local.basis
-            if not local.optimal or local.residual > _SETTLE_TOL:
+            b_eq = np.concatenate([np.ones(4), np.zeros(4), h.as_array()])
+            sol = lp_solve(LPProblem(c=coeff, a_eq=_NS_LP, b_eq=b_eq, maximize=True), basis)
+            basis = sol.basis
+            if not sol.optimal or sol.residual > _SETTLE_TOL \
+                    or (_CHSH @ sol.x).max() > 2.0 + _SETTLE_TOL:
                 continue
-            if abs(local.value - trivial) <= _SETTLE_TOL:
-                settled[side] = trivial
-                continue
-            b_ns = np.concatenate([np.ones(4), np.zeros(4), h.as_array()])
-            sol = lp_solve(LPProblem(c=ns_c, a_eq=_NS_LP, b_eq=b_ns, maximize=True), ns_basis)
-            ns_basis = sol.basis
-            if not sol.optimal:
-                continue
-            bound = _box_dual_bound(_basis_duals(sol, ns_c, _NS_LP), ns_c, _NS_LP, b_ns)
-            if bound <= sol.value + _CERT_TOL and abs(bound - local.value) <= _SETTLE_TOL:
-                settled[side] = sign * bound
+            bound = _box_dual_bound(_basis_duals(sol, coeff, _NS_LP), coeff, _NS_LP, b_eq)
+            if bound <= sol.value + _CERT_TOL:
+                settled[side] = sign * bound + 0.0  # + 0.0 turns a min end of -0.0 into 0.0
     return ends
 
 
@@ -178,8 +166,8 @@ def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
     Each distribution's nu bracket is the image of the q bracket under that
     nondecreasing affine map.
 
-    An end of q that `_settled_q_ends` settles by linear programs is not
-    solved: there a local model attains the no-signalling bound, so no
+    An end of q that `_settled_q_ends` settles by its linear program is
+    not solved: there a local vertex attains the no-signalling bound, so no
     relaxation can tighten it.  Every other end is one job of a single
     batched `npa.bound_functionals` call.  Where an h-pinned solve stalls
     (the pin sits on the boundary of the relaxation, e.g. the noiseless
@@ -287,10 +275,10 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     be split into perfectly guessable populations).  The tables of all
     distributions come from one bracket on q = P(0,0|1,1) per point, mapped
     to each distribution's nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several
-    distributions cost the SDP work of one (`_nu_bounds`).  Linear programs
-    settle both ends wherever a local model reproduces the point
-    (`_settled_q_ends`; at grid resolution 15: 12 of the 15 segment points
-    and all 8 corners); every other end is one job of a single
+    distributions cost the SDP work of one (`_nu_bounds`).  One linear
+    program per end settles both ends wherever a local model reproduces
+    the point (`_settled_q_ends`; at grid resolution 15: 12 of the 15
+    segment points and all 8 corners); every other end is one job of a single
     `npa.bound_functionals` call, which polishes its stalled solves in one
     more batch.  Returns one grid per distribution.
     """

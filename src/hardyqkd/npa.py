@@ -414,8 +414,7 @@ def _lagrangian_bounds(level: int, jobs: list[Job], rho: float) -> list[float]:
             in zip(_solve_jobs(level, relaxed, 1e-10), shifts, strict=True)]
 
 
-def bound_functionals(level: int, jobs: list[Job],
-                      tol: float = 1e-8) -> list[tuple[float, SDPSolution]]:
+def bound_functionals(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
     """Bounds for several (equalities, objective, direction) jobs.
 
     Each relaxation is handed to the solver as the LMI of
@@ -432,25 +431,35 @@ def bound_functionals(level: int, jobs: list[Job],
     or residuals above `_POLISH_TOL` is polished: its first equality moves
     into the objective at the multiplier `_RHO` (`_lagrangian_bounds`), all
     polishes of the call in one more batch, and the job keeps the tighter of
-    its two values.  Returns (bound, pinned solution) per job.
+    its two values.  A max below the functional's minimum over all
+    behaviors (or a min above its maximum), as the polish of an infeasible
+    pin returns, raises `InfeasibleHError`.  Returns (bound, pinned
+    solution) per job.
     """
-    results = _solve_jobs(level, jobs, tol)
+    results = _solve_jobs(level, jobs, 1e-8)
     polish = [k for k, (_, sol) in enumerate(results) if jobs[k][0] and not sol.optimal
               and max(sol.gap, sol.primal_residual, sol.dual_residual) > _POLISH_TOL]
     for k, relaxed in zip(polish, _lagrangian_bounds(level, [jobs[k] for k in polish], _RHO),
                           strict=True):
         bound, sol = results[k]
         results[k] = (min(bound, relaxed) if jobs[k][2] == "max" else max(bound, relaxed), sol)
+    for (_, objective, direction), (bound, _) in zip(jobs, results, strict=True):
+        # each setting pair puts mass 1 on one of its four cells
+        sign, worst = (1.0, objective.min(axis=(0, 1)).sum()) if direction == "max" \
+            else (-1.0, objective.max(axis=(0, 1)).sum())
+        if sign * (worst - bound) > _ACCEPT_TOL:
+            raise InfeasibleHError(
+                f"{direction} bound {bound:.6g} lies beyond {worst:.6g}, the functional's "
+                "extreme over all behaviors: no behavior meets the equalities")
     return results
 
 
 def bound_functional(level: int,
                      equalities: list[tuple[np.ndarray, float]],
                      objective: np.ndarray,
-                     direction: str,
-                     tol: float = 1e-8) -> float:
+                     direction: str) -> float:
     """Bound on a functional: the one-job case of `bound_functionals`."""
-    return bound_functionals(level, [(equalities, objective, direction)], tol)[0][0]
+    return bound_functionals(level, [(equalities, objective, direction)])[0][0]
 
 
 def _symmetry_classes(branches: list[SettingsDistribution]) \

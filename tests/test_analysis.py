@@ -1,5 +1,6 @@
 """Guessing-bound and key-rate tests against known endpoint values."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -300,11 +301,18 @@ def grid_points(resolution):
 
 
 def settle_lps(h, sign):
-    """The local and the no-signalling LP of one end of q at h, maximizing
-    sign * q, as (coeff, a_eq, b_eq) pairs."""
-    return ((sign * an._LOCAL_Q, an._LOCAL_LP, np.append(h.as_array(), 1.0)),
-            (sign * an._NS_Q, an._NS_LP,
-             np.concatenate([np.ones(4), np.zeros(4), h.as_array()])))
+    """The no-signalling LP of one end of q at h, maximizing sign * q, as
+    (coeff, a_eq, b_eq)."""
+    return sign * an._NS_Q, an._NS_LP, np.concatenate([np.ones(4), np.zeros(4), h.as_array()])
+
+
+def chsh_values(x):
+    """The eight CHSH expressions of a behavior given as its 16 cells
+    p[a, b, A, B]: each correlator sum with an odd number of minus signs."""
+    p = np.reshape(x, (2, 2, 2, 2))
+    corr = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
+    return [float((np.reshape(signs, (2, 2)) * corr).sum())
+            for signs in itertools.product((1, -1), repeat=4) if np.prod(signs) < 0]
 
 
 class TestSettledEnds:
@@ -316,18 +324,21 @@ class TestSettledEnds:
         assert settled == [True] * 12 + [False] * 3 + [True] * 8
         assert all(pair == [None, None] for pair in ends[12:15])
 
+    @pytest.mark.parametrize("resolution, calls", [(15, 46), (3, 22)])
+    def test_one_lp_per_end_and_point(self, monkeypatch, resolution, calls):
+        made = []
+        solve = an.lp_solve
+        monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(1) or solve(*args))
+        an._settled_q_ends(grid_points(resolution))
+        assert len(made) == calls == 2 * len(grid_points(resolution))
+
     def test_failed_certificate_leaves_end_to_sdp(self, monkeypatch):
-        # a dual bound off its basis' primal value settles nothing; only the
-        # ends at the trivial bounds 0 and 1, which need no certificate, stay
-        points = grid_points(15)
-        before = an._settled_q_ends(points)
+        # a dual bound off its basis' primal value settles nothing, not even
+        # an end at the trivial bound 0 or 1
         box = an._box_dual_bound
         monkeypatch.setattr(an, "_box_dual_bound", lambda *args: box(*args) + 1e-6)
-        after = an._settled_q_ends(points)
-        for old, new in zip(before, after, strict=True):
-            assert new == [old[0] if old[0] == 0.0 else None,
-                           old[1] if old[1] == 1.0 else None]
-        assert sum(e is None for pair in after for e in pair) > 6
+        ends = an._settled_q_ends(grid_points(15))
+        assert all(pair == [None, None] for pair in ends)
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_settled_ends_match_direct_sdp(self, level):
@@ -344,7 +355,7 @@ class TestSettledEnds:
                     settled.append(end)
         assert len(jobs) == 40
         for (_, _, direction), end, (bound, _) in zip(
-                jobs, settled, npa.bound_functionals(level, jobs, 1e-8), strict=True):
+                jobs, settled, npa.bound_functionals(level, jobs), strict=True):
             assert abs(end - bound) <= 1e-7
             if direction == "max":
                 assert bound >= end - 1e-8
@@ -356,7 +367,7 @@ class TestSettledEnds:
         rng = np.random.default_rng(29)
         for h in [HVector.from_eta(eta) for eta in (0.0, 0.4, 0.8, 1.0)] \
                 + list(an.DETERMINISTIC_H_POINTS):
-            _, (coeff, a_eq, b_eq) = settle_lps(h, sign)
+            coeff, a_eq, b_eq = settle_lps(h, sign)
             optimum = cold_value(coeff, a_eq, b_eq)
             for _ in range(200):
                 y = rng.normal(size=12) * 10.0 ** rng.uniform(-3.0, 2.0)
@@ -365,26 +376,38 @@ class TestSettledEnds:
     def test_realizations_meet_the_no_signalling_rows(self):
         for eta in (0.0, 0.5, 1.0):
             behavior = q.hardy_behavior(eta)
-            _, (_, a_eq, b_eq) = settle_lps(HVector.from_eta(eta), 1.0)
+            _, a_eq, b_eq = settle_lps(HVector.from_eta(eta), 1.0)
             assert np.abs(a_eq @ behavior.p.ravel() - b_eq).max() <= 1e-12
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
-    def test_local_witness_reproduces_h(self, sign):
-        # the optimal mixture of deterministic strategies, rebuilt as a
-        # behavior from its own strategy tables, has the statistics h, is
-        # normalized and attains the settled end
-        points = grid_points(15)
-        for h, (low, high) in zip(points, an._settled_q_ends(points), strict=True):
-            end = high if sign > 0 else low
-            if end is None:
-                continue
-            (coeff, a_eq, b_eq), _ = settle_lps(h, sign)
-            sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
-            assert sol.optimal and (sol.x >= 0.0).all()
-            behavior = np.einsum("k,kabxy->abxy", sol.x, deterministic_behaviors())
-            cells = [behavior[cell] for cell in pr.H_CELLS]
-            assert np.abs(np.append(cells, sol.x.sum()) - b_eq).max() <= 1e-9
-            assert abs(behavior[0, 0, 1, 1] - end) <= 1e-9
+    @pytest.mark.parametrize("resolution", [15, 41])
+    def test_settling_vertex_is_a_local_mixture(self, resolution):
+        # at every settled end the cold no-signalling vertex attains the end
+        # and a mixture of the deterministic strategies, found by an LP over
+        # their own tables, reproduces all 16 of its cells; where no end
+        # settles (eta > 0.845) the vertex violates CHSH and no mixture
+        # exists
+        strategies = deterministic_behaviors().reshape(16, 16)
+        mixture = np.vstack([strategies.T, np.ones(16)])
+        points = grid_points(resolution)
+        for h, pair in zip(points, an._settled_q_ends(points), strict=True):
+            for sign, end in zip((-1.0, 1.0), pair):
+                coeff, a_eq, b_eq = settle_lps(h, sign)
+                vertex = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+                assert vertex.optimal
+                local = lp_solve(LPProblem(c=np.zeros(16), a_eq=mixture,
+                                           b_eq=np.append(vertex.x, 1.0)))
+                if end is None:
+                    assert max(chsh_values(vertex.x)) > 2.0 + 1e-9
+                    assert local.status == "infeasible"
+                    continue
+                assert abs(sign * vertex.value - end) <= 1e-9
+                assert local.optimal and (local.x >= 0.0).all()
+                assert np.abs(local.x @ strategies - vertex.x).max() <= 1e-9
+
+    def test_chsh_rows_are_the_eight_inequalities(self):
+        assert len({tuple(row) for row in an._CHSH}) == 8
+        for x in np.random.default_rng(3).uniform(size=(20, 16)):
+            assert sorted(an._CHSH @ x) == pytest.approx(sorted(chsh_values(x)), abs=1e-12)
 
     def test_settled_tables_match_sdp_tables(self, monkeypatch):
         # against the tables with every end of q solved by its relaxation
@@ -404,7 +427,7 @@ class TestSettledEnds:
         [brackets] = an._nu_bounds(points, [pr.SettingsDistribution(0.0, 0.0)], 1)
         assert all(0.0 <= end <= 1.0 for bracket in brackets for end in bracket)
         jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), "min") for h in points]
-        lows = [bound for bound, _ in npa.bound_functionals(1, jobs, 1e-8)]
+        lows = [bound for bound, _ in npa.bound_functionals(1, jobs)]
         assert min(lows) < -0.03
         skewed = pr.SettingsDistribution(0.5, 0.1)
         tables = an._gamma_bounds(points, [pr.UNIFORM, skewed], 1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardyqkd import npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H_POINTS, build_gamma_grids
-from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
+from hardyqkd.errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
 from hardyqkd.protocol import H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution
 from hardyqkd.solvers.sdp import prune_dependent_constraints
 from oracles import evaluate, nu_functional, realization_moment_matrix
@@ -185,6 +185,18 @@ class TestBounds:
         with pytest.raises(InfeasibleHError):
             npa.bound_functional(2, eqs, obj, "max")
 
+    @pytest.mark.parametrize("excess", [1e-3, 3e-4])
+    def test_pin_beyond_tsirelson_raises(self, excess):
+        # the polish of an infeasible pin used to return a max of P(a=0|A=0)
+        # below 0 (-3.0 and -0.2) instead of raising; the min job raises in
+        # its pinned solve
+        eqs = [(npa.chsh_functional(), npa.TSIRELSON + excess)]
+        marginal = npa.cell(0, 0, 0, 0) + npa.cell(0, 1, 0, 0)
+        with pytest.raises(InfeasibleHError):
+            npa.bound_functional(1, eqs, marginal, "max")
+        with pytest.raises(SolverFailure):
+            npa.bound_functional(1, eqs, marginal, "min")
+
 
 class TestChshGuess:
     def test_unbiased_tsirelson_gives_half(self):
@@ -259,16 +271,16 @@ class TestBranchSymmetry:
         # built here, not through the reduction, so that both members are solved
         exprs = [npa.chsh_functional(4.0 * SettingsDistribution(p_a, pb).joint())
                  for pb in (p_b, 1.0 - p_b)]
-        qmax = [b for b, _ in npa.bound_functionals(
-            2, [([], expr, "max") for expr in exprs], tol=1e-10)]
+        qmax = [b for b, _ in npa._solve_jobs(
+            2, [([], expr, "max") for expr in exprs], 1e-10)]
         pinned = [b for b, _ in npa.bound_functionals(2, [
             ([(expr, npa.TSIRELSON)], marg, "max")
             for expr in exprs for marg in chsh_marginals()])]
         # penalized bounds scale with rho, so they are compared relative to size
-        penalized = [b for b, _ in npa.bound_functionals(2, [
+        penalized = [b for b, _ in npa._solve_jobs(2, [
             ([], marg + rho * expr, "max")
             for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)],
-            tol=1e-10)]
+            1e-10)]
         assert qmax[0] == pytest.approx(qmax[1], abs=1e-7)
         assert pinned[:2] == pytest.approx(pinned[2:], abs=1e-7)
         assert penalized[:6] == pytest.approx(penalized[6:], rel=1e-7)

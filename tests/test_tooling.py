@@ -27,20 +27,29 @@ def test_every_traced_name_exists(monkeypatch):
 ROOT = TRACING.parents[1]
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function, a class or the
+    plain names a module-level assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) \
+        else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
 def test_every_package_definition_is_used_outside_tests():
-    # a top-level function or class that only the tests name is API kept
-    # for the tests alone; such checks belong in tests/oracles.py
+    # a top-level function, class or constant that only the tests name is
+    # API kept for the tests alone; such checks belong in tests/oracles.py
     sources = {path: path.read_text().splitlines()
                for folder in ("src", "scripts", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))}
     unused = []
     for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
             own = range(node.lineno - 1, node.end_lineno)
-            if not any(word.search(line) for other, lines in sources.items()
-                       for k, line in enumerate(lines) if other != path or k not in own):
-                unused.append(f"{path.relative_to(ROOT)}:{node.name}")
+            for name in _defined_names(node):
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not any(word.search(line) for other, lines in sources.items()
+                           for k, line in enumerate(lines) if other != path or k not in own):
+                    unused.append(f"{path.relative_to(ROOT)}:{name}")
     assert not unused
