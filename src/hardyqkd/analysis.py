@@ -21,13 +21,14 @@ exact quantum value.  This holds at both ends wherever a local model
 exists at all (at grid resolution 15: every point with eta <= 0.845 and
 every corner).
 
-The LPs of one grid and strategy differ only in h (and, for dropping, in
-the rescaled coefficients), so `guesses` solves them as one sweep: each LP
-starts from the previous one's optimal basis, which along an eta sweep is
-usually still optimal.  Each returned guess is the dual bound of its final
-basis, y.(h, 1) + max_k (f_k - y.(h_k, 1))_+ with y = B^-T c_B, which is an
-upper bound for every y; it is accepted only within 1e-9 of the basis'
-primal value.
+Both LP families run through one sweep (`_sweep`): the LPs of one family
+differ only in the right-hand side (and, for dropping, in the rescaled
+coefficients), so each starts from the previous one's final basis, which
+along an eta sweep is usually still optimal.  Every variable of either
+family lies in [0, 1] (a behavior's cell, or a decomposition weight with
+sum_k w_k = 1), so the dual bound y.b + sum_k (f_k - y.a_k)_+ of the final
+basis, y = B^-T c_B, bounds its optimum for every y.  A value is reported
+only as that bound, and only within 1e-9 of the basis' primal value.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,29 +132,23 @@ def _settled_q_ends(hs: list[HVector]) -> list[list[float | None]]:
 
     Each end is the max of s q with s = +1 (max) or s = -1 (min) over the
     cells of a no-signalling behavior with statistics h, solved as one
-    sweep over hs, each LP warm-started from the previous point's basis as
-    in `guesses`.  The end is reported as the dual bound of the final basis
-    (`_box_dual_bound`), which bounds the quantum set for all duals
-    (quantum is inside no-signalling; Barrett et al., PRA 71, 022101,
-    2005).  It is settled where the LP is optimal, its vertex meets the
-    rows within `_SETTLE_TOL`, the bound is within `_CERT_TOL` of the
-    primal value, and the vertex satisfies the eight CHSH inequalities
-    within `_SETTLE_TOL`: with two settings and two outcomes the vertex is
-    then local (Fine, PRL 48, 291, 1982), hence quantum, so no relaxation
-    can tighten the bound.  Every other end is None.
+    `_sweep` over hs.  The end is reported as the dual bound of the final
+    basis, which bounds the quantum set for all duals (quantum is inside
+    no-signalling; Barrett et al., PRA 71, 022101, 2005).  It is settled
+    where the LP is optimal, its vertex meets the rows within
+    `_SETTLE_TOL`, the bound is within `_CERT_TOL` of the primal value, and
+    the vertex satisfies the eight CHSH inequalities within `_SETTLE_TOL`:
+    with two settings and two outcomes the vertex is then local (Fine, PRL
+    48, 291, 1982), hence quantum, so no relaxation can tighten the bound.
+    Every other end is None.
     """
     ends: list[list[float | None]] = [[None, None] for _ in hs]
+    b_eqs = [np.concatenate([np.ones(4), np.zeros(4), h.as_array()]) for h in hs]
     for side, sign in enumerate((-1.0, 1.0)):
-        coeff, basis = sign * _NS_Q, None
-        for h, settled in zip(hs, ends):
-            b_eq = np.concatenate([np.ones(4), np.zeros(4), h.as_array()])
-            sol = lp_solve(LPProblem(c=coeff, a_eq=_NS_LP, b_eq=b_eq, maximize=True), basis)
-            basis = sol.basis
-            if not sol.optimal or sol.residual > _SETTLE_TOL \
-                    or (_CHSH @ sol.x).max() > 2.0 + _SETTLE_TOL:
-                continue
-            bound = _box_dual_bound(_basis_duals(sol, coeff, _NS_LP), coeff, _NS_LP, b_eq)
-            if bound <= sol.value + _CERT_TOL:
+        coeffs = np.broadcast_to(sign * _NS_Q, (len(hs), _NS_Q.size))
+        for settled, (sol, bound) in zip(ends, _sweep(_NS_LP, b_eqs, coeffs), strict=True):
+            if sol.optimal and sol.residual <= _SETTLE_TOL and bound <= sol.value + _CERT_TOL \
+                    and (_CHSH @ sol.x).max() <= 2.0 + _SETTLE_TOL:
                 settled[side] = sign * bound + 0.0  # + 0.0 turns a min end of -0.0 into 0.0
     return ends
 
@@ -300,50 +296,26 @@ def build_gamma_grid(dist: SettingsDistribution,
 
 def _dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
                 b_eq: np.ndarray) -> float:
-    """y.b + max_k (coeff_k - y.a_k)_+, an upper bound for every y on
-    max coeff.w over w >= 0 with a_eq w = b_eq, whose last row is sum_k w_k = 1.
-
-    sum_k w_k coeff_k = y.b + sum_k w_k (coeff_k - y.a_k), and the weights
-    sum to 1.
-    """
-    return float(y @ b_eq) + max(0.0, float((coeff - y @ a_eq).max()))
-
-
-def _box_dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
-                    b_eq: np.ndarray) -> float:
     """y.b + sum_k (coeff_k - y.a_k)_+, an upper bound for every y on
     max coeff.x over x in [0, 1]^n with a_eq x = b_eq.
 
     coeff.x = y.b + sum_k x_k (coeff_k - y.a_k), and each x_k lies in
-    [0, 1], as each cell of a behavior does.
+    [0, 1], as each cell of a behavior and each decomposition weight does.
     """
     return float(y @ b_eq) + float(np.maximum(coeff - y @ a_eq, 0.0).sum())
 
 
-def _basis_duals(sol: LPSolution, coeff: np.ndarray, a_eq: np.ndarray) -> np.ndarray:
-    """y = B^-T c_B of the final basis of max coeff.x s.t. a_eq x = b_eq."""
-    b_mat = a_eq[:, sol.basis]
-    if b_mat.shape[0] == b_mat.shape[1]:
-        return np.linalg.solve(b_mat.T, coeff[sol.basis])
-    # phase 1 dropped redundant rows (e.g. a gamma grid without the corners)
-    return np.linalg.lstsq(b_mat.T, coeff[sol.basis], rcond=None)[0]
-
-
-def _certified_value(sol: LPSolution, coeff: np.ndarray, a_eq: np.ndarray,
-                     b_eq: np.ndarray) -> float:
-    """The dual bound of the final basis of a decomposition LP, y = B^-T c_B.
-
-    Raises unless it is within `_CERT_TOL` of the basis' primal value.
-    """
-    if sol.status == "infeasible":
-        raise DecompositionInfeasibleError(
-            "h lies outside the convex hull of the gamma grid")
-    bound = _dual_bound(_basis_duals(sol, coeff, a_eq), coeff, a_eq, b_eq)
-    if not bound <= sol.value + _CERT_TOL:
-        raise DecompositionInfeasibleError(
-            f"decomposition LP ended {sol.status}: its dual bound {bound:.12g} "
-            f"exceeds the primal value {sol.value:.12g} by more than {_CERT_TOL:g}")
-    return bound
+def _sweep(a_eq: np.ndarray, b_eqs: list[np.ndarray],
+           coeffs: np.ndarray) -> Iterator[tuple[LPSolution, float]]:
+    """Maximize coeff.x s.t. a_eq x = b_eq, x >= 0 for each pair in turn,
+    each LP from the final basis of the one before.  Yields each solution
+    with the `_dual_bound` of its duals (NaN where it reached no basis),
+    certified iff at most `_CERT_TOL` above the solution's value."""
+    basis = None
+    for b_eq, coeff in zip(b_eqs, coeffs, strict=True):
+        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True), basis)
+        basis = sol.basis
+        yield sol, _dual_bound(sol.duals, coeff, a_eq, b_eq) if sol.duals.size else np.nan
 
 
 def guesses(hs: list[HVector], grid: GammaGrid,
@@ -356,8 +328,9 @@ def guesses(hs: list[HVector], grid: GammaGrid,
     into populations at grid points and guesses each with its better
     posterior: f = max(gamma0, gamma1) for the basic strategy, and
     f = max(gamma0 / 2 pa0, gamma1 / 2 pa1) with the (pa0, pa1) of each h in
-    `priors` for the dropping strategy.  Each LP starts from the optimal
-    basis of the one before, and its value is its certified dual bound.
+    `priors` for the dropping strategy.  The LPs are one `_sweep`; each
+    value is its certified dual bound, and an uncertified one raises
+    `DecompositionInfeasibleError`.
     """
     gammas = grid.gammas
     if priors is None:
@@ -367,13 +340,14 @@ def guesses(hs: list[HVector], grid: GammaGrid,
         if (pa <= 0.0).any():
             raise ZeroPosteriorError("dropping requires both setting values to occur")
         coeffs = (gammas / (2.0 * pa)).max(axis=2)
-    a_eq = grid.lp_matrix
-    values, basis = [], None
-    for h, coeff in zip(hs, coeffs, strict=True):
-        b_eq = np.append(h.as_array(), 1.0)
-        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True), basis)
-        values.append(min(1.0, _certified_value(sol, coeff, a_eq, b_eq)))
-        basis = sol.basis
+    values = []
+    for sol, bound in _sweep(grid.lp_matrix, [np.append(h.as_array(), 1.0) for h in hs], coeffs):
+        if not bound <= sol.value + _CERT_TOL:
+            raise DecompositionInfeasibleError(
+                "h lies outside the convex hull of the gamma grid" if sol.status == "infeasible"
+                else f"decomposition LP ended {sol.status}: its dual bound {bound:.12g} "
+                f"exceeds the primal value {sol.value:.12g} by more than {_CERT_TOL:g}")
+        values.append(min(1.0, bound))
     return values
 
 

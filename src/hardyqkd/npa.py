@@ -505,7 +505,8 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     sits at the quantum maximum the equality pins a degenerate face and the
     pinned solve stalls; `bound_functionals` then polishes it like any other
     stalled pinned job.  Raises `InfeasibleHError` when the observed value
-    exceeds a branch's quantum maximum.
+    exceeds a branch's quantum maximum, or (as a value just above it can
+    pass that check) when a guess falls more than `_ACCEPT_TOL` below 1/2.
     """
     reps, index = _symmetry_classes(branches)
     exprs = [chsh_functional(4.0 * rep.joint()) for rep in reps]
@@ -521,8 +522,11 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     # job 2k + a bounds P(a | A=0) for representative k
     jobs = [([(expr, observed_value)], marg, "max") for expr in exprs for marg in margs]
     vals = [bound for bound, _ in bound_functionals(level, jobs)]
-    bounds = [min(max(0.0, *vals[2 * k:2 * k + 2]), 1.0) for k in range(len(reps))]
-    return [bounds[k] for k in index]
+    guesses = [float(max(vals[2 * k:2 * k + 2])) for k in range(len(reps))]
+    if min(guesses) < 0.5 - _ACCEPT_TOL:  # P(0 | A=0) + P(1 | A=0) = 1
+        raise InfeasibleHError(f"guess {min(guesses):.6f} lies below 1/2: no behavior "
+                               f"meets the observed value {observed_value:.6f}")
+    return [min(guesses[k], 1.0) for k in index]
 
 
 def chsh_outcome_guess_bound(branch: SettingsDistribution,

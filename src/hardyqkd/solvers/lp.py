@@ -59,6 +59,8 @@ class LPSolution:
     residual: float = field(default=np.nan)
     # basic column per kept row of the final tableau; empty when phase 1 failed
     basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # y = B^-T c_B of the final basis, one per row of a_eq; empty with `basis`
+    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def optimal(self) -> bool:
@@ -161,7 +163,9 @@ def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, np.ndarray
 
 
 def lp_solve(problem: LPProblem, basis: np.ndarray | None = None) -> LPSolution:
-    """Solve an equality-form LP; returns a basic solution and its basis.
+    """Solve an equality-form LP; returns a basic solution, its basis and
+    that basis' duals y = B^-T c_B for `problem.c` (least squares where
+    phase 1 dropped redundant rows), so an optimal y.b is the value.
 
     Phase 2 starts from `basis` when it is given, nonsingular and primal
     feasible at `problem.b_eq`; otherwise phase 1 finds a feasible basis
@@ -192,4 +196,7 @@ def lp_solve(problem: LPProblem, basis: np.ndarray | None = None) -> LPSolution:
     residual = float(np.linalg.norm(a @ x - b, ord=np.inf))
     if status == "optimal" and residual > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
         status = "numerical-breakdown"  # degraded basis; do not certify
-    return LPSolution(x, value, status, it1 + it2, residual, basis)
+    b_mat_t, c_b = a[:, basis].T, problem.c[basis]
+    duals = np.linalg.solve(b_mat_t, c_b) if basis.size == b.size \
+        else np.linalg.lstsq(b_mat_t, c_b, rcond=None)[0]
+    return LPSolution(x, value, status, it1 + it2, residual, basis, duals)

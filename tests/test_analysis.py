@@ -1,5 +1,6 @@
 """Guessing-bound and key-rate tests against known endpoint values."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -325,18 +326,24 @@ class TestSettledEnds:
         assert all(pair == [None, None] for pair in ends[12:15])
 
     @pytest.mark.parametrize("resolution, calls", [(15, 46), (3, 22)])
-    def test_one_lp_per_end_and_point(self, monkeypatch, resolution, calls):
+    def test_one_lp_per_end_and_point(self, grids15, monkeypatch, resolution, calls):
+        # every LP of both families goes through the name the tracer patches
         made = []
         solve = an.lp_solve
         monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(1) or solve(*args))
         an._settled_q_ends(grid_points(resolution))
         assert len(made) == calls == 2 * len(grid_points(resolution))
+        hs = [HVector.from_eta(float(eta)) for eta in ETAS51]
+        for priors in (None, [(0.4, 0.6)] * len(hs)):
+            made.clear()
+            an.guesses(hs, grids15["uniform"], priors)
+            assert len(made) == len(hs)
 
     def test_failed_certificate_leaves_end_to_sdp(self, monkeypatch):
         # a dual bound off its basis' primal value settles nothing, not even
         # an end at the trivial bound 0 or 1
-        box = an._box_dual_bound
-        monkeypatch.setattr(an, "_box_dual_bound", lambda *args: box(*args) + 1e-6)
+        bound = an._dual_bound
+        monkeypatch.setattr(an, "_dual_bound", lambda *args: bound(*args) + 1e-6)
         ends = an._settled_q_ends(grid_points(15))
         assert all(pair == [None, None] for pair in ends)
 
@@ -371,7 +378,7 @@ class TestSettledEnds:
             optimum = cold_value(coeff, a_eq, b_eq)
             for _ in range(200):
                 y = rng.normal(size=12) * 10.0 ** rng.uniform(-3.0, 2.0)
-                assert an._box_dual_bound(y, coeff, a_eq, b_eq) >= optimum - 1e-12
+                assert an._dual_bound(y, coeff, a_eq, b_eq) >= optimum - 1e-12
 
     def test_realizations_meet_the_no_signalling_rows(self):
         for eta in (0.0, 0.5, 1.0):
@@ -513,22 +520,26 @@ class TestWarmSweep:
                 "shuffled": np.random.default_rng(3).permutation(ETAS51)}[order]
         dist = pr.UNIFORM if label == "uniform" else pr.NONUNIFORM
         grid = grids15[label]
-        solve, certify = an.lp_solve, an._certified_value
-        usable, certified = [], []
+        solve, sweep = an.lp_solve, an._sweep
+        usable, swept = [], []
 
         def recording_solve(problem, basis=None):
             if basis is not None:
                 usable.append(lp._warm_rows(problem.a_eq, problem.b_eq, basis) is not None)
             return solve(problem, basis)
 
-        def recording_certify(*args):
-            certified.append(value := certify(*args))
-            return value
+        def recording_sweep(*args):
+            for result in sweep(*args):
+                swept.append(result)
+                yield result
 
         monkeypatch.setattr(an, "lp_solve", recording_solve)
-        monkeypatch.setattr(an, "_certified_value", recording_certify)
+        monkeypatch.setattr(an, "_sweep", recording_sweep)
         reports = an.key_rates(etas, dist, grid, dropping)
-        assert len(usable) == len(certified) - 1 == len(etas) - 1
+        assert len(usable) == len(swept) - 1 == len(etas) - 1
+        for (sol, bound), r in zip(swept, reports, strict=True):
+            assert sol.optimal and bound <= sol.value + an._CERT_TOL
+            assert r.guess == min(1.0, bound)
         for eta, r in zip(etas, reports, strict=True):
             prior = (r.pa0, r.pa1) if dropping else None
             cold = min(1.0, cold_value(*decomposition_lp(grid, float(eta), prior)))
@@ -536,6 +547,14 @@ class TestWarmSweep:
         assert any(usable)
         if order != "ascending":
             assert not all(usable)  # some starts were infeasible at the next h
+
+
+def stale_solve(monkeypatch, **changes):
+    """Route `analysis.lp_solve` to a solve of the problem with `changes`
+    applied: a solver that returns a basis and duals of another program."""
+    solve = an.lp_solve
+    monkeypatch.setattr(an, "lp_solve", lambda problem, basis=None: solve(
+        dataclasses.replace(problem, **changes), basis))
 
 
 class TestDualCertificate:
@@ -551,33 +570,56 @@ class TestDualCertificate:
 
     def test_nonoptimal_start_ends_at_cold_value(self, grids15):
         coeff, a_eq, b_eq = decomposition_lp(grids15["nonuniform"], 0.9, (0.3, 0.7))
-        # the minimizing basis is feasible at b but not optimal for the maximum
-        low = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq))
-        with pytest.raises(SolverFailure):
-            an._certified_value(low, coeff, a_eq, b_eq)
-        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True), low.basis)
+        # the first LP's (minimizing) basis is feasible at b but not optimal
+        # for the maximum, so its bound with coeff is not certified
+        (low, _), (sol, bound) = an._sweep(a_eq, [b_eq, b_eq], np.stack([-coeff, coeff]))
+        assert an._dual_bound(-low.duals, coeff, a_eq, b_eq) > -low.value + 1e-3
         assert sol.iterations > 0
         cold = cold_value(coeff, a_eq, b_eq)
-        assert cold > low.value + 1e-3
-        assert abs(an._certified_value(sol, coeff, a_eq, b_eq) - cold) <= 1e-12
+        assert cold > -low.value + 1e-3
+        assert bound <= sol.value + an._CERT_TOL
+        assert abs(bound - cold) <= 1e-12
+
+    def test_nonoptimal_basis_is_rejected(self, grids15, monkeypatch):
+        stale_solve(monkeypatch, maximize=False)
+        with pytest.raises(SolverFailure, match="dual bound"):
+            an.guesses([HVector.from_eta(0.9)], grids15["nonuniform"], [(0.3, 0.7)])
 
     @pytest.mark.parametrize("label", ["uniform", "nonuniform"])
-    def test_tampered_coefficient_is_rejected(self, grids15, label):
-        coeff, a_eq, b_eq = decomposition_lp(grids15[label], 0.95)
+    def test_tampered_coefficient_is_rejected(self, grids15, monkeypatch, label):
+        grid = grids15[label]
+        coeff, a_eq, b_eq = decomposition_lp(grid, 0.95)
         sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
-        assert an._certified_value(sol, coeff, a_eq, b_eq) == pytest.approx(sol.value, abs=1e-12)
-        y = np.linalg.solve(a_eq[:, sol.basis].T, coeff[sol.basis])
+        assert an._dual_bound(sol.duals, coeff, a_eq, b_eq) == \
+            pytest.approx(sol.value, abs=1e-12)
         k = np.setdiff1d(np.arange(coeff.size), sol.basis)[0]
-        tampered = coeff.copy()
-        tampered[k] = y @ a_eq[:, k] + 1e-6  # now worth a positive weight
+        worth = float(sol.duals @ a_eq[:, k]) + 1e-6  # now worth a positive weight
+        points = list(grid.points)
+        points[k] = an.GammaPoint(h=points[k].h, gamma0=worth, gamma1=worth, eta=points[k].eta)
+        tampered = an.GammaGrid(points=points, level=grid.level, dist_label=grid.dist_label)
+        # the solve still sees the true coefficients and stops at their optimum
+        stale_solve(monkeypatch, c=coeff)
         with pytest.raises(SolverFailure, match="dual bound"):
-            an._certified_value(sol, tampered, a_eq, b_eq)
+            an.guesses([HVector.from_eta(0.95)], tampered)
 
     def test_hull_violation_is_named(self, grids15):
-        coeff, a_eq, _ = decomposition_lp(grids15["uniform"], 0.5)
-        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=[2.0, 0, 0, 0, 1], maximize=True))
         with pytest.raises(SolverFailure, match="convex hull"):
-            an._certified_value(sol, coeff, a_eq, np.array([2.0, 0, 0, 0, 1]))
+            an.guesses([HVector(2.0, 0.0, 0.0, 0.0)], grids15["uniform"])
+
+    def test_segment_grid_drops_rows_and_matches_cold_solves(self, grids15):
+        # h(eta) is affine in eta, so the segment-only LP matrix has rank 2
+        # of 5 rows: phase 1 drops three, and the duals are least-squares
+        full = grids15["nonuniform"]
+        grid = an.GammaGrid(points=full.segment_points(), level=full.level,
+                            dist_label=full.dist_label)
+        assert np.linalg.matrix_rank(grid.lp_matrix) == 2
+        etas = [float(eta) for eta in np.linspace(0.0, 1.0, 21)]
+        hs = [HVector.from_eta(eta) for eta in etas]
+        coeffs = np.broadcast_to(grid.gammas.max(axis=1), (len(hs), len(grid.points)))
+        swept = an._sweep(grid.lp_matrix, [np.append(h.as_array(), 1.0) for h in hs], coeffs)
+        assert all(sol.basis.size == 2 and sol.duals.size == 5 for sol, _ in swept)
+        for eta, value in zip(etas, an.guesses(hs, grid), strict=True):
+            assert abs(value - min(1.0, cold_value(*decomposition_lp(grid, eta)))) <= 1e-12
 
 
 class TestKeyRates:

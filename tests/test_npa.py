@@ -230,6 +230,20 @@ class TestChshGuess:
             npa.chsh_outcome_guess_bound(UNIFORM, 2 * np.sqrt(2) + 0.01,
                                          level=2)
 
+    @pytest.mark.parametrize("level, excess", [(2, 1e-7), (2, 5e-7), (3, 5e-7)])
+    def test_pin_just_above_tsirelson_raises(self, level, excess):
+        # such a pin passes the 1e-6 slack of the maximum check, and its
+        # polish gave guesses below 1/2 (0.49962, 0.49802, 0.49842)
+        with pytest.raises(InfeasibleHError, match="below 1/2"):
+            npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON + excess, level)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_bounds_are_plain_floats(self, level):
+        from hardyqkd.protocol import biased_branches
+        branches = [UNIFORM] + list(biased_branches(UNIFORM, 0.05).branches)
+        vals = npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level)
+        assert [type(v) for v in vals] == [float] * len(branches)
+
 
 def chsh_marginals():
     """P(a | A=0) = sum_b p(a, b | 0, 0) for a = 0, 1 as cell tables."""

@@ -58,6 +58,7 @@ def test_redundant_equality_pruned():
 def test_infeasible():
     sol = lp_solve(LPProblem(c=[1, 1], a_eq=[[1, 1], [1, 1]], b_eq=[1, 2]))
     assert sol.status == "infeasible"
+    assert sol.basis.size == 0 and sol.duals.size == 0
 
 
 def test_unbounded():
@@ -175,8 +176,37 @@ def test_unusable_start_runs_both_phases(basis):
 
 
 def test_redundant_rows_shorten_the_basis():
-    sol = lp_solve(LPProblem(c=[1, 2, 0], a_eq=[[1, 1, 1], [2, 2, 2]], b_eq=[1, 2]))
+    a, b = np.array([[1, 1, 1], [2, 2, 2]]), np.array([1, 2])
+    sol = lp_solve(LPProblem(c=[1, 2, 0], a_eq=a, b_eq=b))
     assert sol.optimal and sol.basis.size == 1
+    # still one dual per row of a_eq, with B^T y = c_B and y.b = value
+    top = lp_solve(LPProblem(c=[1, 2, 0], a_eq=a, b_eq=b, maximize=True))
+    assert top.basis.tolist() == [1] and top.duals.size == 2
+    assert a[:, top.basis].T @ top.duals == pytest.approx([2.0], abs=1e-12)
+    assert top.duals @ b == pytest.approx(top.value, abs=1e-12) and top.value == 2.0
+
+
+def test_optimal_duals_certify_the_value():
+    # at an optimal basis y = B^-T c_B prices the basic columns exactly,
+    # y.b is the value, and no reduced cost c_k - y.a_k improves on it
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    while checked < 100:
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, min(n, 5)))
+        a = rng.normal(size=(m, n))
+        b = a @ rng.uniform(0.0, 2.0, size=n)
+        c = rng.normal(size=n)
+        maximize = bool(rng.integers(0, 2))
+        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize))
+        if not sol.optimal:
+            continue
+        assert sol.basis.size == m and sol.duals.size == m
+        assert np.abs(a[:, sol.basis].T @ sol.duals - c[sol.basis]).max() <= 1e-9
+        assert sol.duals @ b == pytest.approx(sol.value, abs=1e-9)
+        reduced = (c - sol.duals @ a) * (1.0 if maximize else -1.0)
+        assert reduced.max() <= 1e-9
+        checked += 1
 
 
 def test_degraded_basis_is_numerical_breakdown():

@@ -53,3 +53,14 @@ def test_every_package_definition_is_used_outside_tests():
                            for k, line in enumerate(lines) if other != path or k not in own):
                     unused.append(f"{path.relative_to(ROOT)}:{name}")
     assert not unused
+
+
+def test_one_lp_solve_call_site_outside_the_solvers():
+    # every LP of the pipeline goes through one sweep, which calls the
+    # module-level name that the tracer patches
+    sites = [f"{path.relative_to(ROOT)}:{k + 1}"
+             for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py"))
+             if "solvers" not in path.relative_to(ROOT / "src" / "hardyqkd").parts
+             for k, line in enumerate(path.read_text().splitlines())
+             if re.search(r"\blp_solve\(", line)]
+    assert len(sites) == 1, sites
