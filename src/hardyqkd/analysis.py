@@ -92,15 +92,6 @@ def _h_equalities(h: HVector) -> list[tuple[np.ndarray, float]]:
     return [(npa.cell(*H_CELLS[k]), float(values[k])) for k in range(4)]
 
 
-def _deterministic_images() -> np.ndarray:
-    """(16, 4) table of h over the local deterministic strategies: strategy
-    (a_0, a_1, b_0, b_1) answers setting A with a_A and setting B with b_B,
-    so its cell p(a, b | A, B) is 1 iff a_A = a and b_B = b."""
-    return np.array([[float(alice[sa] == a and bob[sb] == b) for a, b, sa, sb in H_CELLS]
-                     for alice in itertools.product(range(2), repeat=2)
-                     for bob in itertools.product(range(2), repeat=2)])
-
-
 def _no_signalling_rows() -> np.ndarray:
     """(12, 16) equality rows over the cells p[a, b, A, B] (C order): the
     normalization of each setting pair, Alice's and Bob's outcome-0
@@ -114,9 +105,9 @@ def _no_signalling_rows() -> np.ndarray:
     return np.vstack([rows.reshape(8, 16)] + [npa.cell(*c).reshape(1, 16) for c in H_CELLS])
 
 
-# h-images of the 16 strategies (8 are distinct)
-DETERMINISTIC_H_POINTS: tuple[HVector, ...] = tuple(
-    HVector(*t) for t in sorted({tuple(row) for row in _deterministic_images().tolist()}))
+# h-images of the 16 local deterministic strategies (8 are distinct)
+DETERMINISTIC_H_POINTS: tuple[HVector, ...] = tuple(HVector(*t) for t in sorted(
+    {tuple(float(b[c]) for c in H_CELLS) for b in npa.DETERMINISTIC_BEHAVIORS}))
 # no-signalling LP of `_settled_q_ends`, objective the q cell
 _NS_LP = _no_signalling_rows()
 _NS_Q = npa.cell(*_Q_CELL).ravel()
@@ -452,7 +443,12 @@ def bias_compare(epsilons: list[float], level: int = 2) -> list[BiasComparisonRo
     nonuniform distribution; the CHSH column averages the outcome-guessing
     bound at observed value 2*sqrt(2) over the four biased branches of the
     uniform distribution.  The branches of all epsilon points are bounded
-    in one `npa.chsh_outcome_guess_bounds` call.
+    in one `npa.chsh_outcome_guess_bounds` call, which solves one pinned SDP
+    per branch class: Tsirelson's theorem gives the quantum maxima in closed
+    form, a global outcome flip makes the two outcome bounds equal, and
+    where a local mixture meets 2*sqrt(2) with P(0 | A=0) = 1 (every
+    epsilon >= 1/2 - cos(3 pi / 8)) the guess is exactly 1 without a solve.
+    The column needs level >= 2: level 1 gives 1 at every epsilon.
     """
     models = [biased_branches(UNIFORM, eps) for eps in epsilons]
     guesses = iter(npa.chsh_outcome_guess_bounds(

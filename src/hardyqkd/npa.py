@@ -26,11 +26,18 @@ becomes a bound: it builds each template of a call once and every relaxation
 from its template, solves them all as stacked interior-point runs, and a
 pinned solve that stalls (the pin sits on the boundary of the relaxation) is
 polished in one more batch by moving its first pin into the objective as a
-Lagrangian term.  The CHSH outcome-guess bounds of a biased settings source
-are solved once per branch symmetry class (a relabeling that every level
-respects maps mirror branches onto each other; symmetry reduction of NPA
-relaxations as in Tavakoli, Rosset and Renou, PRL 122, 070501, 2019), all
-classes in the same batches.
+Lagrangian term.
+
+The CHSH outcome-guess bounds of a biased settings source solve by SDP only
+what no theorem settles.  The quantum maximum of a weighted CHSH expression
+is its vector value in closed form (Tsirelson's theorem,
+`chsh_quantum_max`).  Two relabelings that every level respects cut the
+pinned jobs (symmetry reduction of NPA relaxations as in Tavakoli, Rosset
+and Renou, PRL 122, 070501, 2019): mirror branches share one class, and a
+global outcome flip makes max P(1 | A=0) equal max P(0 | A=0), so each
+class has one job.  A class whose pin a local mixture with a_0 = 0 meets
+(`DETERMINISTIC_BEHAVIORS`) is settled at exactly 1 without a solve, and so
+is every class at level 1, which leaves P(a | A=0) free under the pin.
 """
 
 from __future__ import annotations
@@ -135,15 +142,47 @@ def cell(a: int, b: int, setting_a: int, setting_b: int) -> np.ndarray:
     return cells
 
 
+_S_AB = np.array([[1.0, 1.0], [1.0, -1.0]])  # the CHSH signs s_AB
+
+
 def chsh_functional(weights: np.ndarray | None = None) -> np.ndarray:
     """CHSH combination sum_AB s_AB * w_AB * C(A, B), s = (+,+,+,-).
 
     `weights[A, B]` defaults to 1 (the plain CHSH expression, quantum
     maximum 2*sqrt(2)).
     """
-    s_ab = np.array([[1.0, 1.0], [1.0, -1.0]])
     parity = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a+b): C(A, B) over cells [a, b]
-    return (s_ab * (1.0 if weights is None else weights)) * parity[:, :, None, None]
+    return (_S_AB * (1.0 if weights is None else weights)) * parity[:, :, None, None]
+
+
+def chsh_quantum_max(weights: np.ndarray) -> float:
+    """Quantum maximum of `chsh_functional(weights)`, exact to rounding.
+
+    The functional is sum_xy M_xy C(x, y) with M = s * weights, a
+    correlator-only expression, so by Tsirelson's theorem (Cirel'son, Lett.
+    Math. Phys. 4, 93, 1980; Wehner, PRA 73, 022110, 2006) its quantum
+    maximum is the vector value max sum_xy M_xy u_x . v_y over unit vectors.
+    The best v_y is parallel to sum_x M_xy u_x, so with c = u_0 . u_1 the
+    value is f(c) = sum_y sqrt(a_y + b_y c), a_y = M_0y^2 + M_1y^2,
+    b_y = 2 M_0y M_1y: concave on [-1, 1], so its maximum lies at an end or
+    where f'(c) = 0, which squares to one linear equation in c.  Level 1
+    of the hierarchy already attains this value.
+    """
+    m = _S_AB * weights
+    a, b = (m ** 2).sum(axis=0), 2.0 * m[0] * m[1]
+    cs = [-1.0, 1.0]
+    if den := b[0] * b[1] * (b[0] - b[1]):
+        cs.append(float(np.clip((b[1] ** 2 * a[0] - b[0] ** 2 * a[1]) / den, -1.0, 1.0)))
+    return max(float(np.sqrt(np.maximum(a + b * c, 0.0)).sum()) for c in cs)
+
+
+# (4, 2, 2) one-party answer tables [strategy (x_0, x_1), outcome, setting]
+_ANSWERS = np.array([[[float(x[s] == o) for s in range(2)] for o in range(2)]
+                     for x in itertools.product(range(2), repeat=2)])
+# (16, 2, 2, 2, 2) cell tables of the local deterministic strategies, in
+# `itertools.product` order of (a_0, a_1, b_0, b_1): the strategy answers
+# setting A with a_A and setting B with b_B; the first eight have a_0 = 0
+DETERMINISTIC_BEHAVIORS = np.einsum("iaA,jbB->ijabAB", _ANSWERS, _ANSWERS).reshape(16, 2, 2, 2, 2)
 
 
 def _cell_terms(a: int, b: int, setting_a: int, setting_b: int) -> list[tuple[Word, float]]:
@@ -499,34 +538,52 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     expression is 4 * sum_AB s_AB P_branch(A, B) C(A, B) = observed_value.
     Each bound is max over a of P(a | A=0) at the given relaxation level.
 
-    The branches are solved once per symmetry class (`_symmetry_classes`),
-    in two batched `bound_functionals` calls over all representatives: the
-    quantum maxima, and the pinned marginal bounds.  When the observed value
-    sits at the quantum maximum the equality pins a degenerate face and the
-    pinned solve stalls; `bound_functionals` then polishes it like any other
-    stalled pinned job.  Raises `InfeasibleHError` when the observed value
-    exceeds a branch's quantum maximum, or (as a value just above it can
-    pass that check) when a guess falls more than `_ACCEPT_TOL` below 1/2.
+    Theorems settle all but one pinned SDP per branch class:
+    - the observed value is checked against each branch's exact quantum
+      maximum (`chsh_quantum_max`), up to rounding, and against its
+      minimum, the negated maximum (flipping Bob's outcomes negates every
+      correlator);
+    - mirror branches share one class (`_symmetry_classes`);
+    - flipping every outcome of both parties keeps every correlator, so the
+      pin, swaps P(0 | A=0) with P(1 | A=0) and maps each level onto itself
+      (P -> 1 - P keeps the span of the words of each length), so the
+      guess is the pinned max of P(0 | A=0) alone;
+    - when the observed value lies between the least and the greatest value
+      of the expression over the eight deterministic strategies with
+      a_0 = 0, a mixture of two of them meets the pin with P(0 | A=0) = 1;
+      it is local, so it lies in every relaxation and the guess is exactly 1;
+    - level 1 is vacuous for this bound: its moment matrices are the Gram
+      matrices of unit vectors for the identity and the four +-1 observables,
+      so Alice's setting-0 vector may equal the identity's (P(0 | A=0) = 1)
+      while the others reach any value up to the quantum maximum, and every
+      guess is 1.
+    The remaining classes are solved in one `bound_functionals` call, which
+    polishes a stalled pin on the Tsirelson face like any other.  Raises
+    `InfeasibleHError` when the observed value exceeds a branch's quantum
+    maximum, or when a guess falls more than `_ACCEPT_TOL` below 1/2.
     """
+    get_layout(level)  # an unsupported level raises even where nothing is solved
     reps, index = _symmetry_classes(branches)
-    exprs = [chsh_functional(4.0 * rep.joint()) for rep in reps]
-    qmax = [bound for bound, _ in bound_functionals(
-        level, [([], expr, "max") for expr in exprs])]
-    for q in qmax:
-        if observed_value > q + 1e-6:
+    weights = [4.0 * rep.joint() for rep in reps]
+    for w in weights:
+        q = chsh_quantum_max(w)
+        if abs(observed_value) > q + 1e-12 * (1.0 + q):
             raise InfeasibleHError(
-                f"observed value {observed_value:.6f} exceeds the quantum maximum "
-                f"{q:.6f} for this branch weighting")
-    # P(a | A=0) = sum_b p(a, b | 0, 0)
-    margs = [cell(a, 0, 0, 0) + cell(a, 1, 0, 0) for a in range(2)]
-    # job 2k + a bounds P(a | A=0) for representative k
-    jobs = [([(expr, observed_value)], marg, "max") for expr in exprs for marg in margs]
-    vals = [bound for bound, _ in bound_functionals(level, jobs)]
-    guesses = [float(max(vals[2 * k:2 * k + 2])) for k in range(len(reps))]
-    if min(guesses) < 0.5 - _ACCEPT_TOL:  # P(0 | A=0) + P(1 | A=0) = 1
-        raise InfeasibleHError(f"guess {min(guesses):.6f} lies below 1/2: no behavior "
-                               f"meets the observed value {observed_value:.6f}")
-    return [min(guesses[k], 1.0) for k in index]
+                f"observed value {observed_value:.9f} lies beyond the quantum maximum "
+                f"+-{q:.9f} for this branch weighting")
+    exprs = [chsh_functional(w) for w in weights]
+    local = [np.tensordot(DETERMINISTIC_BEHAVIORS[:8], expr, 4) for expr in exprs]
+    solve = [] if level == 1 else [k for k, vals in enumerate(local)
+                                   if not vals.min() <= observed_value <= vals.max()]
+    guesses = [1.0] * len(reps)
+    marg = cell(0, 0, 0, 0) + cell(0, 1, 0, 0)  # P(0 | A=0)
+    jobs = [([(exprs[k], observed_value)], marg, "max") for k in solve]
+    for k, (bound, _) in zip(solve, bound_functionals(level, jobs), strict=True):
+        if bound < 0.5 - _ACCEPT_TOL:  # P(0 | A=0) + P(1 | A=0) = 1
+            raise InfeasibleHError(f"guess {bound:.6f} lies below 1/2: no behavior "
+                                   f"meets the observed value {observed_value:.6f}")
+        guesses[k] = min(float(bound), 1.0)
+    return [guesses[k] for k in index]
 
 
 def chsh_outcome_guess_bound(branch: SettingsDistribution,

@@ -140,6 +140,21 @@ class TestBiasCompareCommand:
         out = capsys.readouterr().out
         assert "hardy=0.500000" in out
 
+    def test_out_of_range_epsilon_exit_2(self, tmp_path):
+        # the nonuniform Hardy branch leaves [0, 1]; the CHSH side alone
+        # would be settled at 1 without an SDP
+        assert run_cli(["bias-compare", "--epsilon", "0.45", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "bias_compare.csv").exists()
+
+    def test_level_one_chsh_column_is_vacuous(self, tmp_path):
+        # level 1 leaves P(a | A=0) free under the CHSH pin, Tsirelson's
+        # face included
+        assert run_cli(["bias-compare", "--eps-grid", "7", "--level", "1",
+                        "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "bias_compare.csv").read_text().strip().split("\n")
+        assert len(lines) == 8
+        assert [line.split(",")[2] for line in lines[1:]] == ["1"] * 7
+
 
 class TestGammaCommand:
     def test_gamma_csv(self, tmp_path):

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from hardyqkd import npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H_POINTS, build_gamma_grids
 from hardyqkd.errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
-from hardyqkd.protocol import H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution
+from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
+                               biased_branches)
 from hardyqkd.solvers.sdp import prune_dependent_constraints
-from oracles import evaluate, nu_functional, realization_moment_matrix
+from oracles import deterministic_behaviors, evaluate, nu_functional, realization_moment_matrix
 
 SYMBOLS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 HARDY_ZEROS = {(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0}
@@ -198,6 +199,18 @@ class TestBounds:
             npa.bound_functional(1, eqs, marginal, "min")
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """Every problem handed to the SDP solver through `npa`."""
+    problems = []
+    batch, solve = npa.sdp_solve_batch, npa.sdp_solve
+    monkeypatch.setattr(npa, "sdp_solve_batch",
+                        lambda ps, tol: problems.extend(ps) or batch(ps, tol=tol))
+    monkeypatch.setattr(npa, "sdp_solve",
+                        lambda p, tol: problems.append(p) or solve(p, tol=tol))
+    return problems
+
+
 class TestChshGuess:
     def test_unbiased_tsirelson_gives_half(self):
         val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
@@ -208,7 +221,6 @@ class TestChshGuess:
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_biased_branch_strictly_worse(self):
-        from hardyqkd.protocol import biased_branches
         branch = biased_branches(UNIFORM, 0.05).branches[0]
         val = npa.chsh_outcome_guess_bound(branch, npa.TSIRELSON, level=2)
         base = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
@@ -230,19 +242,88 @@ class TestChshGuess:
             npa.chsh_outcome_guess_bound(UNIFORM, 2 * np.sqrt(2) + 0.01,
                                          level=2)
 
-    @pytest.mark.parametrize("level, excess", [(2, 1e-7), (2, 5e-7), (3, 5e-7)])
+    @pytest.mark.parametrize("excess", [1e-7, 5e-7, 1e-6])
+    @pytest.mark.parametrize("level", [1, 2, 3])
     def test_pin_just_above_tsirelson_raises(self, level, excess):
-        # such a pin passes the 1e-6 slack of the maximum check, and its
-        # polish gave guesses below 1/2 (0.49962, 0.49802, 0.49842)
-        with pytest.raises(InfeasibleHError, match="below 1/2"):
+        # with the exact maximum such a pin fails the maximum check; against
+        # solved maxima with a 1e-6 slack it gave 0.999999 at level 1, guesses
+        # below 1/2 or 0.500022 at levels 2 and 3, and a solver failure at
+        # level 3 with excess 1e-6
+        with pytest.raises(InfeasibleHError, match="quantum maximum"):
             npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON + excess, level)
+        with pytest.raises(InfeasibleHError, match="quantum maximum"):
+            npa.chsh_outcome_guess_bounds([UNIFORM], -npa.TSIRELSON - excess, level)
+
+    def test_guess_below_half_raises(self, monkeypatch):
+        # P(0 | A=0) + P(1 | A=0) = 1, so a solved guess below 1/2 means no
+        # behavior meets the pin
+        monkeypatch.setattr(npa, "bound_functionals",
+                            lambda level, jobs: [(0.49, None)] * len(jobs))
+        with pytest.raises(InfeasibleHError, match="below 1/2"):
+            npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON, 2)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_saturated_classes_need_no_sdp(self, level, solved):
+        # at eps = 0.12 a mixture of deterministic strategies with a_0 = 0
+        # meets 2*sqrt(2) in every branch; at eps = 0.115 none does
+        saturated = list(biased_branches(UNIFORM, 0.12).branches)
+        assert npa.chsh_outcome_guess_bounds(saturated, npa.TSIRELSON, level) == [1.0] * 4
+        assert solved == []
+        below = list(biased_branches(UNIFORM, 0.115).branches)
+        assert max(npa.chsh_outcome_guess_bounds(below, npa.TSIRELSON, level)) < 0.97
+        assert len(solved) >= 2  # one pinned job per class, no quantum maxima
+
+    def test_level_one_is_vacuous(self, solved):
+        branches = [UNIFORM] + list(biased_branches(UNIFORM, 0.05).branches)
+        assert npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, 1) == [1.0] * 5
+        assert npa.chsh_outcome_guess_bounds(branches, -npa.TSIRELSON, 1) == [1.0] * 5
+        assert solved == []
+
+    def test_unsupported_level_raises_without_a_solve(self):
+        with pytest.raises(UnsupportedLevelError):
+            npa.chsh_outcome_guess_bounds(list(biased_branches(UNIFORM, 0.12).branches),
+                                          npa.TSIRELSON, 4)
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_bounds_are_plain_floats(self, level):
-        from hardyqkd.protocol import biased_branches
         branches = [UNIFORM] + list(biased_branches(UNIFORM, 0.05).branches)
         vals = npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level)
         assert [type(v) for v in vals] == [float] * len(branches)
+
+
+class TestChshQuantumMax:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_closed_form_matches_sdp_maxima(self, level):
+        rng = np.random.default_rng(11 + level)
+        weights = [np.ones((2, 2)), np.diag([1.0, 0.0]), np.array([[2.0, -1.0], [0.0, 0.0]]),
+                   4.0 * SettingsDistribution(0.6, 0.45).joint()]
+        weights += [rng.normal(size=(2, 2)) for _ in range(6)]
+        weights += [rng.uniform(size=(2, 2)) * [[1.0, 1.0], [0.0, 0.0]] for _ in range(2)]
+        sdp = [bound for bound, _ in npa.bound_functionals(
+            level, [([], npa.chsh_functional(w), "max") for w in weights])]
+        exact = [npa.chsh_quantum_max(w) for w in weights]
+        # the solver's gap is relative: a level-3 maximum of 4.17 lies 2.5e-7 off
+        assert exact == pytest.approx(sdp, rel=1e-7, abs=2e-7)
+        assert exact[0] == npa.TSIRELSON
+
+    def test_closed_form_is_the_vector_value(self):
+        # an independent check on a grid of c = u_0 . u_1: never below any
+        # grid value, and within the grid's resolution of the best one
+        rng = np.random.default_rng(3)
+        c = np.linspace(-1.0, 1.0, 200001)
+        for _ in range(20):
+            w = rng.normal(size=(2, 2))
+            m = np.array([[1.0, 1.0], [1.0, -1.0]]) * w  # the correlator matrix
+            f = sum(np.sqrt(np.maximum(m[0, y] ** 2 + m[1, y] ** 2 + 2 * m[0, y] * m[1, y] * c,
+                                       0.0)) for y in range(2))
+            exact = npa.chsh_quantum_max(w)
+            assert f.max() - 1e-12 <= exact <= f.max() + 1e-6
+
+    def test_deterministic_table_matches_oracle(self):
+        assert np.array_equal(npa.DETERMINISTIC_BEHAVIORS, deterministic_behaviors())
+        # the first eight have a_0 = 0: P(0 | A=0) = 1
+        margs = np.einsum("kabAB->kaA", npa.DETERMINISTIC_BEHAVIORS)[:, :, 0] / 2
+        assert margs[:8, 0].tolist() == [1.0] * 8 and margs[8:, 0].tolist() == [0.0] * 8
 
 
 def chsh_marginals():
@@ -253,6 +334,13 @@ def chsh_marginals():
         marg[a, :, 0, 0] = 1.0
         margs.append(marg)
     return margs
+
+
+def random_born_behavior(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    alphas = rng.uniform(0.05, 0.95, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+    return q.born_behavior(rho / np.trace(rho).real, q.local_bases(*alphas))
 
 
 class TestBranchSymmetry:
@@ -268,10 +356,7 @@ class TestBranchSymmetry:
     def test_relabeling_maps_functional_and_keeps_marginal(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = g @ g.conj().T
-            alphas = rng.uniform(0.05, 0.95, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
-            beh = q.born_behavior(rho / np.trace(rho).real, q.local_bases(*alphas))
+            beh = random_born_behavior(rng)
             image = q.Behavior(p=self.relabel(beh.p))
             p_a, p_b = rng.uniform(size=2)
             value = npa.chsh_functional(4.0 * SettingsDistribution(p_a, p_b).joint())
@@ -279,6 +364,30 @@ class TestBranchSymmetry:
             assert abs(evaluate(mirror, image) - evaluate(value, beh)) <= 1e-14
             for marg in chsh_marginals():
                 assert abs(evaluate(marg, image) - evaluate(marg, beh)) <= 1e-14
+
+    def test_outcome_flip_keeps_values_and_swaps_marginals(self):
+        # flipping every outcome of both parties keeps every correlator
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            beh = random_born_behavior(rng)
+            image = q.Behavior(p=beh.p[::-1, ::-1].copy())
+            expr = npa.chsh_functional(rng.normal(size=(2, 2)))
+            assert abs(evaluate(expr, image) - evaluate(expr, beh)) <= 1e-14
+            margs = chsh_marginals()
+            for marg, other in zip(margs, margs[::-1]):
+                assert abs(evaluate(marg, image) - evaluate(other, beh)) <= 1e-14
+
+    @pytest.mark.parametrize("level, tol", [(1, 1e-7), (2, 1e-7), (3, 1e-6)])
+    def test_outcome_flip_pair_bounds_agree(self, level, tol):
+        # the pinned maxima of P(0 | A=0) and P(1 | A=0) are equal, so one
+        # job per class suffices; off the Tsirelson face they agree within
+        # solver accuracy
+        jobs = [([(npa.chsh_functional(4.0 * SettingsDistribution(p_a, p_b).joint()),
+                   npa.TSIRELSON)], marg, "max")
+                for p_a, p_b in ((0.55, 0.55), (0.45, 0.525), (0.6, 0.45))
+                for marg in chsh_marginals()]
+        bounds = [b for b, _ in npa.bound_functionals(level, jobs)]
+        assert bounds[::2] == pytest.approx(bounds[1::2], abs=tol)
 
     @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.55), (0.45, 0.525), (0.6, 0.45)])
     def test_mirror_pair_bounds_agree(self, p_a, p_b):
