@@ -54,7 +54,7 @@ from .protocol import (
     conditional_entropy,
     noiseless_bias_guess,
 )
-from .quantum import Behavior, hardy_behavior
+from .quantum import Q_MAX, Q_TILDE, Behavior, hardy_behavior
 from .solvers import LPProblem, LPSolution, lp_solve
 
 _VACUOUS_TOL = 1e-7
@@ -155,16 +155,21 @@ def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
 
     An end of q that `_settled_q_ends` settles by its linear program is
     not solved: there a local vertex attains the no-signalling bound, so no
-    relaxation can tighten it.  Every other end is one job of a single
-    batched `npa.bound_functionals` call.  Where an h-pinned solve stalls
-    (the pin sits on the boundary of the relaxation, e.g. the noiseless
-    point), that call polishes it with the h1 pin relaxed into the
-    objective, in one more batch.  Every end is clipped to [0, 1], where q
-    lies as a probability: at level 1 q is not a diagonal moment, and the
-    relaxation min falls below 0 (-0.031 at eta = 0.857, grid 15).
+    relaxation can tighten it.  At level >= 2 the noiseless point is not
+    solved either: h2 = h3 = h4 = 0 exactly with h1 at Hardy's maximum
+    Q_MAX (up to rounding) self-tests the Hardy realization (Rabelo, Zhi
+    and Scarani, PRL 109, 180401, 2012), so both ends are its q~ = sqrt(5) - 2.
+    There the pinned relaxation has no interior, and an interior-point run
+    stalls with a bracket up to 1e-3 wide.  Every other end is one job of a
+    single batched `npa.bound_functionals` call.  Every end is clipped to
+    [0, 1], where q lies as a probability: at level 1 q is not a diagonal
+    moment, and the relaxation min falls below 0 (-0.031 at eta = 0.857,
+    grid 15).
     """
     q = npa.cell(*_Q_CELL)
-    ends = _settled_q_ends(hs)
+    ends = [[Q_TILDE, Q_TILDE] if level >= 2 and h.h2 == h.h3 == h.h4 == 0.0
+            and abs(h.h1 - Q_MAX) <= 1e-12 * (1.0 + Q_MAX) else pair
+            for h, pair in zip(hs, _settled_q_ends(hs), strict=True)]
     jobs = [(_h_equalities(h), q, direction) for h, pair in zip(hs, ends, strict=True)
             for direction, end in zip(("min", "max"), pair) if end is None]
     solved = (bound for bound, _ in npa.bound_functionals(level, jobs))
@@ -265,9 +270,10 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     distributions cost the SDP work of one (`_nu_bounds`).  One linear
     program per end settles both ends wherever a local model reproduces
     the point (`_settled_q_ends`; at grid resolution 15: 12 of the 15
-    segment points and all 8 corners); every other end is one job of a single
-    `npa.bound_functionals` call, which polishes its stalled solves in one
-    more batch.  Returns one grid per distribution.
+    segment points and all 8 corners), and at level >= 2 the noiseless
+    point eta = 1 is settled by self-testing; every other end is one job of
+    a single `npa.bound_functionals` call.  Returns one grid per
+    distribution.
     """
     etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
     hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)
@@ -447,7 +453,8 @@ def bias_compare(epsilons: list[float], level: int = 2) -> list[BiasComparisonRo
     per branch class: Tsirelson's theorem gives the quantum maxima in closed
     form, a global outcome flip makes the two outcome bounds equal, and
     where a local mixture meets 2*sqrt(2) with P(0 | A=0) = 1 (every
-    epsilon >= 1/2 - cos(3 pi / 8)) the guess is exactly 1 without a solve.
+    epsilon >= 1/2 - cos(3 pi / 8)) the guess is exactly 1 without a solve;
+    at epsilon = 0, the Tsirelson face, self-testing makes it exactly 1/2.
     The column needs level >= 2: level 1 gives 1 at every epsilon.
     """
     models = [biased_branches(UNIFORM, eps) for eps in epsilons]

@@ -23,10 +23,12 @@ matrix, objective vector and offset.
 A linear functional of a behavior is its (2, 2, 2, 2) cell table (`cell`,
 `chsh_functional`).  `bound_functionals` is the one place where a solve
 becomes a bound: it builds each template of a call once and every relaxation
-from its template, solves them all as stacked interior-point runs, and a
-pinned solve that stalls (the pin sits on the boundary of the relaxation) is
-polished in one more batch by moving its first pin into the objective as a
-Lagrangian term.
+from its template and solves them all as stacked interior-point runs.  The
+two noiseless faces, where a pinned relaxation has no interior and no
+interior-point run converges, are settled by self-testing before any solve:
+Hardy's maximum fixes the behavior (Rabelo, Zhi and Scarani, PRL 109,
+180401, 2012; `analysis._nu_bounds`), and so does Tsirelson's bound (review:
+Supic and Bowles, Quantum 4, 337, 2020; `chsh_outcome_guess_bounds`).
 
 The CHSH outcome-guess bounds of a biased settings source solve by SDP only
 what no theorem settles.  The quantum maximum of a weighted CHSH expression
@@ -64,12 +66,6 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 
 # Gap/residual level at which a stalled solve is still accepted as a bound.
 _ACCEPT_TOL = 2e-4
-# A pinned solve ending short of `optimal` with gap or residuals above
-# _POLISH_TOL is polished with its first pin relaxed at multiplier _RHO.  The
-# Lagrangian value rests on a stalled solve whose error grows with the
-# multiplier: at level 3, 1e4 already inverts the noiseless q bracket.
-_POLISH_TOL = 1e-7
-_RHO = 4e3
 
 
 def canonical(word: Word | None) -> Word | None:
@@ -391,16 +387,17 @@ def _template_key(equalities: list[tuple[np.ndarray, float]]) -> tuple:
     return tuple((cells.tobytes(), value == 0.0) for cells, value in equalities)
 
 
-def _solve_jobs(level: int, jobs: list[Job], tol: float) -> list[tuple[float, SDPSolution]]:
+def _solve_jobs(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
     """Build every job's relaxation and solve them all in one batch.
 
     Jobs are grouped by template (`_template_key`): each template is built
     once and its relaxations share one constraint array, e.g. every point of
     the noise segment; only y0, C, b and the offset are computed per job.
-    All are solved in one `sdp_solve_batch` call, so same-shape relaxations
-    of different templates share a stack too.  A solve that stops short of
-    `tol` but reaches `_ACCEPT_TOL` in gap and residuals is still accepted;
-    constraint sets pinning boundary statistics make that a normal outcome.
+    All are solved in one `sdp_solve_batch` call at the solver's default
+    tolerance, so same-shape relaxations of different templates share a
+    stack too.  A solve that stops short of that tolerance but reaches
+    `_ACCEPT_TOL` in gap and residuals is still accepted; constraint sets
+    pinning boundary statistics make that a normal outcome.
     A solver status `unbounded` means no moment matrix meets the equalities.
     A call without jobs calls no solver.
     """
@@ -419,8 +416,7 @@ def _solve_jobs(level: int, jobs: list[Job], tol: float) -> list[tuple[float, SD
                 for key, (equalities, objective, direction) in zip(keys, jobs)]
     # a single problem goes through the name `sdp_solve`, which the
     # benchmark's tracing times
-    sols = sdp_solve_batch(problems, tol=tol) if len(problems) != 1 \
-        else [sdp_solve(problems[0], tol=tol)]
+    sols = sdp_solve_batch(problems) if len(problems) != 1 else [sdp_solve(problems[0])]
     results = []
     for (_, _, direction), problem, sol in zip(jobs, problems, sols, strict=True):
         if sol.status == "unbounded":
@@ -435,24 +431,6 @@ def _solve_jobs(level: int, jobs: list[Job], tol: float) -> list[tuple[float, SD
     return results
 
 
-def _lagrangian_bounds(level: int, jobs: list[Job], rho: float) -> list[float]:
-    """Bounds with each job's first equality f = v relaxed into the objective.
-
-    A job maximizing g gets max(g + rho f) - rho v, one minimizing g gets
-    min(g - rho f) + rho v, both over the remaining equalities: the
-    objectives agree with g wherever f = v, so for any multiplier rho each
-    value bounds the pinned job.  All jobs are solved in one batch.
-    """
-    shifts, relaxed = [], []
-    for equalities, objective, direction in jobs:
-        (pin, value), rest = equalities[0], equalities[1:]
-        scale = rho if direction == "max" else -rho
-        shifts.append(scale * value)
-        relaxed.append((rest, objective + scale * pin, direction))
-    return [bound - shift for (bound, _), shift
-            in zip(_solve_jobs(level, relaxed, 1e-10), shifts, strict=True)]
-
-
 def bound_functionals(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
     """Bounds for several (equalities, objective, direction) jobs.
 
@@ -464,24 +442,17 @@ def bound_functionals(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolut
     reached.  All jobs are solved in one batch (`_solve_jobs`); a pinned
     solve beyond `_ACCEPT_TOL` raises.
 
-    Where a pin sits on the boundary of the relaxation (the noiseless Hardy
-    point, the Tsirelson face) the pinned solve stalls short of its optimum.
-    Every job with equalities whose solve ends short of `optimal` with gap
-    or residuals above `_POLISH_TOL` is polished: its first equality moves
-    into the objective at the multiplier `_RHO` (`_lagrangian_bounds`), all
-    polishes of the call in one more batch, and the job keeps the tighter of
-    its two values.  A max below the functional's minimum over all
-    behaviors (or a min above its maximum), as the polish of an infeasible
-    pin returns, raises `InfeasibleHError`.  Returns (bound, pinned
-    solution) per job.
+    Where the pins leave a relaxation without interior (the noiseless Hardy
+    point, the Tsirelson face) the pinned solve stalls short of `optimal`,
+    and a direct call returns the accepted bracket as it is: at eta = 1 it
+    holds q~ = sqrt(5) - 2 with a width of 2e-4 at level 2 and 1.1e-3 at
+    level 3.  The pipeline settles both faces by self-testing and sends no
+    job there (`analysis._nu_bounds`, `chsh_outcome_guess_bounds`).  A max
+    below the functional's minimum over all behaviors (or a min above its
+    maximum) raises `InfeasibleHError`.  Returns (bound, pinned solution)
+    per job.
     """
-    results = _solve_jobs(level, jobs, 1e-8)
-    polish = [k for k, (_, sol) in enumerate(results) if jobs[k][0] and not sol.optimal
-              and max(sol.gap, sol.primal_residual, sol.dual_residual) > _POLISH_TOL]
-    for k, relaxed in zip(polish, _lagrangian_bounds(level, [jobs[k] for k in polish], _RHO),
-                          strict=True):
-        bound, sol = results[k]
-        results[k] = (min(bound, relaxed) if jobs[k][2] == "max" else max(bound, relaxed), sol)
+    results = _solve_jobs(level, jobs)
     for (_, objective, direction), (bound, _) in zip(jobs, results, strict=True):
         # each setting pair puts mass 1 on one of its four cells
         sign, worst = (1.0, objective.min(axis=(0, 1)).sum()) if direction == "max" \
@@ -552,30 +523,37 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
       of the expression over the eight deterministic strategies with
       a_0 = 0, a mixture of two of them meets the pin with P(0 | A=0) = 1;
       it is local, so it lies in every relaxation and the guess is exactly 1;
+    - a class with four equal weights is plain CHSH up to scale, and an
+      observed value at its quantum maximum (up to the rounding slack of the
+      maximum check) self-tests the maximally entangled state with
+      anticommuting observables (review: Supic and Bowles, Quantum 4, 337,
+      2020), whose marginals are 1/2: the guess is exactly 1/2 at every
+      level >= 2, where an interior-point run on that face never converges;
     - level 1 is vacuous for this bound: its moment matrices are the Gram
       matrices of unit vectors for the identity and the four +-1 observables,
       so Alice's setting-0 vector may equal the identity's (P(0 | A=0) = 1)
       while the others reach any value up to the quantum maximum, and every
       guess is 1.
-    The remaining classes are solved in one `bound_functionals` call, which
-    polishes a stalled pin on the Tsirelson face like any other.  Raises
+    The remaining classes are solved in one `bound_functionals` call.  Raises
     `InfeasibleHError` when the observed value exceeds a branch's quantum
     maximum, or when a guess falls more than `_ACCEPT_TOL` below 1/2.
     """
     get_layout(level)  # an unsupported level raises even where nothing is solved
     reps, index = _symmetry_classes(branches)
     weights = [4.0 * rep.joint() for rep in reps]
-    for w in weights:
-        q = chsh_quantum_max(w)
+    maxima = [chsh_quantum_max(w) for w in weights]
+    for q in maxima:
         if abs(observed_value) > q + 1e-12 * (1.0 + q):
             raise InfeasibleHError(
                 f"observed value {observed_value:.9f} lies beyond the quantum maximum "
                 f"+-{q:.9f} for this branch weighting")
+    guesses = [0.5 if level > 1 and (w == w[0, 0]).all()  # the Tsirelson face
+               and abs(observed_value) >= q - 1e-12 * (1.0 + q) else 1.0
+               for w, q in zip(weights, maxima)]
     exprs = [chsh_functional(w) for w in weights]
     local = [np.tensordot(DETERMINISTIC_BEHAVIORS[:8], expr, 4) for expr in exprs]
-    solve = [] if level == 1 else [k for k, vals in enumerate(local)
-                                   if not vals.min() <= observed_value <= vals.max()]
-    guesses = [1.0] * len(reps)
+    solve = [] if level == 1 else [k for k, vals in enumerate(local) if guesses[k] == 1.0
+                                   and not vals.min() <= observed_value <= vals.max()]
     marg = cell(0, 0, 0, 0) + cell(0, 1, 0, 0)  # P(0 | A=0)
     jobs = [([(exprs[k], observed_value)], marg, "max") for k in solve]
     for k, (bound, _) in zip(solve, bound_functionals(level, jobs), strict=True):

@@ -142,8 +142,7 @@ class TestGammaTilde:
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_noiseless_bounds_never_below_exact(self, level):
-        # at eta = 1 the posterior is exact; the polished bounds may only
-        # lie above it
+        # at eta = 1 the posterior is exact; the bounds may only lie above it
         [(u0, u1)], [(n0, n1)] = an._gamma_bounds([HVector.from_eta(1.0)],
                                                   [pr.UNIFORM, pr.NONUNIFORM], level)
         assert u0 >= POSTERIOR0 and u1 >= 1.0 - POSTERIOR0
@@ -167,18 +166,8 @@ class TestGammaTilde:
 
 
 class TestRelaxedBounds:
-    """The Lagrangian route of `npa.bound_functionals` (h1 pin moved into
-    the objective) against the h-pinned solves."""
-
-    @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM], ids=["uniform", "nonuniform"])
-    def test_weak_duality_at_interior_pins(self, dist):
-        jobs = [(an._h_equalities(HVector.from_eta(0.5)), nu_functional(dist), direction)
-                for direction in ("min", "max")]
-        lo, hi = (bound for bound, _ in npa.bound_functionals(2, jobs))
-        for rho in (1e1, 1e3):
-            relaxed_lo, relaxed_hi = npa._lagrangian_bounds(2, jobs, rho)
-            assert relaxed_hi >= hi
-            assert relaxed_lo <= lo
+    """The noiseless point: exact by self-testing in `an._nu_bounds`, and
+    enclosed by the direct h-pinned relaxation that stalls there."""
 
     @pytest.mark.parametrize("dist, exact, level", [
         (pr.UNIFORM, q.Q_TILDE / 4, 2),
@@ -188,11 +177,10 @@ class TestRelaxedBounds:
         ids=["uniform", "nonuniform", "uniform-level3", "nonuniform-level3"])
     def test_polished_noiseless_nu_brackets_exact(self, dist, exact, level):
         # the Hardy realization is the only behavior at eta = 1, so nu is
-        # pinned to q~ P(A=1, B=1); both polished bounds must enclose it.
-        # The references bound q = P(0,0|1,1) by the pinned route alone and
-        # by the Lagrangian route at the multiplier of `bound_functionals`,
-        # and map to nu = P(A=1,B=0) h2 + P(A=1,B=1) q; at level 3 a
-        # multiplier of 1e4 would invert the relaxed bracket
+        # pinned to q~ P(A=1, B=1).  The direct pinned bracket on
+        # q = P(0,0|1,1), mapped to nu = P(A=1,B=0) h2 + P(A=1,B=1) q, must
+        # enclose it (an independent route to the same value), and the
+        # pipeline's bracket is that value alone
         assert exact == pytest.approx(0.0590170 if dist is pr.UNIFORM else 0.0344419,
                                       abs=5e-8)
         h = HVector.from_eta(1.0)
@@ -203,17 +191,36 @@ class TestRelaxedBounds:
 
         jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), direction)
                 for direction in ("min", "max")]
-        pinned = npa._solve_jobs(level, jobs, 1e-8)
-        plain_lo, plain_hi = (to_nu(bound) for bound, _ in pinned)
-        relaxed_lo, relaxed_hi = map(to_nu, npa._lagrangian_bounds(level, jobs, npa._RHO))
-        assert relaxed_lo <= exact <= relaxed_hi
-        assert relaxed_hi - relaxed_lo < 1e-4
+        q_lo, q_hi = (bound for bound, _ in npa.bound_functionals(level, jobs))
+        assert to_nu(q_lo) <= exact <= to_nu(q_hi)
+        assert q_hi - q_lo < 1.2e-3
         (lo, hi), = an._nu_bounds([h], [dist], level)[0]
-        assert lo <= exact <= hi
-        # both pinned solves stall there, so each side keeps the tighter route
-        assert all(not sol.optimal and max(sol.gap, sol.primal_residual, sol.dual_residual)
-                   > npa._POLISH_TOL for _, sol in pinned)
-        assert (lo, hi) == (max(plain_lo, relaxed_lo), min(plain_hi, relaxed_hi))
+        assert lo == hi == pytest.approx(exact, rel=1e-14)
+
+
+class TestLevelMonotonicity:
+    """A level-3 bound is never looser than the level-2 one."""
+
+    def test_noiseless_faces_agree_at_levels_2_and_3(self):
+        # on both faces the direct relaxation only stalls, and its level-3
+        # values are the looser ones: q in [0.2358172, 0.2368950] against
+        # [0.2358903, 0.2361073] at level 2; the self-tested values are exact
+        h = HVector.from_eta(1.0)
+        gammas = [an._gamma_bounds([h], [pr.UNIFORM], level)[0][0] for level in (2, 3)]
+        assert gammas[0] == gammas[1] == pytest.approx((POSTERIOR0, 1.0 - POSTERIOR0),
+                                                       abs=1e-15)
+        assert [an.bias_compare([0.0], level)[0].chsh_guess for level in (2, 3)] == [0.5, 0.5]
+
+    def test_level_3_never_looser_than_level_2(self):
+        # grid 15 with eta = 1 and the corners, and CHSH guesses on and off
+        # the Tsirelson face; the slack is the accuracy of accepted solves
+        dists = [pr.UNIFORM, pr.NONUNIFORM]
+        for two, three in zip(an.build_gamma_grids(dists, 15, 2),
+                              an.build_gamma_grids(dists, 15, 3), strict=True):
+            assert (three.gammas <= two.gammas + 1e-8).all()
+        rows = [an.bias_compare([0.0, 0.05, 0.1], level) for level in (2, 3)]
+        for two, three in zip(*rows, strict=True):
+            assert three.chsh_guess <= two.chsh_guess + 1e-6
 
 
 class TestGammaGrid:
@@ -281,10 +288,10 @@ class TestGammaGrid:
 
         monkeypatch.setattr(npa, "bound_functionals", counting)
         an.build_gamma_grids([pr.UNIFORM, pr.NONUNIFORM], 15, 2)
-        # the polishes happen inside that one call; linear programs settle
-        # both ends of q at 20 of the 23 points, so only the 3 segment points
-        # with eta > 0.845 need a min and a max solve
-        assert jobs_per_call == [6]
+        # linear programs settle both ends of q at 20 of the 23 points and
+        # self-testing settles eta = 1, so only the 2 segment points with
+        # 0.845 < eta < 1 need a min and a max solve
+        assert jobs_per_call == [4]
 
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)

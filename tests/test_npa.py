@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardyqkd import npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H_POINTS, build_gamma_grids
-from hardyqkd.errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
+from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
                                biased_branches)
 from hardyqkd.solvers.sdp import prune_dependent_constraints
@@ -187,16 +187,35 @@ class TestBounds:
             npa.bound_functional(2, eqs, obj, "max")
 
     @pytest.mark.parametrize("excess", [1e-3, 3e-4])
-    def test_pin_beyond_tsirelson_raises(self, excess):
-        # the polish of an infeasible pin used to return a max of P(a=0|A=0)
-        # below 0 (-3.0 and -0.2) instead of raising; the min job raises in
-        # its pinned solve
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_pin_beyond_tsirelson_raises(self, level, excess):
+        # both pinned solves end with a dual residual of 3e-5 or more and a
+        # clean primal side, which the solver reports as `unbounded`: no
+        # moment matrix meets the pin
         eqs = [(npa.chsh_functional(), npa.TSIRELSON + excess)]
         marginal = npa.cell(0, 0, 0, 0) + npa.cell(0, 1, 0, 0)
-        with pytest.raises(InfeasibleHError):
-            npa.bound_functional(1, eqs, marginal, "max")
-        with pytest.raises(SolverFailure):
-            npa.bound_functional(1, eqs, marginal, "min")
+        for direction in ("max", "min"):
+            with pytest.raises(InfeasibleHError):
+                npa.bound_functional(level, eqs, marginal, direction)
+
+    @pytest.mark.parametrize("deficit", [1e-4, 1e-3])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_pin_below_tsirelson_gives_values(self, level, deficit):
+        # just inside the quantum set the same solves must not be taken for
+        # infeasible; from level 2 on they reach the one-sided guessing bound
+        # 1/2 + sqrt(2 - S^2 / 4) / 2 at CHSH value S (Pironio et al., Nature
+        # 464, 1021, 2010), at level 1 P(a=0 | A=0) stays free
+        value = npa.TSIRELSON - deficit
+        eqs = [(npa.chsh_functional(), value)]
+        marginal = npa.cell(0, 0, 0, 0) + npa.cell(0, 1, 0, 0)
+        hi = npa.bound_functional(level, eqs, marginal, "max")
+        lo = npa.bound_functional(level, eqs, marginal, "min")
+        if level == 1:
+            assert lo <= 0.5 <= hi
+        else:
+            exact = 0.5 + 0.5 * np.sqrt(2.0 - value ** 2 / 4.0)
+            assert hi == pytest.approx(exact, abs=1e-5)
+            assert lo == pytest.approx(1.0 - exact, abs=1e-5)
 
 
 @pytest.fixture
@@ -205,9 +224,9 @@ def solved(monkeypatch):
     problems = []
     batch, solve = npa.sdp_solve_batch, npa.sdp_solve
     monkeypatch.setattr(npa, "sdp_solve_batch",
-                        lambda ps, tol: problems.extend(ps) or batch(ps, tol=tol))
+                        lambda ps, **kw: problems.extend(ps) or batch(ps, **kw))
     monkeypatch.setattr(npa, "sdp_solve",
-                        lambda p, tol: problems.append(p) or solve(p, tol=tol))
+                        lambda p, **kw: problems.append(p) or solve(p, **kw))
     return problems
 
 
@@ -215,6 +234,16 @@ class TestChshGuess:
     def test_unbiased_tsirelson_gives_half(self):
         val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
         assert val == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_tsirelson_face_settled_without_sdp(self, level, solved):
+        # plain CHSH at +-2*sqrt(2) self-tests the maximally entangled state,
+        # whose marginals are 1/2; just inside the face the pin is solved
+        for value in (npa.TSIRELSON, -npa.TSIRELSON):
+            assert npa.chsh_outcome_guess_bounds([UNIFORM], value, level) == [0.5]
+        assert solved == []
+        assert npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON - 1e-9, level)[0] >= 0.5
+        assert len(solved) == 1
 
     def test_classical_value_gives_one(self):
         val = npa.chsh_outcome_guess_bound(UNIFORM, 2.0, level=2)
@@ -228,8 +257,9 @@ class TestChshGuess:
         assert val > base + 1e-3
 
     def test_tsirelson_face_bound_never_below_half(self):
-        # at 2*sqrt(2) both outcomes have P(a | A=0) = 1/2 exactly; the
-        # polished bound of each must stay a bound
+        # at 2*sqrt(2) both outcomes have P(a | A=0) = 1/2 exactly: the
+        # guess is settled there, and the accepted bound of each direct
+        # pinned solve must stay a bound
         val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
         assert 0.5 <= val <= 0.50003
         jobs = [([(npa.chsh_functional(), npa.TSIRELSON)], marg, "max")
@@ -256,11 +286,13 @@ class TestChshGuess:
 
     def test_guess_below_half_raises(self, monkeypatch):
         # P(0 | A=0) + P(1 | A=0) = 1, so a solved guess below 1/2 means no
-        # behavior meets the pin
+        # behavior meets the pin; a branch biased by 0.05 is neither on the
+        # Tsirelson face nor settled locally, so it reaches the solve
         monkeypatch.setattr(npa, "bound_functionals",
                             lambda level, jobs: [(0.49, None)] * len(jobs))
+        branch = biased_branches(UNIFORM, 0.05).branches[0]
         with pytest.raises(InfeasibleHError, match="below 1/2"):
-            npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON, 2)
+            npa.chsh_outcome_guess_bounds([branch], npa.TSIRELSON, 2)
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_saturated_classes_need_no_sdp(self, level, solved):
@@ -394,16 +426,14 @@ class TestBranchSymmetry:
         # built here, not through the reduction, so that both members are solved
         exprs = [npa.chsh_functional(4.0 * SettingsDistribution(p_a, pb).joint())
                  for pb in (p_b, 1.0 - p_b)]
-        qmax = [b for b, _ in npa._solve_jobs(
-            2, [([], expr, "max") for expr in exprs], 1e-10)]
+        qmax = [b for b, _ in npa._solve_jobs(2, [([], expr, "max") for expr in exprs])]
         pinned = [b for b, _ in npa.bound_functionals(2, [
             ([(expr, npa.TSIRELSON)], marg, "max")
             for expr in exprs for marg in chsh_marginals()])]
         # penalized bounds scale with rho, so they are compared relative to size
         penalized = [b for b, _ in npa._solve_jobs(2, [
             ([], marg + rho * expr, "max")
-            for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)],
-            1e-10)]
+            for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)])]
         assert qmax[0] == pytest.approx(qmax[1], abs=1e-7)
         assert pinned[:2] == pytest.approx(pinned[2:], abs=1e-7)
         assert penalized[:6] == pytest.approx(penalized[6:], rel=1e-7)
@@ -519,29 +549,32 @@ class TestTemplates:
         solve_jobs, template = npa._solve_jobs, npa.moment_template
         solve, solve_batch = npa.sdp_solve, npa.sdp_solve_batch
 
-        def record_jobs(level, jobs, tol):
+        def record_jobs(level, jobs):
             calls.append(SimpleNamespace(level=level, jobs=jobs, built=0, problems=None))
-            return solve_jobs(level, jobs, tol)
+            return solve_jobs(level, jobs)
 
         def record_template(level, equalities):
             calls[-1].built += 1
             return template(level, equalities)
 
-        def record_solve(problem, tol):
+        def record_solve(problem, **kw):
             calls[-1].problems = [problem]
-            return solve(problem, tol=tol)
+            return solve(problem, **kw)
 
-        def record_batch(problems, tol):
+        def record_batch(problems, **kw):
             calls[-1].problems = problems
-            return solve_batch(problems, tol=tol)
+            return solve_batch(problems, **kw)
 
         monkeypatch.setattr(npa, "_solve_jobs", record_jobs)
         monkeypatch.setattr(npa, "moment_template", record_template)
         monkeypatch.setattr(npa, "sdp_solve", record_solve)
         monkeypatch.setattr(npa, "sdp_solve_batch", record_batch)
+        # at level 2 the two unsettled points below eta = 1 share a template;
+        # level 1 also solves eta = 1, whose zero pins make a second one
         build_gamma_grids([UNIFORM, NONUNIFORM], 15, 2)
-        assert sum(len(c.jobs) for c in calls) == 8
-        assert sum(c.built for c in calls) == 3
+        build_gamma_grids([UNIFORM, NONUNIFORM], 15, 1)
+        assert [len(c.jobs) for c in calls] == [4, 6]
+        assert [c.built for c in calls] == [1, 2]
         for c in calls:
             keys = [npa._template_key(equalities) for equalities, _, _ in c.jobs]
             assert c.built == len(set(keys))

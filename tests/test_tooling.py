@@ -64,3 +64,13 @@ def test_one_lp_solve_call_site_outside_the_solvers():
              for k, line in enumerate(path.read_text().splitlines())
              if re.search(r"\blp_solve\(", line)]
     assert len(sites) == 1, sites
+
+
+def test_one_solve_jobs_call_site():
+    # every SDP job reaches a bound through `bound_functionals`, so a second
+    # route from a solve to a bound (a polish, a penalty retry) shows here
+    sites = [f"{path.relative_to(ROOT)}:{k + 1}"
+             for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py"))
+             for k, line in enumerate(path.read_text().splitlines())
+             if re.search(r"(?<!def )\b_solve_jobs\(", line)]
+    assert len(sites) == 1, sites
