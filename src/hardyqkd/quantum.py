@@ -1,5 +1,10 @@
 """Two-qubit linear algebra: Hardy-state construction and Born-rule behaviors.
 
+The Hardy state is the null vector of the SVD of <phi0|, <phi1|, <phi2|,
+the same SVD that gives the uniqueness dimension.  Its noisy behavior is
+affine in the visibility: p(eta) = (1 - eta)/4 + eta p(1), with p(1) the
+Born rule of the pure state, built once per pair of bases.
+
 Conventions
 -----------
 Local bases follow
@@ -14,27 +19,18 @@ vector is reproducible exactly.  Product vectors live in C^4 with index
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LinearDependenceError, ParameterRangeError
 
-NORM_TOL = 1e-12
-GS_TOL = 1e-12
-
 # |alpha|^2 at the Hardy optimum, and the two pinned probabilities.
 ALPHA_SQ_OPT = (np.sqrt(5.0) - 1.0) / 2.0
 ALPHA_OPT = float(np.sqrt(ALPHA_SQ_OPT))
 Q_MAX = (5.0 * np.sqrt(5.0) - 11.0) / 2.0
 Q_TILDE = np.sqrt(5.0) - 2.0
-
-
-def check_state_vector(psi: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if abs(np.vdot(psi, psi).real - 1.0) > tol:
-        raise ValueError("state vector is not normalized")
-    return psi
 
 
 @dataclass(frozen=True)
@@ -117,34 +113,29 @@ def hardy_product_states(bases: MeasurementSet) -> list[np.ndarray]:
     return [phi0, phi1, phi2, phi3]
 
 
-def gram_schmidt(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """Classical Gram-Schmidt for unit input vectors.
+def _hardy_svd(bases: MeasurementSet) -> tuple[np.ndarray, int]:
+    """(Vh, rank) of the SVD of the rows <phi0|, <phi1|, <phi2|.
 
-    The k-th output spans the same flag as the first k inputs.  Raises
-    `LinearDependenceError` when a normalization denominator falls below
-    the degeneracy threshold.
+    The conjugates of the rows of Vh beyond the rank span the vectors
+    orthogonal to all three.
     """
-    out: list[np.ndarray] = []
-    for i, v in enumerate(vectors):
-        v = check_state_vector(v)
-        overlaps = [np.vdot(u, v) for u in out]
-        w = v - sum(c * u for c, u in zip(overlaps, out))
-        rad = 1.0 - sum(abs(c) ** 2 for c in overlaps)
-        if rad < GS_TOL:
-            raise LinearDependenceError(
-                f"vector {i} is linearly dependent on its predecessors")
-        # one reorthogonalization pass removes the cancellation error of the
-        # classical update without changing the exact-arithmetic result
-        w = w - sum(np.vdot(u, w) * u for u in out)
-        out.append(w / np.linalg.norm(w))
-    return out
+    rows = np.stack(hardy_product_states(bases)[:3]).conj()
+    _, s, vh = np.linalg.svd(rows)
+    return vh, int(np.sum(s > 1e-10))
 
 
 def hardy_state(alpha_a: complex, alpha_b: complex) -> np.ndarray:
-    """The unique pure two-qubit state passing the test for these bases."""
-    bases = local_bases(alpha_a, alpha_b)
-    ortho = gram_schmidt(hardy_product_states(bases))
-    return ortho[3]
+    """The unique pure two-qubit state passing the test for these bases.
+
+    It is the unit vector orthogonal to phi0, phi1 and phi2, phased so that
+    <phi3|psi> = psi[0] is real and positive.  Raises
+    `LinearDependenceError` when the three vectors span less than C^3.
+    """
+    vh, rank = _hardy_svd(local_bases(alpha_a, alpha_b))
+    if rank < 3:
+        raise LinearDependenceError("phi0, phi1, phi2 are linearly dependent")
+    psi = vh[3].conj()
+    return psi * psi[0].conj() / abs(psi[0])
 
 
 def q_value(alpha_a: complex, alpha_b: complex) -> float:
@@ -162,18 +153,7 @@ def q_value(alpha_a: complex, alpha_b: complex) -> float:
 
 def uniqueness_check(bases: MeasurementSet) -> int:
     """Dimension of the orthocomplement of span{phi0, phi1, phi2} in C^4."""
-    phi = hardy_product_states(bases)[:3]
-    mat = np.stack(phi)
-    rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > 1e-10))
-    return 4 - rank
-
-
-def noisy_state(eta: float, psi: np.ndarray) -> np.ndarray:
-    """Isotropic mixture (1 - eta) I/4 + eta |psi><psi|."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterRangeError(f"eta = {eta} outside [0, 1]")
-    psi = check_state_vector(psi)
-    return (1.0 - eta) * np.eye(4) / 4.0 + eta * np.outer(psi, psi.conj())
+    return 4 - _hardy_svd(bases)[1]
 
 
 def born_behavior(rho: np.ndarray, bases: MeasurementSet) -> Behavior:
@@ -184,9 +164,24 @@ def born_behavior(rho: np.ndarray, bases: MeasurementSet) -> Behavior:
     return Behavior(p=np.clip(p, 0.0, 1.0))
 
 
+@functools.cache
+def _pure_behavior(alpha_a: complex, alpha_b: complex) -> np.ndarray:
+    """Read-only Born-rule table of |psi><psi| for `hardy_state`'s bases."""
+    psi = hardy_state(alpha_a, alpha_b)
+    p = born_behavior(np.outer(psi, psi.conj()), local_bases(alpha_a, alpha_b)).p
+    p.flags.writeable = False
+    return p
+
+
 def hardy_behavior(eta: float = 1.0,
                    alpha_a: complex = ALPHA_OPT,
                    alpha_b: complex = ALPHA_OPT) -> Behavior:
-    """Behavior of the noisy Hardy setup rho(eta) with the matching bases."""
-    psi = hardy_state(alpha_a, alpha_b)
-    return born_behavior(noisy_state(eta, psi), local_bases(alpha_a, alpha_b))
+    """Behavior of the noisy Hardy setup with the matching bases.
+
+    The state is rho(eta) = (1 - eta) I/4 + eta |psi><psi|.  Every product
+    of rank-1 projectors has trace 1, so each cell is (1 - eta)/4 plus eta
+    times the cell of the pure state, which is built once per pair of bases.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterRangeError(f"eta = {eta} outside [0, 1]")
+    return Behavior(p=(1.0 - eta) / 4.0 + eta * _pure_behavior(alpha_a, alpha_b))

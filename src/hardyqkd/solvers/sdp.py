@@ -38,6 +38,8 @@ _SYM_TOL = 1e-12
 # work-array budget of one stacked iteration (see `sdp_solve_batch`)
 _STACK_BYTES = 1 << 20
 _MAX_ITER = 200
+# relative gap and residuals at which a solve ends `optimal`
+_TOL = 1e-8
 # iterations without 1% progress after which a solve stops as `stalled`
 _STALL_LIMIT = 40
 
@@ -217,18 +219,11 @@ def _nt_scaling(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _schur_solve(schur: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve M dy = rhs for each column of `rhs` (L, m, k), refined once.
 
-    A singular member falls back to least squares; the mask marks members
-    where that fails too.
+    Returns dy and the mask of singular members, whose entries in dy are
+    meaningless.
     """
     dy, failed = _guarded(np.linalg.solve, schur, rhs)
-    dy = dy + _guarded(np.linalg.solve, schur, rhs - schur @ dy)[0]
-    for i in np.flatnonzero(failed):
-        try:
-            dy[i] = np.linalg.lstsq(schur[i], rhs[i], rcond=None)[0]
-            failed[i] = False
-        except np.linalg.LinAlgError:
-            dy[i] = 0.0
-    return dy, failed
+    return dy + _guarded(np.linalg.solve, schur, rhs - schur @ dy)[0], failed
 
 
 class _Stack(SimpleNamespace):
@@ -244,7 +239,7 @@ class _Stack(SimpleNamespace):
         return _Stack(**{k: v[keep] for k, v in vars(self).items()})
 
 
-def _iterate(st: _Stack, shared: np.ndarray, tol: float):
+def _iterate(st: _Stack, shared: np.ndarray):
     """Interior-point iterations for a stack of same-shape problems.
 
     `shared` holds the distinct constraint stacks (U, m, n, n).  Returns per
@@ -301,7 +296,7 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float):
             st.best_z[better] = z[better]
             st.best_stats[better] = stats[better]
 
-        optimal = (pinf <= tol) & (dinf <= tol) & (relgap <= tol)
+        optimal = (pinf <= _TOL) & (dinf <= _TOL) & (relgap <= _TOL)
         stop = optimal | (st.stall >= _STALL_LIMIT)  # a stall reports the best iterate
         diverged = ~stop & ((np.sum(x * x, axis=(1, 2)) > 1e20) | (np.sum(y * y, axis=1) > 1e20)
                             | (np.sum(z * z, axis=(1, 2)) > 1e20))
@@ -431,13 +426,13 @@ def _iterate(st: _Stack, shared: np.ndarray, tol: float):
     return out_x, out_y, out_z, out_stats, status, iterations
 
 
-def sdp_solve(problem: SDPProblem, tol: float = 1e-8) -> SDPSolution:
+def sdp_solve(problem: SDPProblem) -> SDPSolution:
     """Solve one SDP: the one-problem case of `sdp_solve_batch`."""
-    return sdp_solve_batch([problem], tol)[0]
+    return sdp_solve_batch([problem])[0]
 
 
-def sdp_solve_batch(problems: list[SDPProblem], tol: float = 1e-8) -> list[SDPSolution]:
-    """Solve each SDP to the requested relative gap/residual tolerance.
+def sdp_solve_batch(problems: list[SDPProblem]) -> list[SDPSolution]:
+    """Solve each SDP to the relative gap and residuals `_TOL`.
 
     Problems sharing the block size and the row count left after pruning
     are iterated as one stack; the solutions come back in input order, each
@@ -472,13 +467,12 @@ def sdp_solve_batch(problems: list[SDPProblem], tol: float = 1e-8) -> list[SDPSo
         for chunk in np.array_split(np.arange(len(members)), -(-len(members) // cap)):
             part = [members[k] for k in chunk]
             for (i, _), sol in zip(part, _solve_stack(
-                    [(problems[i], kept) for i, kept in part], n, m, tol), strict=True):
+                    [(problems[i], kept) for i, kept in part], n, m), strict=True):
                 solutions[i] = sol
     return solutions  # type: ignore[return-value]
 
 
-def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int,
-                 tol: float) -> list[SDPSolution]:
+def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int) -> list[SDPSolution]:
     """Stack same-shape problems (kept rows only), iterate, unpack."""
     size = len(members)
     c = np.stack([p.c for p, _ in members])
@@ -509,7 +503,7 @@ def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int,
                 best_stats=np.full((size, 5), np.inf))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, y, z, stats, status, iterations = _iterate(
-            st, shared_flat.reshape(len(shared), m, n, n), tol)
+            st, shared_flat.reshape(len(shared), m, n, n))
     pobj, dobj, pinf, dinf, gap = stats.T
     solutions = []
     for k, (p, kept) in enumerate(members):

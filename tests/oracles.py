@@ -91,6 +91,12 @@ def born_behavior_loop(rho: np.ndarray, bases) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def noisy_state(eta: float, psi: np.ndarray) -> np.ndarray:
+    """Isotropic mixture (1 - eta) I/4 + eta |psi><psi|."""
+    psi = np.asarray(psi, dtype=complex).ravel()
+    return (1.0 - eta) * np.eye(4) / 4.0 + eta * np.outer(psi, psi.conj())
+
+
 def nu_functional(dist) -> np.ndarray:
     """nu = P(0,0|1,0) P(A=1,B=0) + P(0,0|1,1) P(A=1,B=1) as a cell table."""
     joint = dist.joint()

@@ -47,6 +47,11 @@ def decomposition_lp(grid, eta, prior=None):
     return coeff, a_eq, np.append(HVector.from_eta(eta).as_array(), 1.0)
 
 
+def posterior(behavior, dist):
+    """(P(A=0 | a=b=0), P(A=1 | a=b=0)), the priors of `key_rates`."""
+    return tuple(pr.joint_settings_given_00(behavior, dist).sum(axis=1))
+
+
 def cold_value(coeff, a_eq, b_eq):
     sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
     assert sol.optimal
@@ -56,26 +61,26 @@ def cold_value(coeff, a_eq, b_eq):
 class TestBayesPosterior:
     def test_noiseless_uniform(self):
         beh = q.hardy_behavior(1.0)
-        pa0, pa1 = an.bayes_setting_posterior(beh, pr.UNIFORM)
+        pa0, pa1 = posterior(beh, pr.UNIFORM)
         assert pa0 == pytest.approx(POSTERIOR0, abs=1e-10)
         assert pa1 == pytest.approx(1.0 - POSTERIOR0, abs=1e-10)
 
     def test_noiseless_nonuniform_balanced(self):
         beh = q.hardy_behavior(1.0)
-        pa0, pa1 = an.bayes_setting_posterior(beh, pr.NONUNIFORM)
+        pa0, pa1 = posterior(beh, pr.NONUNIFORM)
         assert pa0 == pytest.approx(0.5, abs=1e-10)
         assert pa1 == pytest.approx(0.5, abs=1e-10)
 
     def test_flat_behavior_symmetric(self):
         flat = q.Behavior(p=np.full((2, 2, 2, 2), 0.25))
-        assert an.bayes_setting_posterior(flat, pr.UNIFORM) == (
+        assert posterior(flat, pr.UNIFORM) == (
             pytest.approx(0.5), pytest.approx(0.5))
 
     def test_zero_posterior(self):
         parr = np.zeros((2, 2, 2, 2))
         parr[1, 1] = 1.0
         with pytest.raises(ZeroPosteriorError):
-            an.bayes_setting_posterior(q.Behavior(p=parr), pr.UNIFORM)
+            posterior(q.Behavior(p=parr), pr.UNIFORM)
 
 
 class TestGammaTilde:
@@ -119,7 +124,7 @@ class TestGammaTilde:
     def test_bounds_dominate_realization_posterior(self, dist):
         # relaxation soundness along the noise family, at every level
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 9)]
-        posteriors = [an.bayes_setting_posterior(q.hardy_behavior(eta), dist) for eta in etas]
+        posteriors = [posterior(q.hardy_behavior(eta), dist) for eta in etas]
         for level in (1, 2, 3):
             [bounds] = an._gamma_bounds([HVector.from_eta(eta) for eta in etas], [dist], level)
             for (pa0, pa1), (g0, g1) in zip(posteriors, bounds, strict=True):
@@ -493,7 +498,7 @@ class TestGuessPrograms:
 
     def test_guess2_noiseless_uniform_is_half(self, grid_uniform):
         beh = q.hardy_behavior(1.0)
-        pa0, pa1 = an.bayes_setting_posterior(beh, pr.UNIFORM)
+        pa0, pa1 = posterior(beh, pr.UNIFORM)
         val = an.guesses([HVector.from_eta(1.0)], grid_uniform, [(pa0, pa1)])[0]
         assert val == pytest.approx(0.5, abs=5e-3)
 
@@ -508,7 +513,7 @@ class TestGuessPrograms:
 
     def test_guess_lower_bound_half(self, grid_uniform):
         beh = q.hardy_behavior(0.6)
-        pa0, pa1 = an.bayes_setting_posterior(beh, pr.UNIFORM)
+        pa0, pa1 = posterior(beh, pr.UNIFORM)
         for eta in (0.0, 0.4, 0.8, 1.0):
             h = HVector.from_eta(eta)
             assert an.guesses([h], grid_uniform, [(pa0, pa1)])[0] >= 0.5 - 1e-9
@@ -662,6 +667,19 @@ class TestKeyRates:
         rates = [an.key_rate_dropping(e, pr.UNIFORM, grid_uniform).key_rate
                  for e in np.linspace(1.0, 0.8, 5)]
         assert all(b <= a + 1e-6 for a, b in zip(rates, rates[1:]))
+
+    def test_sweep_builds_the_hardy_state_once(self, monkeypatch):
+        # every behavior of a sweep is affine in eta around one pure state
+        state, built = q.hardy_state, []
+
+        def counting(*alphas):
+            built.append(alphas)
+            return state(*alphas)
+
+        monkeypatch.setattr(q, "hardy_state", counting)
+        q._pure_behavior.cache_clear()
+        an.key_rate_sweep(ETAS51, resolution=15, level=2)
+        assert len(built) == 1
 
     def test_csv_writer(self, grid_uniform):
         rows = [an.key_rate_basic(1.0, pr.UNIFORM, grid_uniform)]

@@ -14,7 +14,8 @@ from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
                                biased_branches)
 from hardyqkd.solvers.sdp import prune_dependent_constraints
-from oracles import deterministic_behaviors, evaluate, nu_functional, realization_moment_matrix
+from oracles import (deterministic_behaviors, evaluate, noisy_state, nu_functional,
+                     realization_moment_matrix)
 
 SYMBOLS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 HARDY_ZEROS = {(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0}
@@ -474,7 +475,7 @@ class TestFunctional:
         rng = np.random.default_rng(2)
         beh = q.hardy_behavior(0.7)
         bases = q.local_bases(q.ALPHA_OPT, q.ALPHA_OPT)
-        rho = q.noisy_state(0.7, q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT))
+        rho = noisy_state(0.7, q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT))
         gamma = realization_moment_matrix(rho, bases, 2)
         layout = npa.get_layout(2)
         y = np.array([gamma[entries[0]] for entries in layout.classes.values()])

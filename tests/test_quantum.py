@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hardyqkd import quantum as q
 from hardyqkd.errors import LinearDependenceError, ParameterRangeError
 from oracles import (born_behavior_loop, check_density_matrix, is_hermitian, is_projector,
-                     validate_behavior, validate_measurements)
+                     noisy_state, validate_behavior, validate_measurements)
 
 SQRT5 = np.sqrt(5.0)
-
-
-def random_state(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+# pairs of bases (alpha_A, alpha_B), one with a complex alpha
+BASES = ((q.ALPHA_OPT, q.ALPHA_OPT), (0.3, 0.8), (0.6 * np.exp(1j * 0.4), 0.45))
 
 
 class TestLocalBases:
@@ -62,53 +59,17 @@ class TestProductStates:
         assert abs(np.linalg.det(gram)) > 1e-6
 
 
-class TestGramSchmidt:
-    def test_orthonormal_input_unchanged(self):
-        vecs = [np.eye(4)[k].astype(complex) for k in range(4)]
-        out = q.gram_schmidt(vecs)
-        for a, b in zip(vecs, out):
-            assert np.allclose(a, b, atol=1e-12)
-
-    def test_textbook_projection(self):
-        v1 = np.array([1.0, 0, 0, 0], dtype=complex)
-        v2 = np.array([1.0, 1.0, 0, 0], dtype=complex) / np.sqrt(2)
-        out = q.gram_schmidt([v1, v2])
-        assert np.allclose(out[0], [1, 0, 0, 0], atol=1e-12)
-        assert np.allclose(out[1], [0, 1, 0, 0], atol=1e-12)
-
-    def test_hardy_overlap_is_q(self):
-        bases = q.local_bases(q.ALPHA_OPT, q.ALPHA_OPT)
-        phi = q.hardy_product_states(bases)
-        out = q.gram_schmidt(phi)
-        overlap = abs(np.vdot(out[3], phi[3])) ** 2
-        assert overlap == pytest.approx((5 * SQRT5 - 11) / 2, abs=1e-10)
-
-    def test_dependent_input_rejected(self):
-        v = np.array([1.0, 0, 0, 0], dtype=complex)
-        with pytest.raises(LinearDependenceError):
-            q.gram_schmidt([v, v])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=10 ** 6))
-    def test_output_orthonormal_random_inputs(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 6))
-        k = int(rng.integers(2, dim + 1))
-        vecs = [random_state(rng, dim) for _ in range(k)]
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        if abs(np.linalg.det(gram)) < 1e-3:
-            return  # nearly dependent draws are rejected by contract
-        out = q.gram_schmidt(vecs)
-        gram_out = np.array([[np.vdot(a, b) for b in out] for a in out])
-        assert np.abs(gram_out - np.eye(k)).max() < 1e-12
-        # k-th output lies in the span of the first k inputs
-        for j in range(k):
-            basis = np.stack(vecs[:j + 1])
-            coeff, *_ = np.linalg.lstsq(basis.T, out[j], rcond=None)
-            assert np.linalg.norm(basis.T @ coeff - out[j]) < 1e-9
-
-
 class TestHardyState:
+    def test_hardy_overlap_is_q(self):
+        # psi is orthogonal to phi0..phi2 and phased so that <phi3|psi> > 0
+        for alpha_a, alpha_b in BASES:
+            psi = q.hardy_state(alpha_a, alpha_b)
+            phi = q.hardy_product_states(q.local_bases(alpha_a, alpha_b))
+            assert max(abs(np.vdot(v, psi)) for v in phi[:3]) <= 1e-15
+            overlap = np.vdot(phi[3], psi)
+            assert overlap.real > 0.0 and abs(overlap.imag) <= 1e-15
+            assert abs(overlap) ** 2 == pytest.approx(q.q_value(alpha_a, alpha_b), abs=1e-15)
+
     def test_pinned_probabilities_at_optimum(self):
         beh = q.hardy_behavior(1.0)
         assert beh.cell(0, 0, 0, 0) == pytest.approx((5 * SQRT5 - 11) / 2,
@@ -158,23 +119,29 @@ class TestUniquenessAndNoise:
         for alpha in (q.ALPHA_OPT, 2 ** -0.5, 0.3):
             assert q.uniqueness_check(q.local_bases(alpha, alpha)) == 1
 
+    def test_dependent_vectors_rejected(self, monkeypatch):
+        e = np.eye(4, dtype=complex)
+        monkeypatch.setattr(q, "hardy_product_states", lambda bases: [e[1], e[1], e[2], e[0]])
+        assert q.uniqueness_check(q.local_bases(0.5, 0.5)) == 2
+        with pytest.raises(LinearDependenceError):
+            q.hardy_state(0.5, 0.5)
+
     def test_noisy_state_limits(self):
         psi = q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT)
-        mixed = q.noisy_state(0.0, psi)
+        mixed = noisy_state(0.0, psi)
         assert np.allclose(np.linalg.eigvalsh(mixed), 0.25, atol=1e-12)
-        pure = q.noisy_state(1.0, psi)
+        pure = noisy_state(1.0, psi)
         assert np.trace(pure @ pure).real == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_state_spectrum_half(self):
         psi = q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT)
-        eigs = np.linalg.eigvalsh(q.noisy_state(0.5, psi))
+        eigs = np.linalg.eigvalsh(noisy_state(0.5, psi))
         assert np.allclose(sorted(eigs), [0.125, 0.125, 0.125, 0.625],
                            atol=1e-10)
 
     def test_eta_out_of_range(self):
-        psi = q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT)
         with pytest.raises(ParameterRangeError):
-            q.noisy_state(1.5, psi)
+            q.hardy_behavior(1.5)
 
 
 class TestBornBehavior:
@@ -203,25 +170,26 @@ class TestBornBehavior:
         validate_behavior(beh, tol=1e-10)
 
     def test_matches_cell_by_cell_loop(self):
-        for alpha_a, alpha_b in ((q.ALPHA_OPT, q.ALPHA_OPT), (0.3, 0.8),
-                                 (0.6 * np.exp(1j * 0.4), 0.45)):
+        for alpha_a, alpha_b in BASES:
             bases = q.local_bases(alpha_a, alpha_b)
             psi = q.hardy_state(alpha_a, alpha_b)
             for eta in (0.0, 0.35, 0.7, 0.95, 1.0):
-                rho = q.noisy_state(eta, psi)
+                rho = noisy_state(eta, psi)
                 beh = q.born_behavior(rho, bases)
                 assert np.abs(beh.p - born_behavior_loop(rho, bases)).max() <= 1e-15
-        assert np.array_equal(q.hardy_behavior(0.7, 0.3, 0.8).p, q.born_behavior(
-            q.noisy_state(0.7, q.hardy_state(0.3, 0.8)), q.local_bases(0.3, 0.8)).p)
 
     def test_noisy_linearity(self):
-        bases = q.local_bases(q.ALPHA_OPT, q.ALPHA_OPT)
-        psi = q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT)
-        pure = q.born_behavior(q.noisy_state(1.0, psi), bases)
-        for eta in (0.2, 0.5, 0.9):
-            mixed = q.born_behavior(q.noisy_state(eta, psi), bases)
-            expected = (1 - eta) * 0.25 + eta * pure.p
-            assert np.abs(mixed.p - expected).max() < 1e-12
+        # hardy_behavior is affine in eta by construction, and agrees with
+        # the Born rule of the mixed state rho(eta) up to rounding
+        for alpha_a, alpha_b in BASES:
+            bases = q.local_bases(alpha_a, alpha_b)
+            psi = q.hardy_state(alpha_a, alpha_b)
+            pure = q.hardy_behavior(1.0, alpha_a, alpha_b).p
+            for eta in (0.0, 0.2, 0.35, 0.5, 0.9, 1.0):
+                mixed = q.hardy_behavior(eta, alpha_a, alpha_b).p
+                assert np.array_equal(mixed, (1 - eta) / 4 + eta * pure)
+                assert np.abs(mixed - born_behavior_loop(noisy_state(eta, psi), bases)).max() \
+                    <= 1e-15
 
 
 class TestPredicates:

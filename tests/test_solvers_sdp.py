@@ -45,7 +45,7 @@ def test_lambda_max_oracle_50_instances():
         n = int(rng.integers(2, 10))
         c = random_symmetric(rng, n)
         p = SDPProblem(c=-c, constraints=[np.eye(n)], b=np.array([1.0]))
-        sol = sdp_solve(p, tol=1e-9)
+        sol = sdp_solve(p)
         assert sol.optimal
         lam_max = np.linalg.eigvalsh(c).max()
         assert -sol.primal_objective == pytest.approx(lam_max, abs=1e-7)
@@ -211,3 +211,18 @@ def test_failing_member_isolated():
     assert failed.tolist() == [False, True, False]
     for k, m in ((0, good[0]), (2, good[1])):
         assert np.array_equal(inverse[k], np.linalg.inv(m[None])[0])
+
+
+def test_schur_solve_isolates_a_singular_member():
+    # a singular Schur matrix marks its member failed, and the other
+    # members' directions are those of a solve on their own
+    rng = np.random.default_rng(7)
+    good = [g @ g.T + np.eye(3) for g in rng.normal(size=(2, 3, 3))]
+    schur = np.stack([good[0], np.zeros((3, 3)), good[1]])
+    rhs = rng.normal(size=(3, 3, 2))
+    dy, failed = sdp._schur_solve(schur, rhs)
+    assert failed.tolist() == [False, True, False]
+    for k in (0, 2):
+        alone, alone_failed = sdp._schur_solve(schur[k:k + 1], rhs[k:k + 1])
+        assert not alone_failed.any()
+        assert np.array_equal(dy[k], alone[0])
