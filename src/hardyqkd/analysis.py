@@ -10,6 +10,11 @@ for the dropping strategy); the split is not tied to the observed setting
 frequencies or sifting rates.  Key rates follow from the guessing bound,
 the sifting probability and the settings conditional entropy of the setup.
 
+The tables are arrays from the eta sweep to the LP: (N, 4) h rows (the
+noise segment, then the 8 deterministic corners), (N, 2) q brackets and
+(N, 2) gamma rows, with the segment's eta beside them, NaN at the corners
+(`GammaGrid`).
+
 The posterior weighs sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 against
 nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1).  The h pins fix
 sigma and h2, so the only bracket needed per h is the one on q, and it
@@ -68,15 +73,8 @@ _CERT_TOL = 1e-9
 _SETTLE_TOL = 1e-9
 
 
-def sigma_from_h(h: HVector, dist: SettingsDistribution) -> float:
-    """sigma = h1 P(A=0,B=0) + h3 P(A=0,B=1); fixed by h for the Hardy test."""
-    joint = dist.joint()
-    return h.h1 * joint[0, 0] + h.h3 * joint[0, 1]
-
-
-def _h_equalities(h: HVector) -> list[tuple[np.ndarray, float]]:
-    values = h.as_array()
-    return [(npa.cell(*H_CELLS[k]), float(values[k])) for k in range(4)]
+def _h_equalities(h: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    return [(npa.cell(*c), float(v)) for c, v in zip(H_CELLS, h, strict=True)]
 
 
 def _no_signalling_rows() -> np.ndarray:
@@ -92,8 +90,8 @@ def _no_signalling_rows() -> np.ndarray:
     return np.vstack([rows.reshape(8, 16)] + [npa.cell(*c).reshape(1, 16) for c in H_CELLS])
 
 
-# h-images of the 16 local deterministic strategies (8 are distinct)
-DETERMINISTIC_H_POINTS: tuple[HVector, ...] = tuple(HVector(*t) for t in sorted(
+# (8, 4) h-rows of the 16 local deterministic strategies (8 are distinct)
+DETERMINISTIC_H = np.array(sorted(
     {tuple(float(b[c]) for c in H_CELLS) for b in npa.DETERMINISTIC_BEHAVIORS}))
 # no-signalling LP of `_settled_q_ends`, objective the q cell
 _NS_LP = _no_signalling_rows()
@@ -104,9 +102,14 @@ _CHSH = np.array([npa.chsh_functional(np.reshape(w, (2, 2))).ravel()
                   for w in itertools.product((1.0, -1.0), repeat=4) if np.prod(w) > 0])
 
 
-def _settled_q_ends(hs: list[HVector]) -> list[list[float | None]]:
-    """[q_min, q_max] at each h where a linear program settles that end,
-    None where it needs an SDP.
+def _h_rows(etas: np.ndarray | list[float]) -> np.ndarray:
+    """(N, 4) rows of h(eta), the expected statistics of the noise family."""
+    return np.array([HVector.from_eta(eta).as_array() for eta in etas])
+
+
+def _settled_q_ends(hs: np.ndarray) -> np.ndarray:
+    """(N, 2) [q_min, q_max] at each h row where a linear program settles
+    that end, NaN where it needs an SDP.
 
     Each end is the max of s q with s = +1 (max) or s = -1 (min) over the
     cells of a no-signalling behavior with statistics h, solved as one
@@ -118,128 +121,103 @@ def _settled_q_ends(hs: list[HVector]) -> list[list[float | None]]:
     the vertex satisfies the eight CHSH inequalities within `_SETTLE_TOL`:
     with two settings and two outcomes the vertex is then local (Fine, PRL
     48, 291, 1982), hence quantum, so no relaxation can tighten the bound.
-    Every other end is None.
+    Every other end is NaN.
     """
-    ends: list[list[float | None]] = [[None, None] for _ in hs]
-    b_eqs = [np.concatenate([np.ones(4), np.zeros(4), h.as_array()]) for h in hs]
+    ends = np.full((len(hs), 2), np.nan)
+    b_eqs = np.hstack([np.ones((len(hs), 4)), np.zeros((len(hs), 4)), hs])
     for side, sign in enumerate((-1.0, 1.0)):
         coeffs = np.broadcast_to(sign * _NS_Q, (len(hs), _NS_Q.size))
-        for settled, (sol, bound) in zip(ends, _sweep(_NS_LP, b_eqs, coeffs), strict=True):
+        for k, (sol, bound) in enumerate(_sweep(_NS_LP, b_eqs, coeffs)):
             if sol.optimal and sol.residual <= _SETTLE_TOL and bound <= sol.value + _CERT_TOL \
                     and (_CHSH @ sol.x).max() <= 2.0 + _SETTLE_TOL:
-                settled[side] = sign * bound + 0.0  # + 0.0 turns a min end of -0.0 into 0.0
+                ends[k, side] = sign * bound + 0.0  # + 0.0 turns a min end of -0.0 into 0.0
     return ends
 
 
-def _nu_bounds(hs: list[HVector], dists: list[SettingsDistribution],
-               level: int) -> list[list[tuple[float, float]]]:
-    """(nu_min, nu_max) at each h, one list per distribution.
+def _q_brackets(hs: np.ndarray, level: int) -> np.ndarray:
+    """(N, 2) [q_min, q_max] of q = P(0,0|1,1) at each h row.
 
-    nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1): the h pins fix h2,
-    so only q is free, and its bracket does not depend on the distribution.
-    Each distribution's nu bracket is the image of the q bracket under that
-    nondecreasing affine map.
-
-    An end of q that `_settled_q_ends` settles by its linear program is
-    not solved: there a local vertex attains the no-signalling bound, so no
-    relaxation can tighten it.  At level >= 2 the noiseless point is not
-    solved either: h2 = h3 = h4 = 0 exactly with h1 at Hardy's maximum
-    Q_MAX (up to rounding) self-tests the Hardy realization (Rabelo, Zhi
-    and Scarani, PRL 109, 180401, 2012), so both ends are its q~ = sqrt(5) - 2.
-    There the pinned relaxation has no interior, and an interior-point run
-    stalls with a bracket up to 1e-3 wide.  Every other end is one job of a
-    single batched `npa.bound_functionals` call.  Every end is clipped to
-    [0, 1], where q lies as a probability: at level 1 q is not a diagonal
-    moment, and the relaxation min falls below 0 (-0.031 at eta = 0.857,
-    grid 15).
+    The h pins fix every cell of the posterior but q, and its bracket does
+    not depend on the settings distribution.  An end that `_settled_q_ends`
+    settles by its linear program is not solved: there a local vertex
+    attains the no-signalling bound, so no relaxation can tighten it.  At
+    level >= 2 the noiseless point is not solved either: h2 = h3 = h4 = 0
+    exactly with h1 at Hardy's maximum Q_MAX (up to rounding) self-tests the
+    Hardy realization (Rabelo, Zhi and Scarani, PRL 109, 180401, 2012), so
+    both ends are its q~ = sqrt(5) - 2.  There the pinned relaxation has no
+    interior, and an interior-point run stalls with a bracket up to 1e-3
+    wide.  Every other end is one job of a single batched
+    `npa.bound_functionals` call, point by point, min before max.  Every end
+    is clipped to [0, 1], where q lies as a probability: at level 1 q is not
+    a diagonal moment, and the relaxation min falls below 0 (-0.031 at
+    eta = 0.857, grid 15).
     """
-    q = npa.cell(*_Q_CELL)
-    ends = [[Q_TILDE, Q_TILDE] if level >= 2 and h.h2 == h.h3 == h.h4 == 0.0
-            and abs(h.h1 - Q_MAX) <= 1e-12 * (1.0 + Q_MAX) else pair
-            for h, pair in zip(hs, _settled_q_ends(hs), strict=True)]
-    jobs = [(_h_equalities(h), q, direction) for h, pair in zip(hs, ends, strict=True)
-            for direction, end in zip(("min", "max"), pair) if end is None]
-    solved = (bound for bound, _ in npa.bound_functionals(level, jobs))
-    qs = [np.clip([next(solved) if end is None else end for end in pair], 0.0, 1.0).tolist()
-          for pair in ends]
-    return [[(p10 * h.h2 + p11 * lo, p10 * h.h2 + p11 * hi)
-             for h, (lo, hi) in zip(hs, qs, strict=True)]
-            for p10, p11 in (dist.joint()[1].tolist() for dist in dists)]
+    q = _settled_q_ends(hs)
+    if level >= 2:
+        q[(hs[:, 1:] == 0.0).all(axis=1)
+          & (np.abs(hs[:, 0] - Q_MAX) <= 1e-12 * (1.0 + Q_MAX))] = Q_TILDE
+    points, sides = np.nonzero(np.isnan(q))
+    jobs = [(_h_equalities(hs[k]), npa.cell(*_Q_CELL), ("min", "max")[side])
+            for k, side in zip(points, sides, strict=True)]
+    q[points, sides] = [bound for bound, _ in npa.bound_functionals(level, jobs)]
+    return np.clip(q, 0.0, 1.0)
 
 
-def _gamma_bounds(hs: list[HVector], dists: list[SettingsDistribution],
-                  level: int) -> list[list[tuple[float, float]]]:
-    """Upper bounds (gamma0, gamma1) on the setting posterior at each h,
-    one list per distribution.
+def _gamma_table(hs: np.ndarray, q: np.ndarray, dist: SettingsDistribution) -> np.ndarray:
+    """(N, 2) upper bounds (gamma0, gamma1) on the setting posterior at each
+    h row, from its q bracket.
 
     sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 is a function of h, and
-    nu = P(A=1,B=0) h2 + P(A=1,B=1) q is bracketed by `_nu_bounds` through
-    its free cell q = P(0,0|1,1); the posterior ratios are evaluated at the
-    extremes.  Points whose compatible behaviors never produce two zero outcomes
-    constrain nothing, so both bounds degrade to 1.
+    nu = P(A=1,B=0) h2 + P(A=1,B=1) q, a nondecreasing affine map of the
+    bracketed q; the posterior ratios are evaluated at the extremes.  Points
+    whose compatible behaviors never produce two zero outcomes constrain
+    nothing, so both bounds degrade to 1.
     """
-    tables = []
-    for dist, nu in zip(dists, _nu_bounds(hs, dists, level), strict=True):
-        bounds = []
-        for h, (lo, hi) in zip(hs, nu, strict=True):
-            nu_min = max(0.0, lo)
-            nu_max = max(nu_min, hi)
-            sigma = sigma_from_h(h, dist)
-            if sigma <= _VACUOUS_TOL and nu_max <= _VACUOUS_TOL:
-                bounds.append((1.0, 1.0))  # sifting never happens: vacuous conditioning
-            elif sigma <= _VACUOUS_TOL:
-                bounds.append((0.0, 1.0))
-            else:
-                bounds.append((min(sigma / (sigma + nu_min), 1.0),
-                               min(nu_max / (sigma + nu_max), 1.0)))
-        tables.append(bounds)
-    return tables
+    joint = dist.joint()
+    sigma = hs[:, 0] * joint[0, 0] + hs[:, 2] * joint[0, 1]
+    nu = joint[1, 0] * hs[:, 1:2] + joint[1, 1] * q
+    nu_min = np.maximum(0.0, nu[:, 0])
+    nu_max = np.maximum(nu_min, nu[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # the vacuous rows, set below
+        gammas = np.minimum(np.stack([sigma / (sigma + nu_min),
+                                      nu_max / (sigma + nu_max)], axis=1), 1.0)
+    vacuous = sigma <= _VACUOUS_TOL
+    gammas[vacuous] = (0.0, 1.0)
+    gammas[vacuous & (nu_max <= _VACUOUS_TOL)] = 1.0  # sifting never happens
+    return gammas
 
 
 def gamma_tilde(h: HVector, dist: SettingsDistribution,
                 level: int = 2) -> tuple[float, float]:
     """Upper bounds (gamma0, gamma1) on the setting posterior at statistics h."""
-    return _gamma_bounds([h], [dist], level)[0][0]
-
-
-@dataclass(frozen=True)
-class GammaPoint:
-    h: HVector
-    gamma0: float
-    gamma1: float
-    eta: float | None = None  # set for points on the isotropic-noise segment
+    hs = h.as_array()[None]
+    return tuple(_gamma_table(hs, _q_brackets(hs, level), dist)[0].tolist())
 
 
 @dataclass
 class GammaGrid:
-    """Tabulated (h, gamma0, gamma1) points for the decomposition programs."""
+    """Tabulated gamma bounds for the decomposition programs: row k holds
+    the statistics hs[k], the bounds gammas[k] = (gamma0, gamma1) and the
+    visibility etas[k] on the noise segment (NaN at the corners)."""
 
-    points: list[GammaPoint]
+    hs: np.ndarray  # (G, 4)
+    gammas: np.ndarray  # (G, 2)
+    etas: np.ndarray  # (G,)
     level: int
     dist_label: str
 
     @cached_property
     def lp_matrix(self) -> np.ndarray:
         """(5, G) constraints of the decomposition LPs: column k is (h_k, 1)."""
-        hmat = np.stack([p.h.as_array() for p in self.points])
-        return np.vstack([hmat.T, np.ones(len(self.points))])
-
-    @cached_property
-    def gammas(self) -> np.ndarray:
-        """(G, 2) table of (gamma0, gamma1)."""
-        return np.array([(p.gamma0, p.gamma1) for p in self.points])
-
-    def segment_points(self) -> list[GammaPoint]:
-        return [p for p in self.points if p.eta is not None]
+        return np.vstack([self.hs.T, np.ones(len(self.hs))])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["eta", "h1", "h2", "h3", "h4", "gamma0", "gamma1"])
-        for p in self.points:
-            eta = "" if p.eta is None else f"{p.eta:.12g}"
-            writer.writerow([eta] + [f"{v:.12g}" for v in p.h.as_array()]
-                            + [f"{p.gamma0:.12g}", f"{p.gamma1:.12g}"])
+        for eta, h, gamma in zip(self.etas, self.hs, self.gammas, strict=True):
+            writer.writerow(["" if np.isnan(eta) else f"{eta:.12g}"]
+                            + [f"{v:.12g}" for v in (*h, *gamma)])
         return buf.getvalue()
 
 
@@ -252,23 +230,22 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     h-images of the local deterministic strategies, which give the
     decomposition LPs their reach (any classical-noise statistics can then
     be split into perfectly guessable populations).  The tables of all
-    distributions come from one bracket on q = P(0,0|1,1) per point, mapped
-    to each distribution's nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several
-    distributions cost the SDP work of one (`_nu_bounds`).  One linear
-    program per end settles both ends wherever a local model reproduces
-    the point (`_settled_q_ends`; at grid resolution 15: 12 of the 15
-    segment points and all 8 corners), and at level >= 2 the noiseless
-    point eta = 1 is settled by self-testing; every other end is one job of
-    a single `npa.bound_functionals` call.  Returns one grid per
-    distribution.
+    distributions come from one bracket on q = P(0,0|1,1) per point
+    (`_q_brackets`), mapped to each distribution's
+    nu = P(A=1,B=0) h2 + P(A=1,B=1) q, so several distributions cost the SDP
+    work of one.  One linear program per end settles both ends wherever a
+    local model reproduces the point (`_settled_q_ends`; at grid resolution
+    15: 12 of the 15 segment points and all 8 corners), and at level >= 2
+    the noiseless point eta = 1 is settled by self-testing; every other end
+    is one job of a single `npa.bound_functionals` call.  Returns one grid
+    per distribution.
     """
-    etas = [float(eta) for eta in np.linspace(0.0, 1.0, resolution)]
-    hs = [HVector.from_eta(eta) for eta in etas] + list(DETERMINISTIC_H_POINTS)
-    point_etas = etas + [None] * len(DETERMINISTIC_H_POINTS)
-    return [GammaGrid(points=[GammaPoint(h=h, gamma0=g0, gamma1=g1, eta=eta)
-                              for h, (g0, g1), eta in zip(hs, bounds, point_etas, strict=True)],
-                      level=level, dist_label=dist.label or "custom")
-            for dist, bounds in zip(dists, _gamma_bounds(hs, dists, level), strict=True)]
+    segment = np.linspace(0.0, 1.0, resolution)
+    hs = np.vstack([_h_rows(segment), DETERMINISTIC_H])
+    q = _q_brackets(hs, level)
+    etas = np.concatenate([segment, np.full(len(DETERMINISTIC_H), np.nan)])
+    return [GammaGrid(hs, _gamma_table(hs, q, dist), etas, level, dist.label or "custom")
+            for dist in dists]
 
 
 def build_gamma_grid(dist: SettingsDistribution,
@@ -289,7 +266,7 @@ def _dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
     return float(y @ b_eq) + float(np.maximum(coeff - y @ a_eq, 0.0).sum())
 
 
-def _sweep(a_eq: np.ndarray, b_eqs: list[np.ndarray],
+def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
            coeffs: np.ndarray) -> Iterator[tuple[LPSolution, float]]:
     """Maximize coeff.x s.t. a_eq x = b_eq, x >= 0 for each pair in turn,
     each LP from the final basis of the one before.  Yields each solution
@@ -302,9 +279,10 @@ def _sweep(a_eq: np.ndarray, b_eqs: list[np.ndarray],
         yield sol, _dual_bound(sol.duals, coeff, a_eq, b_eq) if sol.duals.size else np.nan
 
 
-def guesses(hs: list[HVector], grid: GammaGrid,
-            priors: list[tuple[float, float]] | None = None) -> list[float]:
-    """Certified guessing probabilities at each h, solved as one LP sweep.
+def guesses(hs: np.ndarray, grid: GammaGrid,
+            priors: np.ndarray | None = None) -> list[float]:
+    """Certified guessing probabilities at each of the (N, 4) h rows, solved
+    as one LP sweep.
 
     Each value is the upper concave envelope of the coefficients f over the
     grid's h-points, at h: the maximum of sum_k w_k f_k over weights w >= 0
@@ -312,9 +290,9 @@ def guesses(hs: list[HVector], grid: GammaGrid,
     into populations at grid points and guesses each with its better
     posterior: f = max(gamma0, gamma1) for the basic strategy, and
     f = max(gamma0 / 2 pa0, gamma1 / 2 pa1) with the (pa0, pa1) of each h in
-    `priors` for the dropping strategy.  The LPs are one `_sweep`; each
-    value is its certified dual bound, and an uncertified one raises
-    `DecompositionInfeasibleError`.
+    the (N, 2) `priors` for the dropping strategy.  The LPs are one
+    `_sweep`; each value is its certified dual bound, and an uncertified one
+    raises `DecompositionInfeasibleError`.
     """
     gammas = grid.gammas
     if priors is None:
@@ -325,7 +303,7 @@ def guesses(hs: list[HVector], grid: GammaGrid,
             raise ZeroPosteriorError("dropping requires both setting values to occur")
         coeffs = (gammas / (2.0 * pa)).max(axis=2)
     values = []
-    for sol, bound in _sweep(grid.lp_matrix, [np.append(h.as_array(), 1.0) for h in hs], coeffs):
+    for sol, bound in _sweep(grid.lp_matrix, np.hstack([hs, np.ones((len(hs), 1))]), coeffs):
         if not bound <= sol.value + _CERT_TOL:
             raise DecompositionInfeasibleError(
                 "h lies outside the convex hull of the gamma grid" if sol.status == "infeasible"
@@ -362,10 +340,9 @@ def key_rates(etas: np.ndarray | list[float], dist: SettingsDistribution, grid: 
     """
     etas = [float(eta) for eta in etas]
     behaviors = [hardy_behavior(eta) for eta in etas]
-    priors = [joint_settings_given_00(behavior, dist).sum(axis=1).tolist()
-              for behavior in behaviors]
-    gs = guesses([HVector.from_eta(eta) for eta in etas], grid,
-                 priors if dropping else None)
+    priors = np.array([joint_settings_given_00(behavior, dist).sum(axis=1)
+                       for behavior in behaviors])
+    gs = guesses(_h_rows(etas), grid, priors if dropping else None)
     joint = dist.joint()
     reports = []
     for eta, behavior, (pa0, pa1), g in zip(etas, behaviors, priors, gs, strict=True):

@@ -177,7 +177,8 @@ def cmd_keyrate(cfg: RunConfig) -> int:
     out_svg = Path(cfg.out) / "keyrates.svg"
     _write(out_svg, plot.to_svg())
 
-    top = max(reports, key=lambda r: r.key_rate)
+    # ranked by the CSV's own value: rates equal to 12 digits go to the first row
+    top = max(reports, key=lambda r: float(f"{r.key_rate:.12g}"))
     print(f"wrote {len(reports)} rows to {out_csv}")
     print(f"best rate {top.key_rate:.6f} at eta={top.eta:.4f} "
           f"({top.dist_label}/{top.strategy})")
@@ -216,9 +217,9 @@ def cmd_gamma(cfg: RunConfig) -> int:
                                      level=cfg.level)
     out_csv = Path(cfg.out) / "gamma.csv"
     _write(out_csv, grid.to_csv())
-    seg = grid.segment_points()
-    print(f"wrote {len(grid.points)} grid points to {out_csv}")
-    print(f"gamma at eta=1: ({seg[-1].gamma0:.6f}, {seg[-1].gamma1:.6f})")
+    g0, g1 = grid.gammas[cfg.grid_res - 1]  # the last segment point, eta = 1
+    print(f"wrote {len(grid.hs)} grid points to {out_csv}")
+    print(f"gamma at eta=1: ({g0:.6f}, {g1:.6f})")
     return EXIT_OK
 
 

@@ -5,10 +5,6 @@ class ParameterRangeError(ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
-class LinearDependenceError(ValueError):
-    """Input vectors are (numerically) linearly dependent."""
-
-
 class EpsilonTooLargeError(ParameterRangeError):
     """A bias epsilon pushes a branch probability outside [0, 1]."""
 

@@ -27,7 +27,7 @@ from its template and solves them all as stacked interior-point runs.  The
 two noiseless faces, where a pinned relaxation has no interior and no
 interior-point run converges, are settled by self-testing before any solve:
 Hardy's maximum fixes the behavior (Rabelo, Zhi and Scarani, PRL 109,
-180401, 2012; `analysis._nu_bounds`), and so does Tsirelson's bound (review:
+180401, 2012; `analysis._q_brackets`), and so does Tsirelson's bound (review:
 Supic and Bowles, Quantum 4, 337, 2020; `chsh_outcome_guess_bounds`).
 
 The CHSH outcome-guess bounds of a biased settings source solve by SDP only
@@ -446,7 +446,7 @@ def bound_functionals(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolut
     and a direct call returns the accepted bracket as it is: at eta = 1 it
     holds q~ = sqrt(5) - 2 with a width of 2e-4 at level 2 and 1.1e-3 at
     level 3.  The pipeline settles both faces by self-testing and sends no
-    job there (`analysis._nu_bounds`, `chsh_outcome_guess_bounds`).  A max
+    job there (`analysis._q_brackets`, `chsh_outcome_guess_bounds`).  A max
     below the functional's minimum over all behaviors (or a min above its
     maximum) raises `InfeasibleHError`.  Returns (bound, pinned solution)
     per job.

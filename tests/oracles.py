@@ -106,6 +106,30 @@ def nu_functional(dist) -> np.ndarray:
     return cells
 
 
+def sigma_from_h(h, dist) -> float:
+    """sigma = h1 P(A=0,B=0) + h3 P(A=0,B=1) at one h row; fixed by h for
+    the Hardy test."""
+    joint = dist.joint()
+    return h[0] * joint[0, 0] + h[2] * joint[0, 1]
+
+
+def gamma_point(h, q_bracket, dist) -> tuple[float, float]:
+    """(gamma0, gamma1) at one h row from its [q_min, q_max], point by point:
+    sigma / (sigma + nu_min) and nu_max / (sigma + nu_max) with
+    nu = P(A=1,B=0) h2 + P(A=1,B=1) q, and the vacuous values where sigma
+    (and nu_max) are at most 1e-7."""
+    p10, p11 = dist.joint()[1].tolist()
+    lo, hi = (p10 * h[1] + p11 * q for q in q_bracket)
+    nu_min = max(0.0, lo)
+    nu_max = max(nu_min, hi)
+    s = sigma_from_h(h, dist)
+    if s <= 1e-7 and nu_max <= 1e-7:
+        return (1.0, 1.0)  # sifting never happens: vacuous conditioning
+    if s <= 1e-7:
+        return (0.0, 1.0)
+    return (min(s / (s + nu_min), 1.0), min(nu_max / (s + nu_max), 1.0))
+
+
 def deterministic_behaviors() -> np.ndarray:
     """(16, 2, 2, 2, 2) behaviors of the local deterministic strategies, in
     the order of (a_0, a_1) then (b_0, b_1), each over {0, 1}: the strategy

@@ -16,7 +16,8 @@ from hardyqkd import npa, protocol as pr, quantum as q
 from hardyqkd.errors import SolverFailure, ZeroPosteriorError
 from hardyqkd.protocol import HVector
 from hardyqkd.solvers import LPProblem, lp, lp_solve
-from oracles import deterministic_behaviors, nu_functional, recompute_key_rate
+from oracles import (deterministic_behaviors, gamma_point, nu_functional, recompute_key_rate,
+                     sigma_from_h)
 
 POSTERIOR0 = q.Q_MAX / (q.Q_MAX + q.Q_TILDE)  # 0.2763932...
 
@@ -38,11 +39,10 @@ def grids15():
 
 
 def decomposition_lp(grid, eta, prior=None):
-    """(coeff, a_eq, b_eq) of the decomposition LP at h(eta), from the grid
-    points' own fields."""
-    a_eq = np.vstack([np.stack([p.h.as_array() for p in grid.points]).T,
-                      np.ones(len(grid.points))])
-    gammas = np.array([(p.gamma0, p.gamma1) for p in grid.points])
+    """(coeff, a_eq, b_eq) of the decomposition LP at h(eta), from the grid's
+    own arrays."""
+    a_eq = np.vstack([grid.hs.T, np.ones(len(grid.hs))])
+    gammas = grid.gammas
     coeff = gammas.max(axis=1) if prior is None else (gammas / (2.0 * np.array(prior))).max(axis=1)
     return coeff, a_eq, np.append(HVector.from_eta(eta).as_array(), 1.0)
 
@@ -126,7 +126,8 @@ class TestGammaTilde:
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 9)]
         posteriors = [posterior(q.hardy_behavior(eta), dist) for eta in etas]
         for level in (1, 2, 3):
-            [bounds] = an._gamma_bounds([HVector.from_eta(eta) for eta in etas], [dist], level)
+            hs = an._h_rows(etas)
+            bounds = an._gamma_table(hs, an._q_brackets(hs, level), dist)
             for (pa0, pa1), (g0, g1) in zip(posteriors, bounds, strict=True):
                 assert g0 >= pa0 - 1e-3
                 assert g1 >= pa1 - 1e-3
@@ -134,10 +135,10 @@ class TestGammaTilde:
     def test_nu_brackets_match_direct_nu_solves(self):
         # one q bracket serves both distributions: it must give the nu
         # brackets of solving each distribution's nu functional directly
-        hs = [HVector.from_eta(eta) for eta in (0.0, 0.3, 0.6, 0.9, 0.95, 0.99)]
-        hs += list(an.DETERMINISTIC_H_POINTS)
+        hs = np.vstack([an._h_rows((0.0, 0.3, 0.6, 0.9, 0.95, 0.99)), an.DETERMINISTIC_H])
         dists = [pr.UNIFORM, pr.NONUNIFORM]
-        shared = an._nu_bounds(hs, dists, 2)
+        qs = an._q_brackets(hs, 2)
+        shared = [dist.joint()[1, 0] * hs[:, 1:2] + dist.joint()[1, 1] * qs for dist in dists]
         for dist, brackets in zip(dists, shared, strict=True):
             jobs = [(an._h_equalities(h), nu_functional(dist), direction)
                     for h in hs for direction in ("min", "max")]
@@ -148,8 +149,10 @@ class TestGammaTilde:
     @pytest.mark.parametrize("level", [2, 3])
     def test_noiseless_bounds_never_below_exact(self, level):
         # at eta = 1 the posterior is exact; the bounds may only lie above it
-        [(u0, u1)], [(n0, n1)] = an._gamma_bounds([HVector.from_eta(1.0)],
-                                                  [pr.UNIFORM, pr.NONUNIFORM], level)
+        hs = an._h_rows([1.0])
+        qs = an._q_brackets(hs, level)
+        [(u0, u1)], [(n0, n1)] = (an._gamma_table(hs, qs, dist)
+                                  for dist in (pr.UNIFORM, pr.NONUNIFORM))
         assert u0 >= POSTERIOR0 and u1 >= 1.0 - POSTERIOR0
         assert n0 >= 0.5 and n1 >= 0.5
 
@@ -165,13 +168,39 @@ class TestGammaTilde:
                 for cell, v in zip(pr.H_CELLS, h.as_array())]
         lo = npa.bound_functional(2, pins, sigma, "min")
         hi = npa.bound_functional(2, pins, sigma, "max")
-        expected = an.sigma_from_h(h, pr.UNIFORM)
+        expected = sigma_from_h(h.as_array(), pr.UNIFORM)
         assert lo == pytest.approx(expected, abs=1e-4)
         assert hi == pytest.approx(expected, abs=1e-4)
 
 
+class TestGammaTable:
+    def test_matches_pointwise_reference(self):
+        # the array formula gives the per-point one exactly, on random rows
+        # and on both vacuous kinds: sigma <= 1e-7, and nu_max <= 1e-7 too
+        rng = np.random.default_rng(11)
+        hs = rng.uniform(size=(60, 4))
+        hs[20:40, [0, 2]] *= 1e-8
+        hs[30:40, 1] *= 1e-8
+        qs = rng.uniform(-0.1, 1.0, size=(60, 2))
+        qs[30:40] *= 1e-8
+        dists = [pr.UNIFORM, pr.NONUNIFORM, pr.SettingsDistribution(0.3, 0.6),
+                 pr.SettingsDistribution(1.0, 0.0)]
+        dists += [pr.SettingsDistribution(*rng.uniform(size=2)) for _ in range(4)]
+        kinds = set()
+        for dist in dists:
+            reference = [gamma_point(h, q, dist) for h, q in zip(hs, qs, strict=True)]
+            assert [tuple(row) for row in an._gamma_table(hs, qs, dist).tolist()] == reference
+            kinds.update(reference)
+        assert {(0.0, 1.0), (1.0, 1.0)} <= kinds
+
+    def test_corner_rows_are_the_deterministic_h_images(self):
+        images = {tuple(b[cell] for cell in pr.H_CELLS) for b in deterministic_behaviors()}
+        assert an.DETERMINISTIC_H.shape == (8, 4)
+        assert an.DETERMINISTIC_H.tolist() == [list(h) for h in sorted(images)]
+
+
 class TestRelaxedBounds:
-    """The noiseless point: exact by self-testing in `an._nu_bounds`, and
+    """The noiseless point: exact by self-testing in `an._q_brackets`, and
     enclosed by the direct h-pinned relaxation that stalls there."""
 
     @pytest.mark.parametrize("dist, exact, level", [
@@ -194,12 +223,12 @@ class TestRelaxedBounds:
         def to_nu(bound):
             return joint[1, 0] * h.h2 + joint[1, 1] * bound
 
-        jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), direction)
+        jobs = [(an._h_equalities(h.as_array()), npa.cell(0, 0, 1, 1), direction)
                 for direction in ("min", "max")]
         q_lo, q_hi = (bound for bound, _ in npa.bound_functionals(level, jobs))
         assert to_nu(q_lo) <= exact <= to_nu(q_hi)
         assert q_hi - q_lo < 1.2e-3
-        (lo, hi), = an._nu_bounds([h], [dist], level)[0]
+        lo, hi = to_nu(an._q_brackets(h.as_array()[None], level)[0])
         assert lo == hi == pytest.approx(exact, rel=1e-14)
 
 
@@ -211,7 +240,7 @@ class TestLevelMonotonicity:
         # values are the looser ones: q in [0.2358172, 0.2368950] against
         # [0.2358903, 0.2361073] at level 2; the self-tested values are exact
         h = HVector.from_eta(1.0)
-        gammas = [an._gamma_bounds([h], [pr.UNIFORM], level)[0][0] for level in (2, 3)]
+        gammas = [an.gamma_tilde(h, pr.UNIFORM, level) for level in (2, 3)]
         assert gammas[0] == gammas[1] == pytest.approx((POSTERIOR0, 1.0 - POSTERIOR0),
                                                        abs=1e-15)
         assert [an.bias_compare([0.0], level)[0].chsh_guess for level in (2, 3)] == [0.5, 0.5]
@@ -230,30 +259,30 @@ class TestLevelMonotonicity:
 
 class TestGammaGrid:
     def test_segment_metadata(self, grid_uniform):
-        seg = grid_uniform.segment_points()
+        seg = grid_uniform.etas[~np.isnan(grid_uniform.etas)]
         assert len(seg) == 41
-        assert seg[0].eta == 0.0 and seg[-1].eta == 1.0
+        assert seg[0] == 0.0 and seg[-1] == 1.0
 
     def test_guess_curve_monotone_nonincreasing(self, grid_uniform):
         # The raw gamma ratios are not monotone along the noise family (the
         # pinned zero cells relax faster than sigma shrinks); the decomposed
         # guessing probability is, being concave in h with its maximum at
         # full noise.
-        values = [an.guesses([HVector.from_eta(float(e))], grid_uniform)[0]
+        values = [an.guesses(an._h_rows([e]), grid_uniform)[0]
                   for e in np.linspace(0.0, 1.0, 11)]
         assert values[0] == pytest.approx(1.0, abs=1e-9)
         assert all(b <= a + 1e-7 for a, b in zip(values, values[1:]))
 
     def test_bounds_in_unit_interval(self, grid_uniform):
-        for p in grid_uniform.points:
-            assert -1e-12 <= p.gamma0 <= 1.0 + 1e-12
-            assert -1e-12 <= p.gamma1 <= 1.0 + 1e-12
+        for gamma0, gamma1 in grid_uniform.gammas:
+            assert -1e-12 <= gamma0 <= 1.0 + 1e-12
+            assert -1e-12 <= gamma1 <= 1.0 + 1e-12
 
     def test_csv_schema(self, grid_uniform):
         text = grid_uniform.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "eta,h1,h2,h3,h4,gamma0,gamma1"
-        assert len(lines) == 1 + len(grid_uniform.points)
+        assert len(lines) == 1 + len(grid_uniform.hs)
 
     @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM],
                              ids=["uniform", "nonuniform"])
@@ -261,10 +290,10 @@ class TestGammaGrid:
         # the grid solves all its bounds in batches; each point must get the
         # values of its own one-point computation
         grid = an.build_gamma_grid(dist, resolution=15, level=2)
-        for p in grid.points:
-            g0, g1 = an.gamma_tilde(p.h, dist, level=2)
-            assert p.gamma0 == pytest.approx(g0, abs=1e-9)
-            assert p.gamma1 == pytest.approx(g1, abs=1e-9)
+        for h, (gamma0, gamma1) in zip(grid.hs, grid.gammas, strict=True):
+            g0, g1 = an.gamma_tilde(HVector(*h), dist, level=2)
+            assert gamma0 == pytest.approx(g0, abs=1e-9)
+            assert gamma1 == pytest.approx(g1, abs=1e-9)
 
     def test_sweep_grids_match_per_distribution_grids(self, monkeypatch):
         # key_rate_sweep solves the grids of all distributions in one batch;
@@ -280,8 +309,7 @@ class TestGammaGrid:
         assert [g.dist_label for g in built] == ["uniform", "nonuniform"]
         for grid, dist in zip(built, (pr.UNIFORM, pr.NONUNIFORM)):
             alone = an.build_gamma_grid(dist, resolution=15, level=2)
-            assert [(p.gamma0, p.gamma1) for p in grid.points] == \
-                [(p.gamma0, p.gamma1) for p in alone.points]
+            assert grid.gammas.tolist() == alone.gammas.tolist()
 
     def test_one_q_solve_per_bound_for_both_distributions(self, monkeypatch):
         # both distributions share one pinned bound on q per (h, direction)
@@ -301,22 +329,20 @@ class TestGammaGrid:
     def test_single_point_grid_degenerates(self):
         h = HVector.from_eta(1.0)
         g0, g1 = an.gamma_tilde(h, pr.UNIFORM)
-        grid = an.GammaGrid(points=[an.GammaPoint(h=h, gamma0=g0, gamma1=g1,
-                                                  eta=1.0)],
+        grid = an.GammaGrid(h.as_array()[None], np.array([[g0, g1]]), np.array([1.0]),
                             level=2, dist_label="uniform")
-        assert an.guesses([h], grid)[0] == pytest.approx(max(g0, g1), abs=1e-9)
+        assert an.guesses(h.as_array()[None], grid)[0] == pytest.approx(max(g0, g1), abs=1e-9)
 
 
 def grid_points(resolution):
-    """The h-points of a gamma grid: the noise segment, then the corners."""
-    return [HVector.from_eta(float(eta)) for eta in np.linspace(0.0, 1.0, resolution)] \
-        + list(an.DETERMINISTIC_H_POINTS)
+    """The h rows of a gamma grid: the noise segment, then the corners."""
+    return np.vstack([an._h_rows(np.linspace(0.0, 1.0, resolution)), an.DETERMINISTIC_H])
 
 
 def settle_lps(h, sign):
     """The no-signalling LP of one end of q at h, maximizing sign * q, as
     (coeff, a_eq, b_eq)."""
-    return sign * an._NS_Q, an._NS_LP, np.concatenate([np.ones(4), np.zeros(4), h.as_array()])
+    return sign * an._NS_Q, an._NS_LP, np.concatenate([np.ones(4), np.zeros(4), h])
 
 
 def chsh_values(x):
@@ -333,9 +359,9 @@ class TestSettledEnds:
         # a local model reproduces h up to eta ~ 0.845 and at every corner,
         # and there it attains the no-signalling bound at both ends of q
         ends = an._settled_q_ends(grid_points(15))
-        settled = [all(end is not None for end in pair) for pair in ends]
+        settled = [not np.isnan(pair).any() for pair in ends]
         assert settled == [True] * 12 + [False] * 3 + [True] * 8
-        assert all(pair == [None, None] for pair in ends[12:15])
+        assert np.isnan(ends[12:15]).all()
 
     @pytest.mark.parametrize("resolution, calls", [(15, 46), (3, 22)])
     def test_one_lp_per_end_and_point(self, grids15, monkeypatch, resolution, calls):
@@ -345,7 +371,7 @@ class TestSettledEnds:
         monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(1) or solve(*args))
         an._settled_q_ends(grid_points(resolution))
         assert len(made) == calls == 2 * len(grid_points(resolution))
-        hs = [HVector.from_eta(float(eta)) for eta in ETAS51]
+        hs = an._h_rows(ETAS51)
         for priors in (None, [(0.4, 0.6)] * len(hs)):
             made.clear()
             an.guesses(hs, grids15["uniform"], priors)
@@ -357,7 +383,7 @@ class TestSettledEnds:
         bound = an._dual_bound
         monkeypatch.setattr(an, "_dual_bound", lambda *args: bound(*args) + 1e-6)
         ends = an._settled_q_ends(grid_points(15))
-        assert all(pair == [None, None] for pair in ends)
+        assert np.isnan(ends).all()
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_settled_ends_match_direct_sdp(self, level):
@@ -369,7 +395,7 @@ class TestSettledEnds:
         jobs, settled = [], []
         for h, pair in zip(points, an._settled_q_ends(points), strict=True):
             for direction, end in zip(("min", "max"), pair):
-                if end is not None:
+                if not np.isnan(end):
                     jobs.append((an._h_equalities(h), npa.cell(0, 0, 1, 1), direction))
                     settled.append(end)
         assert len(jobs) == 40
@@ -384,8 +410,7 @@ class TestSettledEnds:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
     def test_ns_dual_bound_never_below_optimum(self, sign):
         rng = np.random.default_rng(29)
-        for h in [HVector.from_eta(eta) for eta in (0.0, 0.4, 0.8, 1.0)] \
-                + list(an.DETERMINISTIC_H_POINTS):
+        for h in np.vstack([an._h_rows((0.0, 0.4, 0.8, 1.0)), an.DETERMINISTIC_H]):
             coeff, a_eq, b_eq = settle_lps(h, sign)
             optimum = cold_value(coeff, a_eq, b_eq)
             for _ in range(200):
@@ -395,7 +420,7 @@ class TestSettledEnds:
     def test_realizations_meet_the_no_signalling_rows(self):
         for eta in (0.0, 0.5, 1.0):
             behavior = q.hardy_behavior(eta)
-            _, a_eq, b_eq = settle_lps(HVector.from_eta(eta), 1.0)
+            _, a_eq, b_eq = settle_lps(an._h_rows([eta])[0], 1.0)
             assert np.abs(a_eq @ behavior.p.ravel() - b_eq).max() <= 1e-12
 
     @pytest.mark.parametrize("resolution", [15, 41])
@@ -415,7 +440,7 @@ class TestSettledEnds:
                 assert vertex.optimal
                 local = lp_solve(LPProblem(c=np.zeros(16), a_eq=mixture,
                                            b_eq=np.append(vertex.x, 1.0)))
-                if end is None:
+                if np.isnan(end):
                     assert max(chsh_values(vertex.x)) > 2.0 + 1e-9
                     assert local.status == "infeasible"
                     continue
@@ -432,7 +457,7 @@ class TestSettledEnds:
         # against the tables with every end of q solved by its relaxation
         dists = [pr.UNIFORM, pr.NONUNIFORM]
         settled = an.build_gamma_grids(dists, 15, 2)
-        monkeypatch.setattr(an, "_settled_q_ends", lambda hs: [[None, None] for _ in hs])
+        monkeypatch.setattr(an, "_settled_q_ends", lambda hs: np.full((len(hs), 2), np.nan))
         solved = an.build_gamma_grids(dists, 15, 2)
         for new, old in zip(settled, solved, strict=True):
             assert np.abs(new.gammas - old.gammas).max() <= 1e-7
@@ -442,21 +467,20 @@ class TestSettledEnds:
         # below 0; every reported end lies in [0, 1], so gamma0 only falls
         # against the relaxation's own q_min (up to its tolerance of 1e-8)
         points = grid_points(15)
-        # P(A=1, B=1) = 1 makes nu = q
-        [brackets] = an._nu_bounds(points, [pr.SettingsDistribution(0.0, 0.0)], 1)
+        brackets = an._q_brackets(points, 1)
         assert all(0.0 <= end <= 1.0 for bracket in brackets for end in bracket)
         jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), "min") for h in points]
         lows = [bound for bound, _ in npa.bound_functionals(1, jobs)]
         assert min(lows) < -0.03
         skewed = pr.SettingsDistribution(0.5, 0.1)
-        tables = an._gamma_bounds(points, [pr.UNIFORM, skewed], 1)
+        tables = [an._gamma_table(points, brackets, dist) for dist in (pr.UNIFORM, skewed)]
         for dist, table in zip((pr.UNIFORM, skewed), tables, strict=True):
             p10, p11 = dist.joint()[1]
             drops = []
             for h, (g0, _), low in zip(points, table, lows, strict=True):
-                sigma = an.sigma_from_h(h, dist)
+                sigma = sigma_from_h(h, dist)
                 if sigma > an._VACUOUS_TOL:
-                    unclipped = min(sigma / (sigma + max(0.0, p10 * h.h2 + p11 * low)), 1.0)
+                    unclipped = min(sigma / (sigma + max(0.0, p10 * h[1] + p11 * low)), 1.0)
                     assert g0 <= unclipped + 1e-8
                     drops.append(unclipped - g0)
             assert max(drops) > 1e-2
@@ -475,49 +499,49 @@ class TestSettledEnds:
 
 class TestGuessPrograms:
     def test_guess1_noiseless_uniform(self, grid_uniform):
-        val = an.guesses([HVector.from_eta(1.0)], grid_uniform)[0]
+        val = an.guesses(an._h_rows([1.0]), grid_uniform)[0]
         assert val == pytest.approx(1.0 - POSTERIOR0, abs=5e-3)
 
     def test_guess1_flat_is_one(self, grid_uniform):
-        assert an.guesses([HVector.from_eta(0.0)], grid_uniform)[0] == pytest.approx(
+        assert an.guesses(an._h_rows([0.0]), grid_uniform)[0] == pytest.approx(
             1.0, abs=1e-9)
 
     def test_guess1_concave_on_segment(self, grid_uniform):
         for eta_a, eta_b in ((0.1, 0.9), (0.5, 1.0)):
             mid = 0.5 * (eta_a + eta_b)
-            va = an.guesses([HVector.from_eta(eta_a)], grid_uniform)[0]
-            vb = an.guesses([HVector.from_eta(eta_b)], grid_uniform)[0]
-            vm = an.guesses([HVector.from_eta(mid)], grid_uniform)[0]
+            va = an.guesses(an._h_rows([eta_a]), grid_uniform)[0]
+            vb = an.guesses(an._h_rows([eta_b]), grid_uniform)[0]
+            vm = an.guesses(an._h_rows([mid]), grid_uniform)[0]
             assert vm >= 0.5 * (va + vb) - 1e-8
 
     def test_guess1_at_least_pointwise_gamma(self, grid_uniform):
         for eta in (0.0, 0.5, 1.0):
             h = HVector.from_eta(eta)
             g0, g1 = an.gamma_tilde(h, pr.UNIFORM)
-            assert an.guesses([h], grid_uniform)[0] >= max(g0, g1) - 1e-6
+            assert an.guesses(h.as_array()[None], grid_uniform)[0] >= max(g0, g1) - 1e-6
 
     def test_guess2_noiseless_uniform_is_half(self, grid_uniform):
         beh = q.hardy_behavior(1.0)
         pa0, pa1 = posterior(beh, pr.UNIFORM)
-        val = an.guesses([HVector.from_eta(1.0)], grid_uniform, [(pa0, pa1)])[0]
+        val = an.guesses(an._h_rows([1.0]), grid_uniform, [(pa0, pa1)])[0]
         assert val == pytest.approx(0.5, abs=5e-3)
 
     def test_guess2_balanced_equals_guess1(self, grid_uniform):
-        h = HVector.from_eta(0.8)
-        assert an.guesses([h], grid_uniform, [(0.5, 0.5)])[0] == pytest.approx(
-            an.guesses([h], grid_uniform)[0], abs=1e-9)
+        h = an._h_rows([0.8])
+        assert an.guesses(h, grid_uniform, [(0.5, 0.5)])[0] == pytest.approx(
+            an.guesses(h, grid_uniform)[0], abs=1e-9)
 
     def test_guess2_flat_is_one(self, grid_uniform):
-        assert an.guesses([HVector.from_eta(0.0)], grid_uniform, [(0.5, 0.5)])[0] == \
+        assert an.guesses(an._h_rows([0.0]), grid_uniform, [(0.5, 0.5)])[0] == \
             pytest.approx(1.0, abs=1e-9)
 
     def test_guess_lower_bound_half(self, grid_uniform):
         beh = q.hardy_behavior(0.6)
         pa0, pa1 = posterior(beh, pr.UNIFORM)
         for eta in (0.0, 0.4, 0.8, 1.0):
-            h = HVector.from_eta(eta)
-            assert an.guesses([h], grid_uniform, [(pa0, pa1)])[0] >= 0.5 - 1e-9
-            assert an.guesses([h], grid_uniform)[0] >= 0.5 - 1e-9
+            h = an._h_rows([eta])
+            assert an.guesses(h, grid_uniform, [(pa0, pa1)])[0] >= 0.5 - 1e-9
+            assert an.guesses(h, grid_uniform)[0] >= 0.5 - 1e-9
 
 
 ETAS51 = np.linspace(0.0, 1.0, 51)
@@ -595,7 +619,7 @@ class TestDualCertificate:
     def test_nonoptimal_basis_is_rejected(self, grids15, monkeypatch):
         stale_solve(monkeypatch, maximize=False)
         with pytest.raises(SolverFailure, match="dual bound"):
-            an.guesses([HVector.from_eta(0.9)], grids15["nonuniform"], [(0.3, 0.7)])
+            an.guesses(an._h_rows([0.9]), grids15["nonuniform"], [(0.3, 0.7)])
 
     @pytest.mark.parametrize("label", ["uniform", "nonuniform"])
     def test_tampered_coefficient_is_rejected(self, grids15, monkeypatch, label):
@@ -606,29 +630,30 @@ class TestDualCertificate:
             pytest.approx(sol.value, abs=1e-12)
         k = np.setdiff1d(np.arange(coeff.size), sol.basis)[0]
         worth = float(sol.duals @ a_eq[:, k]) + 1e-6  # now worth a positive weight
-        points = list(grid.points)
-        points[k] = an.GammaPoint(h=points[k].h, gamma0=worth, gamma1=worth, eta=points[k].eta)
-        tampered = an.GammaGrid(points=points, level=grid.level, dist_label=grid.dist_label)
+        gammas = grid.gammas.copy()
+        gammas[k] = worth
+        tampered = dataclasses.replace(grid, gammas=gammas)
         # the solve still sees the true coefficients and stops at their optimum
         stale_solve(monkeypatch, c=coeff)
         with pytest.raises(SolverFailure, match="dual bound"):
-            an.guesses([HVector.from_eta(0.95)], tampered)
+            an.guesses(an._h_rows([0.95]), tampered)
 
     def test_hull_violation_is_named(self, grids15):
         with pytest.raises(SolverFailure, match="convex hull"):
-            an.guesses([HVector(2.0, 0.0, 0.0, 0.0)], grids15["uniform"])
+            an.guesses(np.array([[2.0, 0.0, 0.0, 0.0]]), grids15["uniform"])
 
     def test_segment_grid_drops_rows_and_matches_cold_solves(self, grids15):
         # h(eta) is affine in eta, so the segment-only LP matrix has rank 2
         # of 5 rows: phase 1 drops three, and the duals are least-squares
         full = grids15["nonuniform"]
-        grid = an.GammaGrid(points=full.segment_points(), level=full.level,
-                            dist_label=full.dist_label)
+        seg = ~np.isnan(full.etas)
+        grid = an.GammaGrid(full.hs[seg], full.gammas[seg], full.etas[seg], full.level,
+                            full.dist_label)
         assert np.linalg.matrix_rank(grid.lp_matrix) == 2
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 21)]
-        hs = [HVector.from_eta(eta) for eta in etas]
-        coeffs = np.broadcast_to(grid.gammas.max(axis=1), (len(hs), len(grid.points)))
-        swept = an._sweep(grid.lp_matrix, [np.append(h.as_array(), 1.0) for h in hs], coeffs)
+        hs = an._h_rows(etas)
+        coeffs = np.broadcast_to(grid.gammas.max(axis=1), (len(hs), len(grid.hs)))
+        swept = an._sweep(grid.lp_matrix, [np.append(h, 1.0) for h in hs], coeffs)
         assert all(sol.basis.size == 2 and sol.duals.size == 5 for sol, _ in swept)
         for eta, value in zip(etas, an.guesses(hs, grid), strict=True):
             assert abs(value - min(1.0, cold_value(*decomposition_lp(grid, eta)))) <= 1e-12

@@ -1,9 +1,12 @@
 """CLI surface tests: exit codes, file outputs, determinism, config."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from hardyqkd import analysis
 from hardyqkd.cli import RunConfig, main
 
 
@@ -120,6 +123,22 @@ class TestKeyrateCommand:
         assert len(lines) == 1 + 4 * 4  # header + grid * (2 dists x 2 strategies)
         svg = (tmp_path / "keyrates.svg").read_text()
         assert svg.count("<polyline") == 4
+
+    def test_best_rate_tie_goes_to_the_first_csv_row(self, tmp_path, capsys, monkeypatch):
+        # two rates one ulp apart, the larger second: both print as the same
+        # 12 digits in keyrates.csv, so the first of them is the best
+        rate = 0.0688837074973
+        first = analysis.KeyRateReport(eta=1.0, dist_label="nonuniform", strategy="basic",
+                                       p00=rate, guess=0.5, hab=0.0, key_rate=rate,
+                                       pa0=0.5, pa1=0.5, clamped=False)
+        second = dataclasses.replace(first, strategy="dropping",
+                                     key_rate=float(np.nextafter(rate, 1.0)))
+        assert second.key_rate > first.key_rate
+        monkeypatch.setattr(analysis, "key_rate_sweep", lambda *args, **kwargs: [first, second])
+        assert run_cli(["keyrate", "--out", str(tmp_path)]) == 0
+        assert "(nonuniform/basic)" in capsys.readouterr().out
+        csv_rows = (tmp_path / "keyrates.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in csv_rows] == ["0.0688837074973"] * 2
 
 
 class TestBiasCompareCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyqkd import npa, quantum as q
-from hardyqkd.analysis import DETERMINISTIC_H_POINTS, build_gamma_grids
+from hardyqkd.analysis import DETERMINISTIC_H, build_gamma_grids
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
                                biased_branches)
@@ -458,7 +458,8 @@ class TestBranchSymmetry:
 class TestBatchedBounds:
     def test_mixed_templates_match_per_template_calls(self):
         nu = nu_functional(UNIFORM)
-        hs = [HVector.from_eta(eta) for eta in (0.3, 0.8, 1.0)] + list(DETERMINISTIC_H_POINTS[:3])
+        hs = [HVector.from_eta(eta) for eta in (0.3, 0.8, 1.0)]
+        hs += [HVector(*h) for h in DETERMINISTIC_H[:3]]
         calls = [[(h_pins(h), nu, direction) for direction in ("min", "max")] for h in hs]
         expr = npa.chsh_functional(4.0 * SettingsDistribution(0.55, 0.45).joint())
         calls.append([([(expr, npa.TSIRELSON)], marg, "max") for marg in chsh_marginals()])
@@ -528,7 +529,7 @@ class TestLmiSize:
     @pytest.mark.parametrize("level", [2, 3])
     def test_one_row_per_free_moment(self, level):
         points = [HVector.from_eta(eta) for eta in (0.0, 0.5, 0.9, 1.0)]
-        points += list(DETERMINISTIC_H_POINTS)
+        points += [HVector(*h) for h in DETERMINISTIC_H]
         nu = nu_functional(UNIFORM)
         for h in points:
             eqs = h_pins(h)

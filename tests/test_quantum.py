@@ -1,11 +1,13 @@
 """Hardy-state construction tests: pinned values, closed forms, properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyqkd import quantum as q
-from hardyqkd.errors import LinearDependenceError, ParameterRangeError
+from hardyqkd.errors import ParameterRangeError
 from oracles import (born_behavior_loop, check_density_matrix, is_hermitian, is_projector,
                      noisy_state, validate_behavior, validate_measurements)
 
@@ -123,8 +125,19 @@ class TestUniquenessAndNoise:
         e = np.eye(4, dtype=complex)
         monkeypatch.setattr(q, "hardy_product_states", lambda bases: [e[1], e[1], e[2], e[0]])
         assert q.uniqueness_check(q.local_bases(0.5, 0.5)) == 2
-        with pytest.raises(LinearDependenceError):
-            q.hardy_state(0.5, 0.5)
+
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["real", "complex"])
+    def test_phi0_to_phi2_independent_at_the_alpha_limits(self, phase):
+        # the rank of phi0, phi1, phi2 is 3 for every admissible pair of
+        # bases, closest to 2 with both |alpha| near 1; the limits lie just
+        # inside the open range (1e-10, 1 - 1e-10) that local_bases accepts
+        limits = (2e-10, 0.5, 1.0 - 2e-10)
+        for alpha_a, alpha_b in itertools.product(limits, repeat=2):
+            bases = q.local_bases(alpha_a * phase, alpha_b * phase)
+            assert q.uniqueness_check(bases) == 1
+            smallest = np.linalg.svd(np.stack(q.hardy_product_states(bases)[:3]),
+                                     compute_uv=False).min()
+            assert smallest > 1e-6
 
     def test_noisy_state_limits(self):
         psi = q.hardy_state(q.ALPHA_OPT, q.ALPHA_OPT)

@@ -2,7 +2,9 @@
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,3 +76,13 @@ def test_one_solve_jobs_call_site():
              for k, line in enumerate(path.read_text().splitlines())
              if re.search(r"(?<!def )\b_solve_jobs\(", line)]
     assert len(sites) == 1, sites
+
+
+def test_protocol_demo_script_runs():
+    # the one script that calls the analysis API directly, not through the CLI
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_protocol_demo.py")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "key rate (basic)    = " in run.stdout
+    assert "key rate (dropping) = " in run.stdout
