@@ -28,12 +28,15 @@ every corner).
 
 Both LP families run through one sweep (`_sweep`): the LPs of one family
 differ only in the right-hand side (and, for dropping, in the rescaled
-coefficients), so each starts from the previous one's final basis, which
-along an eta sweep is usually still optimal.  Every variable of either
-family lies in [0, 1] (a behavior's cell, or a decomposition weight with
-sum_k w_k = 1), so the dual bound y.b + sum_k (f_k - y.a_k)_+ of the final
-basis, y = B^-T c_B, bounds its optimum for every y.  A value is reported
-only as that bound, and only within 1e-9 of the basis' primal value.
+coefficients), so one basis settles every point it is optimal for, which
+along an eta sweep is usually a whole run of points.  Each solve starts
+from the last final basis; with one objective that basis stays dual
+feasible, so `lp_solve` restarts from it by dual simplex.  Every variable
+of either family lies in [0, 1] (a behavior's cell, or a decomposition
+weight with sum_k w_k = 1), so the dual bound y.b + sum_k (f_k - y.a_k)_+
+of a point's basis, y = B^-T c_B, bounds its optimum for every y.  A value
+is reported only as that bound, and only within 1e-9 of the basis' primal
+value.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,13 +63,17 @@ from .protocol import (
     noiseless_bias_guess,
 )
 from .quantum import Q_MAX, Q_TILDE, hardy_behavior
-from .solvers import LPProblem, LPSolution, lp_solve
+from .solvers import LPProblem, lp_solve
 
 _VACUOUS_TOL = 1e-7
 # the cell of q = P(0,0|1,1), the one cell the h pins leave free in nu
 _Q_CELL = (0, 0, 1, 1)
 # largest excess of an LP's dual bound over its basis' primal value
 _CERT_TOL = 1e-9
+# largest primal infeasibility (relative to 1 + max |b|) and reduced cost of
+# a basis that settles an LP of a sweep without a solve: the simplex's own
+# pivot tolerance, so it settles the points where a solve would not pivot
+_BASIS_TOL = 1e-11
 # largest residual of a settling no-signalling vertex and largest excess of
 # its CHSH values over the local bound 2
 _SETTLE_TOL = 1e-9
@@ -127,10 +133,10 @@ def _settled_q_ends(hs: np.ndarray) -> np.ndarray:
     b_eqs = np.hstack([np.ones((len(hs), 4)), np.zeros((len(hs), 4)), hs])
     for side, sign in enumerate((-1.0, 1.0)):
         coeffs = np.broadcast_to(sign * _NS_Q, (len(hs), _NS_Q.size))
-        for k, (sol, bound) in enumerate(_sweep(_NS_LP, b_eqs, coeffs)):
-            if sol.optimal and sol.residual <= _SETTLE_TOL and bound <= sol.value + _CERT_TOL \
-                    and (_CHSH @ sol.x).max() <= 2.0 + _SETTLE_TOL:
-                ends[k, side] = sign * bound + 0.0  # + 0.0 turns a min end of -0.0 into 0.0
+        x, value, residual, status, bound = _sweep(_NS_LP, b_eqs, coeffs)
+        settled = (status == "optimal") & (residual <= _SETTLE_TOL) \
+            & (bound <= value + _CERT_TOL) & ((x @ _CHSH.T).max(axis=1) <= 2.0 + _SETTLE_TOL)
+        ends[settled, side] = sign * bound[settled] + 0.0  # + 0.0 turns -0.0 into 0.0
     return ends
 
 
@@ -256,27 +262,60 @@ def build_gamma_grid(dist: SettingsDistribution,
 
 
 def _dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
-                b_eq: np.ndarray) -> float:
+                b_eq: np.ndarray) -> np.ndarray:
     """y.b + sum_k (coeff_k - y.a_k)_+, an upper bound for every y on
-    max coeff.x over x in [0, 1]^n with a_eq x = b_eq.
+    max coeff.x over x in [0, 1]^n with a_eq x = b_eq; one bound per row of
+    stacked (y, coeff, b_eq).
 
     coeff.x = y.b + sum_k x_k (coeff_k - y.a_k), and each x_k lies in
     [0, 1], as each cell of a behavior and each decomposition weight does.
     """
-    return float(y @ b_eq) + float(np.maximum(coeff - y @ a_eq, 0.0).sum())
+    return (y * b_eq).sum(axis=-1) + np.maximum(coeff - y @ a_eq, 0.0).sum(axis=-1)
 
 
 def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
-           coeffs: np.ndarray) -> Iterator[tuple[LPSolution, float]]:
-    """Maximize coeff.x s.t. a_eq x = b_eq, x >= 0 for each pair in turn,
-    each LP from the final basis of the one before.  Yields each solution
-    with the `_dual_bound` of its duals (NaN where it reached no basis),
-    certified iff at most `_CERT_TOL` above the solution's value."""
+           coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Maximize coeffs[k].x s.t. a_eq x = b_eqs[k], x >= 0 for every k.
+
+    One basis settles every point it is optimal for.  The first open point
+    is solved from the last final basis (`lp_solve` restarts by dual simplex
+    where that basis is dual feasible but not primal feasible there), and
+    its final basis B is then tested against all points still open at once:
+    a point whose x_B = B^-1 b >= -tol and whose reduced costs
+    coeff - y.a_eq <= tol with y = B^-T c_B is settled by B without a solve.
+    Returns the arrays (x, value, residual, status, bound), one row per
+    point; bound is the `_dual_bound` of the point's basis (NaN where a
+    solve reached no basis), certified iff at most `_CERT_TOL` above value.
+    """
+    b_eqs, coeffs = np.asarray(b_eqs, dtype=float), np.asarray(coeffs, dtype=float)
+    count, (m, n) = len(b_eqs), a_eq.shape
+    x = np.zeros((count, n))
+    value, residual, bound = np.full((3, count), np.nan)
+    status = np.full(count, "", dtype=object)
+    tol = _BASIS_TOL * (1.0 + np.abs(b_eqs).max(axis=1, initial=0.0))
     basis = None
-    for b_eq, coeff in zip(b_eqs, coeffs, strict=True):
-        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True), basis)
+    for k in range(count):
+        if status[k]:
+            continue
+        sol = lp_solve(LPProblem(c=coeffs[k], a_eq=a_eq, b_eq=b_eqs[k], maximize=True), basis)
         basis = sol.basis
-        yield sol, _dual_bound(sol.duals, coeff, a_eq, b_eq) if sol.duals.size else np.nan
+        x[k], value[k], residual[k], status[k] = sol.x, sol.value, sol.residual, sol.status
+        if sol.duals.size:
+            bound[k] = _dual_bound(sol.duals, coeffs[k], a_eq, b_eqs[k])
+        if not sol.optimal or basis.size != m:
+            continue
+        rest = np.flatnonzero(status == "")
+        xb = np.linalg.solve(a_eq[:, basis], b_eqs[rest].T).T
+        y = np.linalg.solve(a_eq[:, basis].T, coeffs[rest][:, basis].T).T
+        ok = (xb >= -tol[rest, None]).all(axis=1) \
+            & (coeffs[rest] - y @ a_eq <= _BASIS_TOL).all(axis=1)
+        done, xb = rest[ok], np.where(xb[ok] < 1e-14, 0.0, xb[ok])  # as `lp_solve` rounds x
+        x[done[:, None], basis] = xb
+        value[done] = (coeffs[done][:, basis] * xb).sum(axis=1)
+        residual[done] = np.abs(x[done] @ a_eq.T - b_eqs[done]).max(axis=1, initial=0.0)
+        status[done] = "optimal"
+        bound[done] = _dual_bound(y[ok], coeffs[done], a_eq, b_eqs[done])
+    return x, value, residual, status, bound
 
 
 def guesses(hs: np.ndarray, grid: GammaGrid,
@@ -302,15 +341,16 @@ def guesses(hs: np.ndarray, grid: GammaGrid,
         if (pa <= 0.0).any():
             raise ZeroPosteriorError("dropping requires both setting values to occur")
         coeffs = (gammas / (2.0 * pa)).max(axis=2)
-    values = []
-    for sol, bound in _sweep(grid.lp_matrix, np.hstack([hs, np.ones((len(hs), 1))]), coeffs):
-        if not bound <= sol.value + _CERT_TOL:
-            raise DecompositionInfeasibleError(
-                "h lies outside the convex hull of the gamma grid" if sol.status == "infeasible"
-                else f"decomposition LP ended {sol.status}: its dual bound {bound:.12g} "
-                f"exceeds the primal value {sol.value:.12g} by more than {_CERT_TOL:g}")
-        values.append(min(1.0, bound))
-    return values
+    _, value, _, status, bound = _sweep(
+        grid.lp_matrix, np.hstack([hs, np.ones((len(hs), 1))]), coeffs)
+    failed = np.flatnonzero(~(bound <= value + _CERT_TOL))
+    if failed.size:
+        k = failed[0]
+        raise DecompositionInfeasibleError(
+            "h lies outside the convex hull of the gamma grid" if status[k] == "infeasible"
+            else f"decomposition LP ended {status[k]}: its dual bound {bound[k]:.12g} "
+            f"exceeds the primal value {value[k]:.12g} by more than {_CERT_TOL:g}")
+    return np.minimum(1.0, bound).tolist()
 
 
 @dataclass(frozen=True)
@@ -376,7 +416,7 @@ def key_rate_sweep(etas: np.ndarray,
     """Key rates for all (eta, distribution, strategy) combinations.
 
     Each (grid, strategy) pair is one `key_rates` call over all etas, so
-    its LPs warm-start along the sweep.
+    its LPs are one `_sweep`.
     """
     reports: list[KeyRateReport] = []
     for dist, grid in zip(dists, build_gamma_grids(list(dists), resolution, level), strict=True):

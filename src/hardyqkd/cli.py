@@ -38,7 +38,7 @@ class RunConfig:
     alpha_b: float | None = None
     eta: float = 1.0
     eta_grid: int = 201
-    dist: str = "uniform"
+    dist: str | None = None  # keyrate: both named distributions; others: uniform
     epsilon: float | None = None
     eps_grid: int = 13
     level: int = 2
@@ -87,7 +87,7 @@ class RunConfig:
         self.parse_dist()
 
     def parse_dist(self) -> SettingsDistribution:
-        if self.dist == "uniform":
+        if self.dist is None or self.dist == "uniform":
             return UNIFORM
         if self.dist == "nonuniform":
             return NONUNIFORM
@@ -160,7 +160,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_keyrate(cfg: RunConfig) -> int:
     etas = np.linspace(0.0, 1.0, cfg.eta_grid)
-    reports = analysis.key_rate_sweep(etas, level=cfg.level,
+    dists = (UNIFORM, NONUNIFORM) if cfg.dist is None else (cfg.parse_dist(),)
+    reports = analysis.key_rate_sweep(etas, dists, level=cfg.level,
                                       resolution=cfg.grid_res)
     csv_text = analysis.key_rates_to_csv(reports)
     out_csv = Path(cfg.out) / "keyrates.csv"
@@ -168,7 +169,7 @@ def cmd_keyrate(cfg: RunConfig) -> int:
 
     plot = LinePlot(title="Key rates vs noise", x_label="eta",
                     y_label="key rate")
-    for dist_label in ("uniform", "nonuniform"):
+    for dist_label in dict.fromkeys(r.dist_label for r in reports):
         for strategy in ("basic", "dropping"):
             sel = [r for r in reports
                    if r.dist_label == dist_label and r.strategy == strategy]
@@ -245,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eta-grid", type=int, dest="eta_grid",
                         help="number of eta sweep points")
     parser.add_argument("--dist", type=str,
-                        help="uniform | nonuniform | pA,pB")
+                        help="uniform | nonuniform | pA,pB (keyrate: default both "
+                             "named ones; otherwise uniform)")
     parser.add_argument("--epsilon", type=float, help="settings bias")
     parser.add_argument("--eps-grid", type=int, dest="eps_grid",
                         help="number of epsilon sweep points")

@@ -12,8 +12,17 @@ the entering and the leaving variable, which rules out cycling on the
 degenerate instances produced by grid decompositions.
 
 A solve may start from a basis, typically the final `basis` of a problem
-with the same `A_eq` and a nearby `b_eq`: when that basis is primal
-feasible at the new `b_eq`, phase 2 starts from it and phase 1 is skipped.
+with the same `A_eq` and a nearby `b_eq` or `c`.  When that basis is primal
+feasible at the new `b_eq`, phase 2 starts from it.  When it is primal
+infeasible but dual feasible for the new `c` (every reduced cost of the
+minimization within the pivot tolerance of >= 0), as the last optimal
+basis of a run of LPs with one objective always is, dual-simplex pivots
+restore primal feasibility first (Chvatal, *Linear Programming*, 1983,
+ch. 10): Bland's rule on the basis index picks the leaving row, the
+smallest ratio (smallest index on ties) the entering column, and an empty
+ratio test proves the LP infeasible.  Phase 2 then runs from the result as
+the final optimality check.  Phase 1 runs only without a basis, or from one
+that is singular or neither primal nor dual feasible.
 """
 
 from __future__ import annotations
@@ -99,9 +108,9 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str,
     return "max-iterations", it
 
 
-def _warm_rows(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+def _basis_rows(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     """Tableau rows B^-1 [A | b] of `basis`, or None unless it is a
-    nonsingular basis that is primal feasible at `b`."""
+    nonsingular basis of `a`."""
     m, n = a.shape
     if basis.size != m or basis.min(initial=0) < 0 or basis.max(initial=0) >= n:
         return None
@@ -109,13 +118,31 @@ def _warm_rows(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray | 
         rows = np.linalg.solve(a[:, basis], np.column_stack([a, b]))
     except np.linalg.LinAlgError:
         return None
-    xb = rows[:, -1]
-    # only rounding-level negatives are clipped, so x keeps c'x to ~1e-11
-    if not np.isfinite(rows).all() or (xb < -_PIVOT_TOL * (1.0 + np.abs(b).max())).any():
+    if not np.isfinite(rows).all():
         return None
-    rows[:, -1] = np.maximum(xb, 0.0)
     rows[:, basis] = np.eye(m)
     return rows
+
+
+def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ncols: int,
+                  tol: float) -> tuple[str, int]:
+    """Run dual-simplex pivots on a tableau whose last row holds reduced
+    costs within `_PIVOT_TOL` of >= 0, until every basic value is >= -tol."""
+    it = 0
+    while it < _MAX_ITER:
+        short = np.flatnonzero(tab[:-1, -1] < -tol)
+        if short.size == 0:
+            return "optimal", it
+        row = int(short[np.argmin(basis[short])])  # Bland on leaving variable
+        entries = tab[row, :ncols]
+        negative = np.flatnonzero(entries < -_PIVOT_TOL)
+        if negative.size == 0:
+            return "infeasible", it  # the row's basic value is < 0 for every x >= 0
+        ratios = tab[-1, negative] / -entries[negative]
+        col = int(negative[np.flatnonzero(ratios <= ratios.min() + _PIVOT_TOL)[0]])
+        _pivot(tab, basis, row, col)
+        it += 1
+    return "max-iterations", it
 
 
 def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, str, int]:
@@ -167,26 +194,35 @@ def lp_solve(problem: LPProblem, basis: np.ndarray | None = None) -> LPSolution:
     that basis' duals y = B^-T c_B for `problem.c` (least squares where
     phase 1 dropped redundant rows), so an optimal y.b is the value.
 
-    Phase 2 starts from `basis` when it is given, nonsingular and primal
-    feasible at `problem.b_eq`; otherwise phase 1 finds a feasible basis
-    from an artificial one.  A final basis whose solution fails the
-    residual check ends as `numerical-breakdown`.
+    From a nonsingular `basis` the solve starts with phase 2 if the basis is
+    primal feasible at `problem.b_eq`, and with dual-simplex pivots if it is
+    dual feasible instead; otherwise phase 1 finds a feasible basis from an
+    artificial one.  A final basis whose solution fails the residual check
+    ends as `numerical-breakdown`.
     """
     a, b = problem.a_eq, problem.b_eq
     c = -problem.c if problem.maximize else problem.c
     n = c.size
+    tol = _PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0))
+    tab = None
     if basis is not None:
         basis = np.array(basis, dtype=int)  # a copy: pivots update it in place
-    rows = None if basis is None else _warm_rows(a, b, basis)
-    it1 = 0
-    if rows is None:
+        rows = _basis_rows(a, b, basis)
+        if rows is not None:
+            tab = np.vstack([rows, np.append(c, 0.0) - c[basis] @ rows])
+            if (rows[:, -1] < -tol).any() and (tab[-1, :n] < -_PIVOT_TOL).any():
+                tab = None  # neither primal nor dual feasible
+    if tab is None:
         rows, basis, status, it1 = _phase1(a, b)
         if rows is None:
             return LPSolution(np.zeros(n), np.nan, status, it1)
-
-    # Phase 2: price out the basis in the objective row.
-    tab = np.vstack([rows, np.append(c, 0.0)])
-    tab[-1] -= c[basis] @ rows
+        tab = np.vstack([rows, np.append(c, 0.0) - c[basis] @ rows])
+    else:
+        status, it1 = _dual_simplex(tab, basis, n, tol)
+        if status != "optimal":
+            return LPSolution(np.zeros(n), np.nan, status, it1)
+    # only rounding-level negatives remain, so x keeps c'x to ~1e-11
+    tab[:-1, -1] = np.maximum(tab[:-1, -1], 0.0)
     status, it2 = _simplex_phase(tab, basis, n)
 
     x = np.zeros(n)

@@ -363,19 +363,25 @@ class TestSettledEnds:
         assert settled == [True] * 12 + [False] * 3 + [True] * 8
         assert np.isnan(ends[12:15]).all()
 
-    @pytest.mark.parametrize("resolution, calls", [(15, 46), (3, 22)])
-    def test_one_lp_per_end_and_point(self, grids15, monkeypatch, resolution, calls):
-        # every LP of both families goes through the name the tracer patches
+    @pytest.mark.parametrize("resolution", [15, 3])
+    def test_fewer_lp_solves_than_ends_and_points(self, grids15, monkeypatch, resolution):
+        # every LP of both families goes through the name the tracer patches;
+        # one basis settles a run of points, and the ends it settles are
+        # those of a separate solve per point
         made = []
         solve = an.lp_solve
         monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(1) or solve(*args))
-        an._settled_q_ends(grid_points(resolution))
-        assert len(made) == calls == 2 * len(grid_points(resolution))
+        points = grid_points(resolution)
+        ends = an._settled_q_ends(points)
+        assert 0 < len(made) < 2 * len(points)
+        one_by_one = np.vstack([an._settled_q_ends(h[None]) for h in points])
+        assert np.array_equal(np.isnan(ends), np.isnan(one_by_one))
+        assert np.nanmax(np.abs(ends - one_by_one)) <= 1e-12
         hs = an._h_rows(ETAS51)
         for priors in (None, [(0.4, 0.6)] * len(hs)):
             made.clear()
             an.guesses(hs, grids15["uniform"], priors)
-            assert len(made) == len(hs)
+            assert 0 < len(made) < len(hs)
 
     def test_failed_certificate_leaves_end_to_sdp(self, monkeypatch):
         # a dual bound off its basis' primal value settles nothing, not even
@@ -556,33 +562,39 @@ class TestWarmSweep:
                 "shuffled": np.random.default_rng(3).permutation(ETAS51)}[order]
         dist = pr.UNIFORM if label == "uniform" else pr.NONUNIFORM
         grid = grids15[label]
-        solve, sweep = an.lp_solve, an._sweep
-        usable, swept = [], []
+        solve, sweep, phase1 = an.lp_solve, an._sweep, lp._phase1
+        cold_starts, swept = [], []
+
+        def recording_phase1(*args):
+            cold_starts[-1] += 1
+            return phase1(*args)
 
         def recording_solve(problem, basis=None):
-            if basis is not None:
-                usable.append(lp._warm_rows(problem.a_eq, problem.b_eq, basis) is not None)
+            cold_starts.append(0)
             return solve(problem, basis)
 
         def recording_sweep(*args):
-            for result in sweep(*args):
-                swept.append(result)
-                yield result
+            swept.append(sweep(*args))
+            return swept[-1]
 
+        monkeypatch.setattr(lp, "_phase1", recording_phase1)
         monkeypatch.setattr(an, "lp_solve", recording_solve)
         monkeypatch.setattr(an, "_sweep", recording_sweep)
         reports = an.key_rates(etas, dist, grid, dropping)
-        assert len(usable) == len(swept) - 1 == len(etas) - 1
-        for (sol, bound), r in zip(swept, reports, strict=True):
-            assert sol.optimal and bound <= sol.value + an._CERT_TOL
-            assert r.guess == min(1.0, bound)
+        monkeypatch.undo()
+        assert 0 < len(cold_starts) <= len(etas)
+        if not dropping:
+            # one objective: each final basis stays dual feasible, so a point
+            # it does not settle restarts from it by dual simplex
+            assert len(cold_starts) < len(etas)
+            assert cold_starts[0] == 1 and sum(cold_starts[1:]) == 0
+        (_, value, _, status, bound), = swept
+        assert (status == "optimal").all() and (bound <= value + an._CERT_TOL).all()
+        assert [r.guess for r in reports] == np.minimum(1.0, bound).tolist()
         for eta, r in zip(etas, reports, strict=True):
             prior = (r.pa0, r.pa1) if dropping else None
             cold = min(1.0, cold_value(*decomposition_lp(grid, float(eta), prior)))
             assert abs(r.guess - cold) <= 1e-12
-        assert any(usable)
-        if order != "ascending":
-            assert not all(usable)  # some starts were infeasible at the next h
 
 
 def stale_solve(monkeypatch, **changes):
@@ -604,17 +616,21 @@ class TestDualCertificate:
                 y = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 2.0)
                 assert an._dual_bound(y, coeff, a_eq, b_eq) >= optimum - 1e-12
 
-    def test_nonoptimal_start_ends_at_cold_value(self, grids15):
+    def test_nonoptimal_start_ends_at_cold_value(self, grids15, monkeypatch):
         coeff, a_eq, b_eq = decomposition_lp(grids15["nonuniform"], 0.9, (0.3, 0.7))
+        solve, made = an.lp_solve, []
+        monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(solve(*args)) or made[-1])
         # the first LP's (minimizing) basis is feasible at b but not optimal
-        # for the maximum, so its bound with coeff is not certified
-        (low, _), (sol, bound) = an._sweep(a_eq, [b_eq, b_eq], np.stack([-coeff, coeff]))
+        # for the maximum, so it settles nothing and its bound with coeff is
+        # not certified
+        _, value, _, _, bound = an._sweep(a_eq, [b_eq, b_eq], np.stack([-coeff, coeff]))
+        low, sol = made
         assert an._dual_bound(-low.duals, coeff, a_eq, b_eq) > -low.value + 1e-3
         assert sol.iterations > 0
         cold = cold_value(coeff, a_eq, b_eq)
         assert cold > -low.value + 1e-3
-        assert bound <= sol.value + an._CERT_TOL
-        assert abs(bound - cold) <= 1e-12
+        assert bound[1] <= value[1] + an._CERT_TOL
+        assert abs(bound[1] - cold) <= 1e-12
 
     def test_nonoptimal_basis_is_rejected(self, grids15, monkeypatch):
         stale_solve(monkeypatch, maximize=False)
@@ -642,9 +658,10 @@ class TestDualCertificate:
         with pytest.raises(SolverFailure, match="convex hull"):
             an.guesses(np.array([[2.0, 0.0, 0.0, 0.0]]), grids15["uniform"])
 
-    def test_segment_grid_drops_rows_and_matches_cold_solves(self, grids15):
+    def test_segment_grid_drops_rows_and_matches_cold_solves(self, grids15, monkeypatch):
         # h(eta) is affine in eta, so the segment-only LP matrix has rank 2
-        # of 5 rows: phase 1 drops three, and the duals are least-squares
+        # of 5 rows: phase 1 drops three, the duals are least-squares, and
+        # a basis that short settles no other point
         full = grids15["nonuniform"]
         seg = ~np.isnan(full.etas)
         grid = an.GammaGrid(full.hs[seg], full.gammas[seg], full.etas[seg], full.level,
@@ -653,8 +670,12 @@ class TestDualCertificate:
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 21)]
         hs = an._h_rows(etas)
         coeffs = np.broadcast_to(grid.gammas.max(axis=1), (len(hs), len(grid.hs)))
-        swept = an._sweep(grid.lp_matrix, [np.append(h, 1.0) for h in hs], coeffs)
-        assert all(sol.basis.size == 2 and sol.duals.size == 5 for sol, _ in swept)
+        solve, made = an.lp_solve, []
+        monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(solve(*args)) or made[-1])
+        an._sweep(grid.lp_matrix, [np.append(h, 1.0) for h in hs], coeffs)
+        assert len(made) == len(hs)
+        assert all(sol.basis.size == 2 and sol.duals.size == 5 for sol in made)
+        monkeypatch.undo()
         for eta, value in zip(etas, an.guesses(hs, grid), strict=True):
             assert abs(value - min(1.0, cold_value(*decomposition_lp(grid, eta)))) <= 1e-12
 

@@ -1,5 +1,6 @@
 """CLI surface tests: exit codes, file outputs, determinism, config."""
 
+import csv
 import dataclasses
 import json
 
@@ -139,6 +140,34 @@ class TestKeyrateCommand:
         assert "(nonuniform/basic)" in capsys.readouterr().out
         csv_rows = (tmp_path / "keyrates.csv").read_text().strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in csv_rows] == ["0.0688837074973"] * 2
+
+
+    def test_dist_selects_the_swept_distribution(self, tmp_path):
+        # without --dist both named distributions are swept; with it, only
+        # the given one, custom ones included
+        def rows(out):
+            return list(csv.reader((out / "keyrates.csv").read_text().splitlines()[1:]))
+
+        assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "5",
+                        "--out", str(tmp_path / "both")]) == 0
+        both = rows(tmp_path / "both")
+        for dist, label in (("nonuniform", "nonuniform"), ("0.3,0.6", "custom(0.3,0.6)")):
+            out = tmp_path / dist
+            assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "5",
+                            "--dist", dist, "--out", str(out)]) == 0
+            swept = rows(out)
+            assert len(swept) == 3 * 2 and {row[1] for row in swept} == {label}
+            assert (out / "keyrates.svg").read_text().count("<polyline") == 2
+            named = [row for row in both if row[1] == "nonuniform"]
+            if dist == "nonuniform":
+                assert swept == named
+            else:  # a custom distribution changes the rates
+                assert [row[2:] for row in swept] != [row[2:] for row in named]
+
+    def test_bad_dist_exit_2_without_csv(self, tmp_path):
+        assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "5",
+                        "--dist", "0.3", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "keyrates.csv").exists()
 
 
 class TestBiasCompareCommand:

@@ -1,12 +1,13 @@
 """LP solver tests against trivial cases and a vertex-enumeration oracle."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyqkd.solvers import LPProblem, lp_solve
+from hardyqkd.solvers import LPProblem, lp, lp_solve
 from oracles import verify_lp_solution
 
 
@@ -125,8 +126,9 @@ def test_determinism():
 
 
 def test_warm_start_from_perturbed_optimum_matches_vertex_enumeration():
-    # the optimal basis at a perturbed b may be infeasible at b (phase 1
-    # then runs) or feasible and non-optimal (phase 2 pivots from it)
+    # the optimal basis at a perturbed b may be infeasible at b (dual simplex
+    # then restarts from it) or feasible and non-optimal (phase 2 pivots
+    # from it)
     rng = np.random.default_rng(20261018)
     checked = warm = 0
     while checked < 150:
@@ -217,3 +219,85 @@ def test_degraded_basis_is_numerical_breakdown():
     sol = lp_solve(problem, np.array([0, 1]))
     assert sol.status == "numerical-breakdown"
     assert sol.residual > 1e-6
+
+
+def no_phase1(*args):
+    raise AssertionError("phase 1 must not run")
+
+
+def test_dual_restart_reaches_the_cold_optimum_without_phase1(monkeypatch):
+    # an optimal basis at b_near stays dual feasible for the same c; where it
+    # is primal infeasible at b, dual pivots alone reach b's optimum
+    rng = np.random.default_rng(20261019)
+    simplex_phase = lp._simplex_phase
+    restarted = 0
+    while restarted < 40:
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, min(n, 5)))
+        a = rng.normal(size=(m, n))
+        x_feas = rng.uniform(0.0, 2.0, size=n)
+        b = a @ x_feas
+        b_near = a @ (x_feas + rng.uniform(-0.5, 0.5, size=n))
+        problem = LPProblem(c=rng.normal(size=n), a_eq=a, b_eq=b,
+                            maximize=bool(rng.integers(0, 2)))
+        start = lp_solve(dataclasses.replace(problem, b_eq=b_near))
+        if not start.optimal or start.basis.size != m:
+            continue
+        if (np.linalg.solve(a[:, start.basis], b) >= 0.0).all():
+            continue  # primal feasible at b: phase 2 starts from it
+        cold = lp_solve(problem)
+        phase2 = []
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_phase1", no_phase1)
+            patch.setattr(lp, "_simplex_phase", lambda *args: phase2.append(
+                simplex_phase(*args)) or phase2[-1])
+            warm = lp_solve(problem, start.basis)
+        # dual pivots keep the reduced costs >= 0, so phase 2 only confirms
+        assert phase2 == [("optimal", 0)]
+        assert cold.optimal and warm.optimal and warm.iterations > 0
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert warm.duals @ b == pytest.approx(warm.value, abs=1e-9)
+        assert verify_lp_solution(problem, warm)
+        restarted += 1
+
+
+@pytest.mark.parametrize("a, b_eq", [
+    ([[1, 1]], [-1]),
+    ([[1, 1, 0], [0, 1, 1]], [1, -0.5]),
+    ([[1, -1, 0], [1, 1, 1]], [2, 1]),
+], ids=["negative-sum", "second-row", "bound-exceeded"])
+def test_dual_ratio_test_proves_infeasibility(monkeypatch, a, b_eq):
+    # the optimal basis at a feasible b is dual feasible; at b_eq one of its
+    # rows is negative with no negative entry, so no x >= 0 meets it
+    feasible = np.array(a, dtype=float) @ np.full(np.shape(a)[1], 0.5)
+    problem = LPProblem(c=np.arange(1.0, np.shape(a)[1] + 1.0), a_eq=a, b_eq=b_eq)
+    start = lp_solve(dataclasses.replace(problem, b_eq=feasible))
+    assert start.optimal
+    assert lp_solve(problem).status == "infeasible"
+    monkeypatch.setattr(lp, "_phase1", no_phase1)
+    sol = lp_solve(problem, start.basis)
+    assert sol.status == "infeasible" and np.isnan(sol.value)
+    assert sol.basis.size == 0 and sol.duals.size == 0
+
+
+def test_warm_and_cold_values_agree_on_random_lps():
+    # any b, feasible or not, from the optimal basis of another b: both
+    # solves end with the same status, and optimal values agree
+    rng = np.random.default_rng(7)
+    statuses = []
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, min(n, 4) + 1))
+        a = rng.normal(size=(m, n))
+        problem = LPProblem(c=rng.normal(size=n), a_eq=a,
+                            b_eq=a @ rng.uniform(-0.5, 1.5, size=n),
+                            maximize=bool(rng.integers(0, 2)))
+        start = lp_solve(dataclasses.replace(problem, b_eq=a @ rng.uniform(0.0, 1.0, size=n)))
+        if not start.optimal:
+            continue
+        cold, warm = lp_solve(problem), lp_solve(problem, start.basis)
+        assert warm.status == cold.status
+        if cold.optimal:
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        statuses.append(cold.status)
+    assert statuses.count("optimal") > 50 and statuses.count("infeasible") > 10

@@ -86,3 +86,5 @@ def test_protocol_demo_script_runs():
     assert run.returncode == 0, run.stderr
     assert "key rate (basic)    = " in run.stdout
     assert "key rate (dropping) = " in run.stdout
+    # both rates are of the nominal eta, and say so
+    assert run.stdout.count("at nominal eta = 0.99 (not from the estimate)") == 2
