@@ -30,11 +30,11 @@ def main() -> None:
         print(f"  {name} = {val:.5f} +/- {se:.5f}")
 
     grid = analysis.build_gamma_grid(protocol.NONUNIFORM, resolution=81)
-    r1 = analysis.key_rate_basic(ETA, protocol.NONUNIFORM, grid)
-    r2 = analysis.key_rate_dropping(ETA, protocol.NONUNIFORM, grid)
+    rates = analysis.key_rates([ETA], protocol.NONUNIFORM, grid)
+    (g1, g2), (k1, k2) = rates.guess[0], rates.key_rate[0]
     nominal = f"nominal eta = {ETA} (not from the estimate)"
-    print(f"key rate (basic)    = {r1.key_rate:.6f} (guess {r1.guess:.4f}) at {nominal}")
-    print(f"key rate (dropping) = {r2.key_rate:.6f} (guess {r2.guess:.4f}) at {nominal}")
+    print(f"key rate (basic)    = {k1:.6f} (guess {g1:.4f}) at {nominal}")
+    print(f"key rate (dropping) = {k2:.6f} (guess {g2:.4f}) at {nominal}")
 
 
 if __name__ == "__main__":

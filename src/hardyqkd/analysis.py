@@ -13,7 +13,8 @@ the sifting probability and the settings conditional entropy of the setup.
 The tables are arrays from the eta sweep to the LP: (N, 4) h rows (the
 noise segment, then the 8 deterministic corners), (N, 2) q brackets and
 (N, 2) gamma rows, with the segment's eta beside them, NaN at the corners
-(`GammaGrid`).
+(`GammaGrid`).  The key rates stay arrays to keyrates.csv: one `KeyRates`
+table per distribution, with a column per strategy.
 
 The posterior weighs sigma = P(A=0,B=0) h1 + P(A=0,B=1) h3 against
 nu = P(A=1,B=0) h2 + P(A=1,B=1) q with q = P(0,0|1,1).  The h pins fix
@@ -59,10 +60,11 @@ from .protocol import (
     UNIFORM,
     biased_branches,
     conditional_entropy,
+    h_rows,
     joint_settings_given_00,
     noiseless_bias_guess,
 )
-from .quantum import Q_MAX, Q_TILDE, hardy_behavior
+from .quantum import Q_MAX, Q_TILDE, hardy_tables
 from .solvers import LPProblem, lp_solve
 
 _VACUOUS_TOL = 1e-7
@@ -106,11 +108,6 @@ _NS_Q = npa.cell(*_Q_CELL).ravel()
 # signs: a no-signalling behavior is local iff all eight are <= 2 (Fine)
 _CHSH = np.array([npa.chsh_functional(np.reshape(w, (2, 2))).ravel()
                   for w in itertools.product((1.0, -1.0), repeat=4) if np.prod(w) > 0])
-
-
-def _h_rows(etas: np.ndarray | list[float]) -> np.ndarray:
-    """(N, 4) rows of h(eta), the expected statistics of the noise family."""
-    return np.array([HVector.from_eta(eta).as_array() for eta in etas])
 
 
 def _settled_q_ends(hs: np.ndarray) -> np.ndarray:
@@ -247,7 +244,7 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     per distribution.
     """
     segment = np.linspace(0.0, 1.0, resolution)
-    hs = np.vstack([_h_rows(segment), DETERMINISTIC_H])
+    hs = np.vstack([h_rows(segment), DETERMINISTIC_H])
     q = _q_brackets(hs, level)
     etas = np.concatenate([segment, np.full(len(DETERMINISTIC_H), np.nan)])
     return [GammaGrid(hs, _gamma_table(hs, q, dist), etas, level, dist.label or "custom")
@@ -319,7 +316,7 @@ def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
 
 
 def guesses(hs: np.ndarray, grid: GammaGrid,
-            priors: np.ndarray | None = None) -> list[float]:
+            priors: np.ndarray | None = None) -> np.ndarray:
     """Certified guessing probabilities at each of the (N, 4) h rows, solved
     as one LP sweep.
 
@@ -350,90 +347,85 @@ def guesses(hs: np.ndarray, grid: GammaGrid,
             "h lies outside the convex hull of the gamma grid" if status[k] == "infeasible"
             else f"decomposition LP ended {status[k]}: its dual bound {bound[k]:.12g} "
             f"exceeds the primal value {value[k]:.12g} by more than {_CERT_TOL:g}")
-    return np.minimum(1.0, bound).tolist()
+    return np.minimum(1.0, bound)
+
+
+STRATEGIES = ("basic", "dropping")
 
 
 @dataclass(frozen=True)
-class KeyRateReport:
-    """One key-rate evaluation; `key_rate` is clamped at zero."""
+class KeyRates:
+    """Key rates of one distribution along an eta sweep: row k is etas[k],
+    and column s of the (N, 2) arrays is the strategy STRATEGIES[s]."""
 
-    eta: float
     dist_label: str
-    strategy: str  # basic | dropping
-    p00: float
-    guess: float
-    hab: float
-    key_rate: float
-    pa0: float
-    pa1: float
-    clamped: bool
+    etas: np.ndarray  # (N,)
+    p00: np.ndarray  # (N,) P(a=b=0)
+    priors: np.ndarray  # (N, 2) P(A | a=b=0)
+    guess: np.ndarray  # (N, 2)
+    hab: np.ndarray  # (N, 2)
+    key_rate: np.ndarray  # (N, 2), clamped at 0
+    clamped: np.ndarray  # (N, 2) bool
 
 
-def key_rates(etas: np.ndarray | list[float], dist: SettingsDistribution, grid: GammaGrid,
-              dropping: bool = False) -> list[KeyRateReport]:
-    """Key rates of one strategy at each eta; the guesses are one `guesses` sweep.
+def key_rates(etas: np.ndarray | list[float], dist: SettingsDistribution,
+              grid: GammaGrid) -> KeyRates:
+    """Key rates of both strategies at each eta; each strategy's guesses are
+    one `guesses` sweep.
 
-    K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)).  With `dropping`, Alice discards
-    her majority value: K2 = P(a=b=0) 2 min(pa0, pa1) (-log2 Pguess2 - H(A|B)),
-    where (pa0, pa1) = P(A | a=b=0) of `hardy_behavior(eta)`.  Negative values
-    clamp to 0.
+    K1 = P(a=b=0) (-log2 Pguess1 - H(A|B)).  Dropping, Alice discards her
+    majority value: K2 = P(a=b=0) 2 min(pa0, pa1) (-log2 Pguess2 - H(A|B)),
+    where (pa0, pa1) = P(A | a=b=0) of the Hardy behavior at eta.  Negative
+    values clamp to 0.
     """
-    etas = [float(eta) for eta in etas]
-    behaviors = [hardy_behavior(eta) for eta in etas]
-    priors = np.array([joint_settings_given_00(behavior, dist).sum(axis=1)
-                       for behavior in behaviors])
-    gs = guesses(_h_rows(etas), grid, priors if dropping else None)
-    joint = dist.joint()
-    reports = []
-    for eta, behavior, (pa0, pa1), g in zip(etas, behaviors, priors, gs, strict=True):
-        p00 = float((behavior.p[0, 0] * joint).sum())
-        hab = conditional_entropy(behavior, dist, dropping=dropping)
-        factor = 2.0 * min(pa0, pa1) if dropping else 1.0
-        raw = p00 * factor * (-np.log2(g) - hab)
-        reports.append(KeyRateReport(
-            eta=eta, dist_label=grid.dist_label,
-            strategy="dropping" if dropping else "basic", p00=p00, guess=g,
-            hab=hab, key_rate=max(0.0, float(raw)), pa0=pa0, pa1=pa1,
-            clamped=raw < 0.0))
-    return reports
+    etas = np.asarray(etas, dtype=float)
+    p00s = hardy_tables(etas)[:, 0, 0]  # P(a=0, b=0 | A, B)
+    priors = joint_settings_given_00(p00s, dist).sum(axis=-1)
+    hs = h_rows(etas)
+    guess = np.stack([guesses(hs, grid), guesses(hs, grid, priors)], axis=1)
+    hab = np.stack([conditional_entropy(p00s, dist, dropping)
+                    for dropping in (False, True)], axis=1)
+    p00 = (p00s * dist.joint()).sum(axis=(-2, -1))
+    factor = np.stack([np.ones(len(etas)), 2.0 * priors.min(axis=1)], axis=1)
+    raw = p00[:, None] * factor * (-np.log2(guess) - hab)
+    return KeyRates(grid.dist_label, etas, p00, priors, guess, hab,
+                    np.where(raw > 0.0, raw, 0.0), raw < 0.0)
 
 
-def key_rate_basic(eta: float, dist: SettingsDistribution, grid: GammaGrid) -> KeyRateReport:
-    """K1 at one eta: the one-point case of `key_rates`."""
-    return key_rates([eta], dist, grid)[0]
+def key_rate_basic(eta: float, dist: SettingsDistribution,
+                   grid: GammaGrid) -> tuple[float, float]:
+    """(Pguess1, K1) at one eta: the one-point case of `key_rates`."""
+    rates = key_rates([eta], dist, grid)
+    return float(rates.guess[0, 0]), float(rates.key_rate[0, 0])
 
 
 def key_rate_dropping(eta: float, dist: SettingsDistribution,
-                      grid: GammaGrid) -> KeyRateReport:
-    """K2 at one eta: the one-point case of `key_rates` with dropping."""
-    return key_rates([eta], dist, grid, dropping=True)[0]
+                      grid: GammaGrid) -> tuple[float, float]:
+    """(Pguess2, K2) at one eta: the one-point case of `key_rates`."""
+    rates = key_rates([eta], dist, grid)
+    return float(rates.guess[0, 1]), float(rates.key_rate[0, 1])
 
 
 def key_rate_sweep(etas: np.ndarray,
                    dists: tuple[SettingsDistribution, ...] = (UNIFORM, NONUNIFORM),
                    level: int = 2,
-                   resolution: int = 201) -> list[KeyRateReport]:
-    """Key rates for all (eta, distribution, strategy) combinations.
-
-    Each (grid, strategy) pair is one `key_rates` call over all etas, so
-    its LPs are one `_sweep`.
-    """
-    reports: list[KeyRateReport] = []
-    for dist, grid in zip(dists, build_gamma_grids(list(dists), resolution, level), strict=True):
-        basic = key_rates(etas, dist, grid, dropping=False)
-        dropping = key_rates(etas, dist, grid, dropping=True)
-        reports.extend(itertools.chain.from_iterable(zip(basic, dropping, strict=True)))
-    return reports
+                   resolution: int = 201) -> list[KeyRates]:
+    """One `key_rates` table per distribution, over all etas."""
+    return [key_rates(etas, dist, grid) for dist, grid in
+            zip(dists, build_gamma_grids(list(dists), resolution, level), strict=True)]
 
 
-def key_rates_to_csv(reports: list[KeyRateReport]) -> str:
+def key_rates_to_csv(tables: list[KeyRates]) -> str:
+    """One row per (distribution, eta, strategy), in that order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["eta", "dist", "strategy", "p00", "guess", "hab", "keyrate"])
-    for r in reports:
-        writer.writerow([f"{r.eta:.12g}", r.dist_label, r.strategy,
-                         f"{r.p00:.12g}", f"{r.guess:.12g}", f"{r.hab:.12g}",
-                         f"{r.key_rate:.12g}"])
+    for t in tables:
+        for eta, p00, guess, hab, rate in zip(t.etas.tolist(), t.p00.tolist(), t.guess.tolist(),
+                                              t.hab.tolist(), t.key_rate.tolist(), strict=True):
+            for s, strategy in enumerate(STRATEGIES):
+                writer.writerow([f"{eta:.12g}", t.dist_label, strategy, f"{p00:.12g}",
+                                 f"{guess[s]:.12g}", f"{hab[s]:.12g}", f"{rate[s]:.12g}"])
     return buf.getvalue()
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, protocol, quantum
-from .errors import InsufficientDataError, ParameterRangeError, SolverFailure
+from .errors import InputError, ParameterRangeError, SolverFailure
 from .protocol import NONUNIFORM, SettingsDistribution, UNIFORM
 from .svgplot import LinePlot
 
@@ -161,28 +161,28 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_keyrate(cfg: RunConfig) -> int:
     etas = np.linspace(0.0, 1.0, cfg.eta_grid)
     dists = (UNIFORM, NONUNIFORM) if cfg.dist is None else (cfg.parse_dist(),)
-    reports = analysis.key_rate_sweep(etas, dists, level=cfg.level,
-                                      resolution=cfg.grid_res)
-    csv_text = analysis.key_rates_to_csv(reports)
+    tables = analysis.key_rate_sweep(etas, dists, level=cfg.level,
+                                     resolution=cfg.grid_res)
+    csv_text = analysis.key_rates_to_csv(tables)
     out_csv = Path(cfg.out) / "keyrates.csv"
     _write(out_csv, csv_text)
 
     plot = LinePlot(title="Key rates vs noise", x_label="eta",
                     y_label="key rate")
-    for dist_label in dict.fromkeys(r.dist_label for r in reports):
-        for strategy in ("basic", "dropping"):
-            sel = [r for r in reports
-                   if r.dist_label == dist_label and r.strategy == strategy]
-            plot.add_curve(f"{dist_label}/{strategy}",
-                           [r.eta for r in sel], [r.key_rate for r in sel])
+    for t in tables:
+        for s, strategy in enumerate(analysis.STRATEGIES):
+            plot.add_curve(f"{t.dist_label}/{strategy}", t.etas, t.key_rate[:, s])
     out_svg = Path(cfg.out) / "keyrates.svg"
     _write(out_svg, plot.to_svg())
 
-    # ranked by the CSV's own value: rates equal to 12 digits go to the first row
-    top = max(reports, key=lambda r: float(f"{r.key_rate:.12g}"))
-    print(f"wrote {len(reports)} rows to {out_csv}")
-    print(f"best rate {top.key_rate:.6f} at eta={top.eta:.4f} "
-          f"({top.dist_label}/{top.strategy})")
+    # ranked by the CSV's own value, in CSV order (table, eta, strategy):
+    # rates equal to 12 digits go to the first row
+    shown = [float(f"{rate:.12g}") for t in tables for rate in t.key_rate.ravel().tolist()]
+    d, k, s = np.unravel_index(np.argmax(shown), (len(tables), *tables[0].key_rate.shape))
+    top = tables[d]
+    print(f"wrote {len(shown)} rows to {out_csv}")
+    print(f"best rate {top.key_rate[k, s]:.6f} at eta={top.etas[k]:.4f} "
+          f"({top.dist_label}/{analysis.STRATEGIES[s]})")
     print(f"plot written to {out_svg}")
     return EXIT_OK
 
@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except (ParameterRangeError, InsufficientDataError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverFailure, np.linalg.LinAlgError) as exc:

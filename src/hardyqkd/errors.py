@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class ParameterRangeError(ValueError):
+class InputError(ValueError):
+    """Input the pipeline cannot work with; the CLI exits with code 2."""
+
+
+class ParameterRangeError(InputError):
     """A numeric parameter is outside its admissible range."""
 
 
@@ -9,15 +13,15 @@ class EpsilonTooLargeError(ParameterRangeError):
     """A bias epsilon pushes a branch probability outside [0, 1]."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(InputError):
     """An estimator has no samples for at least one required cell."""
 
 
-class ZeroPosteriorError(ValueError):
+class ZeroPosteriorError(InputError):
     """Conditioning event P(a=0, b=0) has probability zero."""
 
 
-class UnsupportedLevelError(ValueError):
+class UnsupportedLevelError(InputError):
     """Requested relaxation level is not supported."""
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ParameterRangeError,
     ZeroPosteriorError,
 )
-from .quantum import Behavior, Q_MAX, Q_TILDE
+from .quantum import Behavior, Q_MAX, Q_TILDE, check_etas
 
 # Columns of the per-round uniform deviate block.
 _U_BRANCH, _U_SET_A, _U_SET_B, _U_OUTCOME, _U_REVEAL = range(5)
@@ -99,9 +99,6 @@ _ROW_CHUNK = 1 << 16  # rounds drawn per Philox call in `simulate`
 class Transcript:
     """Array-backed log of a simulated protocol run."""
 
-    seed: int
-    behavior: Behavior
-    distribution: SettingsDistribution | BiasModel
     setting_a: np.ndarray
     setting_b: np.ndarray
     outcome_a: np.ndarray
@@ -201,10 +198,8 @@ def simulate(n: int, behavior: Behavior,
         outcome_a[lo:hi] = cell >> 1
         outcome_b[lo:hi] = cell & 1
         revealed[lo:hi] = u[:, _U_REVEAL] < reveal_fraction
-    return Transcript(seed=seed, behavior=behavior, distribution=dist_or_bias,
-                      setting_a=setting_a, setting_b=setting_b,
-                      outcome_a=outcome_a, outcome_b=outcome_b,
-                      revealed=revealed)
+    return Transcript(setting_a=setting_a, setting_b=setting_b,
+                      outcome_a=outcome_a, outcome_b=outcome_b, revealed=revealed)
 
 
 def sift(transcript: Transcript) -> Transcript:
@@ -236,10 +231,15 @@ class HVector:
     @staticmethod
     def from_eta(eta: float) -> "HVector":
         """Expected parameters of the isotropic-noise setup at visibility eta."""
-        if not 0.0 <= eta <= 1.0:
-            raise ParameterRangeError(f"eta = {eta} outside [0, 1]")
-        off = (1.0 - eta) / 4.0
-        return HVector(eta * Q_MAX + off, off, off, off)
+        return HVector(*h_rows([eta])[0].tolist())
+
+
+def h_rows(etas: np.ndarray | list[float]) -> np.ndarray:
+    """(N, 4) rows of h(eta), the expected parameters of the isotropic-noise
+    setup, one per visibility."""
+    etas = check_etas(etas)
+    off = (1.0 - etas) / 4.0
+    return np.stack([etas * Q_MAX + off, off, off, off], axis=-1)
 
 
 # Cell coordinates (a, b, A, B) of the four Hardy parameters.
@@ -272,38 +272,37 @@ def estimate_h(revealed: Transcript) -> HEstimate:
     return HEstimate(h=HVector(*p), stderr=se, counts=totals)
 
 
-def joint_settings_given_00(behavior: Behavior,
-                            dist: SettingsDistribution) -> np.ndarray:
-    """P(A, B | a=0, b=0) over the four setting pairs."""
-    joint = behavior.p[0, 0] * dist.joint()  # [A, B]
-    total = joint.sum()
-    if total <= 0.0:
+def joint_settings_given_00(p00: np.ndarray, dist: SettingsDistribution) -> np.ndarray:
+    """P(A, B | a=0, b=0) from (..., 2, 2) tables of P(a=0, b=0 | A, B)."""
+    joint = p00 * dist.joint()  # [..., A, B]
+    total = joint.sum(axis=(-2, -1), keepdims=True)
+    if (total <= 0.0).any():
         raise ZeroPosteriorError("P(a=0, b=0) vanishes for this setup")
     return joint / total
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each distribution along the last axis."""
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
-def conditional_entropy(behavior: Behavior, dist: SettingsDistribution,
-                        dropping: bool = False) -> float:
-    """H(A|B) of the settings joint conditioned on both outcomes being 0.
+def conditional_entropy(p00: np.ndarray, dist: SettingsDistribution,
+                        dropping: bool = False) -> np.ndarray:
+    """H(A|B) of the settings joint conditioned on both outcomes being 0,
+    from (..., 2, 2) tables of P(a=0, b=0 | A, B).
 
     With `dropping`, Alice's marginal is first rebalanced by uniform random
     removal of her majority setting value.
     """
-    joint = joint_settings_given_00(behavior, dist)
+    joint = joint_settings_given_00(p00, dist)
     if dropping:
-        pa = joint.sum(axis=1)
-        m = pa.min()
-        if m <= 0.0:
+        pa = joint.sum(axis=-1)
+        m = pa.min(axis=-1, keepdims=True)
+        if (m <= 0.0).any():
             raise ZeroPosteriorError("dropping undefined: one key value never occurs")
-        keep = m / pa
-        joint = joint * keep[:, None]
-        joint = joint / joint.sum()
-    return _entropy(joint.ravel()) - _entropy(joint.sum(axis=0))
+        joint = joint * (m / pa)[..., None]
+        joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
+    return _entropy(joint.reshape(*joint.shape[:-2], 4)) - _entropy(joint.sum(axis=-2))
 
 
 def noiseless_bias_guess(epsilon: float, dist: SettingsDistribution) -> float:

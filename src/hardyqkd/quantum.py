@@ -3,7 +3,8 @@
 The Hardy state is the null vector of the SVD of <phi0|, <phi1|, <phi2|,
 the same SVD that gives the uniqueness dimension.  Its noisy behavior is
 affine in the visibility: p(eta) = (1 - eta)/4 + eta p(1), with p(1) the
-Born rule of the pure state, built once per pair of bases.
+Born rule of the pure state, built once per pair of bases and evaluated
+for a whole array of visibilities at once.
 
 Conventions
 -----------
@@ -35,15 +36,14 @@ Q_TILDE = np.sqrt(5.0) - 2.0
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Rank-1 projectors indexed by (party, setting, outcome).
+    """Rank-1 projective measurements indexed by (party, setting, outcome).
 
-    `projectors[p, s, o]` is the 2x2 projector for party p (0 = Alice,
-    1 = Bob), setting s and outcome o.
+    `vectors[p, s, o]` is the basis vector of party p (0 = Alice, 1 = Bob),
+    setting s and outcome o, and `projectors[p, s, o]` its 2x2 projector.
     """
 
+    vectors: np.ndarray  # shape (2, 2, 2, 2), complex
     projectors: np.ndarray  # shape (2, 2, 2, 2, 2), complex
-    alpha_a: complex
-    alpha_b: complex
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,14 @@ def local_bases(alpha_a: complex, alpha_b: complex) -> MeasurementSet:
     Setting 0 measures in the computational basis; setting 1 in the rotated
     basis {|0'>, |1'>} determined by the party's alpha.
     """
-    alpha_a = _check_alpha(alpha_a)
-    alpha_b = _check_alpha(alpha_b)
-    proj = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+    vectors = np.zeros((2, 2, 2, 2), dtype=complex)
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
-    for party, alpha in ((0, alpha_a), (1, alpha_b)):
+    for party, alpha in enumerate((_check_alpha(alpha_a), _check_alpha(alpha_b))):
         beta = np.sqrt(1.0 - abs(alpha) ** 2)  # real nonnegative by convention
-        prime0 = alpha * e0 + beta * e1
-        prime1 = np.conj(beta) * e0 - np.conj(alpha) * e1
-        for setting, (v0, v1) in ((0, (e0, e1)), (1, (prime0, prime1))):
-            proj[party, setting, 0] = np.outer(v0, v0.conj())
-            proj[party, setting, 1] = np.outer(v1, v1.conj())
-    return MeasurementSet(projectors=proj, alpha_a=alpha_a, alpha_b=alpha_b)
+        vectors[party, 0] = e0, e1
+        vectors[party, 1] = alpha * e0 + beta * e1, np.conj(beta) * e0 - np.conj(alpha) * e1
+    return MeasurementSet(vectors, vectors[..., :, None] * vectors[..., None, :].conj())
 
 
 def hardy_product_states(bases: MeasurementSet) -> list[np.ndarray]:
@@ -97,20 +92,9 @@ def hardy_product_states(bases: MeasurementSet) -> list[np.ndarray]:
     phi0 = |1'>_A |1'>_B, phi1 = |0>_A |0'>_B, phi2 = |0'>_A |0>_B,
     phi3 = |0>_A |0>_B.
     """
-    alpha_a, alpha_b = bases.alpha_a, bases.alpha_b
-    beta_a = np.sqrt(1.0 - abs(alpha_a) ** 2)
-    beta_b = np.sqrt(1.0 - abs(alpha_b) ** 2)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    prime0_a = alpha_a * e0 + beta_a * e1
-    prime1_a = np.conj(beta_a) * e0 - np.conj(alpha_a) * e1
-    prime0_b = alpha_b * e0 + beta_b * e1
-    prime1_b = np.conj(beta_b) * e0 - np.conj(alpha_b) * e1
-    phi0 = np.kron(prime1_a, prime1_b)
-    phi1 = np.kron(e0, prime0_b)
-    phi2 = np.kron(prime0_a, e0)
-    phi3 = np.kron(e0, e0)
-    return [phi0, phi1, phi2, phi3]
+    alice, bob = bases.vectors  # [setting, outcome]
+    return [np.kron(alice[1, 1], bob[1, 1]), np.kron(alice[0, 0], bob[1, 0]),
+            np.kron(alice[1, 0], bob[0, 0]), np.kron(alice[0, 0], bob[0, 0])]
 
 
 def _hardy_svd(bases: MeasurementSet) -> tuple[np.ndarray, int]:
@@ -176,15 +160,31 @@ def _pure_behavior(alpha_a: complex, alpha_b: complex) -> np.ndarray:
     return p
 
 
-def hardy_behavior(eta: float = 1.0,
-                   alpha_a: complex = ALPHA_OPT,
-                   alpha_b: complex = ALPHA_OPT) -> Behavior:
-    """Behavior of the noisy Hardy setup with the matching bases.
+def check_etas(etas: np.ndarray | list[float]) -> np.ndarray:
+    """The visibilities as a float array, each checked to lie in [0, 1]."""
+    etas = np.asarray(etas, dtype=float)
+    outside = ~((etas >= 0.0) & (etas <= 1.0))
+    if outside.any():
+        raise ParameterRangeError(f"eta = {etas[outside][0]} outside [0, 1]")
+    return etas
+
+
+def hardy_tables(etas: np.ndarray | list[float],
+                 alpha_a: complex = ALPHA_OPT,
+                 alpha_b: complex = ALPHA_OPT) -> np.ndarray:
+    """(N, 2, 2, 2, 2) tables p[a, b, A, B] of the noisy Hardy setup with the
+    matching bases, one per visibility.
 
     The state is rho(eta) = (1 - eta) I/4 + eta |psi><psi|.  Every product
     of rank-1 projectors has trace 1, so each cell is (1 - eta)/4 plus eta
     times the cell of the pure state, which is built once per pair of bases.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterRangeError(f"eta = {eta} outside [0, 1]")
-    return Behavior(p=(1.0 - eta) / 4.0 + eta * _pure_behavior(alpha_a, alpha_b))
+    etas = check_etas(etas)[:, None, None, None, None]
+    return (1.0 - etas) / 4.0 + etas * _pure_behavior(alpha_a, alpha_b)
+
+
+def hardy_behavior(eta: float = 1.0,
+                   alpha_a: complex = ALPHA_OPT,
+                   alpha_b: complex = ALPHA_OPT) -> Behavior:
+    """Behavior of the noisy Hardy setup: the one-point case of `hardy_tables`."""
+    return Behavior(p=hardy_tables([eta], alpha_a, alpha_b)[0])

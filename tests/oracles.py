@@ -8,7 +8,7 @@ path under test.
 import numpy as np
 
 from hardyqkd import npa
-from hardyqkd.analysis import KeyRateReport
+from hardyqkd.analysis import KeyRates
 from hardyqkd.solvers import LPProblem, LPSolution, SDPProblem, SDPSolution
 
 
@@ -202,8 +202,49 @@ def validate_behavior(behavior, tol: float = BEHAVIOR_TOL) -> None:
         raise ValueError("signaling from Alice to Bob")
 
 
-def recompute_key_rate(report: KeyRateReport) -> float:
-    """The clamped key rate from a report's own fields."""
-    factor = 1.0 if report.strategy == "basic" else 2.0 * min(report.pa0, report.pa1)
-    raw = report.p00 * factor * (-np.log2(report.guess) - report.hab)
-    return max(0.0, float(raw))
+def joint_settings_given_00(behavior, dist) -> np.ndarray:
+    """P(A, B | a=0, b=0) of one behavior, as a (2, 2) table."""
+    joint = behavior.p[0, 0] * dist.joint()  # [A, B]
+    total = joint.sum()
+    if total <= 0.0:
+        raise ValueError("P(a=0, b=0) vanishes for this setup")
+    return joint / total
+
+
+def _entropy(p: np.ndarray) -> float:
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def conditional_entropy(behavior, dist, dropping: bool = False) -> float:
+    """H(A|B) of the settings joint of one behavior conditioned on both
+    outcomes being 0; with `dropping`, after Alice's majority setting value
+    is removed at random down to her minority value."""
+    joint = joint_settings_given_00(behavior, dist)
+    if dropping:
+        pa = joint.sum(axis=1)
+        joint = joint * (pa.min() / pa)[:, None]
+        joint = joint / joint.sum()
+    return _entropy(joint.ravel()) - _entropy(joint.sum(axis=0))
+
+
+def key_rate_rows(behavior, dist, guess) -> dict[str, np.ndarray]:
+    """p00, priors, hab, the clamped key rates and where they were clamped,
+    for one behavior, given the guesses (Pguess1, Pguess2) of its two
+    strategies."""
+    joint = joint_settings_given_00(behavior, dist)
+    p00 = float((behavior.p[0, 0] * dist.joint()).sum())
+    priors = joint.sum(axis=1)
+    hab = [conditional_entropy(behavior, dist, dropping) for dropping in (False, True)]
+    raw = [float(p00 * factor * (-np.log2(g) - h)) for factor, g, h in
+           zip((1.0, 2.0 * priors.min()), guess, hab, strict=True)]
+    return {"p00": p00, "priors": priors, "hab": np.array(hab),
+            "key_rate": np.array([max(0.0, r) for r in raw]),
+            "clamped": np.array([r < 0.0 for r in raw])}
+
+
+def recompute_key_rate(rates: KeyRates) -> np.ndarray:
+    """The (N, 2) clamped key rates from a table's own columns."""
+    factor = np.stack([np.ones(len(rates.etas)), 2.0 * rates.priors.min(axis=1)], axis=1)
+    raw = rates.p00[:, None] * factor * (-np.log2(rates.guess) - rates.hab)
+    return np.maximum(raw, 0.0)

@@ -29,9 +29,9 @@ def full_sweep():
     """Criterion 4 workload: 201-point eta sweep at level 2, both dists."""
     start = time.perf_counter()
     etas = np.linspace(0.0, 1.0, 201)
-    reports = an.key_rate_sweep(etas, level=2, resolution=201)
+    tables = an.key_rate_sweep(etas, level=2, resolution=201)
     elapsed = time.perf_counter() - start
-    return reports, elapsed
+    return {t.dist_label: t for t in tables}, elapsed
 
 
 def test_criterion_1_hardy_maximum():
@@ -72,10 +72,10 @@ def test_criterion_3_npa_sdp_sanity():
 
 
 def test_criterion_4_noiseless_key_rates(full_sweep):
-    reports, elapsed = full_sweep
-    by_key = {(r.dist_label, r.strategy, round(r.eta, 6)): r for r in reports}
-    k2_u = by_key[("uniform", "dropping", 1.0)].key_rate
-    k_n = by_key[("nonuniform", "basic", 1.0)].key_rate
+    tables, elapsed = full_sweep
+    assert tables["uniform"].etas[-1] == tables["nonuniform"].etas[-1] == 1.0
+    k2_u = tables["uniform"].key_rate[-1, 1]
+    k_n = tables["nonuniform"].key_rate[-1, 0]
     assert abs(k2_u - 0.045084) < 5e-3
     assert abs(k_n - 0.06888) < 5e-3
     ratio = pr.nonuniform_ratio(q.Q_MAX, q.Q_TILDE)
@@ -112,20 +112,17 @@ def test_criterion_5_bias_robustness():
 
 
 def test_criterion_6_shape_properties(full_sweep):
-    reports, _ = full_sweep
+    tables, _ = full_sweep
     start = time.perf_counter()
-    curves: dict[tuple[str, str], list] = {}
-    for r in reports:
-        curves.setdefault((r.dist_label, r.strategy), []).append(r)
-    for key, rows in curves.items():
-        rows.sort(key=lambda r: r.eta)
-        rates = [r.key_rate for r in rows]
-        assert rates[0] == 0.0, f"{key}: rate at eta=0 must vanish"
-        assert rates[-1] > 0.0, f"{key}: rate at eta=1 must be positive"
+    for dist_label, t in tables.items():
+        assert (np.diff(t.etas) > 0).all()
+        for s, strategy in enumerate(an.STRATEGIES):
+            key = (dist_label, strategy)
+            assert t.key_rate[0, s] == 0.0, f"{key}: rate at eta=0 must vanish"
+            assert t.key_rate[-1, s] > 0.0, f"{key}: rate at eta=1 must be positive"
     # the guessing-probability curves plateau at 1 and never increase
     for dist_label in ("uniform", "nonuniform"):
-        rows = curves[(dist_label, "basic")]
-        guesses = [r.guess for r in rows]
+        guesses = tables[dist_label].guess[:, 0].tolist()
         assert guesses[0] >= 1.0 - 1e-9
         assert all(b <= a + 1e-6 for a, b in zip(guesses, guesses[1:]))
         plateau = sum(1 for g in guesses if g >= 1.0 - 1e-9)
@@ -134,9 +131,8 @@ def test_criterion_6_shape_properties(full_sweep):
     report(6, "guess curves equal 1 below a threshold then decrease; rates 0 "
               "at eta=0, positive at eta=1", elapsed, 300)
 
-    k1 = [r.key_rate for r in curves[("uniform", "basic")]]
-    k2 = [r.key_rate for r in curves[("uniform", "dropping")]]
-    etas = [r.eta for r in curves[("uniform", "basic")]]
+    k1, k2 = tables["uniform"].key_rate.T.tolist()
+    etas = tables["uniform"].etas.tolist()
     assert k2[-1] > k1[-1], "dropping must improve the noiseless uniform rate"
     violations = [(e, a, b) for e, a, b in zip(etas, k1, k2) if b < a - 1e-6]
     if violations:
@@ -226,7 +222,7 @@ def test_criterion_9_relaxation_soundness():
     start = time.perf_counter()
     for eta in np.linspace(0.0, 1.0, 20):
         beh = q.hardy_behavior(float(eta))
-        pa0, pa1 = pr.joint_settings_given_00(beh, pr.UNIFORM).sum(axis=1)
+        pa0, pa1 = pr.joint_settings_given_00(beh.p[0, 0], pr.UNIFORM).sum(axis=1)
         g0, g1 = an.gamma_tilde(HVector.from_eta(float(eta)), pr.UNIFORM)
         assert g0 >= pa0 - 1e-6
         assert g1 >= pa1 - 1e-6

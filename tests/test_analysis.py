@@ -16,8 +16,8 @@ from hardyqkd import npa, protocol as pr, quantum as q
 from hardyqkd.errors import SolverFailure, ZeroPosteriorError
 from hardyqkd.protocol import HVector
 from hardyqkd.solvers import LPProblem, lp, lp_solve
-from oracles import (deterministic_behaviors, gamma_point, nu_functional, recompute_key_rate,
-                     sigma_from_h)
+from oracles import (deterministic_behaviors, gamma_point, key_rate_rows, nu_functional,
+                     recompute_key_rate, sigma_from_h)
 
 POSTERIOR0 = q.Q_MAX / (q.Q_MAX + q.Q_TILDE)  # 0.2763932...
 
@@ -49,7 +49,7 @@ def decomposition_lp(grid, eta, prior=None):
 
 def posterior(behavior, dist):
     """(P(A=0 | a=b=0), P(A=1 | a=b=0)), the priors of `key_rates`."""
-    return tuple(pr.joint_settings_given_00(behavior, dist).sum(axis=1))
+    return tuple(pr.joint_settings_given_00(behavior.p[0, 0], dist).sum(axis=1))
 
 
 def cold_value(coeff, a_eq, b_eq):
@@ -126,7 +126,7 @@ class TestGammaTilde:
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 9)]
         posteriors = [posterior(q.hardy_behavior(eta), dist) for eta in etas]
         for level in (1, 2, 3):
-            hs = an._h_rows(etas)
+            hs = pr.h_rows(etas)
             bounds = an._gamma_table(hs, an._q_brackets(hs, level), dist)
             for (pa0, pa1), (g0, g1) in zip(posteriors, bounds, strict=True):
                 assert g0 >= pa0 - 1e-3
@@ -135,7 +135,7 @@ class TestGammaTilde:
     def test_nu_brackets_match_direct_nu_solves(self):
         # one q bracket serves both distributions: it must give the nu
         # brackets of solving each distribution's nu functional directly
-        hs = np.vstack([an._h_rows((0.0, 0.3, 0.6, 0.9, 0.95, 0.99)), an.DETERMINISTIC_H])
+        hs = np.vstack([pr.h_rows((0.0, 0.3, 0.6, 0.9, 0.95, 0.99)), an.DETERMINISTIC_H])
         dists = [pr.UNIFORM, pr.NONUNIFORM]
         qs = an._q_brackets(hs, 2)
         shared = [dist.joint()[1, 0] * hs[:, 1:2] + dist.joint()[1, 1] * qs for dist in dists]
@@ -149,7 +149,7 @@ class TestGammaTilde:
     @pytest.mark.parametrize("level", [2, 3])
     def test_noiseless_bounds_never_below_exact(self, level):
         # at eta = 1 the posterior is exact; the bounds may only lie above it
-        hs = an._h_rows([1.0])
+        hs = pr.h_rows([1.0])
         qs = an._q_brackets(hs, level)
         [(u0, u1)], [(n0, n1)] = (an._gamma_table(hs, qs, dist)
                                   for dist in (pr.UNIFORM, pr.NONUNIFORM))
@@ -268,7 +268,7 @@ class TestGammaGrid:
         # pinned zero cells relax faster than sigma shrinks); the decomposed
         # guessing probability is, being concave in h with its maximum at
         # full noise.
-        values = [an.guesses(an._h_rows([e]), grid_uniform)[0]
+        values = [an.guesses(pr.h_rows([e]), grid_uniform)[0]
                   for e in np.linspace(0.0, 1.0, 11)]
         assert values[0] == pytest.approx(1.0, abs=1e-9)
         assert all(b <= a + 1e-7 for a, b in zip(values, values[1:]))
@@ -336,7 +336,7 @@ class TestGammaGrid:
 
 def grid_points(resolution):
     """The h rows of a gamma grid: the noise segment, then the corners."""
-    return np.vstack([an._h_rows(np.linspace(0.0, 1.0, resolution)), an.DETERMINISTIC_H])
+    return np.vstack([pr.h_rows(np.linspace(0.0, 1.0, resolution)), an.DETERMINISTIC_H])
 
 
 def settle_lps(h, sign):
@@ -377,7 +377,7 @@ class TestSettledEnds:
         one_by_one = np.vstack([an._settled_q_ends(h[None]) for h in points])
         assert np.array_equal(np.isnan(ends), np.isnan(one_by_one))
         assert np.nanmax(np.abs(ends - one_by_one)) <= 1e-12
-        hs = an._h_rows(ETAS51)
+        hs = pr.h_rows(ETAS51)
         for priors in (None, [(0.4, 0.6)] * len(hs)):
             made.clear()
             an.guesses(hs, grids15["uniform"], priors)
@@ -416,7 +416,7 @@ class TestSettledEnds:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
     def test_ns_dual_bound_never_below_optimum(self, sign):
         rng = np.random.default_rng(29)
-        for h in np.vstack([an._h_rows((0.0, 0.4, 0.8, 1.0)), an.DETERMINISTIC_H]):
+        for h in np.vstack([pr.h_rows((0.0, 0.4, 0.8, 1.0)), an.DETERMINISTIC_H]):
             coeff, a_eq, b_eq = settle_lps(h, sign)
             optimum = cold_value(coeff, a_eq, b_eq)
             for _ in range(200):
@@ -426,7 +426,7 @@ class TestSettledEnds:
     def test_realizations_meet_the_no_signalling_rows(self):
         for eta in (0.0, 0.5, 1.0):
             behavior = q.hardy_behavior(eta)
-            _, a_eq, b_eq = settle_lps(an._h_rows([eta])[0], 1.0)
+            _, a_eq, b_eq = settle_lps(pr.h_rows([eta])[0], 1.0)
             assert np.abs(a_eq @ behavior.p.ravel() - b_eq).max() <= 1e-12
 
     @pytest.mark.parametrize("resolution", [15, 41])
@@ -505,19 +505,19 @@ class TestSettledEnds:
 
 class TestGuessPrograms:
     def test_guess1_noiseless_uniform(self, grid_uniform):
-        val = an.guesses(an._h_rows([1.0]), grid_uniform)[0]
+        val = an.guesses(pr.h_rows([1.0]), grid_uniform)[0]
         assert val == pytest.approx(1.0 - POSTERIOR0, abs=5e-3)
 
     def test_guess1_flat_is_one(self, grid_uniform):
-        assert an.guesses(an._h_rows([0.0]), grid_uniform)[0] == pytest.approx(
+        assert an.guesses(pr.h_rows([0.0]), grid_uniform)[0] == pytest.approx(
             1.0, abs=1e-9)
 
     def test_guess1_concave_on_segment(self, grid_uniform):
         for eta_a, eta_b in ((0.1, 0.9), (0.5, 1.0)):
             mid = 0.5 * (eta_a + eta_b)
-            va = an.guesses(an._h_rows([eta_a]), grid_uniform)[0]
-            vb = an.guesses(an._h_rows([eta_b]), grid_uniform)[0]
-            vm = an.guesses(an._h_rows([mid]), grid_uniform)[0]
+            va = an.guesses(pr.h_rows([eta_a]), grid_uniform)[0]
+            vb = an.guesses(pr.h_rows([eta_b]), grid_uniform)[0]
+            vm = an.guesses(pr.h_rows([mid]), grid_uniform)[0]
             assert vm >= 0.5 * (va + vb) - 1e-8
 
     def test_guess1_at_least_pointwise_gamma(self, grid_uniform):
@@ -529,23 +529,23 @@ class TestGuessPrograms:
     def test_guess2_noiseless_uniform_is_half(self, grid_uniform):
         beh = q.hardy_behavior(1.0)
         pa0, pa1 = posterior(beh, pr.UNIFORM)
-        val = an.guesses(an._h_rows([1.0]), grid_uniform, [(pa0, pa1)])[0]
+        val = an.guesses(pr.h_rows([1.0]), grid_uniform, [(pa0, pa1)])[0]
         assert val == pytest.approx(0.5, abs=5e-3)
 
     def test_guess2_balanced_equals_guess1(self, grid_uniform):
-        h = an._h_rows([0.8])
+        h = pr.h_rows([0.8])
         assert an.guesses(h, grid_uniform, [(0.5, 0.5)])[0] == pytest.approx(
             an.guesses(h, grid_uniform)[0], abs=1e-9)
 
     def test_guess2_flat_is_one(self, grid_uniform):
-        assert an.guesses(an._h_rows([0.0]), grid_uniform, [(0.5, 0.5)])[0] == \
+        assert an.guesses(pr.h_rows([0.0]), grid_uniform, [(0.5, 0.5)])[0] == \
             pytest.approx(1.0, abs=1e-9)
 
     def test_guess_lower_bound_half(self, grid_uniform):
         beh = q.hardy_behavior(0.6)
         pa0, pa1 = posterior(beh, pr.UNIFORM)
         for eta in (0.0, 0.4, 0.8, 1.0):
-            h = an._h_rows([eta])
+            h = pr.h_rows([eta])
             assert an.guesses(h, grid_uniform, [(pa0, pa1)])[0] >= 0.5 - 1e-9
             assert an.guesses(h, grid_uniform)[0] >= 0.5 - 1e-9
 
@@ -577,10 +577,11 @@ class TestWarmSweep:
             swept.append(sweep(*args))
             return swept[-1]
 
+        priors = [posterior(q.hardy_behavior(eta), dist) for eta in etas] if dropping else None
         monkeypatch.setattr(lp, "_phase1", recording_phase1)
         monkeypatch.setattr(an, "lp_solve", recording_solve)
         monkeypatch.setattr(an, "_sweep", recording_sweep)
-        reports = an.key_rates(etas, dist, grid, dropping)
+        guess = an.guesses(pr.h_rows(etas), grid, priors)
         monkeypatch.undo()
         assert 0 < len(cold_starts) <= len(etas)
         if not dropping:
@@ -590,11 +591,12 @@ class TestWarmSweep:
             assert cold_starts[0] == 1 and sum(cold_starts[1:]) == 0
         (_, value, _, status, bound), = swept
         assert (status == "optimal").all() and (bound <= value + an._CERT_TOL).all()
-        assert [r.guess for r in reports] == np.minimum(1.0, bound).tolist()
-        for eta, r in zip(etas, reports, strict=True):
-            prior = (r.pa0, r.pa1) if dropping else None
+        assert guess.tolist() == np.minimum(1.0, bound).tolist()
+        assert an.key_rates(etas, dist, grid).guess[:, int(dropping)].tolist() == guess.tolist()
+        for k, eta in enumerate(etas):
+            prior = priors[k] if dropping else None
             cold = min(1.0, cold_value(*decomposition_lp(grid, float(eta), prior)))
-            assert abs(r.guess - cold) <= 1e-12
+            assert abs(guess[k] - cold) <= 1e-12
 
 
 def stale_solve(monkeypatch, **changes):
@@ -635,7 +637,7 @@ class TestDualCertificate:
     def test_nonoptimal_basis_is_rejected(self, grids15, monkeypatch):
         stale_solve(monkeypatch, maximize=False)
         with pytest.raises(SolverFailure, match="dual bound"):
-            an.guesses(an._h_rows([0.9]), grids15["nonuniform"], [(0.3, 0.7)])
+            an.guesses(pr.h_rows([0.9]), grids15["nonuniform"], [(0.3, 0.7)])
 
     @pytest.mark.parametrize("label", ["uniform", "nonuniform"])
     def test_tampered_coefficient_is_rejected(self, grids15, monkeypatch, label):
@@ -652,7 +654,7 @@ class TestDualCertificate:
         # the solve still sees the true coefficients and stops at their optimum
         stale_solve(monkeypatch, c=coeff)
         with pytest.raises(SolverFailure, match="dual bound"):
-            an.guesses(an._h_rows([0.95]), tampered)
+            an.guesses(pr.h_rows([0.95]), tampered)
 
     def test_hull_violation_is_named(self, grids15):
         with pytest.raises(SolverFailure, match="convex hull"):
@@ -668,7 +670,7 @@ class TestDualCertificate:
                             full.dist_label)
         assert np.linalg.matrix_rank(grid.lp_matrix) == 2
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 21)]
-        hs = an._h_rows(etas)
+        hs = pr.h_rows(etas)
         coeffs = np.broadcast_to(grid.gammas.max(axis=1), (len(hs), len(grid.hs)))
         solve, made = an.lp_solve, []
         monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(solve(*args)) or made[-1])
@@ -682,36 +684,47 @@ class TestDualCertificate:
 
 class TestKeyRates:
     def test_noiseless_uniform_rates(self, grid_uniform):
-        r1 = an.key_rate_basic(1.0, pr.UNIFORM, grid_uniform)
-        r2 = an.key_rate_dropping(1.0, pr.UNIFORM, grid_uniform)
+        g1, k1 = an.key_rate_basic(1.0, pr.UNIFORM, grid_uniform)
+        g2, k2 = an.key_rate_dropping(1.0, pr.UNIFORM, grid_uniform)
+        rates = an.key_rates([1.0], pr.UNIFORM, grid_uniform)
+        assert [[g1, g2], [k1, k2]] == [rates.guess[0].tolist(), rates.key_rate[0].tolist()]
         # noiseless K1: P(00) * (-log2(q~/(q+q~))) with H(A|B) = 0
         k1_expected = (q.Q_MAX + q.Q_TILDE) / 4 * (
             -np.log2(1.0 - POSTERIOR0))
-        assert r1.key_rate == pytest.approx(k1_expected, abs=5e-3)
-        assert r2.key_rate == pytest.approx((5 * np.sqrt(5) - 11) / 4,
-                                            abs=5e-3)
-        assert r2.key_rate > r1.key_rate  # dropping strictly improves
+        assert k1 == pytest.approx(k1_expected, abs=5e-3)
+        assert k2 == pytest.approx((5 * np.sqrt(5) - 11) / 4, abs=5e-3)
+        assert k2 > k1  # dropping strictly improves
 
     def test_noiseless_nonuniform_rates(self, grid_nonuniform):
-        r1 = an.key_rate_basic(1.0, pr.NONUNIFORM, grid_nonuniform)
-        r2 = an.key_rate_dropping(1.0, pr.NONUNIFORM, grid_nonuniform)
-        assert r1.key_rate == pytest.approx(0.06888, abs=5e-3)
-        assert r2.key_rate == pytest.approx(0.06888, abs=5e-3)
+        rates = an.key_rates([1.0], pr.NONUNIFORM, grid_nonuniform)
+        assert rates.key_rate[0] == pytest.approx([0.06888, 0.06888], abs=5e-3)
 
     def test_flat_rate_clamped_to_zero(self, grid_uniform):
-        r = an.key_rate_basic(0.0, pr.UNIFORM, grid_uniform)
-        assert r.key_rate == 0.0
-        assert r.clamped
+        rates = an.key_rates([0.0], pr.UNIFORM, grid_uniform)
+        assert rates.key_rate.tolist() == [[0.0, 0.0]]
+        assert rates.clamped.tolist() == [[True, True]]
 
     def test_report_recompute_identity(self, grid_uniform):
-        for eta in (0.0, 0.5, 1.0):
-            for fn in (an.key_rate_basic, an.key_rate_dropping):
-                r = fn(eta, pr.UNIFORM, grid_uniform)
-                assert recompute_key_rate(r) == pytest.approx(r.key_rate, abs=1e-12)
+        rates = an.key_rates([0.0, 0.5, 1.0], pr.UNIFORM, grid_uniform)
+        assert np.abs(recompute_key_rate(rates) - rates.key_rate).max() <= 1e-12
+
+    @pytest.mark.parametrize("dist", [pr.UNIFORM, pr.NONUNIFORM, pr.SettingsDistribution(0.3, 0.6)],
+                             ids=["uniform", "nonuniform", "custom"])
+    def test_rows_match_pointwise_oracle(self, dist):
+        # every row of the table is the point-by-point formula of its eta,
+        # both strategies, the faces eta = 0 and eta = 1 included
+        grid = an.build_gamma_grid(dist, resolution=15, level=2)
+        etas = np.linspace(0.0, 1.0, 21)
+        rates = an.key_rates(etas, dist, grid)
+        assert rates.etas.tolist() == etas.tolist()
+        for k, eta in enumerate(etas):
+            rows = key_rate_rows(q.hardy_behavior(eta), dist, rates.guess[k])
+            for name, expected in rows.items():
+                assert np.allclose(getattr(rates, name)[k], expected, rtol=0.0, atol=1e-15), \
+                    (eta, name)
 
     def test_rates_nonincreasing_with_noise(self, grid_uniform):
-        rates = [an.key_rate_dropping(e, pr.UNIFORM, grid_uniform).key_rate
-                 for e in np.linspace(1.0, 0.8, 5)]
+        rates = an.key_rates(np.linspace(1.0, 0.8, 5), pr.UNIFORM, grid_uniform).key_rate[:, 1]
         assert all(b <= a + 1e-6 for a, b in zip(rates, rates[1:]))
 
     def test_sweep_builds_the_hardy_state_once(self, monkeypatch):
@@ -728,10 +741,16 @@ class TestKeyRates:
         assert len(built) == 1
 
     def test_csv_writer(self, grid_uniform):
-        rows = [an.key_rate_basic(1.0, pr.UNIFORM, grid_uniform)]
-        text = an.key_rates_to_csv(rows)
-        assert text.startswith("eta,dist,strategy,p00,guess,hab,keyrate\n")
-        assert "uniform,basic" in text
+        rates = an.key_rates([0.5, 1.0], pr.UNIFORM, grid_uniform)
+        lines = an.key_rates_to_csv([rates]).splitlines()
+        assert lines[0] == "eta,dist,strategy,p00,guess,hab,keyrate"
+        # rows in (eta, strategy) order
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["0.5", "uniform", "basic"], ["0.5", "uniform", "dropping"],
+            ["1", "uniform", "basic"], ["1", "uniform", "dropping"]]
+        assert lines[4].split(",")[3:] == [
+            f"{v:.12g}" for v in (rates.p00[1], rates.guess[1, 1], rates.hab[1, 1],
+                                  rates.key_rate[1, 1])]
 
 
 class TestNonuniformRatio:

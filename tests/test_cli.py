@@ -1,13 +1,12 @@
 """CLI surface tests: exit codes, file outputs, determinism, config."""
 
 import csv
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hardyqkd import analysis
+from hardyqkd import analysis, cli, errors
 from hardyqkd.cli import RunConfig, main
 
 
@@ -129,44 +128,55 @@ class TestKeyrateCommand:
         # two rates one ulp apart, the larger second: both print as the same
         # 12 digits in keyrates.csv, so the first of them is the best
         rate = 0.0688837074973
-        first = analysis.KeyRateReport(eta=1.0, dist_label="nonuniform", strategy="basic",
-                                       p00=rate, guess=0.5, hab=0.0, key_rate=rate,
-                                       pa0=0.5, pa1=0.5, clamped=False)
-        second = dataclasses.replace(first, strategy="dropping",
-                                     key_rate=float(np.nextafter(rate, 1.0)))
-        assert second.key_rate > first.key_rate
-        monkeypatch.setattr(analysis, "key_rate_sweep", lambda *args, **kwargs: [first, second])
+        table = analysis.KeyRates(
+            dist_label="nonuniform", etas=np.array([1.0]), p00=np.array([rate]),
+            priors=np.full((1, 2), 0.5), guess=np.full((1, 2), 0.5), hab=np.zeros((1, 2)),
+            key_rate=np.array([[rate, np.nextafter(rate, 1.0)]]), clamped=np.zeros((1, 2), bool))
+        assert table.key_rate[0, 1] > table.key_rate[0, 0]
+        monkeypatch.setattr(analysis, "key_rate_sweep", lambda *args, **kwargs: [table])
         assert run_cli(["keyrate", "--out", str(tmp_path)]) == 0
         assert "(nonuniform/basic)" in capsys.readouterr().out
         csv_rows = (tmp_path / "keyrates.csv").read_text().strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in csv_rows] == ["0.0688837074973"] * 2
 
-
     def test_dist_selects_the_swept_distribution(self, tmp_path):
         # without --dist both named distributions are swept; with it, only
-        # the given one, custom ones included
+        # the given one, custom ones included, and a named one gives the
+        # same rows as in the sweep of both
         def rows(out):
             return list(csv.reader((out / "keyrates.csv").read_text().splitlines()[1:]))
 
         assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "5",
                         "--out", str(tmp_path / "both")]) == 0
         both = rows(tmp_path / "both")
-        for dist, label in (("nonuniform", "nonuniform"), ("0.3,0.6", "custom(0.3,0.6)")):
+        for dist, label in (("uniform", "uniform"), ("nonuniform", "nonuniform"),
+                            ("0.3,0.6", "custom(0.3,0.6)")):
             out = tmp_path / dist
             assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "5",
                             "--dist", dist, "--out", str(out)]) == 0
             swept = rows(out)
             assert len(swept) == 3 * 2 and {row[1] for row in swept} == {label}
             assert (out / "keyrates.svg").read_text().count("<polyline") == 2
-            named = [row for row in both if row[1] == "nonuniform"]
-            if dist == "nonuniform":
+            named = [row for row in both if row[1] == label]
+            if named:
                 assert swept == named
             else:  # a custom distribution changes the rates
-                assert [row[2:] for row in swept] != [row[2:] for row in named]
+                nonuniform = [row for row in both if row[1] == "nonuniform"]
+                assert [row[2:] for row in swept] != [row[2:] for row in nonuniform]
 
     def test_bad_dist_exit_2_without_csv(self, tmp_path):
         assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "5",
                         "--dist", "0.3", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "keyrates.csv").exists()
+
+    @pytest.mark.parametrize("dist", ["1,1", "0.5,0", "0,1"])
+    def test_dist_without_key_rounds_exit_2_without_csv(self, tmp_path, capsys, dist):
+        # a setting value that never occurs leaves nothing to condition on
+        # or to drop down to
+        assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "3",
+                        "--dist", dist, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "keyrates.csv").exists()
 
 
@@ -219,3 +229,20 @@ class TestGammaCommand:
                             "--out", str(out)]) == 0
         assert (out1 / "gamma.csv").read_bytes() == \
             (out2 / "gamma.csv").read_bytes()
+
+
+@pytest.mark.parametrize("error", [value for value in vars(errors).values()
+                                   if isinstance(value, type) and issubclass(value, Exception)],
+                         ids=lambda error: error.__name__)
+def test_every_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error):
+    # input errors (the ValueError family) exit 2, solver failures exit 3,
+    # each with a one-line message and no traceback
+    def failing(cfg):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "gamma", failing)
+    code = main(["gamma", "--out", str(tmp_path)])
+    assert code == (2 if issubclass(error, ValueError) else 3)
+    assert issubclass(error, ValueError) or issubclass(error, errors.SolverFailure)
+    prefix = "config error" if code == 2 else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: raised by the command\n"

@@ -16,6 +16,8 @@ from hardyqkd.errors import (
 )
 from hardyqkd.quantum import Behavior
 
+import oracles
+
 FLAT = Behavior(p=np.full((2, 2, 2, 2), 0.25))
 CSV_HEADER = "index,settingA,settingB,outcomeA,outcomeB,revealed\n"
 
@@ -164,8 +166,7 @@ class TestSimulate:
     def test_csv_across_a_million_rows(self):
         n = 1_000_001
         cols = np.random.default_rng(0).integers(0, 2, size=(5, n), dtype=np.int8)
-        t = pr.Transcript(seed=0, behavior=FLAT, distribution=pr.UNIFORM,
-                          setting_a=cols[0], setting_b=cols[1],
+        t = pr.Transcript(setting_a=cols[0], setting_b=cols[1],
                           outcome_a=cols[2], outcome_b=cols[3],
                           revealed=cols[4].astype(bool))
         text = t.to_csv()
@@ -226,6 +227,16 @@ class TestSiftAndKeys:
         assert len(pr.sift(t)) == 0  # everything was revealed
 
 
+class TestHRows:
+    def test_rows_are_the_pointwise_formula(self):
+        etas = np.linspace(0.0, 1.0, 201).tolist()
+        assert pr.h_rows(etas).tolist() == [
+            [eta * q.Q_MAX + (1.0 - eta) / 4.0] + [(1.0 - eta) / 4.0] * 3 for eta in etas]
+        assert pr.HVector.from_eta(0.3).as_array().tolist() == pr.h_rows([0.3])[0].tolist()
+        with pytest.raises(ParameterRangeError):
+            pr.h_rows([0.2, 1.01])
+
+
 class TestEstimateH:
     def test_noiseless_estimate(self):
         beh = q.hardy_behavior(1.0)
@@ -260,8 +271,7 @@ class TestEstimateH:
 
     def test_insufficient_data(self):
         one = np.zeros(1, dtype=np.int8)
-        t = pr.Transcript(seed=0, behavior=FLAT, distribution=pr.UNIFORM,
-                          setting_a=one, setting_b=one, outcome_a=one,
+        t = pr.Transcript(setting_a=one, setting_b=one, outcome_a=one,
                           outcome_b=one, revealed=np.ones(1, dtype=bool))
         with pytest.raises(InsufficientDataError):
             pr.estimate_h(t.revealed_rounds())
@@ -283,11 +293,11 @@ def entropy_oracle(joint):
 class TestConditionalEntropy:
     def test_noiseless_perfect_correlation(self):
         beh = q.hardy_behavior(1.0)
-        assert pr.conditional_entropy(beh, pr.UNIFORM) == pytest.approx(
+        assert pr.conditional_entropy(beh.p[0, 0], pr.UNIFORM) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_flat_behavior_gives_one_bit(self):
-        assert pr.conditional_entropy(FLAT, pr.UNIFORM) == pytest.approx(
+        assert pr.conditional_entropy(FLAT.p[0, 0], pr.UNIFORM) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self):
@@ -296,37 +306,59 @@ class TestConditionalEntropy:
                 beh = q.hardy_behavior(eta)
                 joint = beh.p[0, 0] * dist.joint()
                 joint = joint / joint.sum()
-                assert pr.conditional_entropy(beh, dist) == pytest.approx(
+                assert pr.conditional_entropy(beh.p[0, 0], dist) == pytest.approx(
                     entropy_oracle(joint), abs=1e-12)
 
     def test_relabeling_symmetry(self):
         beh = q.hardy_behavior(0.7)
-        val = pr.conditional_entropy(beh, pr.UNIFORM)
+        val = pr.conditional_entropy(beh.p[0, 0], pr.UNIFORM)
         flipped = Behavior(p=beh.p[:, :, ::-1, ::-1])
-        assert pr.conditional_entropy(flipped, pr.UNIFORM) == pytest.approx(
+        assert pr.conditional_entropy(flipped.p[0, 0], pr.UNIFORM) == pytest.approx(
             val, abs=1e-12)
 
     def test_dropping_balances_marginal(self):
         beh = q.hardy_behavior(0.9)
-        joint = pr.joint_settings_given_00(beh, pr.UNIFORM)
+        joint = pr.joint_settings_given_00(beh.p[0, 0], pr.UNIFORM)
         pa = joint.sum(axis=1)
         assert abs(pa[0] - pa[1]) > 1e-3  # unbalanced before dropping
-        val = pr.conditional_entropy(beh, pr.UNIFORM, dropping=True)
+        val = pr.conditional_entropy(beh.p[0, 0], pr.UNIFORM, dropping=True)
         oracle_joint = joint * (pa.min() / pa)[:, None]
         oracle_joint /= oracle_joint.sum()
         assert val == pytest.approx(entropy_oracle(oracle_joint), abs=1e-12)
 
     def test_balanced_posterior_dropping_is_noop(self):
         beh = q.hardy_behavior(1.0)
-        plain = pr.conditional_entropy(beh, pr.NONUNIFORM, dropping=False)
-        dropped = pr.conditional_entropy(beh, pr.NONUNIFORM, dropping=True)
+        plain = pr.conditional_entropy(beh.p[0, 0], pr.NONUNIFORM, dropping=False)
+        dropped = pr.conditional_entropy(beh.p[0, 0], pr.NONUNIFORM, dropping=True)
         assert dropped == pytest.approx(plain, abs=1e-9)
+
+    @pytest.mark.parametrize("dropping", [False, True], ids=["basic", "dropping"])
+    def test_sweep_axis_matches_scalar_oracle(self, dropping):
+        # a leading sweep axis changes no value: each row is bitwise the
+        # scalar definition at its eta
+        etas = np.linspace(0.0, 1.0, 201)
+        p00 = q.hardy_tables(etas)[:, 0, 0]
+        for dist in (pr.UNIFORM, pr.NONUNIFORM, pr.SettingsDistribution(0.3, 0.6)):
+            swept = pr.conditional_entropy(p00, dist, dropping)
+            assert swept.tolist() == [oracles.conditional_entropy(q.hardy_behavior(eta), dist,
+                                                                  dropping) for eta in etas]
+            assert pr.joint_settings_given_00(p00, dist).tolist() == [
+                oracles.joint_settings_given_00(q.hardy_behavior(eta), dist).tolist()
+                for eta in etas]
 
     def test_zero_posterior_error(self):
         parr = np.zeros((2, 2, 2, 2))
         parr[1, 1] = 1.0
         with pytest.raises(ZeroPosteriorError):
-            pr.conditional_entropy(Behavior(p=parr), pr.UNIFORM)
+            pr.conditional_entropy(parr[0, 0], pr.UNIFORM)
+        # one vanishing row of a sweep is enough
+        with pytest.raises(ZeroPosteriorError):
+            pr.conditional_entropy(np.stack([FLAT.p[0, 0], parr[0, 0]]), pr.UNIFORM)
+        # Alice always measures setting 0: nothing is left to drop down to
+        one_setting = pr.SettingsDistribution(1.0, 0.5)
+        pr.conditional_entropy(FLAT.p[0, 0], one_setting)
+        with pytest.raises(ZeroPosteriorError):
+            pr.conditional_entropy(FLAT.p[0, 0], one_setting, dropping=True)
 
 
 class TestNoiselessBiasGuess:

@@ -155,6 +155,10 @@ class TestUniquenessAndNoise:
     def test_eta_out_of_range(self):
         with pytest.raises(ParameterRangeError):
             q.hardy_behavior(1.5)
+        # one bad visibility of a sweep is enough
+        for etas in ([0.5, 1.5], [0.0, -0.1], [np.nan]):
+            with pytest.raises(ParameterRangeError):
+                q.hardy_tables(etas)
 
 
 class TestBornBehavior:
@@ -198,7 +202,10 @@ class TestBornBehavior:
             bases = q.local_bases(alpha_a, alpha_b)
             psi = q.hardy_state(alpha_a, alpha_b)
             pure = q.hardy_behavior(1.0, alpha_a, alpha_b).p
-            for eta in (0.0, 0.2, 0.35, 0.5, 0.9, 1.0):
+            etas = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
+            assert np.array_equal(q.hardy_tables(etas, alpha_a, alpha_b),
+                                  [q.hardy_behavior(eta, alpha_a, alpha_b).p for eta in etas])
+            for eta in etas:
                 mixed = q.hardy_behavior(eta, alpha_a, alpha_b).p
                 assert np.array_equal(mixed, (1 - eta) / 4 + eta * pure)
                 assert np.abs(mixed - born_behavior_loop(noisy_state(eta, psi), bases)).max() \
