@@ -162,7 +162,7 @@ def _q_brackets(hs: np.ndarray, level: int) -> np.ndarray:
     points, sides = np.nonzero(np.isnan(q))
     jobs = [(_h_equalities(hs[k]), npa.cell(*_Q_CELL), ("min", "max")[side])
             for k, side in zip(points, sides, strict=True)]
-    q[points, sides] = [bound for bound, _ in npa.bound_functionals(level, jobs)]
+    q[points, sides] = npa.bound_functionals(level, jobs)
     return np.clip(q, 0.0, 1.0)
 
 
@@ -206,7 +206,6 @@ class GammaGrid:
     hs: np.ndarray  # (G, 4)
     gammas: np.ndarray  # (G, 2)
     etas: np.ndarray  # (G,)
-    level: int
     dist_label: str
 
     @cached_property
@@ -247,7 +246,7 @@ def build_gamma_grids(dists: list[SettingsDistribution],
     hs = np.vstack([h_rows(segment), DETERMINISTIC_H])
     q = _q_brackets(hs, level)
     etas = np.concatenate([segment, np.full(len(DETERMINISTIC_H), np.nan)])
-    return [GammaGrid(hs, _gamma_table(hs, q, dist), etas, level, dist.label or "custom")
+    return [GammaGrid(hs, _gamma_table(hs, q, dist), etas, dist.label or "custom")
             for dist in dists]
 
 

@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverFailure, np.linalg.LinAlgError) as exc:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
 from .protocol import SettingsDistribution
-from .solvers import SDPProblem, SDPSolution, sdp_solve_batch
+from .solvers import SDPProblem, sdp_solve_batch
 # unused here; bench/tracing.py looks these names up in this module to time them
 from .solvers import sdp_solve  # noqa: F401
 from .solvers.sdp import prune_dependent_constraints  # noqa: F401
@@ -388,22 +388,34 @@ def _template_key(equalities: list[tuple[np.ndarray, float]]) -> tuple:
     return tuple((cells.tobytes(), value == 0.0) for cells, value in equalities)
 
 
-def _solve_jobs(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
-    """Build every job's relaxation and solve them all in one batch.
+def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
+    """A (J,) array of bounds for J (equalities, objective, direction) jobs.
 
     Jobs are grouped by template (`_template_key`): each template is built
-    once and its relaxations share one constraint array, e.g. every point of
-    the noise segment; only y0, C, b and the offset are computed per job.
-    All are solved in one `sdp_solve_batch` call at the solver's
-    tolerance, so same-shape relaxations of different templates share a
-    stack too.  A solve that stops short of that tolerance but reaches
-    `_ACCEPT_TOL` in gap and residuals is still accepted; constraint sets
-    pinning boundary statistics make that a normal outcome.
-    A solver status `unbounded` means no moment matrix meets the equalities.
-    A call without jobs calls no solver.
+    once and its relaxations share one constraint array, whose rows are
+    independent by construction (`build_moment_sdp`), as the solver
+    requires; per job only y0, C, b and the offset are computed.  All
+    relaxations are solved in one `sdp_solve_batch` call (none without
+    jobs).  The bound is the offset plus (max) or minus (min) the solver's
+    primal objective <C, X>, the value of the dual certificate X of the
+    moment problem; X is not checked independently, so a value is a bound
+    only up to the accuracy the solve reached.  A solve short of the
+    solver's tolerance that reaches `_ACCEPT_TOL` in gap and residuals is
+    accepted, a normal outcome where pins meet boundary statistics; beyond
+    it `SolverFailure` is raised.  Status `unbounded` (no moment matrix
+    meets the equalities) raises `InfeasibleHError`, and so does a max
+    below the functional's minimum over all behaviors (or a min above its
+    maximum).
+
+    Where the pins leave a relaxation without interior (the noiseless Hardy
+    point, the Tsirelson face) the pinned solve stalls short of `optimal`,
+    and a direct call returns the accepted bracket as it is: at eta = 1 it
+    holds q~ = sqrt(5) - 2 with a width of 2e-4 at level 2 and 1.1e-3 at
+    level 3.  The pipeline settles both faces by self-testing and sends no
+    job there (`analysis._q_brackets`, `chsh_outcome_guess_bounds`).
     """
     if not jobs:
-        return []
+        return np.empty(0)
     for _, _, direction in jobs:
         if direction not in ("max", "min"):
             raise ValueError("direction must be 'max' or 'min'")
@@ -415,9 +427,9 @@ def _solve_jobs(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
     problems = [build_moment_sdp(templates[key], [value for _, value in equalities],
                                  objective, direction == "max")
                 for key, (equalities, objective, direction) in zip(keys, jobs)]
-    sols = sdp_solve_batch(problems)
-    results = []
-    for (_, _, direction), problem, sol in zip(jobs, problems, sols, strict=True):
+    bounds = np.empty(len(jobs))
+    for k, ((_, _, direction), problem, sol) in enumerate(
+            zip(jobs, problems, sdp_solve_batch(problems), strict=True)):
         if sol.status == "unbounded":
             raise InfeasibleHError("equality constraints admit no moment matrix")
         if not sol.optimal:
@@ -425,34 +437,9 @@ def _solve_jobs(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
             if not np.isfinite(near) or near > _ACCEPT_TOL:
                 raise SolverFailure(
                     f"SDP terminated with status {sol.status} (accuracy {near:.2e})")
-        sign = 1.0 if direction == "max" else -1.0
-        results.append((problem.offset + sign * float(sol.primal_objective), sol))
-    return results
-
-
-def bound_functionals(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolution]]:
-    """Bounds for several (equalities, objective, direction) jobs.
-
-    Each relaxation is handed to the solver as the LMI of
-    `build_moment_sdp`, whose primal variable X is a dual certificate of the
-    moment problem: the bound is the affine offset plus (max) or minus (min)
-    the solver's primal objective <C, X>.  The certificate is not checked
-    independently, so a value is a bound only up to the accuracy the solve
-    reached.  All jobs are solved in one batch (`_solve_jobs`); a pinned
-    solve beyond `_ACCEPT_TOL` raises.
-
-    Where the pins leave a relaxation without interior (the noiseless Hardy
-    point, the Tsirelson face) the pinned solve stalls short of `optimal`,
-    and a direct call returns the accepted bracket as it is: at eta = 1 it
-    holds q~ = sqrt(5) - 2 with a width of 2e-4 at level 2 and 1.1e-3 at
-    level 3.  The pipeline settles both faces by self-testing and sends no
-    job there (`analysis._q_brackets`, `chsh_outcome_guess_bounds`).  A max
-    below the functional's minimum over all behaviors (or a min above its
-    maximum) raises `InfeasibleHError`.  Returns (bound, pinned solution)
-    per job.
-    """
-    results = _solve_jobs(level, jobs)
-    for (_, objective, direction), (bound, _) in zip(jobs, results, strict=True):
+        bounds[k] = problem.offset + (1.0 if direction == "max" else -1.0) \
+            * float(sol.primal_objective)
+    for (_, objective, direction), bound in zip(jobs, bounds):
         # each setting pair puts mass 1 on one of its four cells
         sign, worst = (1.0, objective.min(axis=(0, 1)).sum()) if direction == "max" \
             else (-1.0, objective.max(axis=(0, 1)).sum())
@@ -460,7 +447,7 @@ def bound_functionals(level: int, jobs: list[Job]) -> list[tuple[float, SDPSolut
             raise InfeasibleHError(
                 f"{direction} bound {bound:.6g} lies beyond {worst:.6g}, the functional's "
                 "extreme over all behaviors: no behavior meets the equalities")
-    return results
+    return bounds
 
 
 def bound_functional(level: int,
@@ -468,7 +455,7 @@ def bound_functional(level: int,
                      objective: np.ndarray,
                      direction: str) -> float:
     """Bound on a functional: the one-job case of `bound_functionals`."""
-    return bound_functionals(level, [(equalities, objective, direction)])[0][0]
+    return float(bound_functionals(level, [(equalities, objective, direction)])[0])
 
 
 def _symmetry_classes(branches: list[SettingsDistribution]) \
@@ -555,7 +542,7 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
                                    and not vals.min() <= observed_value <= vals.max()]
     marg = cell(0, 0, 0, 0) + cell(0, 1, 0, 0)  # P(0 | A=0)
     jobs = [([(exprs[k], observed_value)], marg, "max") for k in solve]
-    for k, (bound, _) in zip(solve, bound_functionals(level, jobs), strict=True):
+    for k, bound in zip(solve, bound_functionals(level, jobs), strict=True):
         if bound < 0.5 - _ACCEPT_TOL:  # P(0 | A=0) + P(1 | A=0) = 1
             raise InfeasibleHError(f"guess {bound:.6f} lies below 1/2: no behavior "
                                    f"meets the observed value {observed_value:.6f}")

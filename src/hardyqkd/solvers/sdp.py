@@ -18,17 +18,22 @@ where W is the NT scaling point (W Z W = X) and K is the Mehrotra
 second-order correction.  Eliminating dX and dZ yields the Schur system
 M dy = rhs with M_ij = <A_i, W A_j W>.
 
+The constraint rows must be linearly independent: the Schur matrix is
+then positive definite, and a problem with dependent rows raises
+`ValueError` before any problem is iterated.  Moment relaxations built by
+substitution meet this by construction.
+
 Problems are solved in stacks: `sdp_solve_batch` iterates all problems of
 one block size and row count as (B, n, n) arrays through numpy's stacked
-linear algebra.  Each member keeps its own step lengths, stall counter,
-best iterate and stop status, and leaves the stack when it stops.
+linear algebra.  Each member keeps its own (m, n, n) constraint array,
+step lengths, stall counter, best iterate and stop status, and leaves the
+stack when it stops.
 Every operation acts member by member, so a problem takes the same
 iterates alone as in any batch; `sdp_solve` is the one-problem case.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -71,9 +76,7 @@ def _check_symmetric(mats: np.ndarray) -> None:
 class SDPProblem:
     """One PSD block and its equality constraints: the pair (P), (D) above.
 
-    The objective matrix is checked for symmetry here; the constraint
-    array, which many problems may share, once per solve call
-    (`sdp_solve_batch`).
+    The objective and constraint matrices are checked for symmetry here.
     """
 
     c: np.ndarray
@@ -86,8 +89,6 @@ class SDPProblem:
         n = self.c.shape[0]
         if self.c.shape != (n, n):
             raise ValueError("objective matrix must be square")
-        # an (m, n, n) float array is kept as it is: problems sharing one
-        # constraint array share its stack in `sdp_solve_batch`
         a = np.asarray(self.constraints, dtype=float)
         self.constraints = a.reshape(0, n, n) if a.shape == (0,) else a
         if self.constraints.ndim != 3 or self.constraints.shape[1:] != (n, n):
@@ -95,6 +96,7 @@ class SDPProblem:
         if len(self.constraints) != self.b.size:
             raise ValueError("constraint count must match right-hand side")
         _check_symmetric(self.c)
+        _check_symmetric(self.constraints)
 
     @property
     def dim(self) -> int:
@@ -121,44 +123,20 @@ class SDPSolution:
         return self.status == "optimal"
 
 
-def prune_dependent_constraints(constraints: np.ndarray, b: np.ndarray,
-                                tol: float = 1e-10) -> tuple[list[int], bool]:
-    """Return indices of a maximal independent constraint subset.
+def prune_dependent_constraints(constraints: np.ndarray) -> tuple[list[int], bool]:
+    """Check that the constraint rows are linearly independent.
 
-    The second element is False when a dependent row is inconsistent with
-    the retained rows (the problem is then infeasible).  A stack whose
-    smallest singular value clears the threshold keeps every row at once:
-    no Gram-Schmidt residual can then fall below it.
+    Raises `ValueError` unless the smallest singular value of the svec'd
+    rows exceeds 1e-10 (1 + the largest row norm).  Nothing is pruned: the
+    name and the return, every row index and True, are those of the former
+    pruning pass, which `bench/tracing.py` times and reads the row count of.
     """
-    if not len(constraints):
-        return [], True
     vecs = _svec(np.asarray(constraints))
-    if len(vecs) <= vecs.shape[1]:
-        s_min = np.linalg.svd(vecs, compute_uv=False)[-1]
-        if s_min > tol * (1.0 + np.linalg.norm(vecs, axis=1).max()):
-            return list(range(len(vecs))), True
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for i, v in enumerate(vecs):
-        r = v.copy()
-        coeff = np.zeros(len(basis))
-        for j, q in enumerate(basis):
-            coeff[j] = q @ r
-            r -= coeff[j] * q
-        nrm = np.linalg.norm(r)
-        if nrm > tol * (1.0 + np.linalg.norm(v)):
-            basis.append(r / nrm)
-            kept.append(i)
-        else:
-            # dependent row: b_i must match the same combination of kept rows
-            if not kept:
-                predicted = 0.0
-            else:
-                coef, *_ = np.linalg.lstsq(vecs[kept].T, v, rcond=None)
-                predicted = float(coef @ b[kept])
-            if abs(b[i] - predicted) > 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
-                return kept, False
-    return kept, True
+    m, d = vecs.shape
+    if m and (m > d or np.linalg.svd(vecs, compute_uv=False)[-1]
+              <= 1e-10 * (1.0 + np.linalg.norm(vecs, axis=1).max())):
+        raise ValueError("constraint rows must be linearly independent")
+    return list(range(m)), True
 
 
 def _guarded(fn, mats: np.ndarray, *args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +207,7 @@ def _schur_solve(schur: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
 class _Stack(SimpleNamespace):
     """Per-member arrays of the problems still iterating, along the first axis.
 
-    ids, c, a_index (which distinct constraint stack), b, norm_b,
+    ids, c, a (the constraint arrays, shape (L, m, n, n)), b, norm_b,
     norm_c, the iterate x, y, z, chol (Cholesky factors of X and Z, shape
     (L, 2, n, n)), stall, and best_score, best_x, best_y, best_z and
     best_stats ((pobj, dobj, pinf, dinf, relgap)) of the best iterate.
@@ -239,15 +217,13 @@ class _Stack(SimpleNamespace):
         return _Stack(**{k: v[keep] for k, v in vars(self).items()})
 
 
-def _iterate(st: _Stack, shared: np.ndarray):
+def _iterate(st: _Stack):
     """Interior-point iterations for a stack of same-shape problems.
 
-    `shared` holds the distinct constraint stacks (U, m, n, n).  Returns per
-    member the final (or best) iterate, its objectives and residuals, the
-    status and the iteration count.
+    Returns per member the final (or best) iterate, its objectives and
+    residuals, the status and the iteration count.
     """
-    size = len(st.ids)
-    m, n = shared.shape[1:3]
+    size, m, n = st.a.shape[:3]
     out_x = np.empty((size, n, n))
     out_y = np.empty((size, m))
     out_z = np.empty((size, n, n))
@@ -273,10 +249,8 @@ def _iterate(st: _Stack, shared: np.ndarray):
         live = len(st.ids)
         if not live:
             break
-        x, y, z = st.x, st.y, st.z
-        # a single shared stack broadcasts against the members
-        a = shared if len(shared) == 1 else shared[st.a_index]
-        a_flat = a.reshape(len(a), m, n * n)
+        x, y, z, a = st.x, st.y, st.z, st.a
+        a_flat = a.reshape(live, m, n * n)
         rp = st.b - (a_flat @ x.reshape(live, n * n, 1))[..., 0]
         rd = st.c - z - (y[:, None] @ a_flat).reshape(live, n, n)
         mu = np.sum(x * z, axis=(1, 2)) / n
@@ -312,10 +286,9 @@ def _iterate(st: _Stack, shared: np.ndarray):
             live = len(st.ids)
             if not live:
                 break
-            x, y, z = st.x, st.y, st.z
+            x, y, z, a = st.x, st.y, st.z, st.a
+            a_flat = a.reshape(live, m, n * n)
             rp, rd, mu, score, stats = rp[keep], rd[keep], mu[keep], score[keep], stats[keep]
-            if len(shared) > 1:
-                a, a_flat = a[keep], a_flat[keep]
         # step closer to the boundary once the iterates are nearly converged
         tau = np.where(score < 1e-4, 0.99, 0.98)
 
@@ -343,7 +316,7 @@ def _iterate(st: _Stack, shared: np.ndarray):
         schur = u.reshape(live, m, n * n) @ np.swapaxes(
             np.swapaxes(u, -1, -2).reshape(live, m, n * n), 1, 2)
         if m:
-            # Regularize mildly; the pruning pass guarantees full rank in exact arithmetic.
+            # Regularize mildly; independent rows give full rank in exact arithmetic.
             trace = np.trace(schur, axis1=1, axis2=2)
             schur = schur + np.eye(m) * (1e-14 * trace / m + 1e-300)[:, None, None]
         # <A_i, M> sees only the symmetric part of M
@@ -434,60 +407,39 @@ def sdp_solve(problem: SDPProblem) -> SDPSolution:
 def sdp_solve_batch(problems: list[SDPProblem]) -> list[SDPSolution]:
     """Solve each SDP to the relative gap and residuals `_TOL`.
 
-    Problems sharing the block size and the row count left after pruning
-    are iterated as one stack; the solutions come back in input order, each
-    as it would be from a solve on its own.  Linearly dependent constraints
-    are pruned with a warning; inconsistent dependent rows give an immediate
-    `infeasible` status.  Divergence of the iterates (norms beyond 1e10 with
-    non-shrinking residuals) is reported as `infeasible` or `unbounded`
-    depending on which objective is escaping.  Each distinct constraint
-    array is checked for symmetry once, before any problem is iterated.
+    Problems sharing the block size and the row count are iterated as one
+    stack; the solutions come back in input order, each as it would be from
+    a solve on its own.  Every problem's constraint rows are checked for
+    linear independence (`prune_dependent_constraints`) before any problem
+    is iterated: dependent rows, consistent or not, raise `ValueError`.
+    Divergence of the iterates (norms beyond 1e10 with non-shrinking
+    residuals) is reported as `infeasible` or `unbounded` depending on
+    which objective is escaping.
     """
-    for constraints in {id(p.constraints): p.constraints for p in problems}.values():
-        _check_symmetric(constraints)
-    solutions: list[SDPSolution | None] = [None] * len(problems)
-    groups: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(problems):
-        kept, consistent = prune_dependent_constraints(p.constraints, p.b)
-        if not consistent:
-            n = p.dim
-            solutions[i] = SDPSolution(np.zeros((n, n)), np.zeros(p.b.size), np.zeros((n, n)),
-                                       np.nan, np.nan, np.nan, np.inf, np.inf, "infeasible")
-            continue
-        if len(kept) < len(p.constraints):
-            warnings.warn(
-                f"pruned {len(p.constraints) - len(kept)} linearly dependent constraint(s)",
-                RuntimeWarning, stacklevel=2)
-        groups.setdefault((p.dim, len(kept)), []).append((i, kept))
+        prune_dependent_constraints(p.constraints)
+        groups.setdefault((p.dim, p.b.size), []).append(i)
+    solutions: list[SDPSolution | None] = [None] * len(problems)
     for (n, m), members in groups.items():
         # Stacks are split so that each iteration's work arrays, dominated
         # by U = A W and its transpose (2 m n^2 floats a member), stay near
         # _STACK_BYTES.
         cap = max(1, _STACK_BYTES // (8 * n * n * (2 * m + 40)))
-        for chunk in np.array_split(np.arange(len(members)), -(-len(members) // cap)):
-            part = [members[k] for k in chunk]
-            for (i, _), sol in zip(part, _solve_stack(
-                    [(problems[i], kept) for i, kept in part], n, m), strict=True):
+        for chunk in np.array_split(members, -(-len(members) // cap)):
+            for i, sol in zip(chunk, _solve_stack([problems[i] for i in chunk], n, m),
+                              strict=True):
                 solutions[i] = sol
     return solutions  # type: ignore[return-value]
 
 
-def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int) -> list[SDPSolution]:
-    """Stack same-shape problems (kept rows only), iterate, unpack."""
-    size = len(members)
-    c = np.stack([p.c for p, _ in members])
-    b = np.zeros((size, m))
-    # Problems may share one constraint array (the relaxations of one
-    # template do); the kept rows of each shared array are taken once.
-    distinct: dict[int, int] = {}
-    shared, a_index = [], np.zeros(size, dtype=int)
-    for k, (p, kept) in enumerate(members):
-        b[k] = p.b[kept]
-        a_index[k] = distinct.setdefault(id(p.constraints), len(shared))
-        if a_index[k] == len(shared):
-            shared.append(p.constraints[kept])
-    shared_flat = np.stack(shared).reshape(len(shared), m, n * n)
-    a_norms = np.maximum(1.0, np.linalg.norm(shared_flat, axis=2))[a_index]
+def _solve_stack(problems: list[SDPProblem], n: int, m: int) -> list[SDPSolution]:
+    """Stack same-shape problems, iterate, unpack."""
+    size = len(problems)
+    c = np.stack([p.c for p in problems])
+    a = np.stack([p.constraints for p in problems])
+    b = np.stack([p.b for p in problems])
+    a_norms = np.maximum(1.0, np.linalg.norm(a.reshape(size, m, n * n), axis=2))
     xi = np.maximum(max(10.0, np.sqrt(n)),
                     n * np.max((1.0 + np.abs(b)) / (1.0 + a_norms), axis=1, initial=0.0))
     eta = np.maximum(max(10.0, np.sqrt(n)),
@@ -495,18 +447,17 @@ def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int) ->
     x = xi[:, None, None] * np.eye(n)
     z = eta[:, None, None] * np.eye(n)
     y = np.zeros((size, m))
-    st = _Stack(ids=np.arange(size), c=c, a_index=a_index, b=b,
+    st = _Stack(ids=np.arange(size), c=c, a=a, b=b,
                 norm_b=1.0 + np.linalg.norm(b, axis=1), norm_c=1.0 + _frob(c), x=x, y=y, z=z,
                 chol=np.linalg.cholesky(np.stack([x, z], axis=1)),
                 stall=np.zeros(size, dtype=int), best_score=np.full(size, np.inf),
                 best_x=x.copy(), best_y=y.copy(), best_z=z.copy(),
                 best_stats=np.full((size, 5), np.inf))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, z, stats, status, iterations = _iterate(
-            st, shared_flat.reshape(len(shared), m, n, n))
+        x, y, z, stats, status, iterations = _iterate(st)
     pobj, dobj, pinf, dinf, gap = stats.T
     solutions = []
-    for k, (p, kept) in enumerate(members):
+    for k in range(size):
         st_k = status[k]
         if st_k in ("stalled", "max-iterations", "numerical-breakdown"):
             # post-mortem: a primal residual stuck far from zero while the dual
@@ -518,13 +469,10 @@ def _solve_stack(members: list[tuple[SDPProblem, list[int]]], n: int, m: int) ->
                 st_k = "infeasible"
             elif dinf[k] > 1e-5 and pinf[k] < 1e-6:
                 st_k = "unbounded"
-        y_full = np.zeros(p.b.size)
-        y_full[kept] = y[k]
         solutions.append(SDPSolution(
-            x=x[k], y=y_full, z=z[k],
+            x=x[k], y=y[k], z=z[k],
             primal_objective=float(pobj[k]), dual_objective=float(dobj[k]),
             gap=float(gap[k]), primal_residual=float(pinf[k]),
             dual_residual=float(dinf[k]), status=st_k,
             iterations=int(iterations[k])))
     return solutions
-

@@ -142,7 +142,7 @@ class TestGammaTilde:
         for dist, brackets in zip(dists, shared, strict=True):
             jobs = [(an._h_equalities(h), nu_functional(dist), direction)
                     for h in hs for direction in ("min", "max")]
-            direct = [bound for bound, _ in npa.bound_functionals(2, jobs)]
+            direct = npa.bound_functionals(2, jobs)
             assert [b for bracket in brackets for b in bracket] == \
                 pytest.approx(direct, abs=1e-7)
 
@@ -225,7 +225,7 @@ class TestRelaxedBounds:
 
         jobs = [(an._h_equalities(h.as_array()), npa.cell(0, 0, 1, 1), direction)
                 for direction in ("min", "max")]
-        q_lo, q_hi = (bound for bound, _ in npa.bound_functionals(level, jobs))
+        q_lo, q_hi = npa.bound_functionals(level, jobs)
         assert to_nu(q_lo) <= exact <= to_nu(q_hi)
         assert q_hi - q_lo < 1.2e-3
         lo, hi = to_nu(an._q_brackets(h.as_array()[None], level)[0])
@@ -330,7 +330,7 @@ class TestGammaGrid:
         h = HVector.from_eta(1.0)
         g0, g1 = an.gamma_tilde(h, pr.UNIFORM)
         grid = an.GammaGrid(h.as_array()[None], np.array([[g0, g1]]), np.array([1.0]),
-                            level=2, dist_label="uniform")
+                            dist_label="uniform")
         assert an.guesses(h.as_array()[None], grid)[0] == pytest.approx(max(g0, g1), abs=1e-9)
 
 
@@ -405,7 +405,7 @@ class TestSettledEnds:
                     jobs.append((an._h_equalities(h), npa.cell(0, 0, 1, 1), direction))
                     settled.append(end)
         assert len(jobs) == 40
-        for (_, _, direction), end, (bound, _) in zip(
+        for (_, _, direction), end, bound in zip(
                 jobs, settled, npa.bound_functionals(level, jobs), strict=True):
             assert abs(end - bound) <= 1e-7
             if direction == "max":
@@ -476,7 +476,7 @@ class TestSettledEnds:
         brackets = an._q_brackets(points, 1)
         assert all(0.0 <= end <= 1.0 for bracket in brackets for end in bracket)
         jobs = [(an._h_equalities(h), npa.cell(0, 0, 1, 1), "min") for h in points]
-        lows = [bound for bound, _ in npa.bound_functionals(1, jobs)]
+        lows = npa.bound_functionals(1, jobs)
         assert min(lows) < -0.03
         skewed = pr.SettingsDistribution(0.5, 0.1)
         tables = [an._gamma_table(points, brackets, dist) for dist in (pr.UNIFORM, skewed)]
@@ -666,8 +666,7 @@ class TestDualCertificate:
         # a basis that short settles no other point
         full = grids15["nonuniform"]
         seg = ~np.isnan(full.etas)
-        grid = an.GammaGrid(full.hs[seg], full.gammas[seg], full.etas[seg], full.level,
-                            full.dist_label)
+        grid = an.GammaGrid(full.hs[seg], full.gammas[seg], full.etas[seg], full.dist_label)
         assert np.linalg.matrix_rank(grid.lp_matrix) == 2
         etas = [float(eta) for eta in np.linspace(0.0, 1.0, 21)]
         hs = pr.h_rows(etas)

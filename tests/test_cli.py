@@ -246,3 +246,14 @@ def test_every_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch
     assert issubclass(error, ValueError) or issubclass(error, errors.SolverFailure)
     prefix = "config error" if code == 2 else "numerical failure"
     assert capsys.readouterr().err == f"{prefix}: raised by the command\n"
+
+
+def test_memory_error_exits_as_bad_input(tmp_path, capsys, monkeypatch):
+    # a size too large to allocate (for example `keyrate --grid-res
+    # 100000000000`) is bad input: exit 2 with one line, no traceback
+    def failing(cfg):
+        raise MemoryError("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "gamma", failing)
+    assert main(["gamma", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: raised by the command\n"

@@ -1,7 +1,6 @@
 """Relaxation tests: canonicalization, pinned bounds, soundness, LMI size."""
 
 import itertools
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +12,7 @@ from hardyqkd.analysis import DETERMINISTIC_H, build_gamma_grids
 from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
 from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
                                biased_branches)
-from hardyqkd.solvers.sdp import prune_dependent_constraints
+from hardyqkd.solvers.sdp import _svec, prune_dependent_constraints
 from oracles import (deterministic_behaviors, evaluate, noisy_state, nu_functional,
                      realization_moment_matrix)
 
@@ -132,16 +131,14 @@ class TestBounds:
 
     def test_fully_pinned_behavior(self):
         # normalization makes some of the 16 cell pins redundant; moment
-        # substitution absorbs them, so the solver must never prune a row
+        # substitution absorbs them, so the solver, which raises on dependent
+        # rows, receives independent ones
         cells = {(a, b, sa, sb): 0.25 for a in range(2) for b in range(2)
                  for sa in range(2) for sb in range(2)}
         eqs = pins(cells)
         obj = npa.cell(0, 0, 0, 0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            hi = npa.bound_functional(1, eqs, obj, "max")
-            lo = npa.bound_functional(1, eqs, obj, "min")
-        assert not [w for w in caught if "pruned" in str(w.message)]
+        hi = npa.bound_functional(1, eqs, obj, "max")
+        lo = npa.bound_functional(1, eqs, obj, "min")
         assert hi == pytest.approx(0.25, abs=1e-6)
         assert lo == pytest.approx(0.25, abs=1e-6)
 
@@ -265,7 +262,7 @@ class TestChshGuess:
         assert 0.5 <= val <= 0.50003
         jobs = [([(npa.chsh_functional(), npa.TSIRELSON)], marg, "max")
                 for marg in chsh_marginals()]
-        for bound, _ in npa.bound_functionals(2, jobs):
+        for bound in npa.bound_functionals(2, jobs):
             assert bound >= 0.5
 
     def test_observed_above_quantum_max_rejected(self):
@@ -290,7 +287,7 @@ class TestChshGuess:
         # behavior meets the pin; a branch biased by 0.05 is neither on the
         # Tsirelson face nor settled locally, so it reaches the solve
         monkeypatch.setattr(npa, "bound_functionals",
-                            lambda level, jobs: [(0.49, None)] * len(jobs))
+                            lambda level, jobs: np.full(len(jobs), 0.49))
         branch = biased_branches(UNIFORM, 0.05).branches[0]
         with pytest.raises(InfeasibleHError, match="below 1/2"):
             npa.chsh_outcome_guess_bounds([branch], npa.TSIRELSON, 2)
@@ -332,8 +329,8 @@ class TestChshQuantumMax:
                    4.0 * SettingsDistribution(0.6, 0.45).joint()]
         weights += [rng.normal(size=(2, 2)) for _ in range(6)]
         weights += [rng.uniform(size=(2, 2)) * [[1.0, 1.0], [0.0, 0.0]] for _ in range(2)]
-        sdp = [bound for bound, _ in npa.bound_functionals(
-            level, [([], npa.chsh_functional(w), "max") for w in weights])]
+        sdp = npa.bound_functionals(
+            level, [([], npa.chsh_functional(w), "max") for w in weights])
         exact = [npa.chsh_quantum_max(w) for w in weights]
         # the solver's gap is relative: a level-3 maximum of 4.17 lies 2.5e-7 off
         assert exact == pytest.approx(sdp, rel=1e-7, abs=2e-7)
@@ -419,7 +416,7 @@ class TestBranchSymmetry:
                    npa.TSIRELSON)], marg, "max")
                 for p_a, p_b in ((0.55, 0.55), (0.45, 0.525), (0.6, 0.45))
                 for marg in chsh_marginals()]
-        bounds = [b for b, _ in npa.bound_functionals(level, jobs)]
+        bounds = npa.bound_functionals(level, jobs)
         assert bounds[::2] == pytest.approx(bounds[1::2], abs=tol)
 
     @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.55), (0.45, 0.525), (0.6, 0.45)])
@@ -427,14 +424,14 @@ class TestBranchSymmetry:
         # built here, not through the reduction, so that both members are solved
         exprs = [npa.chsh_functional(4.0 * SettingsDistribution(p_a, pb).joint())
                  for pb in (p_b, 1.0 - p_b)]
-        qmax = [b for b, _ in npa._solve_jobs(2, [([], expr, "max") for expr in exprs])]
-        pinned = [b for b, _ in npa.bound_functionals(2, [
+        qmax = npa.bound_functionals(2, [([], expr, "max") for expr in exprs])
+        pinned = npa.bound_functionals(2, [
             ([(expr, npa.TSIRELSON)], marg, "max")
-            for expr in exprs for marg in chsh_marginals()])]
+            for expr in exprs for marg in chsh_marginals()])
         # penalized bounds scale with rho, so they are compared relative to size
-        penalized = [b for b, _ in npa._solve_jobs(2, [
+        penalized = npa.bound_functionals(2, [
             ([], marg + rho * expr, "max")
-            for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)])]
+            for expr in exprs for marg in chsh_marginals() for rho in (1e2, 1e3, 1e4)])
         assert qmax[0] == pytest.approx(qmax[1], abs=1e-7)
         assert pinned[:2] == pytest.approx(pinned[2:], abs=1e-7)
         assert penalized[:6] == pytest.approx(penalized[6:], rel=1e-7)
@@ -464,8 +461,8 @@ class TestBatchedBounds:
         expr = npa.chsh_functional(4.0 * SettingsDistribution(0.55, 0.45).joint())
         calls.append([([(expr, npa.TSIRELSON)], marg, "max") for marg in chsh_marginals()])
         calls.append([([], npa.chsh_functional(), "max"), ([], expr, "max")])
-        mixed = [bound for bound, _ in npa.bound_functionals(2, sum(calls, []))]
-        alone = [bound for jobs in calls for bound, _ in npa.bound_functionals(2, jobs)]
+        mixed = npa.bound_functionals(2, sum(calls, []))
+        alone = np.concatenate([npa.bound_functionals(2, jobs) for jobs in calls])
         assert mixed == pytest.approx(alone, abs=1e-9)
 
 
@@ -538,22 +535,44 @@ class TestLmiSize:
             rows = len(problem.constraints)
             assert rows == self.free_moments(level, eqs)
             assert rows <= (31 if level == 2 else 61)
-            kept, consistent = prune_dependent_constraints(problem.constraints,
-                                                           problem.b)
-            assert consistent and len(kept) == rows
+            assert prune_dependent_constraints(problem.constraints) \
+                == (list(range(rows)), True)
+
+    @pytest.mark.parametrize("kind, level", [("segment", 1), ("segment", 2), ("segment", 3),
+                                             ("noiseless", 1), ("noiseless", 2),
+                                             ("noiseless", 3), ("chsh", 2), ("chsh", 3)])
+    def test_cli_stacks_clear_the_independence_check(self, kind, level):
+        # the solver takes independent rows only: every constraint stack the
+        # CLI can build must clear its check by a wide margin.  Templates
+        # depend on the pinned functionals and on which pins are zero, so the
+        # segment points below eta = 1 share one; eta = 1 is solved at level 1
+        # and by direct calls at levels 2 and 3 (its zero-cell face); the
+        # CHSH pins are those of every branch of both bias-compare grids
+        if kind == "chsh":
+            epsilons = np.concatenate([np.linspace(0.0, 0.12, k) for k in (13, 25)])
+            pinned = [[(npa.chsh_functional(4.0 * branch.joint()), npa.TSIRELSON)]
+                      for eps in epsilons
+                      for branch in biased_branches(UNIFORM, float(eps)).branches]
+        else:
+            etas = (0.0, 0.5, 0.9, 0.99) if kind == "segment" else (1.0,)
+            pinned = [h_pins(HVector.from_eta(eta)) for eta in etas]
+        for eqs in pinned:
+            vecs = _svec(npa.moment_template(level, eqs).constraints)
+            s_min = np.linalg.svd(vecs, compute_uv=False)[-1]
+            assert s_min / (1.0 + np.linalg.norm(vecs, axis=1).max()) >= 0.1
 
 
 class TestTemplates:
     def test_one_template_per_key_and_call(self, monkeypatch):
-        # record the jobs of every `_solve_jobs` call of a grid-15 table, the
-        # templates it builds and the problems it hands to the solver
+        # record the jobs of every `bound_functionals` call of a grid-15
+        # table, the templates it builds and the problems it hands to the solver
         calls = []
-        solve_jobs, template = npa._solve_jobs, npa.moment_template
+        bounds, template = npa.bound_functionals, npa.moment_template
         solve, solve_batch = npa.sdp_solve, npa.sdp_solve_batch
 
         def record_jobs(level, jobs):
             calls.append(SimpleNamespace(level=level, jobs=jobs, built=0, problems=None))
-            return solve_jobs(level, jobs)
+            return bounds(level, jobs)
 
         def record_template(level, equalities):
             calls[-1].built += 1
@@ -567,7 +586,7 @@ class TestTemplates:
             calls[-1].problems = problems
             return solve_batch(problems, **kw)
 
-        monkeypatch.setattr(npa, "_solve_jobs", record_jobs)
+        monkeypatch.setattr(npa, "bound_functionals", record_jobs)
         monkeypatch.setattr(npa, "moment_template", record_template)
         monkeypatch.setattr(npa, "sdp_solve", record_solve)
         monkeypatch.setattr(npa, "sdp_solve_batch", record_batch)

@@ -74,21 +74,21 @@ def test_weak_duality_at_final_iterate():
     assert sol.dual_objective == pytest.approx(float(p.b @ sol.y), abs=1e-12)
 
 
-def test_dependent_constraints_pruned_with_warning():
+@pytest.mark.parametrize("b2", [2.0, 3.0], ids=["consistent", "inconsistent"])
+def test_dependent_rows_raise_before_any_solve(monkeypatch, b2):
+    # independent rows are the solver's contract: rows e and 2e raise whether
+    # or not b agrees with them, and a batch raises before any member iterates
     e = np.zeros((2, 2))
     e[0, 0] = 1.0
-    p = SDPProblem(c=np.eye(2), constraints=[e, 2 * e], b=np.array([1.0, 2.0]))
-    with pytest.warns(RuntimeWarning, match="dependent"):
-        sol = sdp_solve(p)
-    assert sol.optimal
-    assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
-
-
-def test_inconsistent_dependent_rows_infeasible():
-    e = np.zeros((2, 2))
-    e[0, 0] = 1.0
-    p = SDPProblem(c=np.eye(2), constraints=[e, e], b=np.array([1.0, 2.0]))
-    assert sdp_solve(p).status == "infeasible"
+    dependent = SDPProblem(c=np.eye(2), constraints=[e, 2 * e], b=np.array([1.0, b2]))
+    with pytest.raises(ValueError, match="independent"):
+        sdp_solve(dependent)
+    iterated = []
+    monkeypatch.setattr(sdp, "_iterate", lambda st: iterated.append(st))
+    good = SDPProblem(c=np.array([[1.0]]), constraints=[np.array([[1.0]])], b=np.array([3.0]))
+    with pytest.raises(ValueError, match="independent"):
+        sdp_solve_batch([good, dependent])
+    assert iterated == []
 
 
 def test_negative_trace_infeasible():
@@ -131,9 +131,8 @@ def test_symmetry_validation():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         SDPProblem(c=bad, constraints=[], b=np.array([]))
-    # a constraint array, which problems may share, is checked once per solve
     with pytest.raises(ValueError, match="symmetric"):
-        sdp_solve(SDPProblem(c=np.eye(2), constraints=[np.eye(2), bad], b=np.zeros(2)))
+        SDPProblem(c=np.eye(2), constraints=[np.eye(2), bad], b=np.zeros(2))
 
 
 def noiseless_hardy(dist, maximize):

@@ -68,13 +68,14 @@ def test_one_lp_solve_call_site_outside_the_solvers():
     assert len(sites) == 1, sites
 
 
-def test_one_solve_jobs_call_site():
+def test_one_sdp_solve_batch_call_site_outside_the_solvers():
     # every SDP job reaches a bound through `bound_functionals`, so a second
     # route from a solve to a bound (a polish, a penalty retry) shows here
     sites = [f"{path.relative_to(ROOT)}:{k + 1}"
              for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py"))
+             if "solvers" not in path.relative_to(ROOT / "src" / "hardyqkd").parts
              for k, line in enumerate(path.read_text().splitlines())
-             if re.search(r"(?<!def )\b_solve_jobs\(", line)]
+             if re.search(r"\bsdp_solve_batch\(", line)]
     assert len(sites) == 1, sites
 
 
