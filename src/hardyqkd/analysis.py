@@ -66,16 +66,13 @@ from .protocol import (
 )
 from .quantum import Q_MAX, Q_TILDE, hardy_tables
 from .solvers import LPProblem, lp_solve
+from .solvers.lp import _PIVOT_TOL
 
 _VACUOUS_TOL = 1e-7
 # the cell of q = P(0,0|1,1), the one cell the h pins leave free in nu
 _Q_CELL = (0, 0, 1, 1)
 # largest excess of an LP's dual bound over its basis' primal value
 _CERT_TOL = 1e-9
-# largest primal infeasibility (relative to 1 + max |b|) and reduced cost of
-# a basis that settles an LP of a sweep without a solve: the simplex's own
-# pivot tolerance, so it settles the points where a solve would not pivot
-_BASIS_TOL = 1e-11
 # largest residual of a settling no-signalling vertex and largest excess of
 # its CHSH values over the local bound 2
 _SETTLE_TOL = 1e-9
@@ -288,7 +285,9 @@ def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
     x = np.zeros((count, n))
     value, residual, bound = np.full((3, count), np.nan)
     status = np.full(count, "", dtype=object)
-    tol = _BASIS_TOL * (1.0 + np.abs(b_eqs).max(axis=1, initial=0.0))
+    # a basis settles a point within the pivot tolerance of `lp_solve` (primal
+    # infeasibility relative to 1 + max |b|, reduced cost): a solve would not pivot
+    tol = _PIVOT_TOL * (1.0 + np.abs(b_eqs).max(axis=1, initial=0.0))
     basis = None
     for k in range(count):
         if status[k]:
@@ -304,7 +303,7 @@ def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
         xb = np.linalg.solve(a_eq[:, basis], b_eqs[rest].T).T
         y = np.linalg.solve(a_eq[:, basis].T, coeffs[rest][:, basis].T).T
         ok = (xb >= -tol[rest, None]).all(axis=1) \
-            & (coeffs[rest] - y @ a_eq <= _BASIS_TOL).all(axis=1)
+            & (coeffs[rest] - y @ a_eq <= _PIVOT_TOL).all(axis=1)
         done, xb = rest[ok], np.where(xb[ok] < 1e-14, 0.0, xb[ok])  # as `lp_solve` rounds x
         x[done[:, None], basis] = xb
         value[done] = (coeffs[done][:, basis] * xb).sum(axis=1)
@@ -334,9 +333,11 @@ def guesses(hs: np.ndarray, grid: GammaGrid,
         coeffs = np.broadcast_to(gammas.max(axis=1), (len(hs), len(gammas)))
     else:
         pa = np.array(priors, dtype=float).reshape(-1, 1, 2)
-        if (pa <= 0.0).any():
-            raise ZeroPosteriorError("dropping requires both setting values to occur")
-        coeffs = (gammas / (2.0 * pa)).max(axis=2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            coeffs = (gammas / (2.0 * pa)).max(axis=2)
+        if not np.isfinite(coeffs).all():  # pa = 0, or so small that gamma / 2 pa overflows
+            raise ZeroPosteriorError("dropping requires both setting values to occur, "
+                                     "each with a probability whose inverse is finite")
     _, value, _, status, bound = _sweep(
         grid.lp_matrix, np.hstack([hs, np.ones((len(hs), 1))]), coeffs)
     failed = np.flatnonzero(~(bound <= value + _CERT_TOL))

@@ -399,13 +399,17 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
     jobs).  The bound is the offset plus (max) or minus (min) the solver's
     primal objective <C, X>, the value of the dual certificate X of the
     moment problem; X is not checked independently, so a value is a bound
-    only up to the accuracy the solve reached.  A solve short of the
-    solver's tolerance that reaches `_ACCEPT_TOL` in gap and residuals is
-    accepted, a normal outcome where pins meet boundary statistics; beyond
-    it `SolverFailure` is raised.  Status `unbounded` (no moment matrix
-    meets the equalities) raises `InfeasibleHError`, and so does a max
-    below the functional's minimum over all behaviors (or a min above its
-    maximum).
+    only up to the accuracy the solve reached.  Here alone a solve is
+    judged, in this order:
+    - `InfeasibleHError` (no moment matrix meets the equalities) at status
+      `unbounded`, or at a stop short of `optimal` with a dual residual
+      above 1e-5 and a primal one below 1e-6: relaxations pinned just
+      beyond their face stop there, accepted ones at 5e-9 or less;
+    - any other such stop is accepted within `_ACCEPT_TOL` in gap and
+      residuals, as where pins meet boundary statistics, and raises
+      `SolverFailure` beyond it;
+    - `InfeasibleHError` for a max below the functional's minimum over all
+      behaviors, or a min above its maximum, by more than `_ACCEPT_TOL`.
 
     Where the pins leave a relaxation without interior (the noiseless Hardy
     point, the Tsirelson face) the pinned solve stalls short of `optimal`,
@@ -430,7 +434,8 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
     bounds = np.empty(len(jobs))
     for k, ((_, _, direction), problem, sol) in enumerate(
             zip(jobs, problems, sdp_solve_batch(problems), strict=True)):
-        if sol.status == "unbounded":
+        if sol.status == "unbounded" or (not sol.optimal and sol.dual_residual > 1e-5
+                                         and sol.primal_residual < 1e-6):
             raise InfeasibleHError("equality constraints admit no moment matrix")
         if not sol.optimal:
             near = max(sol.gap, sol.primal_residual, sol.dual_residual)

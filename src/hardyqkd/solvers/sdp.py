@@ -30,6 +30,10 @@ step lengths, stall counter, best iterate and stop status, and leaves the
 stack when it stops.
 Every operation acts member by member, so a problem takes the same
 iterates alone as in any batch; `sdp_solve` is the one-problem case.
+
+A solve reports its best iterate and its stop reason, nothing more:
+`infeasible` and `unbounded` come only from a diverging ray, and what a
+stop short of `_TOL` means for the problem at hand the caller judges.
 """
 
 from __future__ import annotations
@@ -113,8 +117,9 @@ class SDPSolution:
     gap: float
     primal_residual: float
     dual_residual: float
-    # optimal | infeasible | unbounded | stalled (no 1% progress in
-    # `_STALL_LIMIT` iterations) | max-iterations | numerical-breakdown
+    # optimal | infeasible | unbounded (both only from a diverging ray) |
+    # stalled (no 1% progress in `_STALL_LIMIT` iterations) |
+    # max-iterations | numerical-breakdown; every stop reports the best iterate
     status: str
     iterations: int = 0
 
@@ -209,8 +214,7 @@ class _Stack(SimpleNamespace):
 
     ids, c, a (the constraint arrays, shape (L, m, n, n)), b, norm_b,
     norm_c, the iterate x, y, z, chol (Cholesky factors of X and Z, shape
-    (L, 2, n, n)), stall, and best_score, best_x, best_y, best_z and
-    best_stats ((pobj, dobj, pinf, dinf, relgap)) of the best iterate.
+    (L, 2, n, n)) and stall.
     """
 
     def take(self, keep: np.ndarray) -> "_Stack":
@@ -220,29 +224,23 @@ class _Stack(SimpleNamespace):
 def _iterate(st: _Stack):
     """Interior-point iterations for a stack of same-shape problems.
 
-    Returns per member the final (or best) iterate, its objectives and
-    residuals, the status and the iteration count.
+    Returns per member the best iterate (least max of gap and residuals; an
+    `optimal` iterate is the best, since every earlier one scored above
+    `_TOL`), its objectives and residuals, the status and the iteration count.
     """
     size, m, n = st.a.shape[:3]
-    out_x = np.empty((size, n, n))
-    out_y = np.empty((size, m))
-    out_z = np.empty((size, n, n))
-    out_stats = np.empty((size, 5))
+    best_x, best_y, best_z = st.x.copy(), st.y.copy(), st.z.copy()
+    best_stats = np.full((size, 5), np.inf)  # pobj, dobj, relgap, pinf, dinf
+    best_score = np.full(size, np.inf)
     status = np.full(size, "max-iterations", dtype=object)
     iterations = np.full(size, _MAX_ITER)
     eye = np.eye(n)
 
-    def finish(st: _Stack, stop: np.ndarray, it: int, stats: np.ndarray) -> _Stack:
+    def finish(st: _Stack, stop: np.ndarray, it: int) -> _Stack:
         """Record the members with a nonempty stop status; drop them."""
         done = stop != ""
-        ids = st.ids[done]
-        status[ids] = stop[done]
-        iterations[ids] = it
-        opt = (stop[done] == "optimal")
-        out_x[ids] = np.where(opt[:, None, None], st.x[done], st.best_x[done])
-        out_y[ids] = np.where(opt[:, None], st.y[done], st.best_y[done])
-        out_z[ids] = np.where(opt[:, None, None], st.z[done], st.best_z[done])
-        out_stats[ids] = np.where(opt[:, None], stats[done], st.best_stats[done])
+        status[st.ids[done]] = stop[done]
+        iterations[st.ids[done]] = it
         return st.take(~done)
 
     for it in range(1, _MAX_ITER + 1):
@@ -259,19 +257,16 @@ def _iterate(st: _Stack):
         pinf = np.sqrt(np.sum(rp * rp, axis=1)) / st.norm_b
         dinf = np.sqrt(np.sum(rd * rd, axis=(1, 2))) / st.norm_c
         relgap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
-        stats = np.stack([pobj, dobj, pinf, dinf, relgap], axis=1)
+        stats = np.stack([pobj, dobj, relgap, pinf, dinf], axis=1)
         score = np.maximum(np.maximum(pinf, dinf), relgap)
-        st.stall = np.where(score < 0.99 * st.best_score, 0, st.stall + 1)
-        better = score < st.best_score
-        if better.any():
-            st.best_score[better] = score[better]
-            st.best_x[better] = x[better]
-            st.best_y[better] = y[better]
-            st.best_z[better] = z[better]
-            st.best_stats[better] = stats[better]
+        st.stall = np.where(score < 0.99 * best_score[st.ids], 0, st.stall + 1)
+        better = score < best_score[st.ids]
+        ids = st.ids[better]
+        best_score[ids], best_stats[ids] = score[better], stats[better]
+        best_x[ids], best_y[ids], best_z[ids] = x[better], y[better], z[better]
 
         optimal = (pinf <= _TOL) & (dinf <= _TOL) & (relgap <= _TOL)
-        stop = optimal | (st.stall >= _STALL_LIMIT)  # a stall reports the best iterate
+        stop = optimal | (st.stall >= _STALL_LIMIT)
         diverged = ~stop & ((np.sum(x * x, axis=(1, 2)) > 1e20) | (np.sum(y * y, axis=1) > 1e20)
                             | (np.sum(z * z, axis=(1, 2)) > 1e20))
         if stop.any() or diverged.any():
@@ -282,13 +277,13 @@ def _iterate(st: _Stack):
             keep = ~(stop | diverged)
             st = finish(st, np.select([optimal, stop, diverged & infeasible, diverged],
                                       ["optimal", "stalled", "infeasible", "unbounded"], ""),
-                        it, stats)
+                        it)
             live = len(st.ids)
             if not live:
                 break
             x, y, z, a = st.x, st.y, st.z, st.a
             a_flat = a.reshape(live, m, n * n)
-            rp, rd, mu, score, stats = rp[keep], rd[keep], mu[keep], score[keep], stats[keep]
+            rp, rd, mu, score = rp[keep], rd[keep], mu[keep], score[keep]
         # step closer to the boundary once the iterates are nearly converged
         tau = np.where(score < 1e-4, 0.99, 0.98)
 
@@ -392,11 +387,8 @@ def _iterate(st: _Stack):
         st.y = y + step[:, 1, None] * dy
         st.chol = chol
         if broken.any():
-            st = finish(st, np.where(broken, "numerical-breakdown", ""), it, stats)
-
-    if len(st.ids):
-        finish(st, np.full(len(st.ids), "max-iterations", dtype=object), _MAX_ITER, st.best_stats)
-    return out_x, out_y, out_z, out_stats, status, iterations
+            st = finish(st, np.where(broken, "numerical-breakdown", ""), it)
+    return best_x, best_y, best_z, best_stats, status, iterations
 
 
 def sdp_solve(problem: SDPProblem) -> SDPSolution:
@@ -412,9 +404,9 @@ def sdp_solve_batch(problems: list[SDPProblem]) -> list[SDPSolution]:
     a solve on its own.  Every problem's constraint rows are checked for
     linear independence (`prune_dependent_constraints`) before any problem
     is iterated: dependent rows, consistent or not, raise `ValueError`.
-    Divergence of the iterates (norms beyond 1e10 with non-shrinking
-    residuals) is reported as `infeasible` or `unbounded` depending on
-    which objective is escaping.
+    Divergence of the iterates (norms beyond 1e10) is reported as
+    `infeasible` or `unbounded` depending on which objective is escaping;
+    any other stop short of `_TOL` keeps the solver's own status.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(problems):
@@ -450,29 +442,9 @@ def _solve_stack(problems: list[SDPProblem], n: int, m: int) -> list[SDPSolution
     st = _Stack(ids=np.arange(size), c=c, a=a, b=b,
                 norm_b=1.0 + np.linalg.norm(b, axis=1), norm_c=1.0 + _frob(c), x=x, y=y, z=z,
                 chol=np.linalg.cholesky(np.stack([x, z], axis=1)),
-                stall=np.zeros(size, dtype=int), best_score=np.full(size, np.inf),
-                best_x=x.copy(), best_y=y.copy(), best_z=z.copy(),
-                best_stats=np.full((size, 5), np.inf))
+                stall=np.zeros(size, dtype=int))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, y, z, stats, status, iterations = _iterate(st)
-    pobj, dobj, pinf, dinf, gap = stats.T
-    solutions = []
-    for k in range(size):
-        st_k = status[k]
-        if st_k in ("stalled", "max-iterations", "numerical-breakdown"):
-            # post-mortem: a primal residual stuck far from zero while the dual
-            # side stays clean means no feasible point exists (and vice versa);
-            # a dual residual above 1e-5 already marks an empty LMI: moment
-            # relaxations pinned just beyond their face stop at 3e-5 or more,
-            # accepted solves off the faces at 5e-9 or less
-            if pinf[k] > 1e-3 and dinf[k] < 1e-6:
-                st_k = "infeasible"
-            elif dinf[k] > 1e-5 and pinf[k] < 1e-6:
-                st_k = "unbounded"
-        solutions.append(SDPSolution(
-            x=x[k], y=y[k], z=z[k],
-            primal_objective=float(pobj[k]), dual_objective=float(dobj[k]),
-            gap=float(gap[k]), primal_residual=float(pinf[k]),
-            dual_residual=float(dinf[k]), status=st_k,
-            iterations=int(iterations[k])))
-    return solutions
+    # the stats come in the order of `SDPSolution`'s fields
+    return [SDPSolution(x[k], y[k], z[k], *stats[k].tolist(), status[k], int(iterations[k]))
+            for k in range(size)]

@@ -169,10 +169,11 @@ class TestKeyrateCommand:
                         "--dist", "0.3", "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "keyrates.csv").exists()
 
-    @pytest.mark.parametrize("dist", ["1,1", "0.5,0", "0,1"])
+    @pytest.mark.parametrize("dist", ["1,1", "0.5,0", "0,1", "0.5,1e-320"])
     def test_dist_without_key_rounds_exit_2_without_csv(self, tmp_path, capsys, dist):
         # a setting value that never occurs leaves nothing to condition on
-        # or to drop down to
+        # or to drop down to; one as rare as a subnormal would overflow the
+        # dropping coefficients gamma / 2 pa
         assert run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "3",
                         "--dist", dist, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

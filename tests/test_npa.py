@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyqkd import npa, quantum as q
+from hardyqkd import cli, npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H, build_gamma_grids
-from hardyqkd.errors import InfeasibleHError, UnsupportedLevelError
+from hardyqkd.errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
 from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
                                biased_branches)
+from hardyqkd.solvers import SDPSolution
 from hardyqkd.solvers.sdp import _svec, prune_dependent_constraints
 from oracles import (deterministic_behaviors, evaluate, noisy_state, nu_functional,
                      realization_moment_matrix)
@@ -188,8 +189,8 @@ class TestBounds:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_pin_beyond_tsirelson_raises(self, level, excess):
         # both pinned solves end with a dual residual of 3e-5 or more and a
-        # clean primal side, which the solver reports as `unbounded`: no
-        # moment matrix meets the pin
+        # clean primal side, which `bound_functionals` takes for an empty
+        # LMI: no moment matrix meets the pin
         eqs = [(npa.chsh_functional(), npa.TSIRELSON + excess)]
         marginal = npa.cell(0, 0, 0, 0) + npa.cell(0, 1, 0, 0)
         for direction in ("max", "min"):
@@ -464,6 +465,44 @@ class TestBatchedBounds:
         mixed = npa.bound_functionals(2, sum(calls, []))
         alone = np.concatenate([npa.bound_functionals(2, jobs) for jobs in calls])
         assert mixed == pytest.approx(alone, abs=1e-9)
+
+
+def crafted(status, gap=0.0, primal_residual=0.0, dual_residual=0.0, primal_objective=0.7):
+    """A stand-in for `sdp_solve_batch` whose every solution is the one given."""
+    sol = SDPSolution(x=np.zeros((1, 1)), y=np.zeros(0), z=np.zeros((1, 1)),
+                      primal_objective=primal_objective, dual_objective=primal_objective,
+                      gap=gap, primal_residual=primal_residual,
+                      dual_residual=dual_residual, status=status)
+    return lambda problems: [sol] * len(problems)
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("sol, verdict", [
+        (crafted("stalled", primal_residual=1e-3), SolverFailure),
+        # a dirty dual side with a clean primal one marks an empty LMI even
+        # within `_ACCEPT_TOL`: the emptiness check comes first
+        (crafted("stalled", primal_residual=1e-10, dual_residual=1.5e-4), InfeasibleHError),
+        (crafted("stalled", gap=1e-4, primal_residual=1e-5, dual_residual=1e-9), None),
+        # P(0,0|0,0) >= 0 over every behavior, so an optimal max below it is empty
+        (crafted("optimal", primal_objective=-1e-2), InfeasibleHError),
+    ], ids=["beyond-accept-tol", "empty-lmi", "accepted", "beyond-extreme"])
+    def test_each_verdict_of_a_solve(self, monkeypatch, sol, verdict):
+        objective = npa.cell(0, 0, 0, 0)
+        offset = npa.build_moment_sdp(npa.moment_template(2, []), [], objective, True).offset
+        monkeypatch.setattr(npa, "sdp_solve_batch", sol)
+        if verdict is None:
+            bound = npa.bound_functional(2, [], objective, "max")
+            assert bound == offset + 0.7
+        else:
+            with pytest.raises(verdict):
+                npa.bound_functional(2, [], objective, "max")
+
+    def test_solver_failure_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(npa, "sdp_solve_batch", crafted("stalled", primal_residual=1e-3))
+        assert cli.main(["gamma", "--grid-res", "15", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "gamma.csv").exists()
 
 
 class TestFunctional:

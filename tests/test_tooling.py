@@ -8,22 +8,45 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hardyqkd import cli
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_traced_name_exists(monkeypatch):
-    # the tracer looks each name up with vars(owner)[attr]; a name deleted
-    # from the package would only fail a traced benchmark run
+def load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their module through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # the tracer looks each name up with vars(owner)[attr]; a name deleted
+    # from the package would only fail a traced benchmark run
+    tracing = load_tracing(monkeypatch)
     table = tracing._patch_table()
     assert table
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in table if attr not in vars(owner)]
     assert not missing
+
+
+def test_traced_keyrate_run_reads_every_layer(monkeypatch, tmp_path):
+    # the recorders read what the traced calls return (a relaxation's rows,
+    # the independence check's kept rows); a change there would only fail a
+    # traced benchmark run
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        assert cli.main(["keyrate", "--eta-grid", "3", "--grid-res", "3", "--level", "1",
+                         "--out", str(tmp_path)]) == 0
+    metrics = tracing.layer_metrics(tracer.spans)
+    zero = [name for name in ("npa.build.calls", "npa.build.rows_p50", "sdp.schur_m_p50",
+                              "lp.solve.calls", "analysis.to_csv.s", "svgplot.to_svg.s")
+            if not metrics[name][0] > 0]
+    assert not zero
 
 
 ROOT = TRACING.parents[1]
