@@ -404,7 +404,7 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
     - `InfeasibleHError` (no moment matrix meets the equalities) at status
       `unbounded`, or at a stop short of `optimal` with a dual residual
       above 1e-5 and a primal one below 1e-6: relaxations pinned just
-      beyond their face stop there, accepted ones at 5e-9 or less;
+      beyond their face stop there, accepted ones at 1e-7 or less;
     - any other such stop is accepted within `_ACCEPT_TOL` in gap and
       residuals, as where pins meet boundary statistics, and raises
       `SolverFailure` beyond it;
@@ -414,7 +414,7 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
     Where the pins leave a relaxation without interior (the noiseless Hardy
     point, the Tsirelson face) the pinned solve stalls short of `optimal`,
     and a direct call returns the accepted bracket as it is: at eta = 1 it
-    holds q~ = sqrt(5) - 2 with a width of 2e-4 at level 2 and 1.1e-3 at
+    holds q~ = sqrt(5) - 2 with a width of 5.3e-5 at level 2 and 2.3e-4 at
     level 3.  The pipeline settles both faces by self-testing and sends no
     job there (`analysis._q_brackets`, `chsh_outcome_guess_bounds`).
     """

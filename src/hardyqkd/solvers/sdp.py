@@ -6,7 +6,11 @@ Solves the standard pair
     (D) maximize  b' y        subject to  sum_i y_i A_i + Z = C,  Z >= 0
 
 with a path-following method using Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step.  Everything is dense; the intended regime is
+predictor-corrector step.  Each step goes the fraction 0.9 + 0.09 min(a_p, a_d)
+of the way to the PSD boundary, a_p and a_d being the member's last accepted
+step lengths (0.9 at first): the iterates stay off the boundary until long
+steps show they can go closer (Toh, Todd and Tutuncu, Optim. Methods Softw.
+11, 545, 1999).  Everything is dense; the intended regime is
 block sizes up to ~30 and up to a few hundred equality constraints, where
 forming the Schur complement explicitly is by far the most robust choice.
 
@@ -212,9 +216,9 @@ def _schur_solve(schur: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
 class _Stack(SimpleNamespace):
     """Per-member arrays of the problems still iterating, along the first axis.
 
-    ids, c, a (the constraint arrays, shape (L, m, n, n)), b, norm_b,
-    norm_c, the iterate x, y, z, chol (Cholesky factors of X and Z, shape
-    (L, 2, n, n)) and stall.
+    ids, c, a (the constraint arrays, shape (L, m, n, n)), b, norm_b, norm_c,
+    the iterate x, y, z, chol (Cholesky factors of X and Z, shape (L, 2, n, n)),
+    stall and alpha (the last accepted step length, the smaller of X's and Z's).
     """
 
     def take(self, keep: np.ndarray) -> "_Stack":
@@ -283,9 +287,9 @@ def _iterate(st: _Stack):
                 break
             x, y, z, a = st.x, st.y, st.z, st.a
             a_flat = a.reshape(live, m, n * n)
-            rp, rd, mu, score = rp[keep], rd[keep], mu[keep], score[keep]
-        # step closer to the boundary once the iterates are nearly converged
-        tau = np.where(score < 1e-4, 0.99, 0.98)
+            rp, rd, mu = rp[keep], rd[keep], mu[keep]
+        # the fraction of the way to the boundary (module docstring)
+        tau = 0.9 + 0.09 * st.alpha
 
         # Whiteners G = L^-1 (G S G' = I) of X and Z from the Cholesky
         # factors kept since the iterate was accepted: they serve every
@@ -386,6 +390,7 @@ def _iterate(st: _Stack):
         st.x, st.z = new[:, 0], new[:, 1]
         st.y = y + step[:, 1, None] * dy
         st.chol = chol
+        st.alpha = step.min(axis=1)
         if broken.any():
             st = finish(st, np.where(broken, "numerical-breakdown", ""), it)
     return best_x, best_y, best_z, best_stats, status, iterations
@@ -442,7 +447,7 @@ def _solve_stack(problems: list[SDPProblem], n: int, m: int) -> list[SDPSolution
     st = _Stack(ids=np.arange(size), c=c, a=a, b=b,
                 norm_b=1.0 + np.linalg.norm(b, axis=1), norm_c=1.0 + _frob(c), x=x, y=y, z=z,
                 chol=np.linalg.cholesky(np.stack([x, z], axis=1)),
-                stall=np.zeros(size, dtype=int))
+                stall=np.zeros(size, dtype=int), alpha=np.zeros(size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, y, z, stats, status, iterations = _iterate(st)
     # the stats come in the order of `SDPSolution`'s fields

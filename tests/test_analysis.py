@@ -236,9 +236,10 @@ class TestLevelMonotonicity:
     """A level-3 bound is never looser than the level-2 one."""
 
     def test_noiseless_faces_agree_at_levels_2_and_3(self):
-        # on both faces the direct relaxation only stalls, and its level-3
-        # values are the looser ones: q in [0.2358172, 0.2368950] against
-        # [0.2358903, 0.2361073] at level 2; the self-tested values are exact
+        # on both faces the direct relaxation stops short of `optimal`, and
+        # its level-3 bracket is the wider one: q in [0.2360430, 0.2362707]
+        # against [0.2360381, 0.2360915] at level 2; the self-tested values
+        # are exact
         h = HVector.from_eta(1.0)
         gammas = [an.gamma_tilde(h, pr.UNIFORM, level) for level in (2, 3)]
         assert gammas[0] == gammas[1] == pytest.approx((POSTERIOR0, 1.0 - POSTERIOR0),

@@ -229,6 +229,16 @@ def solved(monkeypatch):
     return problems
 
 
+@pytest.fixture
+def solutions(monkeypatch):
+    """The solutions of every `sdp_solve_batch` call through `npa`, one list a call."""
+    calls = []
+    batch = npa.sdp_solve_batch
+    monkeypatch.setattr(npa, "sdp_solve_batch",
+                        lambda ps, **kw: calls.append(batch(ps, **kw)) or calls[-1])
+    return calls
+
+
 class TestChshGuess:
     def test_unbiased_tsirelson_gives_half(self):
         val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
@@ -303,6 +313,19 @@ class TestChshGuess:
         below = list(biased_branches(UNIFORM, 0.115).branches)
         assert max(npa.chsh_outcome_guess_bounds(below, npa.TSIRELSON, level)) < 0.97
         assert len(solved) >= 2  # one pinned job per class, no quantum maxima
+
+    def test_biased_solves_converge(self, solutions):
+        # the pinned level-2 jobs of the four points of the 25-point bias
+        # sweep that the `bias-l2` benchmark workload solves, one batch a
+        # point: 73 stack iterations, where a step fraction fixed near the
+        # boundary (0.98, then 0.99) took 177 and broke two solves down
+        for eps in np.linspace(0.0, 0.12, 25)[[5, 10, 15, 20]]:
+            branches = list(biased_branches(UNIFORM, float(eps)).branches)
+            npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, 2)
+        assert [len(sols) for sols in solutions] == [2] * 4
+        assert [s.status for sols in solutions for s in sols] == ["optimal"] * 8
+        # one stack a batch: it iterates until its last member stops
+        assert sum(max(s.iterations for s in sols) for sols in solutions) <= 100
 
     def test_level_one_is_vacuous(self, solved):
         branches = [UNIFORM] + list(biased_branches(UNIFORM, 0.05).branches)
@@ -496,6 +519,19 @@ class TestVerdicts:
         else:
             with pytest.raises(verdict):
                 npa.bound_functional(2, [], objective, "max")
+
+    def test_bias_sweeps_stop_short_with_a_clean_dual_side(self, solutions):
+        # a stop short of `optimal` with a dual residual above 1e-5 and a
+        # clean primal side is taken for an empty LMI; the pinned CHSH solves
+        # of the bias sweeps that stop short must stay far from that verdict
+        # (largest dual residual 1.1e-9)
+        eps = np.linspace(0.0, 0.12, 25)
+        for level, points in ((2, eps), (3, eps[::5])):
+            branches = [b for e in points for b in biased_branches(UNIFORM, float(e)).branches]
+            npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level)
+        short = [s for sols in solutions for s in sols if not s.optimal]
+        assert short
+        assert max(s.dual_residual for s in short) <= 1e-7
 
     def test_solver_failure_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(npa, "sdp_solve_batch", crafted("stalled", primal_residual=1e-3))
