@@ -324,11 +324,16 @@ def guesses(hs: np.ndarray, grid: GammaGrid,
     into populations at grid points and guesses each with its better
     posterior: f = max(gamma0, gamma1) for the basic strategy, and
     f = max(gamma0 / 2 pa0, gamma1 / 2 pa1) with the (pa0, pa1) of each h in
-    the (N, 2) `priors` for the dropping strategy.  The LPs are one
-    `_sweep`; each value is its certified dual bound, and an uncertified one
-    raises `DecompositionInfeasibleError`.
+    the (N, 2) `priors` for the dropping strategy.  The dropping LP is
+    solved times s, the largest power of two at most 2 min(pa0, pa1): its
+    coefficients gamma s / 2 pa then lie in [0, 1] however small a prior
+    is, the scaling is exact in floating point, and the certificate
+    tolerance applies to the value times s, a factor that K2 carries too.
+    The LPs are one `_sweep`; each value is its certified dual bound, and an
+    uncertified one raises `DecompositionInfeasibleError`.
     """
     gammas = grid.gammas
+    scale = 1.0
     if priors is None:
         coeffs = np.broadcast_to(gammas.max(axis=1), (len(hs), len(gammas)))
     else:
@@ -338,6 +343,8 @@ def guesses(hs: np.ndarray, grid: GammaGrid,
         if not np.isfinite(coeffs).all():  # pa = 0, or so small that gamma / 2 pa overflows
             raise ZeroPosteriorError("dropping requires both setting values to occur, "
                                      "each with a probability whose inverse is finite")
+        scale = np.ldexp(1.0, np.frexp(pa.min(axis=(1, 2)))[1])  # min(pa) < scale <= 2 min(pa)
+        coeffs = coeffs * scale[:, None]
     _, value, _, status, bound = _sweep(
         grid.lp_matrix, np.hstack([hs, np.ones((len(hs), 1))]), coeffs)
     failed = np.flatnonzero(~(bound <= value + _CERT_TOL))
@@ -347,7 +354,7 @@ def guesses(hs: np.ndarray, grid: GammaGrid,
             "h lies outside the convex hull of the gamma grid" if status[k] == "infeasible"
             else f"decomposition LP ended {status[k]}: its dual bound {bound[k]:.12g} "
             f"exceeds the primal value {value[k]:.12g} by more than {_CERT_TOL:g}")
-    return np.minimum(1.0, bound)
+    return np.minimum(1.0, bound / scale)
 
 
 STRATEGIES = ("basic", "dropping")

@@ -31,7 +31,7 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 @dataclass
 class RunConfig:
-    """Configuration for one CLI run; JSON round-trips losslessly."""
+    """Configuration for one CLI run, read from flags and a JSON config file."""
 
     command: str = ""
     alpha: float = quantum.ALPHA_OPT
@@ -47,9 +47,6 @@ class RunConfig:
     rounds: int = 100_000
     reveal: float = 0.25
     out: str = "out"
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -145,7 +142,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # estimate first: too few revealed rounds must leave no transcript behind
     est = protocol.estimate_h(transcript.revealed_rounds())
     out = Path(cfg.out) / "transcript.csv"
-    _write(out, transcript.to_csv())
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_bytes(transcript.to_csv())
     sifted = protocol.sift(transcript)
     alice, bob = protocol.key_bits(sifted)
     disagree = float(np.mean(alice != bob)) if len(alice) else 0.0

@@ -1,6 +1,7 @@
 """CLI surface tests: exit codes, file outputs, determinism, config."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -14,11 +15,16 @@ def run_cli(args):
     return main(args)
 
 
+def config_json(cfg: RunConfig) -> str:
+    """The config file that `RunConfig.from_json` reads back as cfg."""
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig(command="keyrate", eta=0.7, dist="nonuniform",
                         seed=77, epsilon=0.05)
-        again = RunConfig.from_json(cfg.to_json())
+        again = RunConfig.from_json(config_json(cfg))
         assert again == cfg
 
     def test_unknown_keys_rejected(self):
@@ -27,7 +33,7 @@ class TestConfig:
 
     def test_flags_override_config(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(RunConfig(seed=1, rounds=50).to_json())
+        cfg_file.write_text(config_json(RunConfig(seed=1, rounds=50)))
         out = tmp_path / "o"
         code = run_cli(["simulate", "--config", str(cfg_file),
                         "--rounds", "120", "--out", str(out)])
@@ -179,6 +185,25 @@ class TestKeyrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "keyrates.csv").exists()
+
+    @pytest.mark.parametrize("dist", ["1e-50,0.5", "1e-300,0.5", "1e-12,0.5", "0.5,1e-320"])
+    def test_rare_setting_value_is_no_solver_failure(self, tmp_path, dist):
+        # the dropping coefficients gamma / 2 pa reach 1e300 here; the LP is
+        # solved scaled, so a run either reports bounds or rejects the input
+        code = run_cli(["keyrate", "--eta-grid", "3", "--grid-res", "3",
+                        "--dist", dist, "--out", str(tmp_path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not (tmp_path / "keyrates.csv").exists()
+            return
+        with (tmp_path / "keyrates.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 2
+        for row in rows:
+            p00, guess, hab, rate = (float(row[k]) for k in ("p00", "guess", "hab", "keyrate"))
+            # a binary key is guessed with probability at least 1/2, and the
+            # rate is at most P(a=b=0) bits per round
+            assert 0.5 <= guess <= 1.0 and 0.0 <= hab <= 1.0 and 0.0 <= rate <= p00
 
 
 class TestBiasCompareCommand:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -19,17 +20,15 @@ from hardyqkd.quantum import Behavior
 import oracles
 
 FLAT = Behavior(p=np.full((2, 2, 2, 2), 0.25))
-CSV_HEADER = "index,settingA,settingB,outcomeA,outcomeB,revealed\n"
+CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"
 
 
-def csv_writer_rows(t, rows) -> str:
+def csv_writer_rows(t, rows: range) -> bytes:
+    cols = [col[rows.start:rows.stop].astype(int).tolist() for col in (
+        t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.revealed)]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for i in rows:
-        writer.writerow([i, int(t.setting_a[i]), int(t.setting_b[i]),
-                         int(t.outcome_a[i]), int(t.outcome_b[i]),
-                         int(t.revealed[i])])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(zip(rows, *cols))
+    return buf.getvalue().encode("ascii")
 
 
 def reference_columns(n, behavior, source, reveal, seed):
@@ -150,12 +149,18 @@ class TestSimulate:
                        for s in range(40)]]))
         assert cell00 > 0.25 ** 2  # strictly larger spread than unbiased
 
-    def test_csv_matches_csv_writer(self):
-        # each n ends on or just past a change in the index's digit count
+    def test_csv_matches_csv_writer(self, monkeypatch):
+        # each n ends on or just past a change in the index's digit count or
+        # a chunk boundary; 100,001 gains a digit inside a chunk, and
+        # 5 chunk + 3 has more chunks than workers, whose count moves no byte
         model = pr.biased_branches(pr.UNIFORM, 0.1)
-        for n in (10, 11, 100, 101, 1001, 100_001):
+        chunk = pr._ROW_CHUNK
+        for n in (10, 11, 100, 101, 1001, chunk - 1, chunk + 1, 100_001, 5 * chunk + 3):
             t = pr.simulate(n, FLAT, model, 0.3, seed=17)
-            assert t.to_csv() == CSV_HEADER + csv_writer_rows(t, range(n))
+            want = CSV_HEADER + csv_writer_rows(t, range(n))
+            for cpus in (1, 3):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+                assert t.to_csv() == want
 
     def test_csv_of_empty_transcript_is_header(self):
         parr = np.zeros((2, 2, 2, 2))
@@ -174,19 +179,29 @@ class TestSimulate:
         digits = n + sum(n - 10 ** k for k in range(1, 7))
         assert len(text) == len(CSV_HEADER) + 11 * n + digits
         assert text.endswith(csv_writer_rows(t, range(n - 8, n)))
-        assert "\n" + csv_writer_rows(t, range(99_998, 100_002)) in text
+        assert b"\n" + csv_writer_rows(t, range(99_998, 100_002)) in text
+
+    def test_row_chunk_starts_a_philox_counter(self):
+        # Philox yields 4 doubles per counter value, so a chunk's first row
+        # lo starts at counter 5 lo / 4 only when lo is a multiple of 4
+        assert pr._ROW_CHUNK % 4 == 0
 
     @pytest.mark.parametrize("source", [
         pr.NONUNIFORM, pr.biased_branches(pr.NONUNIFORM, 0.05)])
-    def test_chunked_draws_equal_one_block(self, source):
+    def test_chunked_draws_equal_one_block(self, source, monkeypatch):
+        # each chunk draws from its own advanced Philox stream and may run on
+        # its own thread: neither the chunking nor the worker count may move
+        # a round (5 chunk + 3 has more chunks than workers)
         chunk = pr._ROW_CHUNK
         beh = q.hardy_behavior(0.9)
-        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-            t = pr.simulate(n, beh, source, 0.25, seed=n)
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 5 * chunk + 3):
             want = reference_columns(n, beh, source, 0.25, seed=n)
-            got = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.revealed)
-            for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g, w)
+            for cpus in (1, 3):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+                t = pr.simulate(n, beh, source, 0.25, seed=n)
+                got = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.revealed)
+                for g, w in zip(got, want, strict=True):
+                    assert np.array_equal(g, w)
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterRangeError):

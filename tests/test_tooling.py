@@ -52,27 +52,32 @@ def test_traced_keyrate_run_reads_every_layer(monkeypatch, tmp_path):
 ROOT = TRACING.parents[1]
 
 
-def _defined_names(node):
-    """The names a top-level statement defines: a function, a class or the
-    plain names a module-level assignment binds."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return [node.name]
+def _definitions(node):
+    """(name, node) for what a top-level statement defines: a function, a
+    class and the methods of its body (dunders run implicitly) or the plain
+    names a module-level assignment binds."""
+    if isinstance(node, ast.ClassDef):
+        return [(node.name, node)] + [
+            (item.name, item) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, node)]
     targets = node.targets if isinstance(node, ast.Assign) \
         else [node.target] if isinstance(node, ast.AnnAssign) else []
-    return [target.id for target in targets if isinstance(target, ast.Name)]
+    return [(target.id, node) for target in targets if isinstance(target, ast.Name)]
 
 
 def test_every_package_definition_is_used_outside_tests():
-    # a top-level function, class or constant that only the tests name is
-    # API kept for the tests alone; such checks belong in tests/oracles.py
+    # a top-level function, class, method or constant that only the tests
+    # name is API kept for the tests alone; such checks belong in tests/
     sources = {path: path.read_text().splitlines()
                for folder in ("src", "scripts", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))}
     unused = []
     for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            own = range(node.lineno - 1, node.end_lineno)
-            for name in _defined_names(node):
+            for name, owner in _definitions(node):
+                own = range(owner.lineno - 1, owner.end_lineno)
                 word = re.compile(rf"\b{re.escape(name)}\b")
                 if not any(word.search(line) for other, lines in sources.items()
                            for k, line in enumerate(lines) if other != path or k not in own):
