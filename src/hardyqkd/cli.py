@@ -51,6 +51,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ParameterRangeError(f"config file must hold a JSON object, got {data!r}")
         types = {f.name: f.type for f in dataclasses.fields(cls)}  # e.g. "float | None"
         unknown = set(data) - set(types)
         if unknown:
@@ -82,6 +84,10 @@ class RunConfig:
         if self.eps_grid < 2:
             raise ParameterRangeError("eps grid needs at least 2 points")
         self.parse_dist()
+        out = Path(self.out)
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ParameterRangeError(f"output path {self.out!r}: {existing} is not a directory")
 
     def parse_dist(self) -> SettingsDistribution:
         if self.dist is None or self.dist == "uniform":

@@ -1,5 +1,8 @@
 """Protocol simulation: settings distributions, RNG bias, sifting, entropies.
 
+A `Transcript` holds one code byte per round,
+settingA<<4 | settingB<<3 | outcomeA<<2 | outcomeB<<1 | revealed: its bits,
+high to low, are the CSV columns, and every stage reads them from the code.
 Randomness comes from numpy's Philox generator, a seedable counter-based
 RNG.  Round i is driven by row i of the (n, 5) block of uniforms that one
 Philox(key=seed) stream yields.  Philox turns each counter value into 4
@@ -9,13 +12,12 @@ each from its own Philox(key=seed) advanced to its first row, and runs the
 chunks, like the rows of `Transcript.to_csv`, on up to one thread per
 available CPU.  So round i's randomness is a fixed function of (seed, i):
 transcripts are reproducible byte-for-byte, whatever the thread count, and
-memory beyond the output columns stays bounded (a 1M-round `simulate` CLI
-run peaks at about 74 MB).
+memory beyond the code bytes stays bounded (a 1M-round `simulate` CLI run
+peaks at about 70 MB).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -98,6 +100,10 @@ def biased_branches(base: SettingsDistribution, epsilon: float) -> BiasModel:
 
 
 _CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"
+# The 11 bytes that follow the index in the CSV row of each of the 32 codes:
+# ",b4,b3,b2,b1,b0\n", where bk is bit k of the code.
+_CSV_TAILS = np.array([list(b"".join(b",%d" % (c >> k & 1) for k in (4, 3, 2, 1, 0)) + b"\n")
+                       for c in range(32)], dtype=np.uint8)
 # Rows per job of `simulate` and `Transcript.to_csv`.  A multiple of 4, so
 # that each chunk's first row starts a Philox counter value (5 lo / 4 is exact).
 _ROW_CHUNK = 1 << 16
@@ -131,42 +137,31 @@ def _csv_offset(i: int) -> int:
 
 @dataclass
 class Transcript:
-    """Array-backed log of a simulated protocol run."""
+    """Array-backed log of a simulated protocol run: the (n,) uint8 round
+    codes in the bit layout of the module docstring."""
 
-    setting_a: np.ndarray
-    setting_b: np.ndarray
-    outcome_a: np.ndarray
-    outcome_b: np.ndarray
-    revealed: np.ndarray
+    code: np.ndarray
 
     def __len__(self) -> int:
-        return self.setting_a.size
-
-    def _restrict(self, mask: np.ndarray) -> "Transcript":
-        rows = np.flatnonzero(mask)
-        return dataclasses.replace(
-            self, setting_a=self.setting_a.take(rows), setting_b=self.setting_b.take(rows),
-            outcome_a=self.outcome_a.take(rows), outcome_b=self.outcome_b.take(rows),
-            revealed=self.revealed.take(rows))
+        return self.code.size
 
     def revealed_rounds(self) -> "Transcript":
-        return self._restrict(self.revealed)
+        # a bool view: nonzero scans bools several times faster than uint8
+        return Transcript(self.code.take(np.flatnonzero((self.code & 1).view(bool))))
 
     def to_csv(self) -> bytearray:
         """CSV bytes (ASCII), one line per round.
 
-        Row i takes digits(i) + 11 bytes: the index, five ',0' or ',1'
-        fields and a newline, so its offset has a closed form
-        (`_csv_offset`) and each `_ROW_CHUNK` block of rows is filled in
-        place as its own job, column by column within each run of rows
-        whose index has the same number of digits.
+        Row i takes digits(i) + 11 bytes: the index, then the code's five
+        ',0' or ',1' fields and a newline from `_CSV_TAILS`, so its offset
+        has a closed form (`_csv_offset`) and each `_ROW_CHUNK` block of rows
+        is filled in place as its own job, within each run of rows whose
+        index has the same number of digits.
         """
         n = len(self)
         buf = bytearray(_csv_offset(n))
         buf[:len(_CSV_HEADER)] = _CSV_HEADER
         out = np.frombuffer(buf, dtype=np.uint8)
-        columns = (self.setting_a, self.setting_b, self.outcome_a,
-                   self.outcome_b, self.revealed)
 
         def fill(lo: int, hi: int) -> None:
             while lo < hi:
@@ -176,10 +171,7 @@ class Transcript:
                 idx = np.arange(lo, end, dtype=np.min_scalar_type(end))  # narrow ints divide faster
                 for k in range(d):
                     rows[:, d - 1 - k] = idx // 10 ** k % 10 + 48
-                rows[:, d:d + 10:2] = ord(",")
-                for j, col in enumerate(columns):
-                    np.add(col[lo:end], 48, out=rows[:, d + 1 + 2 * j], casting="unsafe")
-                rows[:, -1] = ord("\n")
+                rows[:, d:] = _CSV_TAILS.take(self.code[lo:end], axis=0)
                 lo = end
 
         _run_chunks(fill, n)
@@ -196,7 +188,7 @@ def simulate(n: int, behavior: Behavior,
     conditional CDF, and a Bernoulli(reveal_fraction) estimation mark.
     The uniforms are drawn `_ROW_CHUNK` rounds at a time, each chunk from
     its own Philox stream advanced to the chunk's first row, so memory
-    beyond the int8/bool output columns does not grow with n.
+    beyond the one code byte per round does not grow with n.
     """
     if n <= 0:
         raise ParameterRangeError("round count must be positive")
@@ -209,12 +201,7 @@ def simulate(n: int, behavior: Behavior,
     # Outcome pair via the CDF of p(.,.|A,B) in the fixed order
     # (0,0), (0,1), (1,0), (1,1); zero-probability cells are never hit.
     cdf = np.cumsum(behavior.p.reshape(4, 4), axis=0)  # [cell, 2A + B]
-
-    setting_a = np.empty(n, dtype=np.int8)
-    setting_b = np.empty(n, dtype=np.int8)
-    outcome_a = np.empty(n, dtype=np.int8)
-    outcome_b = np.empty(n, dtype=np.int8)
-    revealed = np.empty(n, dtype=bool)
+    code = np.empty(n, dtype=np.uint8)
 
     def draw(lo: int, hi: int) -> None:
         bits = np.random.Philox(key=seed)
@@ -225,31 +212,26 @@ def simulate(n: int, behavior: Behavior,
             pa, pb = branch_pa[branch], branch_pb[branch]
         else:
             pa, pb = branch_pa[0], branch_pb[0]
-        setting_a[lo:hi] = u[:, _U_SET_A] >= pa
-        setting_b[lo:hi] = u[:, _U_SET_B] >= pb
-        pair = 2 * setting_a[lo:hi] + setting_b[lo:hi]
-        cell = np.zeros(hi - lo, dtype=np.int8)
+        pair = (u[:, _U_SET_A] >= pa).view(np.uint8) << 1  # 2A + B
+        pair |= u[:, _U_SET_B] >= pb
+        cell = np.zeros(hi - lo, dtype=np.uint8)  # 2a + b
         for cell_cdf in cdf:
             cell += u[:, _U_OUTCOME] >= cell_cdf[pair]
         np.minimum(cell, 3, out=cell)
-        outcome_a[lo:hi] = cell >> 1
-        outcome_b[lo:hi] = cell & 1
-        revealed[lo:hi] = u[:, _U_REVEAL] < reveal_fraction
+        code[lo:hi] = pair << 3 | cell << 1 | (u[:, _U_REVEAL] < reveal_fraction)
 
     _run_chunks(draw, n)
-    return Transcript(setting_a=setting_a, setting_b=setting_b,
-                      outcome_a=outcome_a, outcome_b=outcome_b, revealed=revealed)
+    return Transcript(code)
 
 
 def sift(transcript: Transcript) -> Transcript:
     """Key rounds: unrevealed with both outcomes 0 (key bit = Alice's setting)."""
-    return transcript._restrict(~transcript.revealed & (transcript.outcome_a == 0)
-                                & (transcript.outcome_b == 0))
+    return Transcript(transcript.code.take(np.flatnonzero(transcript.code & 0b111 == 0)))
 
 
 def key_bits(sifted: Transcript) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's key strings for a sifted transcript."""
-    return sifted.setting_a, sifted.setting_b
+    """Alice's and Bob's key strings for a sifted transcript: the setting bits."""
+    return sifted.code >> 4, sifted.code >> 3 & 1
 
 
 @dataclass(frozen=True)
@@ -295,13 +277,10 @@ class HEstimate:
 
 def estimate_h(revealed: Transcript) -> HEstimate:
     """Empirical Hardy parameters with binomial standard errors."""
-    hits = np.zeros(4)
-    totals = np.zeros(4)
-    for k, (a, b, sa, sb) in enumerate(H_CELLS):
-        pair = (revealed.setting_a == sa) & (revealed.setting_b == sb)
-        totals[k] = np.count_nonzero(pair)
-        hits[k] = np.count_nonzero(pair & (revealed.outcome_a == a)
-                                   & (revealed.outcome_b == b))
+    table = np.bincount(revealed.code >> 1, minlength=16).reshape(4, 4)  # [2A + B, 2a + b]
+    pairs = [2 * sa + sb for _, _, sa, sb in H_CELLS]
+    hits = table[pairs, [2 * a + b for a, b, _, _ in H_CELLS]]
+    totals = table[pairs].sum(axis=1)
     if (totals == 0).any():
         missing = [H_CELLS[k][2:] for k in np.flatnonzero(totals == 0)]
         raise InsufficientDataError(

@@ -49,13 +49,31 @@ class TestConfig:
 
     @pytest.mark.parametrize("config", [
         {"eta": "x"}, {"grid_res": 3.5}, {"rounds": 1.5}, {"reveal": "0.3"},
-        {"alpha": "0.5"}, {"dist": 1}, {"seed": 1.5}, {"level": True}, {"eta": None}])
+        {"alpha": "0.5"}, {"dist": 1}, {"seed": 1.5}, {"level": True}, {"eta": None},
+        # a top level that is not a JSON object
+        3, None, [], [["eta", 1]], "eta"])
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, config):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(config))
         out = tmp_path / "o"
         assert run_cli(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_out_path_through_a_file_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                            command, below):
+        def never(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, never)
+        out = tmp_path / "file"
+        out.write_text("kept")
+        assert run_cli([command, "--rounds", "2000", "--grid-res", "3",
+                        "--out", str(out / below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_out_of_range_seed_exit_2(self, tmp_path, seed):

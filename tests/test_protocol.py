@@ -23,12 +23,30 @@ FLAT = Behavior(p=np.full((2, 2, 2, 2), 0.25))
 CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"
 
 
+def columns(t):
+    """settingA, settingB, outcomeA, outcomeB and revealed of each round,
+    read from the binary digits of its code (CSV column order)."""
+    bits = np.array([[int(d) for d in format(c, "05b")] for c in range(32)])
+    return tuple(bits[t.code].T)
+
+
 def csv_writer_rows(t, rows: range) -> bytes:
-    cols = [col[rows.start:rows.stop].astype(int).tolist() for col in (
-        t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.revealed)]
+    cols = [col[rows.start:rows.stop].tolist() for col in columns(t)]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(zip(rows, *cols))
     return buf.getvalue().encode("ascii")
+
+
+def per_round_counts(t):
+    """Hits and totals of each Hardy cell, counted round by round over the
+    revealed rounds."""
+    hits, totals = np.zeros(4), np.zeros(4)
+    for sa, sb, oa, ob, rev in zip(*(col.tolist() for col in columns(t))):
+        for k, (a, b, set_a, set_b) in enumerate(pr.H_CELLS):
+            if rev and (sa, sb) == (set_a, set_b):
+                totals[k] += 1
+                hits[k] += (oa, ob) == (a, b)
+    return hits, totals
 
 
 def reference_columns(n, behavior, source, reveal, seed):
@@ -100,21 +118,19 @@ class TestSimulate:
 
     def test_zero_probability_cells_never_sampled(self):
         beh = q.hardy_behavior(1.0)
-        t = pr.simulate(100_000, beh, pr.UNIFORM, 0.0, seed=5)
-        mask = (t.setting_a == 1) & (t.setting_b == 0) \
-            & (t.outcome_a == 0) & (t.outcome_b == 0)
+        sa, sb, oa, ob, _ = columns(pr.simulate(100_000, beh, pr.UNIFORM, 0.0, seed=5))
+        mask = (sa == 1) & (sb == 0) & (oa == 0) & (ob == 0)
         assert mask.sum() == 0
 
     def test_flat_behavior_cell_frequencies(self):
         n = 1_000_000
-        t = pr.simulate(n, FLAT, pr.UNIFORM, 0.0, seed=11)
+        set_a, set_b, out_a, out_b, _ = columns(pr.simulate(n, FLAT, pr.UNIFORM, 0.0, seed=11))
         for sa in range(2):
             for sb in range(2):
                 for a in range(2):
                     for b in range(2):
-                        count = int(((t.setting_a == sa) & (t.setting_b == sb)
-                                     & (t.outcome_a == a)
-                                     & (t.outcome_b == b)).sum())
+                        count = int(((set_a == sa) & (set_b == sb)
+                                     & (out_a == a) & (out_b == b)).sum())
                         p = 0.25 * 0.25  # settings pair * outcome cell
                         sigma = np.sqrt(p * (1 - p) / n)
                         assert abs(count / n - p) <= 3 * sigma + 1e-9
@@ -125,28 +141,27 @@ class TestSimulate:
         joint_settings = pr.UNIFORM.joint()
         target = beh.p * joint_settings[None, None, :, :]
         for seed in range(100):
-            t = pr.simulate(n, beh, pr.UNIFORM, 0.0, seed=seed)
+            sa, sb, oa, ob, _ = columns(pr.simulate(n, beh, pr.UNIFORM, 0.0, seed=seed))
             counts = np.zeros((2, 2, 2, 2))
-            np.add.at(counts, (t.outcome_a, t.outcome_b,
-                               t.setting_a, t.setting_b), 1.0)
+            np.add.at(counts, (oa, ob, sa, sb), 1.0)
             tv = 0.5 * np.abs(counts / n - target).sum()
             assert tv <= 5.0 / np.sqrt(n)
 
     def test_bias_model_branch_sampling(self):
         model = pr.biased_branches(pr.UNIFORM, 0.4)
         n = 200_000
-        t = pr.simulate(n, FLAT, model, 0.0, seed=3)
+        set_a, set_b, *_ = columns(pr.simulate(n, FLAT, model, 0.0, seed=3))
         # averaged over branches the settings stay uniform
         for sa in range(2):
             for sb in range(2):
-                frac = ((t.setting_a == sa) & (t.setting_b == sb)).mean()
+                frac = ((set_a == sa) & (set_b == sb)).mean()
                 assert abs(frac - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / n)
         # per-branch bias shows up in the settings-pair variance:
         # P(A=0,B=0) per branch in {0.81, 0.09, 0.09, 0.01}, mean 0.25
         cell00 = float(np.mean([
-            ((tt.setting_a == 0) & (tt.setting_b == 0)).mean() ** 2
-            for tt in [pr.simulate(2000, FLAT, model, 0.0, seed=s)
-                       for s in range(40)]]))
+            ((sa == 0) & (sb == 0)).mean() ** 2
+            for sa, sb, *_ in [columns(pr.simulate(2000, FLAT, model, 0.0, seed=s))
+                               for s in range(40)]]))
         assert cell00 > 0.25 ** 2  # strictly larger spread than unbiased
 
     def test_csv_matches_csv_writer(self, monkeypatch):
@@ -170,10 +185,7 @@ class TestSimulate:
 
     def test_csv_across_a_million_rows(self):
         n = 1_000_001
-        cols = np.random.default_rng(0).integers(0, 2, size=(5, n), dtype=np.int8)
-        t = pr.Transcript(setting_a=cols[0], setting_b=cols[1],
-                          outcome_a=cols[2], outcome_b=cols[3],
-                          revealed=cols[4].astype(bool))
+        t = pr.Transcript(np.random.default_rng(0).integers(0, 32, size=n, dtype=np.uint8))
         text = t.to_csv()
         # row i takes digits(i) + 11 bytes; digits(i) = 1 + #{k >= 1: i >= 10^k}
         digits = n + sum(n - 10 ** k for k in range(1, 7))
@@ -198,8 +210,7 @@ class TestSimulate:
             want = reference_columns(n, beh, source, 0.25, seed=n)
             for cpus in (1, 3):
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
-                t = pr.simulate(n, beh, source, 0.25, seed=n)
-                got = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.revealed)
+                got = columns(pr.simulate(n, beh, source, 0.25, seed=n))
                 for g, w in zip(got, want, strict=True):
                     assert np.array_equal(g, w)
 
@@ -208,6 +219,32 @@ class TestSimulate:
             pr.simulate(0, FLAT, pr.UNIFORM, 0.5, seed=1)
         with pytest.raises(ParameterRangeError):
             pr.simulate(10, FLAT, pr.UNIFORM, 1.5, seed=1)
+
+
+class TestEveryCode:
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_every_stage_against_the_decoded_bits(self, order):
+        # code c appears c + 1 times, so that no two cells count alike
+        codes = np.repeat(np.arange(32, dtype=np.uint8), np.arange(1, 33))
+        if order == "shuffled":
+            codes = np.random.default_rng(32).permutation(codes)
+        t = pr.Transcript(codes)
+        sa, sb, oa, ob, rev = columns(t)
+        assert t.to_csv() == CSV_HEADER + csv_writer_rows(t, range(len(codes)))
+        # revealed is bit 0; a key round is unrevealed with outcomes (0, 0)
+        kept = t.revealed_rounds().code.tolist()
+        assert kept == codes[rev == 1].tolist() == [c for c in codes.tolist() if c % 2]
+        key = (rev == 0) & (oa == 0) & (ob == 0)
+        sifted = pr.sift(t)
+        assert sifted.code.tolist() == codes[key].tolist() == [c for c in codes.tolist()
+                                                             if c % 8 == 0]
+        hits, totals = per_round_counts(t)
+        est = pr.estimate_h(t.revealed_rounds())
+        assert np.array_equal(est.counts, totals)
+        assert np.array_equal(est.h.as_array(), hits / totals)
+        for keys, want in ((pr.key_bits(t), (sa, sb)), (pr.key_bits(sifted), (sa[key], sb[key]))):
+            for got, bits in zip(keys, want, strict=True):
+                assert got.tolist() == bits.tolist()
 
 
 class TestSiftAndKeys:
@@ -232,7 +269,8 @@ class TestSiftAndKeys:
         for seed in range(10):
             t = pr.simulate(20_000, beh, pr.UNIFORM, 0.3, seed=seed)
             sifted = pr.sift(t)
-            assert np.array_equal(sifted.setting_a, sifted.setting_b)
+            sa, sb, *_ = columns(sifted)
+            assert np.array_equal(sa, sb)
             alice, bob = pr.key_bits(sifted)
             assert np.array_equal(alice, bob)
 
@@ -274,20 +312,13 @@ class TestEstimateH:
     def test_matches_per_round_count(self):
         t = pr.simulate(20_000, q.hardy_behavior(0.7), pr.NONUNIFORM, 0.4,
                         seed=23)
-        hits, totals = np.zeros(4), np.zeros(4)
-        for i in np.flatnonzero(t.revealed):
-            for k, (a, b, sa, sb) in enumerate(pr.H_CELLS):
-                if (t.setting_a[i], t.setting_b[i]) == (sa, sb):
-                    totals[k] += 1
-                    hits[k] += (t.outcome_a[i], t.outcome_b[i]) == (a, b)
+        hits, totals = per_round_counts(t)
         est = pr.estimate_h(t.revealed_rounds())
         assert np.array_equal(est.counts, totals)
         assert np.array_equal(est.h.as_array(), hits / totals)
 
     def test_insufficient_data(self):
-        one = np.zeros(1, dtype=np.int8)
-        t = pr.Transcript(setting_a=one, setting_b=one, outcome_a=one,
-                          outcome_b=one, revealed=np.ones(1, dtype=bool))
+        t = pr.Transcript(np.ones(1, dtype=np.uint8))  # one revealed round, all else 0
         with pytest.raises(InsufficientDataError):
             pr.estimate_h(t.revealed_rounds())
 

@@ -54,17 +54,25 @@ ROOT = TRACING.parents[1]
 
 def _definitions(node):
     """(name, node) for what a top-level statement defines: a function, a
-    class and the methods of its body (dunders run implicitly) or the plain
-    names a module-level assignment binds."""
+    class with the methods and plain assignments of its body (dunders run
+    implicitly) or the plain names a module-level assignment binds."""
     if isinstance(node, ast.ClassDef):
         return [(node.name, node)] + [
-            (item.name, item) for item in node.body
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+            (name, item) for item in node.body if isinstance(item, (ast.FunctionDef, ast.Assign))
+            for name, _ in _definitions(item) if not name.startswith("__")]
     if isinstance(node, ast.FunctionDef):
         return [(node.name, node)]
     targets = node.targets if isinstance(node, ast.Assign) \
         else [node.target] if isinstance(node, ast.AnnAssign) else []
     return [(target.id, node) for target in targets if isinstance(target, ast.Name)]
+
+
+def test_definitions_include_class_body_assignments():
+    # a property bound by assignment is API as much as a method is; an
+    # annotated field is the class's data, not a definition of its own
+    node = ast.parse("class C:\n    x: int\n    y = property(len)\n    __slots__ = ()\n"
+                     "    def f(self): pass\n").body[0]
+    assert [name for name, _ in _definitions(node)] == ["C", "y", "f"]
 
 
 def test_every_package_definition_is_used_outside_tests():
