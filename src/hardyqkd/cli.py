@@ -27,6 +27,10 @@ EXIT_NUMERIC = 3
 
 
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# the files each command writes under --out
+_OUTPUTS = {"hardy-state": ("hardy_state.json",), "simulate": ("transcript.csv",),
+            "keyrate": ("keyrates.csv", "keyrates.svg"), "gamma": ("gamma.csv",),
+            "bias-compare": ("bias_compare.csv", "bias_compare.svg")}
 
 
 @dataclass
@@ -88,6 +92,9 @@ class RunConfig:
         existing = next(path for path in (out, *out.parents) if path.exists())
         if not existing.is_dir():
             raise ParameterRangeError(f"output path {self.out!r}: {existing} is not a directory")
+        for name in _OUTPUTS.get(self.command, ()):
+            if (out / name).is_dir():
+                raise ParameterRangeError(f"output file {out / name} is a directory")
 
     def parse_dist(self) -> SettingsDistribution:
         if self.dist is None or self.dist == "uniform":
@@ -105,9 +112,9 @@ class RunConfig:
         return SettingsDistribution(pa, pb, label=f"custom({pa:g},{pb:g})")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
 
 
 def cmd_hardy_state(cfg: RunConfig) -> int:
@@ -148,8 +155,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # estimate first: too few revealed rounds must leave no transcript behind
     est = protocol.estimate_h(transcript.revealed_rounds())
     out = Path(cfg.out) / "transcript.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(transcript.to_csv())
+    _write(out, transcript.to_csv())
     sifted = protocol.sift(transcript)
     alice, bob = protocol.key_bits(sifted)
     disagree = float(np.mean(alice != bob)) if len(alice) else 0.0

@@ -412,9 +412,9 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
       behaviors, or a min above its maximum, by more than `_ACCEPT_TOL`.
 
     Where the pins leave a relaxation without interior (the noiseless Hardy
-    point, the Tsirelson face) the pinned solve stalls short of `optimal`,
+    point, the Tsirelson face) the pinned solve stops short of `optimal`,
     and a direct call returns the accepted bracket as it is: at eta = 1 it
-    holds q~ = sqrt(5) - 2 with a width of 5.3e-5 at level 2 and 2.3e-4 at
+    holds q~ = sqrt(5) - 2 with a width of 1.5e-5 at level 2 and 2.1e-4 at
     level 3.  The pipeline settles both faces by self-testing and sends no
     job there (`analysis._q_brackets`, `chsh_outcome_guess_bounds`).
     """

@@ -20,7 +20,7 @@ The search direction solves
 
 where W is the NT scaling point (W Z W = X) and K is the Mehrotra
 second-order correction.  Eliminating dX and dZ yields the Schur system
-M dy = rhs with M_ij = <A_i, W A_j W>.
+M dy = rhs with M_ij = <A_i, W A_j W>, solved as it stands (`_schur_solve`).
 
 The constraint rows must be linearly independent: the Schur matrix is
 then positive definite, and a problem with dependent rows raises
@@ -206,8 +206,10 @@ def _nt_scaling(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _schur_solve(schur: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve M dy = rhs for each column of `rhs` (L, m, k), refined once.
 
-    Returns dy and the mask of singular members, whose entries in dy are
-    meaningless.
+    M is not regularized: with a shifted M, A(dX) = rp would hold only up to
+    the shift, and the primal residual would climb back near convergence.
+    Returns dy and the mask of numerically singular members (they end as
+    `numerical-breakdown`), whose entries in dy are meaningless.
     """
     dy, failed = _guarded(np.linalg.solve, schur, rhs)
     return dy + _guarded(np.linalg.solve, schur, rhs - schur @ dy)[0], failed
@@ -314,10 +316,6 @@ def _iterate(st: _Stack):
         u = a @ w[:, None]
         schur = u.reshape(live, m, n * n) @ np.swapaxes(
             np.swapaxes(u, -1, -2).reshape(live, m, n * n), 1, 2)
-        if m:
-            # Regularize mildly; independent rows give full rank in exact arithmetic.
-            trace = np.trace(schur, axis1=1, axis2=2)
-            schur = schur + np.eye(m) * (1e-14 * trace / m + 1e-300)[:, None, None]
         # <A_i, M> sees only the symmetric part of M
         ax, aw_rd, az_inv = np.moveaxis(a_flat @ np.stack(
             [x.reshape(live, -1), (w @ rd @ w).reshape(live, -1), z_inv.reshape(live, -1)],
@@ -325,10 +323,7 @@ def _iterate(st: _Stack):
 
         def directions(rhs: np.ndarray, sigma_mu: np.ndarray, k_corr):
             """(dx, dy, dz, failed) for each column of `rhs` (L, m, k)."""
-            if m:
-                dy, failed = _schur_solve(schur, rhs)
-            else:
-                dy, failed = np.zeros_like(rhs), np.zeros(live, dtype=bool)
+            dy, failed = _schur_solve(schur, rhs)  # m = 0 gives empty dy
             dy = np.swapaxes(dy, 1, 2)
             dz = rd[:, None] - (dy @ a_flat).reshape(live, -1, n, n)
             dx = _sym(sigma_mu[:, None, None, None] * z_inv[:, None] - x[:, None]
@@ -409,9 +404,8 @@ def sdp_solve_batch(problems: list[SDPProblem]) -> list[SDPSolution]:
     a solve on its own.  Every problem's constraint rows are checked for
     linear independence (`prune_dependent_constraints`) before any problem
     is iterated: dependent rows, consistent or not, raise `ValueError`.
-    Divergence of the iterates (norms beyond 1e10) is reported as
-    `infeasible` or `unbounded` depending on which objective is escaping;
-    any other stop short of `_TOL` keeps the solver's own status.
+    Diverging iterates (norms beyond 1e10) end `infeasible` or `unbounded`
+    by the escaping objective; other stops keep the solver's own status.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(problems):

@@ -15,6 +15,13 @@ def run_cli(args):
     return main(args)
 
 
+# every file each command writes under --out
+OUTPUT_FILES = [("hardy-state", "hardy_state.json"), ("simulate", "transcript.csv"),
+                ("keyrate", "keyrates.csv"), ("keyrate", "keyrates.svg"),
+                ("bias-compare", "bias_compare.csv"), ("bias-compare", "bias_compare.svg"),
+                ("gamma", "gamma.csv")]
+
+
 def config_json(cfg: RunConfig) -> str:
     """The config file that `RunConfig.from_json` reads back as cfg."""
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
@@ -74,6 +81,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("command, name", OUTPUT_FILES)
+    def test_output_file_that_is_a_directory_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, name):
+        assert {c for c, _ in OUTPUT_FILES} == set(cli._COMMANDS)
+
+        def never(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, never)
+        (tmp_path / name).mkdir()
+        assert run_cli([command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output file {tmp_path / name} is a directory\n"
+        assert [p.name for p in tmp_path.rglob("*")] == [name]
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_out_of_range_seed_exit_2(self, tmp_path, seed):

@@ -520,18 +520,19 @@ class TestVerdicts:
             with pytest.raises(verdict):
                 npa.bound_functional(2, [], objective, "max")
 
-    def test_bias_sweeps_stop_short_with_a_clean_dual_side(self, solutions):
-        # a stop short of `optimal` with a dual residual above 1e-5 and a
-        # clean primal side is taken for an empty LMI; the pinned CHSH solves
-        # of the bias sweeps that stop short must stay far from that verdict
-        # (largest dual residual 1.1e-9)
+    def test_bias_sweeps_end_optimal(self, solutions):
+        # every pinned CHSH solve of the 25-point level-2 bias sweep and of
+        # every fifth point at level 3 ends `optimal`, so none reaches the
+        # verdicts of a short stop (most iterations: 18 and 27)
         eps = np.linspace(0.0, 0.12, 25)
-        for level, points in ((2, eps), (3, eps[::5])):
+        for level, points, most in ((2, eps, 20), (3, eps[::5], 30)):
             branches = [b for e in points for b in biased_branches(UNIFORM, float(e)).branches]
             npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level)
-        short = [s for sols in solutions for s in sols if not s.optimal]
-        assert short
-        assert max(s.dual_residual for s in short) <= 1e-7
+            sols = [s for batch in solutions for s in batch]
+            assert sols
+            assert all(s.optimal for s in sols)
+            assert max(s.iterations for s in sols) <= most
+            solutions.clear()
 
     def test_solver_failure_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(npa, "sdp_solve_batch", crafted("stalled", primal_residual=1e-3))

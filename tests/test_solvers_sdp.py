@@ -135,18 +135,20 @@ def test_symmetry_validation():
         SDPProblem(c=np.eye(2), constraints=[np.eye(2), bad], b=np.zeros(2))
 
 
-def noiseless_hardy(dist, maximize):
+def noiseless_hardy(dist, maximize, level=2):
     """The nu bound at the noiseless Hardy point, whose pins leave only a
     degenerate face: the iterates stop improving short of the tolerance."""
     h = HVector.from_eta(1.0).as_array()
     pins = [(npa.cell(*cell), float(v)) for cell, v in zip(H_CELLS, h)]
-    return npa.build_moment_sdp(npa.moment_template(2, pins), h, nu_functional(dist), maximize)
+    return npa.build_moment_sdp(npa.moment_template(level, pins), h, nu_functional(dist),
+                                maximize)
 
 
 def test_stall_reported_as_stalled():
-    # at the default stall limit `pinned_point` breaks down first, and so
-    # does the uniform face (80 iterations); the nonuniform minimum stalls
-    sol = sdp_solve(noiseless_hardy(pr.NONUNIFORM, maximize=False))
+    # at the default stall limit `pinned_point` and the four level-2 faces
+    # break down first (74 to 97 iterations); the level-3 uniform minimum
+    # stalls (52 iterations)
+    sol = sdp_solve(noiseless_hardy(pr.UNIFORM, maximize=False, level=3))
     assert sol.status == "stalled"
     assert sol.iterations < 200
 
@@ -163,10 +165,11 @@ def mixed_problems():
         # lambda_max as min <-C, X> over tr X = 1
         problems.append(SDPProblem(c=-random_symmetric(rng, n), constraints=[np.eye(n)],
                                    b=np.array([1.0])))
-    # the noiseless Hardy point stalls on its degenerate face
+    # the noiseless Hardy point breaks down or stalls on its degenerate face
     for dist in (pr.UNIFORM, pr.NONUNIFORM):
         for maximize in (False, True):
             problems.append(noiseless_hardy(dist, maximize))
+    problems.append(noiseless_hardy(pr.UNIFORM, maximize=False, level=3))
     # the CHSH outcome bound at eps = 0.05 (point 10 of the 25-point bias sweep)
     eps = float(np.linspace(0.0, 0.12, 25)[10])
     branch = pr.biased_branches(pr.UNIFORM, eps).branches[0]
