@@ -449,8 +449,9 @@ def bias_compare(epsilons: list[float], level: int = 2) -> list[BiasComparisonRo
     The Hardy column is the noiseless key-guessing probability with the
     nonuniform distribution; the CHSH column averages the outcome-guessing
     bound at observed value 2*sqrt(2) over the four biased branches of the
-    uniform distribution.  The branches of all epsilon points are bounded
-    in one `npa.chsh_outcome_guess_bounds` call, which solves one pinned SDP
+    uniform distribution.  The branches of all epsilon points go as one
+    (4E, 2) array of (p_A, p_B) to one `npa.chsh_outcome_guess_bounds` call,
+    whose (4E,) bounds are averaged four at a time; it solves one pinned SDP
     per branch class: Tsirelson's theorem gives the quantum maxima in closed
     form, a global outcome flip makes the two outcome bounds equal, and
     where a local mixture meets 2*sqrt(2) with P(0 | A=0) = 1 (every
@@ -459,12 +460,11 @@ def bias_compare(epsilons: list[float], level: int = 2) -> list[BiasComparisonRo
     The column needs level >= 2: level 1 gives 1 at every epsilon.
     """
     models = [biased_branches(UNIFORM, eps) for eps in epsilons]
-    guesses = iter(npa.chsh_outcome_guess_bounds(
-        [branch for model in models for branch in model.branches], npa.TSIRELSON, level))
+    branches = np.array([(b.p_a, b.p_b) for model in models for b in model.branches])
+    chsh = npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level).reshape(-1, 4)
     return [BiasComparisonRow(
         epsilon=model.epsilon, hardy_guess=noiseless_bias_guess(model.epsilon, NONUNIFORM),
-        chsh_guess=float(np.mean([next(guesses) for _ in model.branches])))
-        for model in models]
+        chsh_guess=float(guess)) for model, guess in zip(models, chsh.mean(axis=1))]
 
 
 def bias_compare_to_csv(rows: list[BiasComparisonRow]) -> str:

@@ -83,7 +83,7 @@ class RunConfig:
             raise ParameterRangeError("rounds must be positive")
         if not 0.0 < self.reveal <= 1.0:
             raise ParameterRangeError("reveal fraction must lie in (0, 1]")
-        if self.epsilon is not None and self.epsilon < 0.0:
+        if self.epsilon is not None and not self.epsilon >= 0.0:  # NaN too
             raise ParameterRangeError("epsilon must be nonnegative")
         if self.eps_grid < 2:
             raise ParameterRangeError("eps grid needs at least 2 points")

@@ -30,9 +30,11 @@ Hardy's maximum fixes the behavior (Rabelo, Zhi and Scarani, PRL 109,
 180401, 2012; `analysis._q_brackets`), and so does Tsirelson's bound (review:
 Supic and Bowles, Quantum 4, 337, 2020; `chsh_outcome_guess_bounds`).
 
-The CHSH outcome-guess bounds of a biased settings source solve by SDP only
-what no theorem settles.  The quantum maximum of a weighted CHSH expression
-is its vector value in closed form (Tsirelson's theorem,
+The CHSH outcome-guess bounds of a biased settings source take the branches
+as one (B, 2) array of setting probabilities (p_A, p_B) and return a (B,)
+array; this module knows no settings-distribution type.  They solve by SDP
+only what no theorem settles.  The quantum maximum of a weighted CHSH
+expression is its vector value in closed form (Tsirelson's theorem,
 `chsh_quantum_max`).  Two relabelings that every level respects cut the
 pinned jobs (symmetry reduction of NPA relaxations as in Tavakoli, Rosset
 and Renou, PRL 122, 070501, 2019): mirror branches share one class, and a
@@ -51,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
-from .protocol import SettingsDistribution
 from .solvers import SDPProblem, sdp_solve_batch
 # unused here; bench/tracing.py looks these names up in this module to time them
 from .solvers import sdp_solve  # noqa: F401
@@ -463,40 +464,15 @@ def bound_functional(level: int,
     return float(bound_functionals(level, [(equalities, objective, direction)])[0])
 
 
-def _symmetry_classes(branches: list[SettingsDistribution]) \
-        -> tuple[list[SettingsDistribution], list[int]]:
-    """One representative per symmetry class of CHSH branches.
-
-    Swapping Bob's settings and flipping Alice's outcome for setting 1 maps
-    the weighted CHSH functional of (p_A, 1 - p_B) onto that of (p_A, p_B)
-    and leaves P(a | A=0) and the observed value fixed; the relabeling maps
-    every NPA level onto itself, so both branches have one bound.  Classes
-    join exact duplicates and such mirror pairs, matched within 1e-12 in p_B
-    (1 - (0.5 - eps) and 0.5 + eps can differ by one ulp).  Returns the
-    representatives, first members in input order, and each branch's index
-    among them.
-    """
-    reps: list[SettingsDistribution] = []
-    index: list[int] = []
-    for branch in branches:
-        for k, rep in enumerate(reps):
-            if rep.p_a == branch.p_a and (rep.p_b == branch.p_b
-                                          or abs(rep.p_b - (1.0 - branch.p_b)) <= 1e-12):
-                index.append(k)
-                break
-        else:
-            index.append(len(reps))
-            reps.append(branch)
-    return reps, index
-
-
-def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
+def chsh_outcome_guess_bounds(branches: np.ndarray,
                               observed_value: float,
-                              level: int = 2) -> list[float]:
+                              level: int = 2) -> np.ndarray:
     """Bounds on Eve's guess of Alice's outcome for setting 0 in a CHSH test.
 
-    The parties normalize their correlator estimates by the nominal uniform
-    setting frequency 1/4, so for runs drawn from a branch the constrained
+    `branches` is a (B, 2) array of setting probabilities (p_A, p_B) =
+    (P(A=0), P(B=0)), and the bounds come back as a (B,) array.  The parties
+    normalize their correlator estimates by the nominal uniform setting
+    frequency 1/4, so for runs drawn from a branch the constrained
     expression is 4 * sum_AB s_AB P_branch(A, B) C(A, B) = observed_value.
     Each bound is max over a of P(a | A=0) at the given relaxation level.
 
@@ -505,7 +481,13 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
       maximum (`chsh_quantum_max`), up to rounding, and against its
       minimum, the negated maximum (flipping Bob's outcomes negates every
       correlator);
-    - mirror branches share one class (`_symmetry_classes`);
+    - swapping Bob's settings and flipping Alice's outcome for setting 1
+      maps the weighted CHSH functional of (p_A, 1 - p_B) onto that of
+      (p_A, p_B), keeps P(a | A=0) and the observed value, and maps every
+      level onto itself, so such mirror branches share one class with the
+      exact duplicates: p_A equal and p_B equal or mirrored within 1e-12
+      (1 - (0.5 - eps) and 0.5 + eps can differ by one ulp), each branch
+      taking the bound of the first branch it matches;
     - flipping every outcome of both parties keeps every correlator, so the
       pin, swaps P(0 | A=0) with P(1 | A=0) and maps each level onto itself
       (P -> 1 - P keeps the span of the words of each length), so the
@@ -530,17 +512,25 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
     maximum, or when a guess falls more than `_ACCEPT_TOL` below 1/2.
     """
     get_layout(level)  # an unsupported level raises even where nothing is solved
-    reps, index = _symmetry_classes(branches)
-    weights = [4.0 * rep.joint() for rep in reps]
+    pa, pb = np.asarray(branches, dtype=float).reshape(-1, 2).T
+    if not len(pa):
+        return np.empty(0)
+    # same[i, j]: branch j equals branch i or mirrors it
+    same = (pa[:, None] == pa) & ((pb[:, None] == pb)
+                                  | (np.abs(pb - (1.0 - pb[:, None])) <= 1e-12))
+    reps, index = np.unique(same.argmax(axis=1), return_inverse=True)
+    # 4 P(A, B) of each class's first branch
+    weights = 4.0 * (np.stack([pa, 1.0 - pa], axis=1)[reps, :, None]
+                     * np.stack([pb, 1.0 - pb], axis=1)[reps, None, :])
     maxima = [chsh_quantum_max(w) for w in weights]
     for q in maxima:
         if abs(observed_value) > q + 1e-12 * (1.0 + q):
             raise InfeasibleHError(
                 f"observed value {observed_value:.9f} lies beyond the quantum maximum "
                 f"+-{q:.9f} for this branch weighting")
-    guesses = [0.5 if level > 1 and (w == w[0, 0]).all()  # the Tsirelson face
-               and abs(observed_value) >= q - 1e-12 * (1.0 + q) else 1.0
-               for w, q in zip(weights, maxima)]
+    guesses = np.array([0.5 if level > 1 and (w == w[0, 0]).all()  # the Tsirelson face
+                        and abs(observed_value) >= q - 1e-12 * (1.0 + q) else 1.0
+                        for w, q in zip(weights, maxima)])
     exprs = [chsh_functional(w) for w in weights]
     local = [np.tensordot(DETERMINISTIC_BEHAVIORS[:8], expr, 4) for expr in exprs]
     solve = [] if level == 1 else [k for k, vals in enumerate(local) if guesses[k] == 1.0
@@ -551,13 +541,12 @@ def chsh_outcome_guess_bounds(branches: list[SettingsDistribution],
         if bound < 0.5 - _ACCEPT_TOL:  # P(0 | A=0) + P(1 | A=0) = 1
             raise InfeasibleHError(f"guess {bound:.6f} lies below 1/2: no behavior "
                                    f"meets the observed value {observed_value:.6f}")
-        guesses[k] = min(float(bound), 1.0)
-    return [guesses[k] for k in index]
+        guesses[k] = min(bound, 1.0)
+    return guesses[index]
 
 
-def chsh_outcome_guess_bound(branch: SettingsDistribution,
+def chsh_outcome_guess_bound(branch: tuple[float, float],
                              observed_value: float,
                              level: int = 2) -> float:
-    """The one-branch case of `chsh_outcome_guess_bounds`."""
-    return chsh_outcome_guess_bounds([branch], observed_value, level)[0]
-
+    """The one-branch case of `chsh_outcome_guess_bounds`, for one (p_A, p_B)."""
+    return float(chsh_outcome_guess_bounds(np.array([branch]), observed_value, level)[0])

@@ -85,7 +85,7 @@ class BiasModel:
 
 def biased_branches(base: SettingsDistribution, epsilon: float) -> BiasModel:
     """The four sign combinations of the bias, each with weight 1/4."""
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN too
         raise ParameterRangeError("epsilon must be nonnegative")
     branches = []
     for sa in (+1.0, -1.0):
@@ -330,14 +330,10 @@ def noiseless_bias_guess(epsilon: float, dist: SettingsDistribution) -> float:
     the eavesdropper guesses the likelier value and the four branches are
     averaged with equal weight.
     """
-    model = biased_branches(dist, epsilon)
-    total = 0.0
-    for branch in model.branches:
-        joint = branch.joint()
-        num = Q_MAX * joint[0, 0]
-        den = num + Q_TILDE * joint[1, 1]
-        if den <= 0.0:
-            raise ZeroPosteriorError("branch never produces a key round")
-        p0 = num / den
-        total += max(p0, 1.0 - p0)
-    return total / 4.0
+    pa, pb = np.array([(b.p_a, b.p_b) for b in biased_branches(dist, epsilon).branches]).T
+    num = Q_MAX * (pa * pb)
+    den = num + Q_TILDE * ((1.0 - pa) * (1.0 - pb))
+    if (den <= 0.0).any():
+        raise ZeroPosteriorError("branch never produces a key round")
+    p0 = num / den
+    return float(np.maximum(p0, 1.0 - p0).mean())

@@ -122,8 +122,10 @@ class SDPSolution:
     primal_residual: float
     dual_residual: float
     # optimal | infeasible | unbounded (both only from a diverging ray) |
-    # stalled (no 1% progress in `_STALL_LIMIT` iterations) |
-    # max-iterations | numerical-breakdown; every stop reports the best iterate
+    # stalled (no 1% progress in `_STALL_LIMIT` iterations, the one
+    # no-progress stop) | numerical-breakdown (a LAPACK call failed or a
+    # direction went non-finite) | max-iterations; every stop reports the
+    # best iterate
     status: str
     iterations: int = 0
 
@@ -304,9 +306,7 @@ def _iterate(st: _Stack):
         broken = broken.reshape(live, 2).any(axis=1)
         z_inv = _sym(np.swapaxes(whiten[:, 1], -1, -2) @ whiten[:, 1])
         w, failed = _nt_scaling(st.chol)
-        # non-finite (NaN compares false) or huge scalings
-        broken |= failed | ~(np.abs(w).max(axis=(1, 2)) <= 1e14) \
-            | ~(np.abs(z_inv).max(axis=(1, 2)) <= 1e14)
+        broken |= failed
         if broken.any():
             w[broken] = eye
             z_inv[broken] = eye
@@ -362,7 +362,6 @@ def _iterate(st: _Stack):
         dy = dy[rows, pick]
         move = np.stack([dx[rows, pick], dz[rows, pick]], axis=1)
         step = pair[rows, :, pick]
-        broken |= step.min(axis=1) < 1e-10
         step[broken] = 0.0
 
         # halve both steps until X and Z are positive definite (six times

@@ -793,9 +793,10 @@ class TestBiasCompare:
 
     def test_single_thread_breakdown_point_is_solved(self):
         # With one BLAS thread an iterate at eps = 0.05 (point 10 of the
-        # 25-point sweep) has a singular dual matrix Z; the solve must end as
-        # a numerical breakdown and still give a bound between the values at
-        # eps = 0.045 and 0.055.
+        # 25-point sweep) once had a singular dual matrix Z and ended as a
+        # numerical breakdown; the solve now ends `optimal`, and with one
+        # thread it must still give a bound between the values at eps = 0.045
+        # and 0.055.
         env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": str(Path(an.__file__).parents[1])}
         code = ("from hardyqkd import analysis; import numpy as np; "

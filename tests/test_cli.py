@@ -97,6 +97,19 @@ class TestConfig:
         assert err == f"config error: output file {tmp_path / name} is a directory\n"
         assert [p.name for p in tmp_path.rglob("*")] == [name]
 
+    @pytest.mark.parametrize("command", ["simulate", "bias-compare"])
+    @pytest.mark.parametrize("epsilon", ["nan", "-0.01"])
+    def test_nan_or_negative_epsilon_exit_2_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, command, epsilon):
+        # NaN fails every comparison, so it must be rejected as not >= 0
+        def never(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, never)
+        assert run_cli([command, "--epsilon", epsilon, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: epsilon must be nonnegative\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_out_of_range_seed_exit_2(self, tmp_path, seed):
         assert run_cli(["simulate", "--seed", seed, "--rounds", "10",

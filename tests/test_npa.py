@@ -30,6 +30,11 @@ def h_pins(h):
     return pins(dict(zip(H_CELLS, map(float, h.as_array()))))
 
 
+def bias_branches(eps):
+    """The (4, 2) (p_A, p_B) array of the four branches of UNIFORM biased by eps."""
+    return np.array([(b.p_a, b.p_b) for b in biased_branches(UNIFORM, float(eps)).branches])
+
+
 def oracle_reduce(word):
     """Independent reducer: bubble-sort commuting parties, collapse repeats."""
     w = list(word)
@@ -241,7 +246,7 @@ def solutions(monkeypatch):
 
 class TestChshGuess:
     def test_unbiased_tsirelson_gives_half(self):
-        val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
+        val = npa.chsh_outcome_guess_bound((0.5, 0.5), npa.TSIRELSON, level=2)
         assert val == pytest.approx(0.5, abs=1e-3)
 
     @pytest.mark.parametrize("level", [2, 3])
@@ -249,19 +254,18 @@ class TestChshGuess:
         # plain CHSH at +-2*sqrt(2) self-tests the maximally entangled state,
         # whose marginals are 1/2; just inside the face the pin is solved
         for value in (npa.TSIRELSON, -npa.TSIRELSON):
-            assert npa.chsh_outcome_guess_bounds([UNIFORM], value, level) == [0.5]
+            assert npa.chsh_outcome_guess_bounds([(0.5, 0.5)], value, level).tolist() == [0.5]
         assert solved == []
-        assert npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON - 1e-9, level)[0] >= 0.5
+        assert npa.chsh_outcome_guess_bounds([(0.5, 0.5)], npa.TSIRELSON - 1e-9, level)[0] >= 0.5
         assert len(solved) == 1
 
     def test_classical_value_gives_one(self):
-        val = npa.chsh_outcome_guess_bound(UNIFORM, 2.0, level=2)
+        val = npa.chsh_outcome_guess_bound((0.5, 0.5), 2.0, level=2)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_biased_branch_strictly_worse(self):
-        branch = biased_branches(UNIFORM, 0.05).branches[0]
-        val = npa.chsh_outcome_guess_bound(branch, npa.TSIRELSON, level=2)
-        base = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
+        val = npa.chsh_outcome_guess_bound(bias_branches(0.05)[0], npa.TSIRELSON, level=2)
+        base = npa.chsh_outcome_guess_bound((0.5, 0.5), npa.TSIRELSON, level=2)
         assert 0.5 < val < 1.0
         assert val > base + 1e-3
 
@@ -269,7 +273,7 @@ class TestChshGuess:
         # at 2*sqrt(2) both outcomes have P(a | A=0) = 1/2 exactly: the
         # guess is settled there, and the accepted bound of each direct
         # pinned solve must stay a bound
-        val = npa.chsh_outcome_guess_bound(UNIFORM, npa.TSIRELSON, level=2)
+        val = npa.chsh_outcome_guess_bound((0.5, 0.5), npa.TSIRELSON, level=2)
         assert 0.5 <= val <= 0.50003
         jobs = [([(npa.chsh_functional(), npa.TSIRELSON)], marg, "max")
                 for marg in chsh_marginals()]
@@ -278,7 +282,7 @@ class TestChshGuess:
 
     def test_observed_above_quantum_max_rejected(self):
         with pytest.raises(InfeasibleHError):
-            npa.chsh_outcome_guess_bound(UNIFORM, 2 * np.sqrt(2) + 0.01,
+            npa.chsh_outcome_guess_bound((0.5, 0.5), 2 * np.sqrt(2) + 0.01,
                                          level=2)
 
     @pytest.mark.parametrize("excess", [1e-7, 5e-7, 1e-6])
@@ -289,9 +293,9 @@ class TestChshGuess:
         # below 1/2 or 0.500022 at levels 2 and 3, and a solver failure at
         # level 3 with excess 1e-6
         with pytest.raises(InfeasibleHError, match="quantum maximum"):
-            npa.chsh_outcome_guess_bounds([UNIFORM], npa.TSIRELSON + excess, level)
+            npa.chsh_outcome_guess_bounds([(0.5, 0.5)], npa.TSIRELSON + excess, level)
         with pytest.raises(InfeasibleHError, match="quantum maximum"):
-            npa.chsh_outcome_guess_bounds([UNIFORM], -npa.TSIRELSON - excess, level)
+            npa.chsh_outcome_guess_bounds([(0.5, 0.5)], -npa.TSIRELSON - excess, level)
 
     def test_guess_below_half_raises(self, monkeypatch):
         # P(0 | A=0) + P(1 | A=0) = 1, so a solved guess below 1/2 means no
@@ -299,19 +303,18 @@ class TestChshGuess:
         # Tsirelson face nor settled locally, so it reaches the solve
         monkeypatch.setattr(npa, "bound_functionals",
                             lambda level, jobs: np.full(len(jobs), 0.49))
-        branch = biased_branches(UNIFORM, 0.05).branches[0]
         with pytest.raises(InfeasibleHError, match="below 1/2"):
-            npa.chsh_outcome_guess_bounds([branch], npa.TSIRELSON, 2)
+            npa.chsh_outcome_guess_bounds(bias_branches(0.05)[:1], npa.TSIRELSON, 2)
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_saturated_classes_need_no_sdp(self, level, solved):
         # at eps = 0.12 a mixture of deterministic strategies with a_0 = 0
         # meets 2*sqrt(2) in every branch; at eps = 0.115 none does
-        saturated = list(biased_branches(UNIFORM, 0.12).branches)
-        assert npa.chsh_outcome_guess_bounds(saturated, npa.TSIRELSON, level) == [1.0] * 4
+        saturated = npa.chsh_outcome_guess_bounds(bias_branches(0.12), npa.TSIRELSON, level)
+        assert saturated.tolist() == [1.0] * 4
         assert solved == []
-        below = list(biased_branches(UNIFORM, 0.115).branches)
-        assert max(npa.chsh_outcome_guess_bounds(below, npa.TSIRELSON, level)) < 0.97
+        assert npa.chsh_outcome_guess_bounds(bias_branches(0.115), npa.TSIRELSON,
+                                             level).max() < 0.97
         assert len(solved) >= 2  # one pinned job per class, no quantum maxima
 
     def test_biased_solves_converge(self, solutions):
@@ -320,29 +323,29 @@ class TestChshGuess:
         # point: 73 stack iterations, where a step fraction fixed near the
         # boundary (0.98, then 0.99) took 177 and broke two solves down
         for eps in np.linspace(0.0, 0.12, 25)[[5, 10, 15, 20]]:
-            branches = list(biased_branches(UNIFORM, float(eps)).branches)
-            npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, 2)
+            npa.chsh_outcome_guess_bounds(bias_branches(eps), npa.TSIRELSON, 2)
         assert [len(sols) for sols in solutions] == [2] * 4
         assert [s.status for sols in solutions for s in sols] == ["optimal"] * 8
         # one stack a batch: it iterates until its last member stops
         assert sum(max(s.iterations for s in sols) for sols in solutions) <= 100
 
     def test_level_one_is_vacuous(self, solved):
-        branches = [UNIFORM] + list(biased_branches(UNIFORM, 0.05).branches)
-        assert npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, 1) == [1.0] * 5
-        assert npa.chsh_outcome_guess_bounds(branches, -npa.TSIRELSON, 1) == [1.0] * 5
+        branches = np.concatenate([[(0.5, 0.5)], bias_branches(0.05)])
+        assert npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, 1).tolist() == [1.0] * 5
+        assert npa.chsh_outcome_guess_bounds(branches, -npa.TSIRELSON, 1).tolist() == [1.0] * 5
         assert solved == []
 
     def test_unsupported_level_raises_without_a_solve(self):
         with pytest.raises(UnsupportedLevelError):
-            npa.chsh_outcome_guess_bounds(list(biased_branches(UNIFORM, 0.12).branches),
-                                          npa.TSIRELSON, 4)
+            npa.chsh_outcome_guess_bounds(bias_branches(0.12), npa.TSIRELSON, 4)
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_bounds_are_plain_floats(self, level):
-        branches = [UNIFORM] + list(biased_branches(UNIFORM, 0.05).branches)
+        # one float per branch, in a (B,) array
+        branches = np.concatenate([[(0.5, 0.5)], bias_branches(0.05)])
         vals = npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level)
-        assert [type(v) for v in vals] == [float] * len(branches)
+        assert vals.dtype == np.float64 and vals.shape == (len(branches),)
+        assert npa.chsh_outcome_guess_bounds(branches[:0], npa.TSIRELSON, level).shape == (0,)
 
 
 class TestChshQuantumMax:
@@ -460,17 +463,16 @@ class TestBranchSymmetry:
         assert pinned[:2] == pytest.approx(pinned[2:], abs=1e-7)
         assert penalized[:6] == pytest.approx(penalized[6:], rel=1e-7)
 
-    def test_classes_get_their_representative_value(self):
+    def test_classes_get_their_representative_value(self, solved):
+        # duplicates and mirror branches (p_B -> 1 - p_B) share one class, whose
+        # first branch is solved for all of them
         plus, minus = 0.5 + 0.05, 0.5 - 0.05
-        branches = [SettingsDistribution(plus, plus), SettingsDistribution(plus, minus),
-                    SettingsDistribution(plus, plus), UNIFORM,
-                    SettingsDistribution(minus, minus), SettingsDistribution(minus, 1.0 - minus)]
-        reps, index = npa._symmetry_classes(branches)
-        assert index == [0, 0, 0, 1, 2, 2]
-        assert [(r.p_a, r.p_b) for r in reps] == [(plus, plus), (0.5, 0.5), (minus, minus)]
+        branches = np.array([(plus, plus), (plus, minus), (plus, plus), (0.5, 0.5),
+                             (minus, minus), (minus, 1.0 - minus)])
         vals = npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level=2)
-        for k, val in zip(index, vals, strict=True):
-            one = npa.chsh_outcome_guess_bound(reps[k], npa.TSIRELSON, level=2)
+        assert len(solved) == 2  # (plus, plus) and (minus, minus); (0.5, 0.5) self-tests
+        for val, rep in zip(vals, branches[[0, 0, 0, 3, 4, 4]], strict=True):
+            one = npa.chsh_outcome_guess_bound(rep, npa.TSIRELSON, level=2)
             assert val == pytest.approx(one, abs=1e-9)
         with pytest.raises(InfeasibleHError):
             npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON + 0.01, level=2)
@@ -526,10 +528,21 @@ class TestVerdicts:
         # verdicts of a short stop (most iterations: 18 and 27)
         eps = np.linspace(0.0, 0.12, 25)
         for level, points, most in ((2, eps, 20), (3, eps[::5], 30)):
-            branches = [b for e in points for b in biased_branches(UNIFORM, float(e)).branches]
+            branches = np.concatenate([bias_branches(e) for e in points])
             npa.chsh_outcome_guess_bounds(branches, npa.TSIRELSON, level)
             sols = [s for batch in solutions for s in batch]
             assert sols
+            assert all(s.optimal for s in sols)
+            assert max(s.iterations for s in sols) <= most
+            solutions.clear()
+
+    def test_gamma_grids_end_optimal(self, solutions):
+        # the gamma tables' solves (12 jobs a level, most iterations 17 and
+        # 20) end `optimal` too, so no pipeline solve reaches a short stop
+        for level, most in ((2, 25), (3, 30)):
+            build_gamma_grids([UNIFORM, NONUNIFORM], 41, level)
+            sols = [s for batch in solutions for s in batch]
+            assert len(sols) == 12
             assert all(s.optimal for s in sols)
             assert max(s.iterations for s in sols) <= most
             solutions.clear()

@@ -92,6 +92,13 @@ class TestBiasModel:
         model = pr.biased_branches(pr.UNIFORM, 0.1)
         assert model.branches[0].joint()[0, 0] == pytest.approx(0.36, abs=1e-12)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.01])
+    def test_nan_or_negative_epsilon_rejected(self, epsilon):
+        with pytest.raises(ParameterRangeError, match="nonnegative"):
+            pr.biased_branches(pr.UNIFORM, epsilon)
+        with pytest.raises(ParameterRangeError, match="nonnegative"):
+            pr.noiseless_bias_guess(epsilon, pr.NONUNIFORM)
+
     def test_too_large_epsilon(self):
         with pytest.raises(EpsilonTooLargeError):
             pr.biased_branches(pr.UNIFORM, 0.6)

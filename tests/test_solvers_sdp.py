@@ -145,9 +145,8 @@ def noiseless_hardy(dist, maximize, level=2):
 
 
 def test_stall_reported_as_stalled():
-    # at the default stall limit `pinned_point` and the four level-2 faces
-    # break down first (74 to 97 iterations); the level-3 uniform minimum
-    # stalls (52 iterations)
+    # at the default stall limit `pinned_point` (48 iterations), the four
+    # level-2 faces (88 to 112) and the level-3 uniform minimum (52) stall
     sol = sdp_solve(noiseless_hardy(pr.UNIFORM, maximize=False, level=3))
     assert sol.status == "stalled"
     assert sol.iterations < 200
@@ -165,7 +164,7 @@ def mixed_problems():
         # lambda_max as min <-C, X> over tr X = 1
         problems.append(SDPProblem(c=-random_symmetric(rng, n), constraints=[np.eye(n)],
                                    b=np.array([1.0])))
-    # the noiseless Hardy point breaks down or stalls on its degenerate face
+    # the noiseless Hardy point stalls on its degenerate face
     for dist in (pr.UNIFORM, pr.NONUNIFORM):
         for maximize in (False, True):
             problems.append(noiseless_hardy(dist, maximize))
@@ -178,6 +177,13 @@ def mixed_problems():
         marg = npa.cell(a, 0, 0, 0) + npa.cell(a, 1, 0, 0)  # P(a | A=0)
         problems.append(npa.build_moment_sdp(npa.moment_template(2, [(expr, npa.TSIRELSON)]),
                                              [npa.TSIRELSON], marg, True))
+    # min P(0 | A=0) at level 1 with CHSH pinned 1e-3 beyond Tsirelson's
+    # bound: its Schur matrix turns numerically singular (numerical
+    # breakdown, 35 iterations)
+    beyond = npa.TSIRELSON + 1e-3
+    problems.append(npa.build_moment_sdp(
+        npa.moment_template(1, [(npa.chsh_functional(), beyond)]), [beyond],
+        npa.cell(0, 0, 0, 0) + npa.cell(0, 1, 0, 0), False))
     return problems
 
 
@@ -202,6 +208,34 @@ def test_batch_order_changes_nothing():
         assert (f.status, f.iterations) == (b.status, b.iterations)
         assert np.array_equal(f.x, b.x) and np.array_equal(f.y, b.y)
         assert np.array_equal(f.z, b.z)
+
+
+def test_nan_scaling_isolated(monkeypatch):
+    # a NaN NT scaling point ends its own member as a numerical breakdown
+    # (through its non-finite directions); the rest of the stack iterates
+    # exactly as it would alone
+    rng = np.random.default_rng(9)
+    problems = [SDPProblem(c=-random_symmetric(rng, 4), constraints=[np.eye(4)],
+                           b=np.array([1.0])) for _ in range(3)]
+    solo = [sdp_solve(p) for p in problems]
+    scaling, calls = sdp._nt_scaling, []
+
+    def nan_at_third_call(chol):
+        w, failed = scaling(chol)
+        calls.append(len(chol))
+        if len(calls) == 3:
+            w[1] = np.nan
+        return w, failed
+
+    monkeypatch.setattr(sdp, "_nt_scaling", nan_at_third_call)
+    batch = sdp_solve_batch(problems)
+    assert calls[2] == 3  # the whole stack was still iterating
+    assert (batch[1].status, batch[1].iterations) == ("numerical-breakdown", 3)
+    for k in (0, 2):
+        assert solo[k].optimal
+        assert (batch[k].status, batch[k].iterations) == (solo[k].status, solo[k].iterations)
+        for name in ("x", "y", "z", "primal_objective", "dual_objective"):
+            assert np.array_equal(getattr(batch[k], name), getattr(solo[k], name))
 
 
 def test_failing_member_isolated():

@@ -125,3 +125,18 @@ def test_protocol_demo_script_runs():
     assert "key rate (dropping) = " in run.stdout
     # both rates are of the nominal eta, and say so
     assert run.stdout.count("at nominal eta = 0.99 (not from the estimate)") == 2
+
+
+def test_npa_does_not_import_protocol():
+    # the relaxations take plain arrays; a settings distribution is the
+    # protocol layer's, and `analysis` joins the two
+    tree = ast.parse((ROOT / "src" / "hardyqkd" / "npa.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # npa.py sits in the package itself: "." is hardyqkd
+            module = ".".join(filter(None, ["hardyqkd" if node.level else "", node.module]))
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert not [name for name in imported if name.split(".")[:2] == ["hardyqkd", "protocol"]]
