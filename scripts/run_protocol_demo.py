@@ -25,8 +25,7 @@ def main() -> None:
 
     print(f"eta = {ETA}, rounds = {ROUNDS}, seed = {SEED}")
     print(f"sifted key length = {len(sifted)}, disagreement = {disagree:.4f}")
-    for name, val, se in zip(("h1", "h2", "h3", "h4"),
-                             est.h.as_array(), est.stderr):
+    for name, val, se in zip(("h1", "h2", "h3", "h4"), est.h, est.stderr):
         print(f"  {name} = {val:.5f} +/- {se:.5f}")
 
     grid = analysis.build_gamma_grid(protocol.NONUNIFORM, resolution=81)

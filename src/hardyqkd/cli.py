@@ -1,7 +1,9 @@
 """Command-line interface: hardy-state, simulate, keyrate, bias-compare, gamma.
 
 Every command is deterministic given its configuration (including the seed)
-and writes file outputs under `--out`.  Exit codes: 0 on success, 2 for
+and writes file outputs under `--out`.  Each flag is a `RunConfig` field that
+names the commands reading it; a flag given to any other command is a
+configuration error.  Exit codes: 0 on success, 2 for
 configuration errors, 3 for numerical/solver failures.
 """
 
@@ -26,11 +28,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# annotation kind -> (flag type, JSON types of a config value)
+_TYPES = {"int": (int, int), "float": (float, (int, float)), "str": (str, str)}
 # the files each command writes under --out
 _OUTPUTS = {"hardy-state": ("hardy_state.json",), "simulate": ("transcript.csv",),
             "keyrate": ("keyrates.csv", "keyrates.svg"), "gamma": ("gamma.csv",),
             "bias-compare": ("bias_compare.csv", "bias_compare.svg")}
+
+
+def _flag(default, text: str, *commands: str):
+    """A `RunConfig` field with its flag: the help text and the commands that
+    read it (a flag given to any other command is a configuration error)."""
+    return dataclasses.field(default=default, metadata={"help": text, "commands": commands})
 
 
 @dataclass
@@ -38,19 +47,21 @@ class RunConfig:
     """Configuration for one CLI run, read from flags and a JSON config file."""
 
     command: str = ""
-    alpha: float = quantum.ALPHA_OPT
-    alpha_b: float | None = None
-    eta: float = 1.0
-    eta_grid: int = 201
-    dist: str | None = None  # keyrate: both named distributions; others: uniform
-    epsilon: float | None = None
-    eps_grid: int = 13
-    level: int = 2
-    grid_res: int = 201
-    seed: int = 1234
-    rounds: int = 100_000
-    reveal: float = 0.25
-    out: str = "out"
+    alpha: float = _flag(quantum.ALPHA_OPT, "basis parameter |alpha|", "hardy-state")
+    alpha_b: float | None = _flag(None, "Bob basis parameter (defaults to --alpha)",
+                                  "hardy-state")
+    eta: float = _flag(1.0, "state visibility in [0, 1]", "simulate")
+    eta_grid: int = _flag(201, "number of eta sweep points", "keyrate")
+    dist: str | None = _flag(None, "uniform | nonuniform | pA,pB (keyrate: default both "
+                             "named ones; otherwise uniform)", "simulate", "keyrate", "gamma")
+    epsilon: float | None = _flag(None, "settings bias", "simulate", "bias-compare")
+    eps_grid: int = _flag(13, "number of epsilon sweep points", "bias-compare")
+    level: int = _flag(2, "relaxation level (1-3)", "keyrate", "bias-compare", "gamma")
+    grid_res: int = _flag(201, "gamma grid resolution", "keyrate", "gamma")
+    seed: int = _flag(1234, "simulation seed", "simulate")
+    rounds: int = _flag(100_000, "simulated rounds", "simulate")
+    reveal: float = _flag(0.25, "estimation fraction", "simulate")
+    out: str = _flag("out", "output directory", *_OUTPUTS)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -63,9 +74,9 @@ class RunConfig:
             raise ParameterRangeError(f"unknown config keys: {sorted(unknown)}")
         for name, value in data.items():
             kind, _, optional = types[name].partition(" | ")  # optional: "None" or ""
-            # JSON true/false load as bools, which are ints; a float field takes an int
+            # JSON true/false load as bools, which are ints
             if not (value is None and optional) and (
-                    isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])):
+                    isinstance(value, bool) or not isinstance(value, _TYPES[kind][1])):
                 raise ParameterRangeError(f"config key {name!r} must be {types[name]}, "
                                           f"got {value!r}")
         return cls(**data)
@@ -161,8 +172,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     disagree = float(np.mean(alice != bob)) if len(alice) else 0.0
     print(f"rounds = {cfg.rounds}, sifted key length = {len(sifted)}")
     print(f"key disagreement rate = {disagree:.6f}")
-    for k, (name, val, se) in enumerate(zip(
-            ("h1", "h2", "h3", "h4"), est.h.as_array(), est.stderr)):
+    for k, (name, val, se) in enumerate(zip(("h1", "h2", "h3", "h4"), est.h, est.stderr)):
         print(f"{name} = {val:.6f} +/- {se:.6f} (n={int(est.counts[k])})")
     print(f"transcript written to {out}")
     return EXIT_OK
@@ -249,25 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hardy-paradox QKD analysis pipeline")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", type=str, help="JSON config file")
-    parser.add_argument("--alpha", type=float, help="basis parameter |alpha|")
-    parser.add_argument("--alpha-b", type=float, dest="alpha_b",
-                        help="Bob basis parameter (defaults to --alpha)")
-    parser.add_argument("--eta", type=float, help="state visibility in [0, 1]")
-    parser.add_argument("--eta-grid", type=int, dest="eta_grid",
-                        help="number of eta sweep points")
-    parser.add_argument("--dist", type=str,
-                        help="uniform | nonuniform | pA,pB (keyrate: default both "
-                             "named ones; otherwise uniform)")
-    parser.add_argument("--epsilon", type=float, help="settings bias")
-    parser.add_argument("--eps-grid", type=int, dest="eps_grid",
-                        help="number of epsilon sweep points")
-    parser.add_argument("--level", type=int, help="relaxation level (1-3)")
-    parser.add_argument("--grid-res", type=int, dest="grid_res",
-                        help="gamma grid resolution")
-    parser.add_argument("--seed", type=int, help="simulation seed")
-    parser.add_argument("--rounds", type=int, help="simulated rounds")
-    parser.add_argument("--reveal", type=float, help="estimation fraction")
-    parser.add_argument("--out", type=str, help="output directory")
+    for field in dataclasses.fields(RunConfig)[1:]:  # all but the command
+        kind = field.type.partition(" | ")[0]  # "float | None" -> "float"
+        parser.add_argument("--" + field.name.replace("_", "-"), type=_TYPES[kind][0],
+                            help=field.metadata["help"])
     return parser
 
 
@@ -277,10 +272,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig()
     cfg.command = args.command
-    for name in (f.name for f in dataclasses.fields(RunConfig) if f.name != "command"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)  # flags win over the config file
+    for field in dataclasses.fields(RunConfig)[1:]:
+        value = getattr(args, field.name)
+        if value is None:
+            continue
+        if args.command not in field.metadata["commands"]:
+            # a config key may serve several commands; a flag names this one
+            flag = "--" + field.name.replace("_", "-")
+            raise ParameterRangeError(f"{flag} is not read by {args.command}")
+        setattr(cfg, field.name, value)  # flags win over the config file
     cfg.validate()
     return cfg
 

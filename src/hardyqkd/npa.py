@@ -2,10 +2,11 @@
 
 The scenario is fixed: two parties, two settings, two outcomes.  Outcome-1
 projectors are eliminated through completeness, so words are built from the
-four outcome-0 symbols A0, A1, B0, B1.  Canonical words keep party-A symbols
-before party-B symbols (cross-party commutation), collapse adjacent repeats
-(idempotence) and map words containing orthogonal same-setting pairs to the
-zero monomial.
+four outcome-0 symbols A0, A1, B0, B1, each a (party, setting) pair.
+Canonical words keep party-A symbols before party-B symbols (cross-party
+commutation) and collapse adjacent repeats (idempotence).  With one
+projector per setting no two symbols of a word are orthogonal, so every
+word is nonzero and every entry of the moment matrix carries a moment.
 
 Moment matrices are real symmetric: a moment and its adjoint share one
 variable, which is the standard real relaxation and never cuts the quantum
@@ -59,7 +60,7 @@ from .solvers import sdp_solve  # noqa: F401
 from .solvers.sdp import prune_dependent_constraints  # noqa: F401
 from .solvers.sdp import _sym
 
-Symbol = tuple[int, int, int]  # (party, setting, outcome)
+Symbol = tuple[int, int]  # (party, setting): the outcome-0 projector
 Word = tuple[Symbol, ...]
 
 IDENTITY: Word = ()
@@ -70,23 +71,10 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 _ACCEPT_TOL = 2e-4
 
 
-def canonical(word: Word | None) -> Word | None:
-    """Canonical form of a projector word (or the zero monomial)."""
-    if word is None:
-        return None
-    part_a = [s for s in word if s[0] == 0]
-    part_b = [s for s in word if s[0] == 1]
-    out: list[Symbol] = []
-    for part in (part_a, part_b):
-        reduced: list[Symbol] = []
-        for s in part:
-            if reduced and reduced[-1] == s:
-                continue  # idempotent
-            if reduced and reduced[-1][:2] == s[:2]:
-                return None  # orthogonal outcomes of one setting
-            reduced.append(s)
-        out.extend(reduced)
-    return tuple(out)
+def canonical(word: Word) -> Word:
+    """Canonical form of a projector word."""
+    ordered = sorted(word, key=lambda s: s[0])  # A before B; stable, so each party keeps its order
+    return tuple(s for s, _ in itertools.groupby(ordered))  # idempotence: P P = P
 
 
 def adjoint(word: Word) -> Word:
@@ -113,18 +101,14 @@ def monomial_basis(level: int) -> list[Word]:
     """Canonical monomials of length <= level; the identity comes first."""
     if level not in (1, 2, 3):
         raise UnsupportedLevelError(f"level {level} not supported (use 1, 2 or 3)")
-    a_words = _alternating([(0, 0, 0), (0, 1, 0)], level)
-    b_words = _alternating([(1, 0, 0), (1, 1, 0)], level)
+    a_words = _alternating([(0, 0), (0, 1)], level)
+    b_words = _alternating([(1, 0), (1, 1)], level)
     basis: list[Word] = []
-    seen: set[Word] = set()
     for total in range(level + 1):
         for len_a in range(total, -1, -1):
             for wa in (w for w in a_words if len(w) == len_a):
-                for wb in (w for w in b_words if len(w) == total - len_a):
-                    w = canonical(wa + wb)
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        basis.append(w)
+                # canonical already: A before B, no adjacent repeats
+                basis.extend(wa + wb for wb in b_words if len(wb) == total - len_a)
     return basis
 
 
@@ -186,8 +170,8 @@ DETERMINISTIC_BEHAVIORS = np.einsum("iaA,jbB->ijabAB", _ANSWERS, _ANSWERS).resha
 def _cell_terms(a: int, b: int, setting_a: int, setting_b: int) -> list[tuple[Word, float]]:
     """p(a, b | A, B) as the mean of a product projector, expanded over the
     words A B, A, B and 1 of the outcome-0 projectors (p(1 | .) = 1 - P0)."""
-    factors = [[(((party, setting, 0),), 1.0)] if outcome == 0
-               else [(IDENTITY, 1.0), (((party, setting, 0),), -1.0)]
+    factors = [[(((party, setting),), 1.0)] if outcome == 0
+               else [(IDENTITY, 1.0), (((party, setting),), -1.0)]
                for party, outcome, setting in ((0, a, setting_a), (1, b, setting_b))]
     return [(wa + wb, ca * cb) for wa, ca in factors[0] for wb, cb in factors[1]]
 
@@ -199,8 +183,8 @@ class MomentMatrixLayout:
     `classes` maps each distinct moment (a word up to adjoint) to the
     upper-triangle entries that carry it, the identity first; `patterns[k]`
     is the symmetric 0/1 matrix F_k of the k-th class, so that the moment
-    matrix is Gamma(y) = sum_k y_k F_k.  Entries whose word is zero belong
-    to no class.  `class_index` and `monomial_index` give a class key's
+    matrix is Gamma(y) = sum_k y_k F_k.  Every entry belongs to exactly one
+    class.  `class_index` and `monomial_index` give a class key's
     position in y and a monomial's row in Gamma.
     """
 
@@ -244,8 +228,8 @@ def get_layout(level: int) -> MomentMatrixLayout:
     for i in range(n):
         for j in range(i, n):
             w = canonical(adjoint(basis[i]) + basis[j])
-            if w is not None:  # a class is keyed by the lesser of w and its adjoint
-                classes.setdefault(min(w, canonical(adjoint(w))), []).append((i, j))
+            # a class is keyed by the lesser of w and its adjoint
+            classes.setdefault(min(w, canonical(adjoint(w))), []).append((i, j))
     patterns = np.zeros((len(classes), n, n))
     for k, entries in enumerate(classes.values()):
         for i, j in entries:

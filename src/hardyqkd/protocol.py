@@ -270,7 +270,7 @@ H_CELLS: tuple[tuple[int, int, int, int], ...] = (
 
 @dataclass(frozen=True)
 class HEstimate:
-    h: HVector
+    h: np.ndarray  # (4,) estimated h1..h4
     stderr: np.ndarray
     counts: np.ndarray  # rounds per setting pair used for each component
 
@@ -287,7 +287,7 @@ def estimate_h(revealed: Transcript) -> HEstimate:
             f"no revealed rounds for setting pair(s) {missing}")
     p = hits / totals
     se = np.sqrt(p * (1.0 - p) / totals)
-    return HEstimate(h=HVector(*p), stderr=se, counts=totals)
+    return HEstimate(h=p, stderr=se, counts=totals)
 
 
 def joint_settings_given_00(p00: np.ndarray, dist: SettingsDistribution) -> np.ndarray:

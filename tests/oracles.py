@@ -60,8 +60,8 @@ def realization_moment_matrix(rho: np.ndarray, bases, level: int) -> np.ndarray:
     def word_operator(word) -> np.ndarray:
         op_a = np.eye(2, dtype=complex)
         op_b = np.eye(2, dtype=complex)
-        for (party, setting, outcome) in word:
-            p = bases.projectors[party, setting, outcome]
+        for party, setting in word:
+            p = bases.projectors[party, setting, 0]  # words use outcome-0 projectors
             if party == 0:
                 op_a = op_a @ p
             else:

@@ -159,7 +159,7 @@ def test_criterion_7_monte_carlo_consistency():
         expected = HVector.from_eta(eta).as_array()
         for k in range(4):
             sigma = np.sqrt(expected[k] * (1 - expected[k]) / est.counts[k])
-            assert abs(est.h.as_array()[k] - expected[k]) <= 3 * sigma + 1e-12
+            assert abs(est.h[k] - expected[k]) <= 3 * sigma + 1e-12
         if eta == 1.0:
             alice, bob = pr.key_bits(pr.sift(transcript))
             assert len(alice) > 0

@@ -22,6 +22,12 @@ OUTPUT_FILES = [("hardy-state", "hardy_state.json"), ("simulate", "transcript.cs
                 ("gamma", "gamma.csv")]
 
 
+# a valid value for each flag, as typed on the command line
+FLAG_VALUES = {"alpha": "0.5", "alpha_b": "0.5", "eta": "0.5", "eta_grid": "3",
+               "dist": "uniform", "epsilon": "0.01", "eps_grid": "3", "level": "1",
+               "grid_res": "3", "seed": "7", "rounds": "10", "reveal": "0.5", "out": "o"}
+
+
 def config_json(cfg: RunConfig) -> str:
     """The config file that `RunConfig.from_json` reads back as cfg."""
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
@@ -76,10 +82,9 @@ class TestConfig:
         monkeypatch.setitem(cli._COMMANDS, command, never)
         out = tmp_path / "file"
         out.write_text("kept")
-        assert run_cli([command, "--rounds", "2000", "--grid-res", "3",
-                        "--out", str(out / below)]) == 2
+        assert run_cli([command, "--out", str(out / below)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.startswith("config error: output path ") and err.count("\n") == 1
         assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("command, name", OUTPUT_FILES)
@@ -109,6 +114,31 @@ class TestConfig:
         assert run_cli([command, "--epsilon", epsilon, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "config error: epsilon must be nonnegative\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig)[1:], ids=lambda f: f.name)
+    def test_flag_accepted_only_by_the_commands_that_read_it(self, tmp_path, capsys,
+                                                             monkeypatch, command, field):
+        name = field.name
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: ran.append(cfg) or 0)
+        monkeypatch.chdir(tmp_path)  # the default --out is relative
+        flag = "--" + name.replace("_", "-")
+        code = run_cli([command, flag, FLAG_VALUES[name]])
+        if command in field.metadata["commands"]:
+            assert code == 0 and str(getattr(ran[0], name)) == FLAG_VALUES[name]
+        else:
+            assert code == 2 and not ran
+            assert capsys.readouterr().err == f"config error: {flag} is not read by {command}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_config_keys_serve_every_command(self, tmp_path, monkeypatch):
+        # one file may hold the keys of several commands
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 7, "eta_grid": 51}))
+        for command in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: 0)
+            assert run_cli([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_out_of_range_seed_exit_2(self, tmp_path, seed):

@@ -17,7 +17,7 @@ from hardyqkd.solvers.sdp import _svec, prune_dependent_constraints
 from oracles import (deterministic_behaviors, evaluate, noisy_state, nu_functional,
                      realization_moment_matrix)
 
-SYMBOLS = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+SYMBOLS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # (party, setting): outcome-0 projectors
 HARDY_ZEROS = {(0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0, (1, 1, 1, 1): 0.0}
 
 
@@ -50,22 +50,20 @@ def oracle_reduce(word):
                 del w[k + 1]
                 changed = True
                 break
-            elif a[0] == b[0] and a[1] == b[1] and a[2] != b[2]:
-                return None  # orthogonal projectors annihilate
     return tuple(w)
 
 
 class TestMonomials:
     def test_level_one_exact(self):
         assert npa.monomial_basis(1) == [
-            (), ((0, 0, 0),), ((0, 1, 0),), ((1, 0, 0),), ((1, 1, 0),)]
+            (), ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
 
     def test_level_two_matches_enumeration_oracle(self):
         expected = set()
         for length in range(3):
             for word in itertools.product(SYMBOLS, repeat=length):
                 red = oracle_reduce(word)
-                if red is not None and len(red) <= 2:
+                if len(red) <= 2:
                     expected.add(red)
         got = npa.monomial_basis(2)
         assert len(got) == len(set(got)) == 13
@@ -88,9 +86,16 @@ class TestMonomials:
         assert c1 == npa.canonical(c1)
         assert c1 == oracle_reduce(word)
 
-    def test_orthogonal_pair_annihilates(self):
-        word = ((0, 0, 0), (0, 0, 1))
-        assert npa.canonical(word) is None
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_basis_words_are_canonical_and_closed_under_products(self, level):
+        # every entry adjoint(u) v of the moment matrix reduces to a word
+        # whose class (up to adjoint) the layout holds
+        layout = npa.get_layout(level)
+        assert all(npa.canonical(w) == w for w in layout.monomials)
+        for u, v in itertools.product(layout.monomials, repeat=2):
+            w = npa.canonical(npa.adjoint(u) + v)
+            assert w == oracle_reduce(npa.adjoint(u) + v)
+            assert min(w, npa.canonical(npa.adjoint(w))) in layout.class_index
 
 
 class TestMomentMatrix:
@@ -574,7 +579,7 @@ class TestFunctional:
     def test_marginal_as_cell_sum_expands_to_one_moment(self):
         # P(a | A=0) = sum_b p(a, b | 0, 0): the A0 B0 terms cancel exactly
         layout = npa.get_layout(2)
-        a0 = list(layout.classes).index(((0, 0, 0),))
+        a0 = list(layout.classes).index(((0, 0),))
         for a, marg in enumerate(chsh_marginals()):
             g, const = layout.moment_vector(marg)
             expected = np.zeros(len(layout.classes))
@@ -599,10 +604,10 @@ class TestLmiSize:
             a, b, sa, sb = map(int, np.argwhere(f)[0])
             # the product projector of the zero cell over {1, A, B, AB}
             v = np.zeros(n)
-            for wa, ca in ([(((0, sa, 0),), 1.0)] if a == 0
-                           else [((), 1.0), (((0, sa, 0),), -1.0)]):
-                for wb, cb in ([(((1, sb, 0),), 1.0)] if b == 0
-                               else [((), 1.0), (((1, sb, 0),), -1.0)]):
+            for wa, ca in ([(((0, sa),), 1.0)] if a == 0
+                           else [((), 1.0), (((0, sa),), -1.0)]):
+                for wb, cb in ([(((1, sb),), 1.0)] if b == 0
+                               else [((), 1.0), (((1, sb),), -1.0)]):
                     v[index[wa + wb]] += ca * cb
             # (Gamma(y) v)_i = sum over entries (i, j) of y_class(i, j) v_j
             tie = np.zeros((n, len(keys)))

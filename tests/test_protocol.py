@@ -248,7 +248,7 @@ class TestEveryCode:
         hits, totals = per_round_counts(t)
         est = pr.estimate_h(t.revealed_rounds())
         assert np.array_equal(est.counts, totals)
-        assert np.array_equal(est.h.as_array(), hits / totals)
+        assert np.array_equal(est.h, hits / totals)
         for keys, want in ((pr.key_bits(t), (sa, sb)), (pr.key_bits(sifted), (sa[key], sb[key]))):
             for got, bits in zip(keys, want, strict=True):
                 assert got.tolist() == bits.tolist()
@@ -305,7 +305,7 @@ class TestEstimateH:
         expected = pr.HVector.from_eta(1.0).as_array()
         for k in range(4):
             sigma = np.sqrt(expected[k] * (1 - expected[k]) / est.counts[k])
-            assert abs(est.h.as_array()[k] - expected[k]) <= 3 * sigma + 1e-12
+            assert abs(est.h[k] - expected[k]) <= 3 * sigma + 1e-12
 
     def test_noisy_estimate_eta_08(self):
         beh = q.hardy_behavior(0.8)
@@ -314,7 +314,7 @@ class TestEstimateH:
         expected = np.array([0.8 * q.Q_MAX + 0.05, 0.05, 0.05, 0.05])
         for k in range(4):
             sigma = np.sqrt(expected[k] * (1 - expected[k]) / est.counts[k])
-            assert abs(est.h.as_array()[k] - expected[k]) <= 3 * sigma
+            assert abs(est.h[k] - expected[k]) <= 3 * sigma
 
     def test_matches_per_round_count(self):
         t = pr.simulate(20_000, q.hardy_behavior(0.7), pr.NONUNIFORM, 0.4,
@@ -322,7 +322,7 @@ class TestEstimateH:
         hits, totals = per_round_counts(t)
         est = pr.estimate_h(t.revealed_rounds())
         assert np.array_equal(est.counts, totals)
-        assert np.array_equal(est.h.as_array(), hits / totals)
+        assert np.array_equal(est.h, hits / totals)
 
     def test_insufficient_data(self):
         t = pr.Transcript(np.ones(1, dtype=np.uint8))  # one revealed round, all else 0

@@ -1,6 +1,7 @@
 """Checks on the benchmark tooling that reads the package from outside."""
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import re
@@ -140,3 +141,32 @@ def test_npa_does_not_import_protocol():
             module = ".".join(filter(None, ["hardyqkd" if node.level else "", node.module]))
             imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
     assert not [name for name in imported if name.split(".")[:2] == ["hardyqkd", "protocol"]]
+
+
+def test_flag_table_matches_the_command_bodies():
+    # a command reads exactly the config fields whose flag lists it: the
+    # CLI rejects every other flag, so a field read but not listed would be
+    # unreachable from the command line, and one listed but not read ignored
+    tree = ast.parse((ROOT / "src" / "hardyqkd" / "cli.py").read_text())
+    reads = {node.name: {"dist" if attr.attr == "parse_dist" else attr.attr
+                         for attr in ast.walk(node) if isinstance(attr, ast.Attribute)
+                         and isinstance(attr.value, ast.Name) and attr.value.id == "cfg"}
+             for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
+    fields = dataclasses.fields(cli.RunConfig)[1:]
+    assert {command for f in fields for command in f.metadata["commands"]} <= set(cli._COMMANDS)
+    assert reads == {
+        function.__name__: {f.name for f in fields if command in f.metadata["commands"]}
+        for command, function in cli._COMMANDS.items()}
+
+
+def test_readme_synopsis_lists_every_flag_with_its_commands():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    for action in cli.build_parser()._actions:
+        for option in action.option_strings:
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", block), option
+    listed = {match[1]: set(match[2].split(", "))
+              for match in re.finditer(r"^(--[\w-]+) \S+ +(.+)$", block, re.MULTILINE)}
+    assert listed == {"--" + f.name.replace("_", "-"): set(f.metadata["commands"])
+                      for f in dataclasses.fields(cli.RunConfig)[1:]}
