@@ -1,10 +1,10 @@
 """Command-line interface: hardy-state, simulate, keyrate, bias-compare, gamma.
 
 Every command is deterministic given its configuration (including the seed)
-and writes file outputs under `--out`.  Each flag is a `RunConfig` field that
-names the commands reading it; a flag given to any other command is a
-configuration error.  Exit codes: 0 on success, 2 for
-configuration errors, 3 for numerical/solver failures.
+and writes file outputs under `--out`, each renamed into place once whole.
+Each flag is a `RunConfig` field that names the commands reading it; a flag
+given to any other command is a configuration error.  Exit codes: 0 on
+success, 2 for configuration errors, 3 for numerical/solver failures.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +57,7 @@ class RunConfig:
     dist: str | None = _flag(None, "uniform | nonuniform | pA,pB (keyrate: default both "
                              "named ones; otherwise uniform)", "simulate", "keyrate", "gamma")
     epsilon: float | None = _flag(None, "settings bias", "simulate", "bias-compare")
-    eps_grid: int = _flag(13, "number of epsilon sweep points", "bias-compare")
+    eps_grid: int | None = _flag(None, "number of epsilon sweep points", "bias-compare")
     level: int = _flag(2, "relaxation level (1-3)", "keyrate", "bias-compare", "gamma")
     grid_res: int = _flag(201, "gamma grid resolution", "keyrate", "gamma")
     seed: int = _flag(1234, "simulation seed", "simulate")
@@ -96,8 +98,11 @@ class RunConfig:
             raise ParameterRangeError("reveal fraction must lie in (0, 1]")
         if self.epsilon is not None and not self.epsilon >= 0.0:  # NaN too
             raise ParameterRangeError("epsilon must be nonnegative")
-        if self.eps_grid < 2:
+        if self.eps_grid is not None and self.eps_grid < 2:
             raise ParameterRangeError("eps grid needs at least 2 points")
+        if self.command == "bias-compare" and None not in (self.epsilon, self.eps_grid):
+            raise ParameterRangeError(
+                "epsilon (one point) and eps_grid (a sweep) exclude each other")
         self.parse_dist()
         out = Path(self.out)
         existing = next(path for path in (out, *out.parents) if path.exists())
@@ -123,9 +128,20 @@ class RunConfig:
         return SettingsDistribution(pa, pb, label=f"custom({pa:g},{pb:g})")
 
 
-def _write(path: Path, data: str | bytes) -> None:
+def _write(path: Path, data: str | Iterable[bytes | np.ndarray]) -> None:
+    """Write a text, or a stream of byte blocks in order, to path: into a
+    sibling temp file, renamed into place once whole, so a failure midway
+    leaves path as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data.encode() if isinstance(data, str) else data)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:  # the mode Path.write_bytes gives
+            for block in [data.encode()] if isinstance(data, str) else data:
+                fh.write(block)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_hardy_state(cfg: RunConfig) -> int:
@@ -166,7 +182,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # estimate first: too few revealed rounds must leave no transcript behind
     est = protocol.estimate_h(transcript.revealed_rounds())
     out = Path(cfg.out) / "transcript.csv"
-    _write(out, transcript.to_csv())
+    _write(out, transcript.csv_blocks())
     sifted = protocol.sift(transcript)
     alice, bob = protocol.key_bits(sifted)
     disagree = float(np.mean(alice != bob)) if len(alice) else 0.0
@@ -211,7 +227,7 @@ def cmd_bias_compare(cfg: RunConfig) -> int:
     if cfg.epsilon is not None:
         eps_list = [cfg.epsilon]
     else:
-        eps_list = [float(e) for e in np.linspace(0.0, 0.12, cfg.eps_grid)]
+        eps_list = [float(e) for e in np.linspace(0.0, 0.12, cfg.eps_grid or 13)]
     rows = analysis.bias_compare(eps_list, level=cfg.level)
     out_csv = Path(cfg.out) / "bias_compare.csv"
     _write(out_csv, analysis.bias_compare_to_csv(rows))

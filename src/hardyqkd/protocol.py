@@ -9,18 +9,21 @@ Philox(key=seed) stream yields.  Philox turns each counter value into 4
 doubles, so row lo of that block starts at counter 5 lo / 4 whenever lo is
 a multiple of 4.  `simulate` draws the block in `_ROW_CHUNK`-row chunks,
 each from its own Philox(key=seed) advanced to its first row, and runs the
-chunks, like the rows of `Transcript.to_csv`, on up to one thread per
-available CPU.  So round i's randomness is a fixed function of (seed, i):
-transcripts are reproducible byte-for-byte, whatever the thread count, and
-memory beyond the code bytes stays bounded (a 1M-round `simulate` CLI run
-peaks at about 70 MB).
+chunks on up to one thread per available CPU.  So round i's randomness is a
+fixed function of (seed, i): transcripts are reproducible byte-for-byte,
+whatever the thread count.  The CSV is streamed the same way, as ordered
+blocks of `_ROW_CHUNK` rows with at most two rendered but unconsumed blocks
+per thread, so memory beyond the code bytes stays bounded (a 1M-round
+`simulate` CLI run peaks at about 54 MB on 2 CPUs).
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from .errors import (
     ZeroPosteriorError,
 )
 from .quantum import Behavior, Q_MAX, Q_TILDE, check_etas
+
+T = TypeVar("T")
 
 # Columns of the per-round uniform deviate block.
 _U_BRANCH, _U_SET_A, _U_SET_B, _U_OUTCOME, _U_REVEAL = range(5)
@@ -104,17 +109,19 @@ _CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"
 # ",b4,b3,b2,b1,b0\n", where bk is bit k of the code.
 _CSV_TAILS = np.array([list(b"".join(b",%d" % (c >> k & 1) for k in (4, 3, 2, 1, 0)) + b"\n")
                        for c in range(32)], dtype=np.uint8)
-# Rows per job of `simulate` and `Transcript.to_csv`.  A multiple of 4, so
+# Rows per job of `simulate` and `Transcript.csv_blocks`.  A multiple of 4, so
 # that each chunk's first row starts a Philox counter value (5 lo / 4 is exact).
 _ROW_CHUNK = 1 << 16
 
 
-def _run_chunks(job: Callable[[int, int], None], n: int) -> None:
-    """Call job(lo, hi) once for each `_ROW_CHUNK` block [lo, hi) of range(n).
+def _run_chunks(job: Callable[[int, int], T], n: int) -> Iterator[T]:
+    """Yield job(lo, hi) for each `_ROW_CHUNK` block [lo, hi) of range(n), in order.
 
     The blocks run on up to one thread per available CPU (numpy releases the
     interpreter lock inside its loops), inline when there is one block or
-    one CPU.  Each job must write only its own rows.
+    one CPU.  At most two jobs per thread are queued, running or done but
+    not yet consumed, the result the caller holds included, so memory stays
+    bounded whatever n is.  Each job must write only its own rows.
     """
     blocks = [(lo, min(lo + _ROW_CHUNK, n)) for lo in range(0, n, _ROW_CHUNK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -122,11 +129,17 @@ def _run_chunks(job: Callable[[int, int], None], n: int) -> None:
     workers = min(cpus, len(blocks))
     if workers <= 1:
         for lo, hi in blocks:
-            job(lo, hi)
+            yield job(lo, hi)
         return
     from concurrent.futures import ThreadPoolExecutor  # only runs that use threads load it
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(job, *zip(*blocks)))  # reading each result raises a job's error
+        pending = deque()
+        for lo, hi in blocks:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()  # reading each result raises a job's error
+            pending.append(pool.submit(job, lo, hi))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _csv_offset(i: int) -> int:
@@ -149,33 +162,38 @@ class Transcript:
         # a bool view: nonzero scans bools several times faster than uint8
         return Transcript(self.code.take(np.flatnonzero((self.code & 1).view(bool))))
 
-    def to_csv(self) -> bytearray:
-        """CSV bytes (ASCII), one line per round.
+    def csv_blocks(self) -> Iterator[bytes | np.ndarray]:
+        """The CSV (ASCII) in order: the header, then one uint8 block per
+        `_ROW_CHUNK` rows, each rendered as its own job (`_run_chunks`).
 
         Row i takes digits(i) + 11 bytes: the index, then the code's five
-        ',0' or ',1' fields and a newline from `_CSV_TAILS`, so its offset
-        has a closed form (`_csv_offset`) and each `_ROW_CHUNK` block of rows
-        is filled in place as its own job, within each run of rows whose
-        index has the same number of digits.
+        ',0' or ',1' fields and a newline from `_CSV_TAILS`, so a block's
+        size has a closed form (`_csv_offset`) and the block is filled in
+        place, within each run of rows whose index has the same number of
+        digits.
         """
-        n = len(self)
-        buf = bytearray(_csv_offset(n))
-        buf[:len(_CSV_HEADER)] = _CSV_HEADER
-        out = np.frombuffer(buf, dtype=np.uint8)
+        yield _CSV_HEADER
 
-        def fill(lo: int, hi: int) -> None:
+        def render(lo: int, hi: int) -> np.ndarray:
+            out = np.empty(_csv_offset(hi) - _csv_offset(lo), dtype=np.uint8)
+            at = 0
             while lo < hi:
                 d = len(str(lo))
                 end = min(hi, 10 ** d)
-                rows = out[_csv_offset(lo):_csv_offset(end)].reshape(end - lo, d + 11)
+                rows = out[at:at + (end - lo) * (d + 11)].reshape(end - lo, d + 11)
                 idx = np.arange(lo, end, dtype=np.min_scalar_type(end))  # narrow ints divide faster
                 for k in range(d):
                     rows[:, d - 1 - k] = idx // 10 ** k % 10 + 48
                 rows[:, d:] = _CSV_TAILS.take(self.code[lo:end], axis=0)
+                at += rows.size
                 lo = end
+            return out
 
-        _run_chunks(fill, n)
-        return buf
+        yield from _run_chunks(render, len(self))
+
+    def to_csv(self) -> bytes:
+        """The whole CSV (ASCII) as one bytes object: the joined `csv_blocks`."""
+        return b"".join(self.csv_blocks())
 
 
 def simulate(n: int, behavior: Behavior,
@@ -220,7 +238,8 @@ def simulate(n: int, behavior: Behavior,
         np.minimum(cell, 3, out=cell)
         code[lo:hi] = pair << 3 | cell << 1 | (u[:, _U_REVEAL] < reveal_fraction)
 
-    _run_chunks(draw, n)
+    for _ in _run_chunks(draw, n):  # each job fills its own slice of code
+        pass
     return Transcript(code)
 
 

@@ -3,11 +3,13 @@
 import csv
 import dataclasses
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hardyqkd import analysis, cli, errors
+from hardyqkd import analysis, cli, errors, protocol
 from hardyqkd.cli import RunConfig, main
 
 
@@ -140,6 +142,25 @@ class TestConfig:
             monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: 0)
             assert run_cli([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("given", ["flags", "config", "both"])
+    def test_epsilon_with_eps_grid_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          given):
+        # one point or a sweep: given both, one of them would be ignored
+        def never(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "bias-compare", never)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"epsilon": 0.05, "eps_grid": 13}))
+        out = tmp_path / "o"
+        argv = {"flags": ["--epsilon", "0.05", "--eps-grid", "5"],
+                "config": ["--config", str(cfg_file)],
+                "both": ["--config", str(cfg_file), "--eps-grid", "5"]}[given]
+        assert run_cli(["bias-compare", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: epsilon (one point) and eps_grid (a sweep) exclude each other\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_out_of_range_seed_exit_2(self, tmp_path, seed):
         assert run_cli(["simulate", "--seed", seed, "--rounds", "10",
@@ -195,6 +216,60 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--reveal", "0", "--rounds", "10",
                         "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "transcript.csv").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_render_failure_midway_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch,
+                                                         cpus, existing):
+        # the third CSV block fails after the header and two blocks are written
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        run_chunks = protocol._run_chunks
+
+        def failing(job, n):
+            def render(lo, hi):
+                block = job(lo, hi)  # simulate's draws return None
+                if block is not None and lo == 2 * protocol._ROW_CHUNK:
+                    raise MemoryError("block could not be rendered")
+                return block
+
+            return run_chunks(render, n)
+
+        monkeypatch.setattr(protocol, "_run_chunks", failing)
+        if existing:
+            (tmp_path / "transcript.csv").write_bytes(b"kept")
+        rounds = str(5 * protocol._ROW_CHUNK + 3)
+        assert run_cli(["simulate", "--rounds", rounds, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: block could not be rendered\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["transcript.csv"] if existing else [])
+        if existing:
+            assert (tmp_path / "transcript.csv").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_output_mode_is_that_of_write_bytes(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            (tmp_path / "reference").write_bytes(b"")
+            assert run_cli(["simulate", "--rounds", "100", "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "reference").stat().st_mode
+        assert (tmp_path / "transcript.csv").stat().st_mode == mode
+
+    def test_million_round_run_stays_within_its_memory(self, tmp_path, monkeypatch):
+        # the CSV is streamed in blocks, so the largest allocation beyond the
+        # one code byte per round is a few blocks and the chunks' draws (two
+        # workers, as on the benchmark machine; the parent peaked at 20.7 MB)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tracemalloc.start()
+        try:
+            assert run_cli(["simulate", "--rounds", "1000000", "--eta", "0.95",
+                            "--dist", "nonuniform", "--epsilon", "0.02",
+                            "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+        assert (tmp_path / "transcript.csv").stat().st_size == 16_888_941
 
     def test_csv_header(self, tmp_path):
         run_cli(["simulate", "--rounds", "100", "--out", str(tmp_path)])

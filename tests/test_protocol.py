@@ -3,12 +3,14 @@
 import csv
 import io
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyqkd import protocol as pr, quantum as q
+from hardyqkd import cli, protocol as pr, quantum as q
 from hardyqkd.errors import (
     EpsilonTooLargeError,
     InsufficientDataError,
@@ -171,18 +173,57 @@ class TestSimulate:
                                for s in range(40)]]))
         assert cell00 > 0.25 ** 2  # strictly larger spread than unbiased
 
-    def test_csv_matches_csv_writer(self, monkeypatch):
+    def test_csv_matches_csv_writer(self, monkeypatch, tmp_path):
         # each n ends on or just past a change in the index's digit count or
         # a chunk boundary; 100,001 gains a digit inside a chunk, and
-        # 5 chunk + 3 has more chunks than workers, whose count moves no byte
+        # 5 chunk + 3 has more chunks than workers, whose count moves no byte;
+        # the file the CLI streams block by block holds the same bytes
         model = pr.biased_branches(pr.UNIFORM, 0.1)
         chunk = pr._ROW_CHUNK
+        path = tmp_path / "transcript.csv"
         for n in (10, 11, 100, 101, 1001, chunk - 1, chunk + 1, 100_001, 5 * chunk + 3):
             t = pr.simulate(n, FLAT, model, 0.3, seed=17)
             want = CSV_HEADER + csv_writer_rows(t, range(n))
             for cpus in (1, 3):
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
                 assert t.to_csv() == want
+                cli._write(path, t.csv_blocks())
+                assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_stream_holds_at_most_two_blocks_per_worker(self, monkeypatch, cpus):
+        # a slow writer must not let rendered blocks pile up: at most two per
+        # worker are rendered and not yet written, the one being written
+        # included
+        monkeypatch.setattr(pr, "_ROW_CHUNK", 1024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        lock = threading.Lock()
+        rendered, written, peak = [0], [0], [0]
+        run_chunks = pr._run_chunks
+
+        def recorded(job, n):
+            def render(lo, hi):
+                block = job(lo, hi)
+                with lock:
+                    rendered[0] += 1
+                    peak[0] = max(peak[0], rendered[0] - written[0])
+                return block
+
+            for block in run_chunks(render, n):
+                yield block
+                with lock:
+                    written[0] += 1  # the writer asked for the next block
+
+        monkeypatch.setattr(pr, "_run_chunks", recorded)
+        t = pr.Transcript(np.random.default_rng(5).integers(0, 32, size=40 * 1024 + 7,
+                                                            dtype=np.uint8))
+        blocks = []
+        for block in t.csv_blocks():
+            time.sleep(0.002)
+            blocks.append(bytes(block))
+        assert rendered[0] == written[0] == 41
+        assert 1 <= peak[0] <= 2 * cpus
+        assert b"".join(blocks) == CSV_HEADER + csv_writer_rows(t, range(len(t)))
 
     def test_csv_of_empty_transcript_is_header(self):
         parr = np.zeros((2, 2, 2, 2))

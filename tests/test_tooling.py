@@ -170,3 +170,15 @@ def test_readme_synopsis_lists_every_flag_with_its_commands():
               for match in re.finditer(r"^(--[\w-]+) \S+ +(.+)$", block, re.MULTILINE)}
     assert listed == {"--" + f.name.replace("_", "-"): set(f.metadata["commands"])
                       for f in dataclasses.fields(cli.RunConfig)[1:]}
+
+
+def test_cli_writes_files_only_through_write():
+    # one writer renames every output into place whole; a second route to
+    # a file could leave a truncated output behind
+    path = ROOT / "src" / "hardyqkd" / "cli.py"
+    writer = next(node for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write")
+    own = range(writer.lineno - 1, writer.end_lineno)
+    sites = [f"cli.py:{k + 1}" for k, line in enumerate(path.read_text().splitlines())
+             if k not in own and re.search(r"\b(write_bytes|write_text|open)\(", line)]
+    assert not sites
