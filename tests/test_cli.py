@@ -258,7 +258,7 @@ class TestSimulateCommand:
     def test_million_round_run_stays_within_its_memory(self, tmp_path, monkeypatch):
         # the CSV is streamed in blocks, so the largest allocation beyond the
         # one code byte per round is a few blocks and the chunks' draws (two
-        # workers, as on the benchmark machine; the parent peaked at 20.7 MB)
+        # workers; one whole-file buffer of the CSV peaked at about 22 MB)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         tracemalloc.start()
         try:
