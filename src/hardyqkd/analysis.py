@@ -145,8 +145,9 @@ def _q_brackets(hs: np.ndarray, level: int) -> np.ndarray:
     exactly with h1 at Hardy's maximum Q_MAX (up to rounding) self-tests the
     Hardy realization (Rabelo, Zhi and Scarani, PRL 109, 180401, 2012), so
     both ends are its q~ = sqrt(5) - 2.  There the pinned relaxation has no
-    interior, and an interior-point run stops short with a bracket up to
-    2.1e-4 wide.  Every other end is one job of a single batched
+    interior, and an interior-point run stops short of `optimal`: a direct
+    solve raises or, at the level-3 min, returns the loose 0.2079
+    (`npa.bound_functionals`).  Every other end is one job of a single batched
     `npa.bound_functionals` call, point by point, min before max.  Every end
     is clipped to [0, 1], where q lies as a probability: at level 1 q is not
     a diagonal moment, and the relaxation min falls below 0 (-0.031 at

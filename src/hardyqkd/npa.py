@@ -16,10 +16,12 @@ distinct moments y, pinned statistics become values of y instead of
 constraint rows, and the in-repo dense SDP solver receives the linear matrix
 inequality over the remaining free moments in its dual form.  The
 substitution is split where the data varies: a template (`moment_template`)
-holds what every job with the same pinned functionals and zero cells shares
-(the SVD of the pin system, its null space, the face and the constraint
-stack), and `build_moment_sdp` computes only a job's pinned point, objective
-matrix, objective vector and offset.
+holds what every job with the same pinned functionals shares (the SVD of the
+pin system, its null space and the constraint stack), and `build_moment_sdp`
+computes only a job's pinned point, objective matrix, objective vector and
+offset.  Every relaxation is built this one way; a pin that leaves no
+interior (a cell pinned to exactly 0 from level 2 on, the Tsirelson face) is
+not reduced to its face.
 
 A linear functional of a behavior is its (2, 2, 2, 2) cell table (`cell`,
 `chsh_functional`).  `bound_functionals` is the one place where a solve
@@ -184,8 +186,7 @@ class MomentMatrixLayout:
     upper-triangle entries that carry it, the identity first; `patterns[k]`
     is the symmetric 0/1 matrix F_k of the k-th class, so that the moment
     matrix is Gamma(y) = sum_k y_k F_k.  Every entry belongs to exactly one
-    class.  `class_index` and `monomial_index` give a class key's
-    position in y and a monomial's row in Gamma.
+    class.  `class_index` gives a class key's position in y.
     """
 
     level: int
@@ -193,11 +194,6 @@ class MomentMatrixLayout:
     classes: dict[Word, list[tuple[int, int]]]
     patterns: np.ndarray
     class_index: dict[Word, int]
-    monomial_index: dict[Word, int]
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
 
     def moment_vector(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
         """(g, c) with sum(cells * p) = c + g @ y over the moment classes.
@@ -236,33 +232,7 @@ def get_layout(level: int) -> MomentMatrixLayout:
             patterns[k, i, j] = patterns[k, j, i] = 1.0
     return MomentMatrixLayout(level=level, monomials=basis, classes=classes,
                               patterns=patterns,
-                              class_index={key: k for k, key in enumerate(classes)},
-                              monomial_index={w: k for k, w in enumerate(basis)})
-
-
-def _zero_cell_null_vectors(layout: MomentMatrixLayout,
-                            equalities: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Facial-reduction directions implied by cells pinned exactly to zero.
-
-    A behavior cell is the mean of a product projector Pi; Tr(rho Pi) = 0
-    forces Pi * sqrt(rho) = 0, so the basis-coefficient vector of Pi is a
-    null vector of every compatible moment matrix.  Requires the length-2
-    word A_A B_B in the basis, hence level >= 2.
-    """
-    index = layout.monomial_index
-    vectors: list[np.ndarray] = []
-    for cells, value in equalities:
-        nz = np.argwhere(cells)
-        if value != 0.0 or nz.shape[0] != 1:
-            continue
-        terms = _cell_terms(*(int(t) for t in nz[0]))
-        if any(w not in index for w, _ in terms):
-            continue  # not expressible at this level
-        v = np.zeros(layout.dim)
-        for w, c in terms:
-            v[index[w]] = c
-        vectors.append(v)
-    return np.array(vectors).reshape(-1, layout.dim)
+                              class_index={key: k for k, key in enumerate(classes)})
 
 
 @dataclass
@@ -281,13 +251,12 @@ class MomentSDP(SDPProblem):
 @dataclass
 class MomentTemplate:
     """The part of a relaxation shared by every job with the same equality
-    functionals and the same cells pinned to zero (`moment_template`).
+    functionals (`moment_template`).
 
-    E stacks the identity row, the pins' moment vectors and the zero-cell
-    ties; `svd` holds its leading singular triplets (u, s, v'), `free` the
-    orthonormal null-space basis N, `face` the basis V of the face left by
-    the zero cells (None without any) and `constraints` the stack
-    -V'Gamma(N e_j)V, shared by the relaxations of all such jobs.
+    E stacks the identity row and the pins' moment vectors; `svd` holds its
+    leading singular triplets (u, s, v'), `free` the orthonormal null-space
+    basis N and `constraints` the stack -Gamma(N e_j), shared by the
+    relaxations of all such jobs.
     """
 
     layout: MomentMatrixLayout
@@ -295,33 +264,23 @@ class MomentTemplate:
     e_mat: np.ndarray
     svd: tuple[np.ndarray, np.ndarray, np.ndarray]
     free: np.ndarray
-    face: np.ndarray | None
     constraints: np.ndarray
 
 
 def moment_template(level: int,
                     equalities: list[tuple[np.ndarray, float]]) -> MomentTemplate:
     """Build the template of the jobs whose equalities share these functionals
-    and these zero-pinned cells (their other values may differ)."""
+    (their values may differ)."""
     layout = get_layout(level)
-    patterns = layout.patterns
-    n_mom = patterns.shape[0]
+    n_mom = layout.patterns.shape[0]
     expansions = [layout.moment_vector(cells) for cells, _ in equalities]
-    null_vecs = _zero_cell_null_vectors(layout, equalities)
-    ties = np.moveaxis(patterns @ null_vecs.T, 0, -1).reshape(-1, n_mom)
-    e_mat = np.vstack([[np.eye(1, n_mom)[0]] + [g for g, _ in expansions], ties])
+    e_mat = np.array([np.eye(1, n_mom)[0]] + [g for g, _ in expansions])
     u, s, vt = np.linalg.svd(e_mat)
     rank = int((s > 1e-10 * s[0]).sum())
     free = vt[rank:].T  # shape (n_mom, m)
-    gammas = np.tensordot(free.T, patterns, 1)
-    face = None
-    if null_vecs.shape[0]:
-        _, s_null, vt_null = np.linalg.svd(null_vecs)
-        face = vt_null[int((s_null > 1e-12).sum()):].T  # shape (n, n - rank)
-        gammas = face.T @ gammas @ face
     return MomentTemplate(layout=layout, consts=np.array([c for _, c in expansions]),
                           e_mat=e_mat, svd=(u[:, :rank], s[:rank], vt[:rank]), free=free,
-                          face=face, constraints=-_sym(gammas))
+                          constraints=-_sym(np.tensordot(free.T, layout.patterns, 1)))
 
 
 def build_moment_sdp(template: MomentTemplate,
@@ -331,36 +290,29 @@ def build_moment_sdp(template: MomentTemplate,
     """Assemble the LMI for one bound computation by moment substitution.
 
     The moment matrix is parameterized by its distinct moments,
-    Gamma(y) = sum_k y_k F_k.  The identity moment y_id = 1, the equalities
-    pinning the template's functionals to `values` and Gamma(y) v = 0 for
-    each null vector v of a cell pinned exactly to zero (Gamma >= 0 and
-    v'Gamma v = 0 imply Gamma v = 0) form one linear system E y = e; the
-    template's SVD of E solves it as y = y0 + N t with N an orthonormal
-    basis of its null space.  Compressed onto V, the orthonormal complement
-    of the null vectors, the relaxation reads
+    Gamma(y) = sum_k y_k F_k.  The identity moment y_id = 1 and the
+    equalities pinning the template's functionals to `values` form one
+    linear system E y = e; the template's SVD of E solves it as y = y0 + N t
+    with N an orthonormal basis of its null space.  The relaxation reads
 
-        C - sum_j t_j A_j >= 0,  C = V'Gamma(y0)V,  A_j = -V'Gamma(N e_j)V,
+        C - sum_j t_j A_j >= 0,  C = Gamma(y0),  A_j = -Gamma(N e_j),
 
     the dual form (D) of `SDPProblem` with b = +-N'g for an objective
     c + g @ y.  Only y0, C, b and the offset depend on the job; the A_j are
-    the template's one array.  The F_k have disjoint supports and
-    Gamma(N t) = VV'Gamma(N t)VV' on the solution set, so
-    t -> V'Gamma(N t)V is injective: the rows are independent by
-    construction.  Raises `InfeasibleHError` when E y = e is inconsistent.
+    the template's one array.  The F_k have disjoint supports, so
+    t -> Gamma(N t) is injective: the rows are independent by construction.
+    Raises `InfeasibleHError` when E y = e is inconsistent.
     """
-    layout, e_mat, free, face = template.layout, template.e_mat, template.free, template.face
-    e_rhs = np.concatenate([[1.0], np.subtract(values, template.consts),
-                            np.zeros(len(e_mat) - 1 - len(template.consts))])
+    layout, e_mat, free = template.layout, template.e_mat, template.free
+    e_rhs = np.concatenate([[1.0], np.subtract(values, template.consts)])
     u, s, vt = template.svd
     y0 = vt.T @ ((u.T @ e_rhs) / s)
     if np.abs(e_mat @ y0 - e_rhs).max() > 1e-8 * (1.0 + np.abs(e_rhs).max()):
         raise InfeasibleHError("equality constraints are linearly inconsistent")
-    gamma0 = np.tensordot(y0, layout.patterns, 1)
-    if face is not None:
-        gamma0 = face.T @ gamma0 @ face
     g, const = layout.moment_vector(objective)
     sign = 1.0 if maximize else -1.0
-    return MomentSDP(c=_sym(gamma0), constraints=template.constraints,
+    return MomentSDP(c=_sym(np.tensordot(y0, layout.patterns, 1)),
+                     constraints=template.constraints,
                      b=sign * (free.T @ g), offset=const + float(g @ y0))
 
 
@@ -368,9 +320,8 @@ Job = tuple[list[tuple[np.ndarray, float]], np.ndarray, str]
 
 
 def _template_key(equalities: list[tuple[np.ndarray, float]]) -> tuple:
-    """What a job's template depends on: the equality functionals and which
-    of them pin a value to exactly zero."""
-    return tuple((cells.tobytes(), value == 0.0) for cells, value in equalities)
+    """What a job's template depends on: the equality functionals alone."""
+    return tuple(cells.tobytes() for cells, _ in equalities)
 
 
 def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
@@ -386,22 +337,28 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
     moment problem; X is not checked independently, so a value is a bound
     only up to the accuracy the solve reached.  Here alone a solve is
     judged, in this order:
-    - `InfeasibleHError` (no moment matrix meets the equalities) at status
-      `unbounded`, or at a stop short of `optimal` with a dual residual
-      above 1e-5 and a primal one below 1e-6: relaxations pinned just
-      beyond their face stop there, accepted ones at 1e-7 or less;
+    - `InfeasibleHError` (no moment matrix with an interior point meets the
+      equalities: the pins lie outside the relaxation or on its boundary)
+      at status `unbounded`, or at a stop short of `optimal` with a dual
+      residual above 1e-5 and a primal one below 1e-6: relaxations pinned
+      just beyond their face stop there, accepted ones at 1e-7 or less;
     - any other such stop is accepted within `_ACCEPT_TOL` in gap and
       residuals, as where pins meet boundary statistics, and raises
       `SolverFailure` beyond it;
     - `InfeasibleHError` for a max below the functional's minimum over all
       behaviors, or a min above its maximum, by more than `_ACCEPT_TOL`.
 
-    Where the pins leave a relaxation without interior (the noiseless Hardy
-    point, the Tsirelson face) the pinned solve stops short of `optimal`,
-    and a direct call returns the accepted bracket as it is: at eta = 1 it
-    holds q~ = sqrt(5) - 2 with a width of 1.5e-5 at level 2 and 2.1e-4 at
-    level 3.  The pipeline settles both faces by self-testing and sends no
-    job there (`analysis._q_brackets`, `chsh_outcome_guess_bounds`).
+    Where the pins leave a relaxation without interior (a cell pinned to
+    exactly 0 from level 2 on, as at the noiseless Hardy point and the
+    corners, and the Tsirelson face) the pinned solve stops short of
+    `optimal`, and a direct call gets whichever verdict that stop earns:
+    there is no facial reduction.  At eta = 1, min and max of
+    q = P(0,0|1,1) raise `InfeasibleHError` and `SolverFailure` (stalled at
+    5.5e-4) at level 2; at level 3 the min returns 0.2079, a sound but loose
+    bound below q~ = sqrt(5) - 2, and the max raises `InfeasibleHError`.
+    The pipeline settles these faces by self-testing or by LP and sends no
+    job there (`analysis._q_brackets`, `analysis._settled_q_ends`,
+    `chsh_outcome_guess_bounds`).
     """
     if not jobs:
         return np.empty(0)
@@ -421,7 +378,8 @@ def bound_functionals(level: int, jobs: list[Job]) -> np.ndarray:
             zip(jobs, problems, sdp_solve_batch(problems), strict=True)):
         if sol.status == "unbounded" or (not sol.optimal and sol.dual_residual > 1e-5
                                          and sol.primal_residual < 1e-6):
-            raise InfeasibleHError("equality constraints admit no moment matrix")
+            raise InfeasibleHError("no moment matrix with an interior point meets "
+                                   "the equalities")
         if not sol.optimal:
             near = max(sol.gap, sol.primal_residual, sol.dual_residual)
             if not np.isfinite(near) or near > _ACCEPT_TOL:

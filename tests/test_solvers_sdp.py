@@ -136,8 +136,9 @@ def test_symmetry_validation():
 
 
 def noiseless_hardy(dist, maximize, level=2):
-    """The nu bound at the noiseless Hardy point, whose pins leave only a
-    degenerate face: the iterates stop improving short of the tolerance."""
+    """The nu bound at the noiseless Hardy point, whose zero pins leave the
+    moment matrix no interior: the iterates stop improving short of the
+    tolerance."""
     h = HVector.from_eta(1.0).as_array()
     pins = [(npa.cell(*cell), float(v)) for cell, v in zip(H_CELLS, h)]
     return npa.build_moment_sdp(npa.moment_template(level, pins), h, nu_functional(dist),
@@ -146,7 +147,8 @@ def noiseless_hardy(dist, maximize, level=2):
 
 def test_stall_reported_as_stalled():
     # at the default stall limit `pinned_point` (48 iterations), the four
-    # level-2 faces (88 to 112) and the level-3 uniform minimum (52) stall
+    # level-2 noiseless solves (52 to 53) and the level-3 uniform minimum
+    # (64) stall
     sol = sdp_solve(noiseless_hardy(pr.UNIFORM, maximize=False, level=3))
     assert sol.status == "stalled"
     assert sol.iterations < 200
@@ -164,7 +166,7 @@ def mixed_problems():
         # lambda_max as min <-C, X> over tr X = 1
         problems.append(SDPProblem(c=-random_symmetric(rng, n), constraints=[np.eye(n)],
                                    b=np.array([1.0])))
-    # the noiseless Hardy point stalls on its degenerate face
+    # the noiseless Hardy point stalls: its zero pins leave no interior
     for dist in (pr.UNIFORM, pr.NONUNIFORM):
         for maximize in (False, True):
             problems.append(noiseless_hardy(dist, maximize))
