@@ -148,7 +148,10 @@ def _q_brackets(hs: np.ndarray, level: int) -> np.ndarray:
     interior, and an interior-point run stops short of `optimal`: a direct
     solve raises or, at the level-3 min, returns the loose 0.2079
     (`npa.bound_functionals`).  Every other end is one job of a single batched
-    `npa.bound_functionals` call, point by point, min before max.  Every end
+    `npa.bound_functionals` call, point by point, min before max.  On the
+    noise segment h2 == h3 bitwise (`protocol.h_rows`), so the party swap
+    keeps every such job and each is solved on a tied template, at about
+    half the rows (`npa.moment_template`).  Every end
     is clipped to [0, 1], where q lies as a probability: at level 1 q is not
     a diagonal moment, and the relaxation min falls below 0 (-0.031 at
     eta = 0.857, grid 15).

@@ -276,7 +276,12 @@ class HVector:
 
 def h_rows(etas: np.ndarray | list[float]) -> np.ndarray:
     """(N, 4) rows of h(eta), the expected parameters of the isotropic-noise
-    setup, one per visibility."""
+    setup, one per visibility.
+
+    h2, h3 and h4 are written from one array, so h2 == h3 bitwise: every
+    segment q job is invariant under the party swap and gets a tied
+    template (`npa.moment_template`).
+    """
     etas = check_etas(etas)
     off = (1.0 - etas) / 4.0
     return np.stack([etas * Q_MAX + off, off, off, off], axis=-1)

@@ -11,8 +11,8 @@ from hardyqkd import cli, npa, quantum as q
 from hardyqkd.analysis import DETERMINISTIC_H, bias_compare, build_gamma_grids
 from hardyqkd.errors import InfeasibleHError, SolverFailure, UnsupportedLevelError
 from hardyqkd.protocol import (H_CELLS, NONUNIFORM, UNIFORM, HVector, SettingsDistribution,
-                               biased_branches)
-from hardyqkd.solvers import SDPSolution
+                               biased_branches, h_rows)
+from hardyqkd.solvers import SDPSolution, sdp_solve_batch
 from hardyqkd.solvers.sdp import _svec, prune_dependent_constraints
 from oracles import (deterministic_behaviors, evaluate, noisy_state, nu_functional,
                      realization_moment_matrix)
@@ -621,10 +621,11 @@ class TestLmiSize:
     def test_cli_stacks_clear_the_independence_check(self, kind, level):
         # the solver takes independent rows only: every constraint stack the
         # CLI can build must clear its check by a wide margin.  Templates
-        # depend on the pinned functionals alone, so every segment point,
-        # eta = 1 included, shares one; eta = 1 is solved at level 1 and by
-        # direct calls at levels 2 and 3; the CHSH pins are those of every
-        # branch of both bias-compare grids
+        # depend on the pinned functionals and the tie flag alone, so every
+        # segment point, eta = 1 included, shares one tied template (and an
+        # untied one for other objectives); eta = 1 is solved at level 1 and
+        # by direct calls at levels 2 and 3; the CHSH pins are those of every
+        # branch of both bias-compare grids, whose jobs are never tied
         if kind == "chsh":
             epsilons = np.concatenate([np.linspace(0.0, 0.12, k) for k in (13, 25)])
             pinned = [[(npa.chsh_functional(4.0 * branch.joint()), npa.TSIRELSON)]
@@ -633,8 +634,8 @@ class TestLmiSize:
         else:
             etas = (0.0, 0.5, 0.9, 0.99) if kind == "segment" else (1.0,)
             pinned = [h_pins(HVector.from_eta(eta)) for eta in etas]
-        for eqs in pinned:
-            vecs = _svec(npa.moment_template(level, eqs).constraints)
+        for eqs, tied in itertools.product(pinned, (False,) if kind == "chsh" else (False, True)):
+            vecs = _svec(npa.moment_template(level, eqs, tied).constraints)
             s_min = np.linalg.svd(vecs, compute_uv=False)[-1]
             assert s_min / (1.0 + np.linalg.norm(vecs, axis=1).max()) >= 0.1
 
@@ -651,9 +652,9 @@ class TestTemplates:
             calls.append(SimpleNamespace(level=level, jobs=jobs, built=0, problems=None))
             return bounds(level, jobs)
 
-        def record_template(level, equalities):
+        def record_template(level, equalities, tied):
             calls[-1].built += 1
-            return template(level, equalities)
+            return template(level, equalities, tied)
 
         def record_solve(problem, **kw):
             calls[-1].problems = [problem]
@@ -683,16 +684,91 @@ class TestTemplates:
                     for equalities, _, _ in c.jobs for cells, value in equalities
                     if value == 0.0 and np.count_nonzero(cells) == 1]
         for c in calls:
-            keys = [npa._template_key(equalities) for equalities, _, _ in c.jobs]
+            keys = [npa._template_key(equalities, objective)
+                    for equalities, objective, _ in c.jobs]
             assert c.built == len(set(keys))
             # one constraint array per key, the same object for all its jobs
             assert len({(key, id(p.constraints)) for key, p in zip(keys, c.problems)}) \
                 == len({id(p.constraints) for p in c.problems}) == len(set(keys))
-            for (equalities, objective, direction), problem in zip(c.jobs, c.problems,
-                                                                   strict=True):
-                alone = npa.build_moment_sdp(template(c.level, equalities),
+            for (equalities, objective, direction), key, problem in zip(
+                    c.jobs, keys, c.problems, strict=True):
+                alone = npa.build_moment_sdp(template(c.level, equalities, key[0]),
                                              [value for _, value in equalities], objective,
                                              direction == "max")
                 for name in ("c", "constraints", "b", "offset"):
                     assert np.asarray(getattr(problem, name)).tobytes() \
                         == np.asarray(getattr(alone, name)).tobytes()
+
+
+def q_jobs(hs):
+    """Both ends of q = P(0,0|1,1) at each h row, min before max."""
+    return [(h_pins(HVector(*h)), npa.cell(0, 0, 1, 1), direction)
+            for h in hs for direction in ("min", "max")]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The tie flag of every template `bound_functionals` builds."""
+    flags = []
+    template = npa.moment_template
+
+    def record(level, equalities, tied):
+        flags.append(tied)
+        return template(level, equalities, tied)
+
+    monkeypatch.setattr(npa, "moment_template", record)
+    return flags
+
+
+class TestPartySwap:
+    @staticmethod
+    def template_bounds(level, jobs, tied):
+        """Bounds of jobs solved on tied or untied templates, and the row counts."""
+        problems = [npa.build_moment_sdp(npa.moment_template(level, eqs, tied),
+                                         [value for _, value in eqs], objective,
+                                         direction == "max")
+                    for eqs, objective, direction in jobs]
+        sols = sdp_solve_batch(problems)
+        assert all(sol.optimal for sol in sols)
+        bounds = [p.offset + (1.0 if direction == "max" else -1.0) * sol.primal_objective
+                  for (_, _, direction), p, sol in zip(jobs, problems, sols, strict=True)]
+        return np.array(bounds), {len(p.constraints) for p in problems}
+
+    def test_segment_h2_equals_h3_bitwise(self):
+        # the ties of every segment q job rest on this
+        assert all(np.array_equal(hs[:, 1], hs[:, 2])
+                   for hs in (h_rows(np.linspace(0.0, 1.0, n)) for n in (21, 41, 201)))
+
+    @pytest.mark.parametrize("level, untied_rows, tied_rows", [(2, 26, 14), (3, 56, 30)])
+    def test_tied_templates_match_untied_on_the_segment(self, level, untied_rows, tied_rows):
+        jobs = q_jobs(h_rows(np.linspace(0.85, 0.999, 6)))
+        assert all(npa._template_key(eqs, objective)[0] for eqs, objective, _ in jobs)
+        tied, rows = self.template_bounds(level, jobs, True)
+        assert rows == {tied_rows}
+        untied, rows = self.template_bounds(level, jobs, False)
+        assert rows == {untied_rows}
+        assert tied == pytest.approx(untied, abs=1e-7)
+        assert npa.bound_functionals(level, jobs) == pytest.approx(tied, abs=1e-12)
+
+    def test_swap_odd_jobs_are_never_tied(self, built):
+        h = h_rows([0.95])[0] + [0.0, 0.0, 2e-3, 0.0]  # h2 != h3
+        uniform = npa.chsh_functional(4.0 * UNIFORM.joint())  # swap-invariant pin
+        jobs = [(h_pins(HVector(*h)), npa.cell(0, 0, 1, 1), "max"),
+                ([(uniform, 2.6)], chsh_marginals()[0], "max"),  # P(0 | A=0)
+                (h_pins(HVector.from_eta(0.95)), nu_functional(NONUNIFORM), "max")]
+        assert not any(npa._template_key(eqs, objective)[0] for eqs, objective, _ in jobs)
+        npa.bound_functionals(2, jobs)
+        assert built and not any(built)
+
+    def test_tied_and_untied_jobs_build_two_templates(self, built):
+        pinned = h_pins(HVector.from_eta(0.95))
+        jobs = [(pinned, objective, direction) for objective in
+                (npa.cell(0, 0, 1, 1), nu_functional(UNIFORM)) for direction in ("min", "max")]
+        npa.bound_functionals(2, jobs)
+        assert sorted(built) == [False, True]
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_unpinned_chsh_max_is_tied_and_exact(self, level, built):
+        assert npa.bound_functional(level, [], npa.chsh_functional(), "max") \
+            == pytest.approx(npa.TSIRELSON, abs=1e-8)
+        assert built == [True]
