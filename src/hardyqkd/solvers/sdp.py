@@ -27,13 +27,17 @@ then positive definite, and a problem with dependent rows raises
 `ValueError` before any problem is iterated.  Moment relaxations built by
 substitution meet this by construction.
 
-Problems are solved in stacks: `sdp_solve_batch` iterates all problems of
-one block size and row count as (B, n, n) arrays through numpy's stacked
-linear algebra.  Each member keeps its own (m, n, n) constraint array,
-step lengths, stall counter, best iterate and stop status, and leaves the
-stack when it stops.
-Every operation acts member by member, so a problem takes the same
-iterates alone as in any batch; `sdp_solve` is the one-problem case.
+Problems are solved in stacks: `sdp_solve_batch` iterates the problems of
+one block size and row count together through numpy's stacked linear
+algebra.  X and Z of the L members travel as one (L, 2, n, n) iterate
+beside its Cholesky factors, and each set of search directions as one
+(L, k, 2, n, n) array, so that a stacked iteration makes few array passes.
+Each member keeps its own (m, n, n) constraint array, step lengths, stall
+counter, best iterate and stop status, and leaves the stack when it stops.
+Every operation acts member by member, in the same order of floating-point
+operations whatever the stack, so a member's iterates do not depend on its
+stack: a problem takes bit-for-bit the same iterates alone as in any batch,
+and `sdp_solve` is the one-problem case.
 
 A solve reports its best iterate and its stop reason, nothing more:
 `infeasible` and `unbounded` come only from a diverging ray, and what a
@@ -58,7 +62,7 @@ _STALL_LIMIT = 40
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _frob(m: np.ndarray) -> np.ndarray:
@@ -177,10 +181,11 @@ def _guarded(fn, mats: np.ndarray, *args: np.ndarray) -> tuple[np.ndarray, np.nd
 def _step_max(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Largest t >= 0 with S + t*D PSD, from a whitener G of S (G S G' = I).
 
-    `g` broadcasts against the stack of directions `d`; a non-finite
-    whitened direction or a failed eigenvalue solve gives 0.
+    `g` broadcasts against the stack of directions `d`, and the steps come
+    in their stack shape; a non-finite whitened direction or a failed
+    eigenvalue solve gives 0.
     """
-    m = g @ d @ np.swapaxes(g, -1, -2)
+    m = g @ d @ g.swapaxes(-1, -2)
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         m[~finite] = 0.0
@@ -199,10 +204,10 @@ def _nt_scaling(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue solves.
     """
     lx = chol[:, 0]
-    r = np.swapaxes(chol[:, 1], -1, -2) @ lx
-    (s2, v), failed = _guarded(np.linalg.eigh, np.swapaxes(r, -1, -2) @ r)
+    r = chol[:, 1].swapaxes(-1, -2) @ lx
+    (s2, v), failed = _guarded(np.linalg.eigh, r.swapaxes(-1, -2) @ r)
     g = lx @ (v / np.sqrt(np.sqrt(s2))[:, None, :])
-    return _sym(g @ np.swapaxes(g, -1, -2)), failed
+    return _sym(g @ g.swapaxes(-1, -2)), failed
 
 
 def _schur_solve(schur: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,23 +226,35 @@ class _Stack(SimpleNamespace):
     """Per-member arrays of the problems still iterating, along the first axis.
 
     ids, c, a (the constraint arrays, shape (L, m, n, n)), b, norm_b, norm_c,
-    the iterate x, y, z, chol (Cholesky factors of X and Z, shape (L, 2, n, n)),
-    stall and alpha (the last accepted step length, the smaller of X's and Z's).
+    the iterate xz (X and Z, shape (L, 2, n, n)) and y, chol (the Cholesky
+    factors of xz, same shape), stall and alpha (the last accepted step
+    length, the smaller of X's and Z's).
     """
 
     def take(self, keep: np.ndarray) -> "_Stack":
         return _Stack(**{k: v[keep] for k, v in vars(self).items()})
 
 
+def _mu(xz: np.ndarray) -> np.ndarray:
+    """<X, Z> / n of each (..., X|Z, n, n) pair."""
+    return np.add.reduce(xz[..., 0, :, :] * xz[..., 1, :, :], axis=(-2, -1)) / xz.shape[-1]
+
+
 def _iterate(st: _Stack):
     """Interior-point iterations for a stack of same-shape problems.
 
-    Returns per member the best iterate (least max of gap and residuals; an
-    `optimal` iterate is the best, since every earlier one scored above
+    X and Z travel as one (L, 2, n, n) iterate beside their Cholesky
+    factors, and each set of k search directions as one (L, k, 2, n, n)
+    array, so that step lengths, trial points and mu are one array pass
+    each.  Every operation still acts member by member: a member's iterates
+    do not depend on the stack it is in.
+
+    Returns per member the best X|Z and y (least max of gap and residuals;
+    an `optimal` iterate is the best, since every earlier one scored above
     `_TOL`), its objectives and residuals, the status and the iteration count.
     """
     size, m, n = st.a.shape[:3]
-    best_x, best_y, best_z = st.x.copy(), st.y.copy(), st.z.copy()
+    best_xz, best_y = st.xz.copy(), st.y.copy()
     best_stats = np.full((size, 5), np.inf)  # pobj, dobj, relgap, pinf, dinf
     best_score = np.full(size, np.inf)
     status = np.full(size, "max-iterations", dtype=object)
@@ -255,42 +272,47 @@ def _iterate(st: _Stack):
         live = len(st.ids)
         if not live:
             break
-        x, y, z, a = st.x, st.y, st.z, st.a
+        xz, y, a = st.xz, st.y, st.a
+        x, z = xz[:, 0], xz[:, 1]
         a_flat = a.reshape(live, m, n * n)
         rp = st.b - (a_flat @ x.reshape(live, n * n, 1))[..., 0]
         rd = st.c - z - (y[:, None] @ a_flat).reshape(live, n, n)
-        mu = np.sum(x * z, axis=(1, 2)) / n
-        pobj = np.sum(st.c * x, axis=(1, 2))
-        dobj = np.sum(st.b * y, axis=1)
-        pinf = np.sqrt(np.sum(rp * rp, axis=1)) / st.norm_b
-        dinf = np.sqrt(np.sum(rd * rd, axis=(1, 2))) / st.norm_c
+        mu = _mu(xz)
+        pobj = np.add.reduce(st.c * x, axis=(1, 2))
+        dobj = np.add.reduce(st.b * y, axis=1)
+        pinf = np.sqrt(np.add.reduce(rp * rp, axis=1)) / st.norm_b
+        dinf = np.sqrt(np.add.reduce(rd * rd, axis=(1, 2))) / st.norm_c
         relgap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
-        stats = np.stack([pobj, dobj, relgap, pinf, dinf], axis=1)
         score = np.maximum(np.maximum(pinf, dinf), relgap)
-        st.stall = np.where(score < 0.99 * best_score[st.ids], 0, st.stall + 1)
-        better = score < best_score[st.ids]
-        ids = st.ids[better]
-        best_score[ids], best_stats[ids] = score[better], stats[better]
-        best_x[ids], best_y[ids], best_z[ids] = x[better], y[better], z[better]
+        prev = best_score[st.ids]
+        st.stall = np.where(score < 0.99 * prev, 0, st.stall + 1)
+        better = score < prev
+        if better.any():
+            ids = st.ids[better]
+            best_score[ids] = score[better]
+            best_stats[ids] = np.array([pobj, dobj, relgap, pinf, dinf]).T[better]
+            best_xz[ids], best_y[ids] = xz[better], y[better]
 
-        optimal = (pinf <= _TOL) & (dinf <= _TOL) & (relgap <= _TOL)
+        optimal = score <= _TOL  # the gap and both residuals (a NaN is not)
         stop = optimal | (st.stall >= _STALL_LIMIT)
-        diverged = ~stop & ((np.sum(x * x, axis=(1, 2)) > 1e20) | (np.sum(y * y, axis=1) > 1e20)
-                            | (np.sum(z * z, axis=(1, 2)) > 1e20))
-        if stop.any() or diverged.any():
+        diverged = ~stop & ((np.add.reduce(xz * xz, axis=(2, 3)) > 1e20).any(axis=1)
+                            | (np.add.reduce(y * y, axis=1) > 1e20))
+        leave = stop | diverged
+        if leave.any():
             # Divergence: a dual ray means primal infeasibility, and vice versa.
             ray_d = (dobj > 1e8) & (dinf <= 1e-6)
             ray_p = (pobj < -1e8) & (pinf <= 1e-6)
             infeasible = ray_d | (~ray_p & (pinf > dinf))
-            keep = ~(stop | diverged)
             st = finish(st, np.select([optimal, stop, diverged & infeasible, diverged],
                                       ["optimal", "stalled", "infeasible", "unbounded"], ""),
                         it)
             live = len(st.ids)
             if not live:
                 break
-            x, y, z, a = st.x, st.y, st.z, st.a
+            xz, y, a = st.xz, st.y, st.a
+            x, z = xz[:, 0], xz[:, 1]
             a_flat = a.reshape(live, m, n * n)
+            keep = ~leave
             rp, rd, mu = rp[keep], rd[keep], mu[keep]
         # the fraction of the way to the boundary (module docstring)
         tau = 0.9 + 0.09 * st.alpha
@@ -304,70 +326,74 @@ def _iterate(st: _Stack):
         whiten, broken = _guarded(np.linalg.inv, st.chol.reshape(-1, n, n))
         whiten = whiten.reshape(live, 2, n, n)
         broken = broken.reshape(live, 2).any(axis=1)
-        z_inv = _sym(np.swapaxes(whiten[:, 1], -1, -2) @ whiten[:, 1])
+        z_inv = _sym(whiten[:, 1].swapaxes(-1, -2) @ whiten[:, 1])
         w, failed = _nt_scaling(st.chol)
         broken |= failed
         if broken.any():
             w[broken] = eye
             z_inv[broken] = eye
-        whiten = whiten[:, :, None]
+        whiten = whiten[:, None]
 
         # M_ij = <A_i, W A_j W> = vec(U_i) . vec(U_j') with U = A W
         u = a @ w[:, None]
-        schur = u.reshape(live, m, n * n) @ np.swapaxes(
-            np.swapaxes(u, -1, -2).reshape(live, m, n * n), 1, 2)
+        schur = u.reshape(live, m, n * n) @ u.swapaxes(-1, -2).reshape(
+            live, m, n * n).swapaxes(1, 2)
         # <A_i, M> sees only the symmetric part of M
-        ax, aw_rd, az_inv = np.moveaxis(a_flat @ np.stack(
+        ax, aw_rd, az_inv = (a_flat @ np.stack(
             [x.reshape(live, -1), (w @ rd @ w).reshape(live, -1), z_inv.reshape(live, -1)],
-            axis=2), 2, 0)
+            axis=2)).transpose(2, 0, 1)
 
-        def directions(rhs: np.ndarray, sigma_mu: np.ndarray, k_corr):
-            """(dx, dy, dz, failed) for each column of `rhs` (L, m, k)."""
+        def directions(rhs: np.ndarray, sigma_mu: np.ndarray, k_corr=None):
+            """(d, dy, failed) for each column of `rhs` (L, m, k): d holds
+            (dX, dZ) as (L, k, 2, n, n), and `k_corr` is the last column's
+            second-order term."""
+            k = rhs.shape[2]
             dy, failed = _schur_solve(schur, rhs)  # m = 0 gives empty dy
-            dy = np.swapaxes(dy, 1, 2)
-            dz = rd[:, None] - (dy @ a_flat).reshape(live, -1, n, n)
-            dx = _sym(sigma_mu[:, None, None, None] * z_inv[:, None] - x[:, None]
-                      - k_corr - w[:, None] @ dz @ w[:, None])
-            bad = failed[:, None] | ~(np.isfinite(dx).all(axis=(2, 3))
-                                      & np.isfinite(dy).all(axis=2)
-                                      & np.isfinite(dz).all(axis=(2, 3)))
+            dy = dy.swapaxes(1, 2)
+            d = np.empty((live, k, 2, n, n))
+            dx, dz = d[:, :, 0], d[:, :, 1]
+            np.subtract(rd[:, None], (dy @ a_flat).reshape(live, k, n, n), out=dz)
+            dx[...] = (sigma_mu[:, None, None] * z_inv - x)[:, None]
+            if k_corr is not None:
+                dx[:, -1] -= k_corr
+            dx -= w[:, None] @ dz @ w[:, None]
+            np.multiply(0.5, dx + dx.swapaxes(-1, -2), out=dx)
+            # no constraint row is zero (the rows are independent), so
+            # dZ = Rd - A*(dy) is non-finite whenever dy is
+            bad = failed[:, None] | ~np.isfinite(d).all(axis=(2, 3, 4))
             if bad.any():
-                dx[bad], dy[bad], dz[bad] = 0.0, 0.0, 0.0
-            return dx, dy, dz, bad
+                d[bad], dy[bad] = 0.0, 0.0
+            return d, dy, bad
 
         base = rp + ax + aw_rd
-        dx_a, _, dz_a, bad = directions(base[:, :, None], np.zeros(live), 0.0)
+        d, _, bad = directions(base[:, :, None], np.zeros(live))
         broken |= bad[:, 0]
-        steps = np.minimum(1.0, _step_max(whiten, np.stack([dx_a, dz_a], axis=1)))
-        mu_aff = np.sum((x[:, None] + steps[:, 0, :, None, None] * dx_a)
-                        * (z[:, None] + steps[:, 1, :, None, None] * dz_a), axis=(1, 2, 3)) / n
-        sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8)
+        steps = np.minimum(1.0, _step_max(whiten, d))
+        mu_aff = _mu(xz[:, None] + steps[..., None, None] * d)[:, 0]
+        sigma_mu = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8) * mu
 
         # Mehrotra corrector, safeguarded: the plain centered direction wins
         # whenever the second-order term spoils the achievable step.
-        k_corr = dx_a[:, 0] @ dz_a[:, 0] @ z_inv
-        plain_rhs = base - (sigma * mu)[:, None] * az_inv
-        corr_rhs = plain_rhs + (a_flat @ k_corr.reshape(live, n * n, 1))[..., 0]
-        dx, dy, dz, bad = directions(np.stack([plain_rhs, corr_rhs], axis=2), sigma * mu,
-                                     np.stack([np.zeros_like(k_corr), k_corr], axis=1))
+        k_corr = d[:, 0, 0] @ d[:, 0, 1] @ z_inv
+        rhs = np.empty((live, m, 2))
+        np.subtract(base, sigma_mu[:, None] * az_inv, out=rhs[..., 0])
+        np.add(rhs[..., 0], (a_flat @ k_corr.reshape(live, n * n, 1))[..., 0], out=rhs[..., 1])
+        d, dy, bad = directions(rhs, sigma_mu, k_corr)
         broken |= bad[:, 0]
 
-        # step lengths (L, X|Z, plain|corrector), reused for the chosen one
-        pair = np.minimum(1.0, tau[:, None, None] * _step_max(whiten, np.stack([dx, dz], axis=1)))
-        mu_new = np.sum((x[:, None] + pair[:, 0, :, None, None] * dx)
-                        * (z[:, None] + pair[:, 1, :, None, None] * dz), axis=(2, 3)) / n
-        merit = (1.0 - pair.min(axis=1)) * mu[:, None] + mu_new
+        # step lengths (L, plain|corrector, X|Z), reused for the chosen one
+        pair = np.minimum(1.0, tau[:, None, None] * _step_max(whiten, d))
+        trial = xz[:, None] + pair[..., None, None] * d
+        merit = (1.0 - pair.min(axis=2)) * mu[:, None] + _mu(trial)
         pick = (~bad[:, 1] & (merit[:, 1] < merit[:, 0])).astype(int)
         rows = np.arange(live)
-        dy = dy[rows, pick]
-        move = np.stack([dx[rows, pick], dz[rows, pick]], axis=1)
-        step = pair[rows, :, pick]
-        step[broken] = 0.0
+        dy, step, new = dy[rows, pick], pair[rows, pick], trial[rows, pick]
+        if broken.any():  # a broken member stays put until it leaves below
+            step[broken] = 0.0
+            new[broken] = xz[broken]
 
         # halve both steps until X and Z are positive definite (six times
         # at most); the factors serve as the next iteration's whiteners
-        cur = np.stack([x, z], axis=1)
-        new = cur + step[:, :, None, None] * move
         chol, failed = _guarded(np.linalg.cholesky, new.reshape(-1, n, n))
         chol = chol.reshape(new.shape)
         pending = failed.reshape(live, 2).any(axis=1)
@@ -375,19 +401,19 @@ def _iterate(st: _Stack):
             if not pending.any():
                 break
             step[pending] *= 0.5
-            new[pending] = cur[pending] + step[pending][:, :, None, None] * move[pending]
+            move = d[pending, pick[pending]]
+            new[pending] = xz[pending] + step[pending][:, :, None, None] * move
             retry, failed = _guarded(np.linalg.cholesky, new[pending].reshape(-1, n, n))
             chol[pending] = retry.reshape(-1, 2, n, n)
             pending[pending] = failed.reshape(-1, 2).any(axis=1)
         broken |= pending
 
-        st.x, st.z = new[:, 0], new[:, 1]
+        st.xz, st.chol = new, chol
         st.y = y + step[:, 1, None] * dy
-        st.chol = chol
         st.alpha = step.min(axis=1)
         if broken.any():
             st = finish(st, np.where(broken, "numerical-breakdown", ""), it)
-    return best_x, best_y, best_z, best_stats, status, iterations
+    return best_xz, best_y, best_stats, status, iterations
 
 
 def sdp_solve(problem: SDPProblem) -> SDPSolution:
@@ -400,15 +426,18 @@ def sdp_solve_batch(problems: list[SDPProblem]) -> list[SDPSolution]:
 
     Problems sharing the block size and the row count are iterated as one
     stack; the solutions come back in input order, each as it would be from
-    a solve on its own.  Every problem's constraint rows are checked for
-    linear independence (`prune_dependent_constraints`) before any problem
-    is iterated: dependent rows, consistent or not, raise `ValueError`.
-    Diverging iterates (norms beyond 1e10) end `infeasible` or `unbounded`
-    by the escaping objective; other stops keep the solver's own status.
+    a solve on its own.  Every distinct constraint array of the call (the
+    problems of one relaxation template share theirs) is checked once for
+    linearly independent rows (`prune_dependent_constraints`) before any
+    problem is iterated: dependent rows, consistent or not, raise
+    `ValueError`.  Diverging iterates (norms beyond 1e10) end `infeasible`
+    or `unbounded` by the escaping objective; other stops keep the solver's
+    own status.
     """
+    for constraints in {id(p.constraints): p.constraints for p in problems}.values():
+        prune_dependent_constraints(constraints)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(problems):
-        prune_dependent_constraints(p.constraints)
         groups.setdefault((p.dim, p.b.size), []).append(i)
     solutions: list[SDPSolution | None] = [None] * len(problems)
     for (n, m), members in groups.items():
@@ -434,15 +463,13 @@ def _solve_stack(problems: list[SDPProblem], n: int, m: int) -> list[SDPSolution
                     n * np.max((1.0 + np.abs(b)) / (1.0 + a_norms), axis=1, initial=0.0))
     eta = np.maximum(max(10.0, np.sqrt(n)),
                      np.maximum(_frob(c), np.max(a_norms, axis=1, initial=0.0)))
-    x = xi[:, None, None] * np.eye(n)
-    z = eta[:, None, None] * np.eye(n)
-    y = np.zeros((size, m))
+    xz = np.stack([xi, eta], axis=1)[:, :, None, None] * np.eye(n)  # X = xi I, Z = eta I
     st = _Stack(ids=np.arange(size), c=c, a=a, b=b,
-                norm_b=1.0 + np.linalg.norm(b, axis=1), norm_c=1.0 + _frob(c), x=x, y=y, z=z,
-                chol=np.linalg.cholesky(np.stack([x, z], axis=1)),
+                norm_b=1.0 + np.linalg.norm(b, axis=1), norm_c=1.0 + _frob(c), xz=xz,
+                y=np.zeros((size, m)), chol=np.linalg.cholesky(xz),
                 stall=np.zeros(size, dtype=int), alpha=np.zeros(size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, z, stats, status, iterations = _iterate(st)
+        xz, y, stats, status, iterations = _iterate(st)
     # the stats come in the order of `SDPSolution`'s fields
-    return [SDPSolution(x[k], y[k], z[k], *stats[k].tolist(), status[k], int(iterations[k]))
-            for k in range(size)]
+    return [SDPSolution(xz[k, 0], y[k], xz[k, 1], *stats[k].tolist(), status[k],
+                        int(iterations[k])) for k in range(size)]

@@ -143,6 +143,22 @@ def test_npa_does_not_import_protocol():
     assert not [name for name in imported if name.split(".")[:2] == ["hardyqkd", "protocol"]]
 
 
+def test_package_imports_only_numpy_and_the_standard_library():
+    # the toolkit adds no dependency: numpy is its one third-party import,
+    # and scipy may serve only as an optional test oracle
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hardyqkd"}
+    imported = []
+    for path in sorted((ROOT / "src" / "hardyqkd").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                # a relative import ("from .x import y") is the package itself
+                imported.append((path.name, node.module))
+    assert imported
+    assert not [(file, name) for file, name in imported if name.split(".")[0] not in allowed]
+
+
 def test_flag_table_matches_the_command_bodies():
     # a command reads exactly the config fields whose flag lists it: the
     # CLI rejects every other flag, so a field read but not listed would be
