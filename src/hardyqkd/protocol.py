@@ -14,7 +14,11 @@ fixed function of (seed, i): transcripts are reproducible byte-for-byte,
 whatever the thread count.  The CSV is streamed the same way, as ordered
 blocks of `_ROW_CHUNK` rows with at most two rendered but unconsumed blocks
 per thread, so memory beyond the code bytes stays bounded (a 1M-round
-`simulate` CLI run peaks at about 54 MB on 2 CPUs).
+`simulate` CLI run peaks at about 54 MB on 2 CPUs).  A block is rendered
+without per-row formatting: the last three index digits come from one
+(1000, 3) table of "000" to "999", the higher ones are worked out once per
+thousand rows, and each row's five fields come from a 32-row table of the
+codes.
 """
 
 from __future__ import annotations
@@ -109,6 +113,19 @@ _CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"
 # ",b4,b3,b2,b1,b0\n", where bk is bit k of the code.
 _CSV_TAILS = np.array([list(b"".join(b",%d" % (c >> k & 1) for k in (4, 3, 2, 1, 0)) + b"\n")
                        for c in range(32)], dtype=np.uint8)
+# "000" to "999": row i's index ends in the last min(digits(i), 3) bytes of
+# row i % 1000.
+_DIGITS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), np.uint8).reshape(1000, 3)
+
+
+def _items(a: np.ndarray) -> np.ndarray:
+    """The rows of a uint8 array with a contiguous last axis, as one opaque
+    item each: a view, which copies a row as one unit instead of byte by
+    byte."""
+    return a.view(f"V{a.shape[-1]}")[..., 0]
+
+
+_TAIL_ITEMS = _items(_CSV_TAILS)
 # Rows per job of `simulate` and `Transcript.csv_blocks`.  A multiple of 4, so
 # that each chunk's first row starts a Philox counter value (5 lo / 4 is exact).
 _ROW_CHUNK = 1 << 16
@@ -170,7 +187,9 @@ class Transcript:
         ',0' or ',1' fields and a newline from `_CSV_TAILS`, so a block's
         size has a closed form (`_csv_offset`) and the block is filled in
         place, within each run of rows whose index has the same number of
-        digits.
+        digits.  The index's last min(digits, 3) bytes are rows of
+        `_DIGITS`, which repeat every thousand rows; the bytes before them
+        change once per thousand rows and are repeated down the run.
         """
         yield _CSV_HEADER
 
@@ -181,10 +200,20 @@ class Transcript:
                 d = len(str(lo))
                 end = min(hi, 10 ** d)
                 rows = out[at:at + (end - lo) * (d + 11)].reshape(end - lo, d + 11)
-                idx = np.arange(lo, end, dtype=np.min_scalar_type(end))  # narrow ints divide faster
-                for k in range(d):
-                    rows[:, d - 1 - k] = idx // 10 ** k % 10 + 48
-                rows[:, d:] = _CSV_TAILS.take(self.code[lo:end], axis=0)
+                # the last w digits of row i are those of i % 1000: the
+                # table, rotated to start at lo, repeats down the run
+                w = min(d, 3)
+                low = np.roll(_DIGITS[:, 3 - w:], -(lo % 1000), axis=0)
+                periods = -(-(end - lo) // 1000)
+                _items(rows[:, d - w:d])[:] = np.tile(_items(low), periods)[:end - lo]
+                if d > w:  # the higher digits, once per thousand rows
+                    thousands = np.arange(lo // 1000, (end - 1) // 1000 + 1)
+                    high = np.empty((thousands.size, d - 3), dtype=np.uint8)
+                    for k in range(d - 3):
+                        high[:, -1 - k] = thousands // 10 ** k % 10 + 48
+                    edges = np.clip(1000 * np.append(thousands, thousands[-1] + 1), lo, end)
+                    _items(rows[:, :d - 3])[:] = np.repeat(_items(high), np.diff(edges))
+                _items(rows[:, d:])[:] = _TAIL_ITEMS.take(self.code[lo:end])
                 at += rows.size
                 lo = end
             return out
@@ -217,7 +246,12 @@ def simulate(n: int, behavior: Behavior,
     branch_pa = np.array([b.p_a for b in branches])
     branch_pb = np.array([b.p_b for b in branches])
     # Outcome pair via the CDF of p(.,.|A,B) in the fixed order
-    # (0,0), (0,1), (1,0), (1,1); zero-probability cells are never hit.
+    # (0,0), (0,1), (1,0), (1,1); zero-probability cells are never hit.  The
+    # documented cell is the number of the four CDF rows at or below the
+    # draw, capped at 3.  The cells are nonnegative, so no CDF column
+    # decreases: a draw at or above the last row is at or above the first
+    # three too, and counting those three alone gives the same cell (3 also
+    # where a column sums to less than 1).
     cdf = np.cumsum(behavior.p.reshape(4, 4), axis=0)  # [cell, 2A + B]
     code = np.empty(n, dtype=np.uint8)
 
@@ -226,16 +260,24 @@ def simulate(n: int, behavior: Behavior,
         bits.advance(5 * lo // 4)  # 4 doubles per counter value
         u = np.random.Generator(bits).random((hi - lo, 5))  # rows lo..hi of the (n, 5) block
         if biased:
-            branch = np.minimum((u[:, _U_BRANCH] * 4).astype(np.intp), 3)
-            pa, pb = branch_pa[branch], branch_pb[branch]
+            # u < 1 is a multiple of 2^-53 and u * 4 is exact, so the branch
+            # is at most 3 without the rule's cap at 3
+            branch = (u[:, _U_BRANCH] * 4).astype(np.intp)
+            pa, pb = branch_pa.take(branch), branch_pb.take(branch)
         else:
             pa, pb = branch_pa[0], branch_pb[0]
         pair = (u[:, _U_SET_A] >= pa).view(np.uint8) << 1  # 2A + B
         pair |= u[:, _U_SET_B] >= pb
-        cell = np.zeros(hi - lo, dtype=np.uint8)  # 2a + b
-        for cell_cdf in cdf:
-            cell += u[:, _U_OUTCOME] >= cell_cdf[pair]
-        np.minimum(cell, 3, out=cell)
+        # freed before the comparisons allocate: a thread's heap then stays
+        # below glibc's trim threshold, which a 1-CPU biased run otherwise
+        # crosses on every chunk, faulting its pages back in (1M rounds:
+        # 21,000 minor faults and 71 ms instead of 1,100 and 44 ms)
+        del pa, pb
+        outcome = u[:, _U_OUTCOME].copy()  # contiguous, compared three times
+        index = pair.astype(np.intp)
+        cell = (outcome >= cdf[0].take(index)).view(np.uint8)  # 2a + b
+        cell += outcome >= cdf[1].take(index)
+        cell += outcome >= cdf[2].take(index)
         code[lo:hi] = pair << 3 | cell << 1 | (u[:, _U_REVEAL] < reveal_fraction)
 
     for _ in _run_chunks(draw, n):  # each job fills its own slice of code

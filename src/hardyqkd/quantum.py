@@ -56,6 +56,8 @@ class Behavior:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.shape != (2, 2, 2, 2):
             raise ValueError("behavior table must have shape (2, 2, 2, 2)")
+        if not (self.p >= 0.0).all():  # NaN too; `protocol.simulate` relies on it
+            raise ParameterRangeError("behavior cells must be nonnegative")
 
     def cell(self, a: int, b: int, setting_a: int, setting_b: int) -> float:
         return float(self.p[a, b, setting_a, setting_b])

@@ -190,6 +190,24 @@ class TestSimulate:
                 cli._write(path, t.csv_blocks())
                 assert path.read_bytes() == want
 
+    @pytest.mark.parametrize("chunk", [1004, 12])
+    def test_csv_block_edges_inside_a_thousand(self, chunk, monkeypatch, tmp_path):
+        # blocks of 1004 or 12 rows (multiples of 4, like the real chunk)
+        # start at every offset within a thousand rows, so the digit table
+        # is entered mid-period and the higher digits change mid-block; each
+        # n ends on or just past a change in the index's digit count
+        monkeypatch.setattr(pr, "_ROW_CHUNK", chunk)
+        path = tmp_path / "transcript.csv"
+        codes = np.random.default_rng(3).integers(0, 32, size=12_345, dtype=np.uint8)
+        for n in (1, 9, 10, 999, 1000, 1001, 10_007, 12_345):
+            t = pr.Transcript(codes[:n])
+            want = CSV_HEADER + csv_writer_rows(t, range(n))
+            for cpus in (1, 3):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+                assert t.to_csv() == want
+                cli._write(path, t.csv_blocks())
+                assert path.read_bytes() == want
+
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_stream_holds_at_most_two_blocks_per_worker(self, monkeypatch, cpus):
         # a slow writer must not let rendered blocks pile up: at most two per
@@ -261,6 +279,23 @@ class TestSimulate:
                 got = columns(pr.simulate(n, beh, source, 0.25, seed=n))
                 for g, w in zip(got, want, strict=True):
                     assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("source", [pr.UNIFORM, pr.biased_branches(pr.UNIFORM, 0.1)])
+    def test_sub_normalised_column_ends_in_cell_3(self, source):
+        # setting pair (1, 0)'s outcome CDF ends at 0.9: a draw at or above
+        # 0.9 passes every CDF row, and the documented rule caps its count
+        # of four rows at 3
+        p = FLAT.p.copy()
+        p[:, :, 1, 0] *= 0.9
+        beh = Behavior(p=p)
+        n = 20_000
+        u = np.random.Generator(np.random.Philox(key=8)).random((n, 5))
+        want = reference_columns(n, beh, source, 0.25, seed=8)
+        sa, sb = want[0], want[1]
+        assert ((sa == 1) & (sb == 0) & (u[:, 3] >= 0.9)).sum() > 100
+        got = columns(pr.simulate(n, beh, source, 0.25, seed=8))
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterRangeError):

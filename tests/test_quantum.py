@@ -162,6 +162,15 @@ class TestUniquenessAndNoise:
 
 
 class TestBornBehavior:
+    @pytest.mark.parametrize("bad", [-0.3, float("nan")])
+    def test_negative_or_nan_cell_rejected(self, bad):
+        # simulate counts three CDF rows, which equals the capped count of
+        # four only where the CDF never decreases
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[1, 0, 1, 0] = bad
+        with pytest.raises(ParameterRangeError, match="nonnegative"):
+            q.Behavior(p=p)
+
     def test_maximally_mixed_flat(self):
         bases = q.local_bases(0.6, 0.7)
         beh = q.born_behavior(np.eye(4) / 4.0, bases)
