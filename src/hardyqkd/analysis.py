@@ -272,7 +272,8 @@ def _dual_bound(y: np.ndarray, coeff: np.ndarray, a_eq: np.ndarray,
 
 def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
            coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Maximize coeffs[k].x s.t. a_eq x = b_eqs[k], x >= 0 for every k.
+    """Maximize coeffs[k].x s.t. a_eq x = b_eqs[k], x >= 0 for every k; the
+    rows of a_eq must be linearly independent, as `lp_solve` requires.
 
     One basis settles every point it is optimal for.  The first open point
     is solved from the last final basis (`lp_solve` restarts by dual simplex
@@ -285,7 +286,7 @@ def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
     solve reached no basis), certified iff at most `_CERT_TOL` above value.
     """
     b_eqs, coeffs = np.asarray(b_eqs, dtype=float), np.asarray(coeffs, dtype=float)
-    count, (m, n) = len(b_eqs), a_eq.shape
+    count, n = len(b_eqs), a_eq.shape[1]
     x = np.zeros((count, n))
     value, residual, bound = np.full((3, count), np.nan)
     status = np.full(count, "", dtype=object)
@@ -296,12 +297,12 @@ def _sweep(a_eq: np.ndarray, b_eqs: np.ndarray,
     for k in range(count):
         if status[k]:
             continue
-        sol = lp_solve(LPProblem(c=coeffs[k], a_eq=a_eq, b_eq=b_eqs[k], maximize=True), basis)
+        sol = lp_solve(LPProblem(c=coeffs[k], a_eq=a_eq, b_eq=b_eqs[k]), basis)
         basis = sol.basis
         x[k], value[k], residual[k], status[k] = sol.x, sol.value, sol.residual, sol.status
         if sol.duals.size:
             bound[k] = _dual_bound(sol.duals, coeffs[k], a_eq, b_eqs[k])
-        if not sol.optimal or basis.size != m:
+        if not sol.optimal:
             continue
         rest = np.flatnonzero(status == "")
         xb = np.linalg.solve(a_eq[:, basis], b_eqs[rest].T).T

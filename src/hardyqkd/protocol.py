@@ -87,7 +87,6 @@ NONUNIFORM = SettingsDistribution(NONUNIFORM_RATIO, NONUNIFORM_RATIO,
 class BiasModel:
     """Four equally likely product distributions (pA +- eps, pB +- eps)."""
 
-    base: SettingsDistribution
     epsilon: float
     branches: tuple[SettingsDistribution, ...]
 
@@ -105,7 +104,7 @@ def biased_branches(base: SettingsDistribution, epsilon: float) -> BiasModel:
                 raise EpsilonTooLargeError(
                     f"epsilon = {epsilon} pushes a branch probability outside [0, 1]")
             branches.append(SettingsDistribution(pa, pb))
-    return BiasModel(base=base, epsilon=epsilon, branches=tuple(branches))
+    return BiasModel(epsilon=epsilon, branches=tuple(branches))
 
 
 _CSV_HEADER = b"index,settingA,settingB,outcomeA,outcomeB,revealed\n"

@@ -2,8 +2,11 @@
 
 Problems are stated as
 
-    optimize    c' x
-    subject to  A_eq x = b_eq,  x >= 0.
+    maximize    c' x
+    subject to  A_eq x = b_eq,  x >= 0,
+
+over linearly independent rows of A_eq (dependent rows raise `ValueError`,
+inconsistent ones end `infeasible`); the tableau minimizes -c' x.
 
 Sizes of interest are a few thousand variables and a handful of equality
 rows (the decomposition programs of the analysis pipeline), so a dense
@@ -15,7 +18,7 @@ A solve may start from a basis, typically the final `basis` of a problem
 with the same `A_eq` and a nearby `b_eq` or `c`.  When that basis is primal
 feasible at the new `b_eq`, phase 2 starts from it.  When it is primal
 infeasible but dual feasible for the new `c` (every reduced cost of the
-minimization within the pivot tolerance of >= 0), as the last optimal
+minimization of -c within the pivot tolerance of >= 0), as the last optimal
 basis of a run of LPs with one objective always is, dual-simplex pivots
 restore primal feasibility first (Chvatal, *Linear Programming*, 1983,
 ch. 10): Bland's rule on the basis index picks the leaving row, the
@@ -40,12 +43,11 @@ _MAX_ITER = 10_000
 
 @dataclass
 class LPProblem:
-    """Equality-constrained LP data; `maximize` flips the objective sense."""
+    """Data of max c'x s.t. a_eq x = b_eq, x >= 0 over independent rows."""
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    maximize: bool = False
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -66,7 +68,7 @@ class LPSolution:
     status: str  # optimal | infeasible | unbounded | max-iterations | numerical-breakdown
     iterations: int = 0
     residual: float = field(default=np.nan)
-    # basic column per kept row of the final tableau; empty when phase 1 failed
+    # basic column per row of a_eq in the final tableau; empty when phase 1 failed
     basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # y = B^-T c_B of the final basis, one per row of a_eq; empty with `basis`
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -148,10 +150,10 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ncols: int,
 def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, str, int]:
     """Feasible basis from an artificial one: (tableau rows, basis, status, pivots).
 
-    Redundant equality rows are handled here: an artificial variable that
-    remains basic at level zero is either pivoted out or its row is
-    dropped.  Inconsistent rows surface as `infeasible`; the rows are None
-    unless the status is `optimal`.
+    An artificial variable that remains basic at level zero is pivoted out;
+    one whose row has no column to pivot in shows dependent rows and raises
+    `ValueError`.  Inconsistent rows surface as `infeasible`; the rows are
+    None unless the status is `optimal`.
     """
     m, n = a.shape
     a = a.copy()
@@ -175,33 +177,26 @@ def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, np.ndarray
     if -tab[-1, -1] > _FEAS_TOL * (1.0 + abs(b).sum()):
         return None, None, "infeasible", it
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
-    for row in range(m):
-        if basis[row] < n:
-            continue
+    for row in np.flatnonzero(basis >= n):  # leftover artificials, at level zero
         pivots = np.flatnonzero(np.abs(tab[row, :n]) > 1e-8)
-        if pivots.size:
-            _pivot(tab, basis, row, int(pivots[0]))
-        else:
-            keep[row] = False  # redundant equality
-    rows = np.flatnonzero(keep)
-    return np.column_stack([tab[rows, :n], tab[rows, -1]]), basis[rows], "optimal", it
+        if pivots.size == 0:
+            raise ValueError("equality rows must be linearly independent")
+        _pivot(tab, basis, row, int(pivots[0]))
+    return np.column_stack([tab[:m, :n], tab[:m, -1]]), basis, "optimal", it
 
 
 def lp_solve(problem: LPProblem, basis: np.ndarray | None = None) -> LPSolution:
-    """Solve an equality-form LP; returns a basic solution, its basis and
-    that basis' duals y = B^-T c_B for `problem.c` (least squares where
-    phase 1 dropped redundant rows), so an optimal y.b is the value.
+    """Maximize an equality-form LP; returns a basic solution, its basis and
+    that basis' duals y = B^-T c_B, so an optimal y.b is the value.
 
     From a nonsingular `basis` the solve starts with phase 2 if the basis is
     primal feasible at `problem.b_eq`, and with dual-simplex pivots if it is
     dual feasible instead; otherwise phase 1 finds a feasible basis from an
-    artificial one.  A final basis whose solution fails the residual check
-    ends as `numerical-breakdown`.
+    artificial one, raising `ValueError` on dependent rows.  A final basis
+    whose solution fails the residual check ends as `numerical-breakdown`.
     """
     a, b = problem.a_eq, problem.b_eq
-    c = -problem.c if problem.maximize else problem.c
+    c = -problem.c  # the tableau minimizes -c'x
     n = c.size
     tol = _PIVOT_TOL * (1.0 + np.abs(b).max(initial=0.0))
     tab = None
@@ -232,7 +227,5 @@ def lp_solve(problem: LPProblem, basis: np.ndarray | None = None) -> LPSolution:
     residual = float(np.linalg.norm(a @ x - b, ord=np.inf))
     if status == "optimal" and residual > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
         status = "numerical-breakdown"  # degraded basis; do not certify
-    b_mat_t, c_b = a[:, basis].T, problem.c[basis]
-    duals = np.linalg.solve(b_mat_t, c_b) if basis.size == b.size \
-        else np.linalg.lstsq(b_mat_t, c_b, rcond=None)[0]
+    duals = np.linalg.solve(a[:, basis].T, problem.c[basis])
     return LPSolution(x, value, status, it1 + it2, residual, basis, duals)

@@ -206,11 +206,12 @@ def test_criterion_8_solver_oracles():
                 best = val
         if best is None:
             continue
-        sol = lp_solve(LPProblem(c=cvec, a_eq=a, b_eq=b))
+        # min cvec'x is minus the max of -cvec'x, the form lp_solve takes
+        sol = lp_solve(LPProblem(c=-cvec, a_eq=a, b_eq=b))
         if sol.status == "unbounded":
             continue
         assert sol.optimal
-        assert abs(sol.value - best) < 1e-9
+        assert abs(sol.value - -best) < 1e-9
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

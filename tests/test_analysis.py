@@ -53,7 +53,7 @@ def posterior(behavior, dist):
 
 
 def cold_value(coeff, a_eq, b_eq):
-    sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+    sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq))
     assert sol.optimal
     return sol.value
 
@@ -315,12 +315,27 @@ class TestGammaGrid:
         # 0.845 < eta < 1 need a min and a max solve
         assert jobs_per_call == [4]
 
-    def test_single_point_grid_degenerates(self):
-        h = HVector.from_eta(1.0)
-        g0, g1 = an.gamma_tilde(h, pr.UNIFORM)
-        grid = an.GammaGrid(h.as_array()[None], np.array([[g0, g1]]), np.array([1.0]),
-                            dist_label="uniform")
-        assert an.guesses(h.as_array()[None], grid)[0] == pytest.approx(max(g0, g1), abs=1e-9)
+    @pytest.mark.parametrize("resolution", [2, 3, 15, 201])
+    def test_every_cli_grid_has_independent_lp_rows(self, resolution):
+        # `lp_solve` takes linearly independent rows: the corners make the
+        # (h_k, 1) columns of every grid span all 5 rows, and the 12
+        # no-signalling rows are independent too
+        hs = grid_points(resolution)
+        grid = an.GammaGrid(hs, np.zeros((len(hs), 2)), np.full(len(hs), np.nan), "any")
+        assert np.linalg.matrix_rank(grid.lp_matrix) == 5
+        assert np.linalg.matrix_rank(an._NS_LP) == len(an._NS_LP) == 12
+
+    @pytest.mark.parametrize("points", [1, 15])
+    def test_grid_without_corners_raises(self, grids15, points):
+        # h(eta) is affine in eta, so without the corners the (h_k, 1)
+        # columns span at most 2 of the 5 rows, and a point on the segment
+        # makes them consistent but dependent
+        full = grids15["uniform"]
+        keep = np.flatnonzero(~np.isnan(full.etas))[-points:]
+        grid = an.GammaGrid(full.hs[keep], full.gammas[keep], full.etas[keep], full.dist_label)
+        assert np.linalg.matrix_rank(grid.lp_matrix) == min(points, 2)
+        with pytest.raises(ValueError, match="linearly independent"):
+            an.guesses(full.hs[keep[-1:]], grid)
 
 
 def grid_points(resolution):
@@ -424,17 +439,24 @@ class TestSettledEnds:
         # and a mixture of the deterministic strategies, found by an LP over
         # their own tables, reproduces all 16 of its cells; where no end
         # settles (eta > 0.845) the vertex violates CHSH and no mixture
-        # exists
+        # exists.  The 17 rows (16 cells, normalization) have rank 9, so the
+        # LP keeps a maximal independent set of them; every no-signalling
+        # vertex meets the other rows with these, so no mixture is lost
         strategies = deterministic_behaviors().reshape(16, 16)
         mixture = np.vstack([strategies.T, np.ones(16)])
+        rows = []
+        for k in range(len(mixture)):
+            if np.linalg.matrix_rank(mixture[rows + [k]]) > len(rows):
+                rows.append(k)
+        assert len(rows) == 9
         points = grid_points(resolution)
         for h, pair in zip(points, an._settled_q_ends(points), strict=True):
             for sign, end in zip((-1.0, 1.0), pair):
                 coeff, a_eq, b_eq = settle_lps(h, sign)
-                vertex = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+                vertex = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq))
                 assert vertex.optimal
-                local = lp_solve(LPProblem(c=np.zeros(16), a_eq=mixture,
-                                           b_eq=np.append(vertex.x, 1.0)))
+                local = lp_solve(LPProblem(c=np.zeros(16), a_eq=mixture[rows],
+                                           b_eq=np.append(vertex.x, 1.0)[rows]))
                 if np.isnan(end):
                     assert max(chsh_values(vertex.x)) > 2.0 + 1e-9
                     assert local.status == "infeasible"
@@ -590,12 +612,11 @@ class TestWarmSweep:
             assert abs(guess[k] - cold) <= 1e-12
 
 
-def stale_solve(monkeypatch, **changes):
-    """Route `analysis.lp_solve` to a solve of the problem with `changes`
-    applied: a solver that returns a basis and duals of another program."""
+def stale_solve(monkeypatch, change):
+    """Route `analysis.lp_solve` to a solve of `change(problem)`: a solver
+    that returns a basis and duals of another program."""
     solve = an.lp_solve
-    monkeypatch.setattr(an, "lp_solve", lambda problem, basis=None: solve(
-        dataclasses.replace(problem, **changes), basis))
+    monkeypatch.setattr(an, "lp_solve", lambda problem, basis=None: solve(change(problem), basis))
 
 
 class TestDualCertificate:
@@ -626,7 +647,7 @@ class TestDualCertificate:
         assert abs(bound[1] - cold) <= 1e-12
 
     def test_nonoptimal_basis_is_rejected(self, grids15, monkeypatch):
-        stale_solve(monkeypatch, maximize=False)
+        stale_solve(monkeypatch, lambda problem: dataclasses.replace(problem, c=-problem.c))
         with pytest.raises(SolverFailure, match="dual bound"):
             an.guesses(pr.h_rows([0.9]), grids15["nonuniform"], [(0.3, 0.7)])
 
@@ -634,7 +655,7 @@ class TestDualCertificate:
     def test_tampered_coefficient_is_rejected(self, grids15, monkeypatch, label):
         grid = grids15[label]
         coeff, a_eq, b_eq = decomposition_lp(grid, 0.95)
-        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq, maximize=True))
+        sol = lp_solve(LPProblem(c=coeff, a_eq=a_eq, b_eq=b_eq))
         assert an._dual_bound(sol.duals, coeff, a_eq, b_eq) == \
             pytest.approx(sol.value, abs=1e-12)
         k = np.setdiff1d(np.arange(coeff.size), sol.basis)[0]
@@ -643,33 +664,13 @@ class TestDualCertificate:
         gammas[k] = worth
         tampered = dataclasses.replace(grid, gammas=gammas)
         # the solve still sees the true coefficients and stops at their optimum
-        stale_solve(monkeypatch, c=coeff)
+        stale_solve(monkeypatch, lambda problem: dataclasses.replace(problem, c=coeff))
         with pytest.raises(SolverFailure, match="dual bound"):
             an.guesses(pr.h_rows([0.95]), tampered)
 
     def test_hull_violation_is_named(self, grids15):
         with pytest.raises(SolverFailure, match="convex hull"):
             an.guesses(np.array([[2.0, 0.0, 0.0, 0.0]]), grids15["uniform"])
-
-    def test_segment_grid_drops_rows_and_matches_cold_solves(self, grids15, monkeypatch):
-        # h(eta) is affine in eta, so the segment-only LP matrix has rank 2
-        # of 5 rows: phase 1 drops three, the duals are least-squares, and
-        # a basis that short settles no other point
-        full = grids15["nonuniform"]
-        seg = ~np.isnan(full.etas)
-        grid = an.GammaGrid(full.hs[seg], full.gammas[seg], full.etas[seg], full.dist_label)
-        assert np.linalg.matrix_rank(grid.lp_matrix) == 2
-        etas = [float(eta) for eta in np.linspace(0.0, 1.0, 21)]
-        hs = pr.h_rows(etas)
-        coeffs = np.broadcast_to(grid.gammas.max(axis=1), (len(hs), len(grid.hs)))
-        solve, made = an.lp_solve, []
-        monkeypatch.setattr(an, "lp_solve", lambda *args: made.append(solve(*args)) or made[-1])
-        an._sweep(grid.lp_matrix, [np.append(h, 1.0) for h in hs], coeffs)
-        assert len(made) == len(hs)
-        assert all(sol.basis.size == 2 and sol.duals.size == 5 for sol in made)
-        monkeypatch.undo()
-        for eta, value in zip(etas, an.guesses(hs, grid), strict=True):
-            assert abs(value - min(1.0, cold_value(*decomposition_lp(grid, eta)))) <= 1e-12
 
 
 class TestKeyRates:

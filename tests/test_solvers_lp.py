@@ -11,8 +11,8 @@ from hardyqkd.solvers import LPProblem, lp, lp_solve
 from oracles import verify_lp_solution
 
 
-def vertex_enumeration_optimum(c, a_eq, b_eq, maximize):
-    """Brute-force optimum of min/max c'x s.t. A x = b, x >= 0.
+def vertex_enumeration_optimum(c, a_eq, b_eq):
+    """Brute-force optimum of max c'x s.t. A x = b, x >= 0.
 
     Enumerates all basic solutions (column subsets of size rank) and keeps
     the best feasible one.  Only viable for tiny instances.
@@ -35,25 +35,40 @@ def vertex_enumeration_optimum(c, a_eq, b_eq, maximize):
         if np.linalg.norm(a_eq @ x - b_eq, ord=np.inf) > 1e-9:
             continue
         val = float(c @ x)
-        if best is None or (val > best if maximize else val < best):
+        if best is None or val > best:
             best = val
     return best
 
 
+def either_sense(rng, n):
+    """Random objective c ~ N(0, 1) of a maximization, or -c where the
+    instance is the minimization of c, which is minus the maximum of -c'x."""
+    c = rng.normal(size=n)
+    return c if rng.integers(0, 2) else -c
+
+
 def test_maximize_simple():
-    sol = lp_solve(LPProblem(c=[1, 0], a_eq=[[1, 1]], b_eq=[1], maximize=True))
+    sol = lp_solve(LPProblem(c=[1, 0], a_eq=[[1, 1]], b_eq=[1]))
     assert sol.optimal
     assert sol.value == pytest.approx(1.0, abs=1e-12)
-    assert verify_lp_solution(LPProblem(c=[1, 0], a_eq=[[1, 1]], b_eq=[1],
-                                        maximize=True), sol)
+    assert verify_lp_solution(LPProblem(c=[1, 0], a_eq=[[1, 1]], b_eq=[1]), sol)
 
 
-def test_redundant_equality_pruned():
-    # second row is twice the first; must not cycle or fail
-    sol = lp_solve(LPProblem(c=[1, 1, 0], a_eq=[[1, 1, 1], [2, 2, 2]],
-                             b_eq=[1, 2]))
-    assert sol.optimal
-    assert sol.value == pytest.approx(0.0, abs=1e-12)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_dependent_rows_raise_and_inconsistent_ones_are_infeasible(warm):
+    # the second row is twice the first.  With consistent right-hand sides,
+    # phase 1 ends with an artificial at level zero and no column to pivot
+    # in.  The final basis of a problem with independent rows is singular
+    # on these rows, so a solve from it goes to phase 1 too.
+    other = lp_solve(LPProblem(c=[1, 1, 0], a_eq=[[1, 1, 1], [1, -1, 0]], b_eq=[1, 0]))
+    assert other.optimal and other.basis.size == 2
+    basis = other.basis if warm else None
+    problem = LPProblem(c=[1, 1, 0], a_eq=[[1, 1, 1], [2, 2, 2]], b_eq=[1, 2])
+    with pytest.raises(ValueError, match="linearly independent"):
+        lp_solve(problem, basis)
+    # inconsistent dependent rows admit no x: infeasible, not an error
+    sol = lp_solve(dataclasses.replace(problem, b_eq=[1, 3]), basis)
+    assert sol.status == "infeasible" and sol.basis.size == 0 and sol.duals.size == 0
 
 
 def test_infeasible():
@@ -63,14 +78,14 @@ def test_infeasible():
 
 
 def test_unbounded():
-    sol = lp_solve(LPProblem(c=[-1, 0], a_eq=[[0, 1]], b_eq=[1]))
+    sol = lp_solve(LPProblem(c=[1, 0], a_eq=[[0, 1]], b_eq=[1]))
     assert sol.status == "unbounded"
 
 
 def test_negative_rhs_handled():
-    sol = lp_solve(LPProblem(c=[1, 1], a_eq=[[-1, -1]], b_eq=[-1]))
+    sol = lp_solve(LPProblem(c=[-1, -1], a_eq=[[-1, -1]], b_eq=[-1]))
     assert sol.optimal
-    assert sol.value == pytest.approx(1.0, abs=1e-10)
+    assert sol.value == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_vertex_enumeration_agreement_200_instances():
@@ -82,19 +97,17 @@ def test_vertex_enumeration_agreement_200_instances():
         a = rng.normal(size=(m, n))
         x_feas = rng.uniform(0.0, 2.0, size=n)
         b = a @ x_feas  # guarantees feasibility
-        c = rng.normal(size=n)
-        maximize = bool(rng.integers(0, 2))
-        oracle = vertex_enumeration_optimum(c, a, b, maximize)
+        c = either_sense(rng, n)
+        oracle = vertex_enumeration_optimum(c, a, b)
         if oracle is None:
             continue
-        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize))
+        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b))
         if sol.status == "unbounded":
             # oracle only sees vertices; re-check with a bounding box
             continue
         assert sol.optimal
         assert sol.value == pytest.approx(oracle, abs=1e-9)
-        assert verify_lp_solution(LPProblem(c=c, a_eq=a, b_eq=b,
-                                            maximize=maximize), sol)
+        assert verify_lp_solution(LPProblem(c=c, a_eq=a, b_eq=b), sol)
         checked += 1
 
 
@@ -106,7 +119,11 @@ def test_random_feasible_lp_is_solved_and_verified(seed):
     m = int(rng.integers(1, 4))
     a = rng.normal(size=(m, n))
     b = a @ rng.uniform(0.0, 1.0, size=n)
-    c = rng.normal(size=n)
+    c = -rng.normal(size=n)
+    if m > n:  # more rows than columns: dependent, and consistent by construction
+        with pytest.raises(ValueError, match="linearly independent"):
+            lp_solve(LPProblem(c=c, a_eq=a, b_eq=b))
+        return
     sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b))
     assert sol.status in ("optimal", "unbounded")
     if sol.optimal:
@@ -117,7 +134,7 @@ def test_determinism():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 8))
     b = a @ rng.uniform(size=8)
-    c = rng.normal(size=8)
+    c = -rng.normal(size=8)
     s1 = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b))
     s2 = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b))
     assert s1.value == s2.value
@@ -138,20 +155,18 @@ def test_warm_start_from_perturbed_optimum_matches_vertex_enumeration():
         x_feas = rng.uniform(0.0, 2.0, size=n)
         b = a @ x_feas
         b_near = a @ (x_feas + rng.uniform(-0.3, 0.3, size=n))
-        c = rng.normal(size=n)
-        maximize = bool(rng.integers(0, 2))
-        start = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b_near, maximize=maximize))
-        oracle = vertex_enumeration_optimum(c, a, b, maximize)
+        c = either_sense(rng, n)
+        start = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b_near))
+        oracle = vertex_enumeration_optimum(c, a, b)
         if not start.optimal or oracle is None:
             continue
-        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize), start.basis)
+        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b), start.basis)
         if sol.status == "unbounded":
             continue
         assert sol.optimal
         assert sol.value == pytest.approx(oracle, abs=1e-9)
-        assert verify_lp_solution(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize), sol)
-        warm += sol.iterations < lp_solve(
-            LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize)).iterations
+        assert verify_lp_solution(LPProblem(c=c, a_eq=a, b_eq=b), sol)
+        warm += sol.iterations < lp_solve(LPProblem(c=c, a_eq=a, b_eq=b)).iterations
         checked += 1
     assert warm > 0  # some solves did start from the given basis
 
@@ -160,7 +175,7 @@ def test_optimal_start_needs_no_pivots():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 9))
     b = a @ rng.uniform(size=9)
-    problem = LPProblem(c=rng.normal(size=9) ** 2, a_eq=a, b_eq=b)
+    problem = LPProblem(c=-rng.normal(size=9) ** 2, a_eq=a, b_eq=b)
     cold = lp_solve(problem)
     warm = lp_solve(problem, cold.basis)
     assert cold.optimal and warm.optimal and warm.iterations == 0
@@ -171,21 +186,10 @@ def test_optimal_start_needs_no_pivots():
 @pytest.mark.parametrize("basis", [[0, 0], [0], [0, 5], [-1, 1]],
                          ids=["repeated", "short", "out-of-range", "negative"])
 def test_unusable_start_runs_both_phases(basis):
-    problem = LPProblem(c=[1.0, 2.0, 3.0], a_eq=[[1, 1, 1], [1, -1, 0]], b_eq=[1, 0])
+    problem = LPProblem(c=[-1.0, -2.0, -3.0], a_eq=[[1, 1, 1], [1, -1, 0]], b_eq=[1, 0])
     cold = lp_solve(problem)
     sol = lp_solve(problem, np.array(basis))
     assert sol.optimal and sol.value == cold.value and sol.iterations == cold.iterations
-
-
-def test_redundant_rows_shorten_the_basis():
-    a, b = np.array([[1, 1, 1], [2, 2, 2]]), np.array([1, 2])
-    sol = lp_solve(LPProblem(c=[1, 2, 0], a_eq=a, b_eq=b))
-    assert sol.optimal and sol.basis.size == 1
-    # still one dual per row of a_eq, with B^T y = c_B and y.b = value
-    top = lp_solve(LPProblem(c=[1, 2, 0], a_eq=a, b_eq=b, maximize=True))
-    assert top.basis.tolist() == [1] and top.duals.size == 2
-    assert a[:, top.basis].T @ top.duals == pytest.approx([2.0], abs=1e-12)
-    assert top.duals @ b == pytest.approx(top.value, abs=1e-12) and top.value == 2.0
 
 
 def test_optimal_duals_certify_the_value():
@@ -198,15 +202,14 @@ def test_optimal_duals_certify_the_value():
         m = int(rng.integers(1, min(n, 5)))
         a = rng.normal(size=(m, n))
         b = a @ rng.uniform(0.0, 2.0, size=n)
-        c = rng.normal(size=n)
-        maximize = bool(rng.integers(0, 2))
-        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b, maximize=maximize))
+        c = either_sense(rng, n)
+        sol = lp_solve(LPProblem(c=c, a_eq=a, b_eq=b))
         if not sol.optimal:
             continue
         assert sol.basis.size == m and sol.duals.size == m
         assert np.abs(a[:, sol.basis].T @ sol.duals - c[sol.basis]).max() <= 1e-9
         assert sol.duals @ b == pytest.approx(sol.value, abs=1e-9)
-        reduced = (c - sol.duals @ a) * (1.0 if maximize else -1.0)
+        reduced = c - sol.duals @ a
         assert reduced.max() <= 1e-9
         checked += 1
 
@@ -214,7 +217,7 @@ def test_optimal_duals_certify_the_value():
 def test_degraded_basis_is_numerical_breakdown():
     # the start basis is feasible and optimal but nearly singular: its
     # solution (~1e11 per entry) misses A x = b by ~7e-6
-    problem = LPProblem(c=[0, 0, 1], a_eq=[[1, -1, 1], [1, -1 + 1e-14, 0]],
+    problem = LPProblem(c=[0, 0, -1], a_eq=[[1, -1, 1], [1, -1 + 1e-14, 0]],
                         b_eq=[1, 1 + 1e-3])
     sol = lp_solve(problem, np.array([0, 1]))
     assert sol.status == "numerical-breakdown"
@@ -238,10 +241,9 @@ def test_dual_restart_reaches_the_cold_optimum_without_phase1(monkeypatch):
         x_feas = rng.uniform(0.0, 2.0, size=n)
         b = a @ x_feas
         b_near = a @ (x_feas + rng.uniform(-0.5, 0.5, size=n))
-        problem = LPProblem(c=rng.normal(size=n), a_eq=a, b_eq=b,
-                            maximize=bool(rng.integers(0, 2)))
+        problem = LPProblem(c=either_sense(rng, n), a_eq=a, b_eq=b)
         start = lp_solve(dataclasses.replace(problem, b_eq=b_near))
-        if not start.optimal or start.basis.size != m:
+        if not start.optimal:
             continue
         if (np.linalg.solve(a[:, start.basis], b) >= 0.0).all():
             continue  # primal feasible at b: phase 2 starts from it
@@ -270,7 +272,7 @@ def test_dual_ratio_test_proves_infeasibility(monkeypatch, a, b_eq):
     # the optimal basis at a feasible b is dual feasible; at b_eq one of its
     # rows is negative with no negative entry, so no x >= 0 meets it
     feasible = np.array(a, dtype=float) @ np.full(np.shape(a)[1], 0.5)
-    problem = LPProblem(c=np.arange(1.0, np.shape(a)[1] + 1.0), a_eq=a, b_eq=b_eq)
+    problem = LPProblem(c=-np.arange(1.0, np.shape(a)[1] + 1.0), a_eq=a, b_eq=b_eq)
     start = lp_solve(dataclasses.replace(problem, b_eq=feasible))
     assert start.optimal
     assert lp_solve(problem).status == "infeasible"
@@ -289,9 +291,8 @@ def test_warm_and_cold_values_agree_on_random_lps():
         n = int(rng.integers(2, 8))
         m = int(rng.integers(1, min(n, 4) + 1))
         a = rng.normal(size=(m, n))
-        problem = LPProblem(c=rng.normal(size=n), a_eq=a,
-                            b_eq=a @ rng.uniform(-0.5, 1.5, size=n),
-                            maximize=bool(rng.integers(0, 2)))
+        c, b_eq = rng.normal(size=n), a @ rng.uniform(-0.5, 1.5, size=n)
+        problem = LPProblem(c=c if rng.integers(0, 2) else -c, a_eq=a, b_eq=b_eq)
         start = lp_solve(dataclasses.replace(problem, b_eq=a @ rng.uniform(0.0, 1.0, size=n)))
         if not start.optimal:
             continue

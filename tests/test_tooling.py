@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from hardyqkd import cli
+from hardyqkd.solvers import LPProblem, SDPProblem
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -103,6 +104,14 @@ def test_one_lp_solve_call_site_outside_the_solvers():
              for k, line in enumerate(path.read_text().splitlines())
              if re.search(r"\blp_solve\(", line)]
     assert len(sites) == 1, sites
+
+
+def test_solver_problems_take_one_form():
+    # each solver states one form: max c'x over independent rows for the LP,
+    # min <C, X> for the SDP; an objective-sense or row-handling option
+    # would be a new field of the problem
+    assert [f.name for f in dataclasses.fields(LPProblem)] == ["c", "a_eq", "b_eq"]
+    assert [f.name for f in dataclasses.fields(SDPProblem)] == ["c", "constraints", "b"]
 
 
 def test_one_sdp_solve_batch_call_site_outside_the_solvers():
